@@ -215,7 +215,7 @@ def cmd_semimagic(args) -> tuple[dict, bool]:
     return doc, report.passed
 
 
-def _verify_polytope(name: str, seed: int) -> tuple[dict, bool]:
+def _verify_polytope(name: str) -> tuple[dict, bool]:
     p = corpus_mod.load_polytope(name)
     result = ehrhart(p)
     reports = [reciprocity_check(p, max_n=4)]
@@ -245,7 +245,7 @@ def cmd_corpus_verify(args) -> tuple[dict, bool]:
     all_ok = True
     polytope_entries = []
     for name in corpus_mod.list_polytopes():
-        entry, ok = _verify_polytope(name, seed)
+        entry, ok = _verify_polytope(name)
         polytope_entries.append(entry)
         all_ok = all_ok and ok
     cone_entries = []

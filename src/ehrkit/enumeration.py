@@ -2,10 +2,12 @@
 
 `enumerate_points` walks the coordinates of a polytope's bounding box
 depth-first, narrowing each coordinate's range with exact integer interval
-arithmetic derived from the half-space form. The pruning bounds are sound
-but not tight, so every emitted point is re-verified exactly at the leaf.
-A `prune=False` mode scans the full box instead and exists to cross-check
-the DFS in tests.
+arithmetic derived from the half-space form. The half-space data are jointly
+primitive integers, so for a lattice point the strict facet inequality
+<a, x> < c is the same as <a, x> <= c - 1: the relative interior is walked
+by the same DFS with every facet bound lowered by one. The pruning bounds
+are sound but not tight, so every emitted point is re-checked at the leaf
+against the integer partial sums <a, x> the walk already maintains.
 
 `ehrhart` turns dilate counts into the closed and interior counting
 quasipolynomials and the h*-numerator over (1 - x^p)^(d+1), with guard-term
@@ -36,8 +38,7 @@ def _ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-def enumerate_points(p: RationalPolytope, region: str = "closed",
-                     prune: bool = True) -> list[IntPoint]:
+def enumerate_points(p: RationalPolytope, region: str = "closed") -> list[IntPoint]:
     """All lattice points of p (or of its relative interior), sorted.
 
     region: 'closed' or 'interior' (interior is relative to the affine hull).
@@ -48,20 +49,12 @@ def enumerate_points(p: RationalPolytope, region: str = "closed",
     if any(l > h for l, h in zip(lo, hi)):
         return []
     hrep = p.facets()
-    strict = region == "interior"
-    if not prune:
-        import itertools
-
-        return [
-            pt
-            for pt in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-            if hrep.satisfies(pt, strict=strict)
-        ]
+    slack = 1 if region == "interior" else 0
 
     n = p.ambient_dim
     # constraints as (coeffs, bound, is_equality); <a, x> <= c or == c
     constraints = [(a, c, True) for a, c in hrep.equalities] + [
-        (a, c, False) for a, c in hrep.inequalities
+        (a, c - slack, False) for a, c in hrep.inequalities
     ]
     # suffix extremes: smallest/largest possible contribution of coords j >= i
     suf_min = []
@@ -81,9 +74,9 @@ def enumerate_points(p: RationalPolytope, region: str = "closed",
 
     def walk(depth: int) -> None:
         if depth == n:
-            pt = tuple(point)
-            if hrep.satisfies(pt, strict=strict):
-                out.append(pt)
+            if all(s == c if is_eq else s <= c
+                   for s, (_, c, is_eq) in zip(partial, constraints)):
+                out.append(tuple(point))
             return
         lo_d, hi_d = lo[depth], hi[depth]
         for k, (a, c, is_eq) in enumerate(constraints):
@@ -98,7 +91,7 @@ def enumerate_points(p: RationalPolytope, region: str = "closed",
                 if is_eq:
                     hi_d = min(hi_d, _floor_div(room - suf_max[k][depth + 1], coef))
             else:
-                # no leverage on this coordinate; prune only on infeasibility
+                # no leverage on this coordinate; cut the subtree only when infeasible
                 tail_lo = partial[k] + suf_min[k][depth + 1]
                 tail_hi = partial[k] + suf_max[k][depth + 1]
                 if tail_lo > c or (is_eq and tail_hi < c):
@@ -132,15 +125,11 @@ def count_points(p: RationalPolytope, n: int, region: str = "closed") -> int:
 class EhrhartResult:
     """Counting data of one polytope: quasipolynomials plus h*-numerator."""
 
-    polytope: RationalPolytope
+    dim: int
     period: int
     quasi: QuasiPoly
     quasi_interior: QuasiPoly
     hstar: HStarData
-
-    @property
-    def dim(self) -> int:
-        return self.polytope.dim
 
     def count(self, n: int) -> Fraction:
         return self.quasi.evaluate(n)
@@ -159,10 +148,8 @@ def _ehrhart_cached(p: RationalPolytope) -> EhrhartResult:
     interior_counts: list[int] = [1]
     for n in range(1, top + 1):
         dilated = p.dilate(n)
-        pts = enumerate_points(dilated)
-        hrep = dilated.facets()
-        closed_counts.append(len(pts))
-        interior_counts.append(sum(1 for q in pts if hrep.satisfies(q, strict=True)))
+        closed_counts.append(len(enumerate_points(dilated)))
+        interior_counts.append(len(enumerate_points(dilated, region="interior")))
 
     constituents = []
     for r in range(per):
@@ -202,7 +189,7 @@ def _ehrhart_cached(p: RationalPolytope) -> EhrhartResult:
             f"h* numerator of {p!r} is not a nonnegative integer vector "
             f"with constant term 1: {hstar.coeffs}"
         )
-    return EhrhartResult(p, per, quasi, quasi_interior, hstar)
+    return EhrhartResult(d, per, quasi, quasi_interior, hstar)
 
 
 def ehrhart(p: RationalPolytope) -> EhrhartResult:

@@ -16,10 +16,6 @@ from typing import Sequence
 Vec = tuple[Fraction, ...]
 
 
-def frac_vec(values: Sequence) -> Vec:
-    return tuple(Fraction(v) for v in values)
-
-
 def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
 
@@ -30,11 +26,6 @@ def vec_add(u: Sequence, v: Sequence) -> Vec:
 
 def vec_sub(u: Sequence, v: Sequence) -> Vec:
     return tuple(Fraction(a) - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
 
 
 def row_reduce(rows: Sequence[Sequence]) -> tuple[list[Vec], list[int]]:

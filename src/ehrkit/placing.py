@@ -47,8 +47,8 @@ def placing_cells(points: Sequence[Point]) -> list[tuple[int, ...]]:
             cur_dim += 1
             continue
         added = []
-        for facet, apex in _boundary_facets(cells):
-            a, c = _facet_hyperplane(points, facet, directions)
+        for facet, apex in boundary_facets(cells):
+            a, c = facet_hyperplane(points, facet, directions)
             apex_side = linalg.dot(a, points[apex]) - c
             q_side = linalg.dot(a, q) - c
             if apex_side * q_side < 0:  # strictly visible
@@ -57,7 +57,7 @@ def placing_cells(points: Sequence[Point]) -> list[tuple[int, ...]]:
     return cells
 
 
-def _boundary_facets(cells: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+def boundary_facets(cells: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
     """(facet, apex) pairs for facets lying in exactly one cell."""
     seen: dict[tuple[int, ...], list[int]] = {}
     for cell in cells:
@@ -67,8 +67,8 @@ def _boundary_facets(cells: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...]
     return [(facet, apexes[0]) for facet, apexes in seen.items() if len(apexes) == 1]
 
 
-def _facet_hyperplane(points: Sequence[Point], facet: tuple[int, ...],
-                      directions: list[Point]) -> tuple[Point, Fraction]:
+def facet_hyperplane(points: Sequence[Point], facet: tuple[int, ...],
+                     directions: list[Point]) -> tuple[Point, Fraction]:
     """Hyperplane <a, x> = c through the facet, with a in the hull's span."""
     k = len(directions)
     f0 = points[facet[0]]

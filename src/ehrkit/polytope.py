@@ -3,23 +3,24 @@
 A polytope is stored by its extreme points (lex-sorted tuples of Fraction
 coordinates). The half-space form is derived on demand: equalities pin the
 affine hull, inequalities are facet half-spaces of the form <a, x> <= c with
-(a, c) jointly primitive integer vectors. Facets are found by an exhaustive
-scan over point subsets spanning candidate hyperplanes, which is entirely
-adequate at the vertex counts this package works with (tens, not thousands).
+(a, c) jointly primitive integer vectors. Facets are read off a placing
+triangulation of the points: every facet of the hull is spanned by some
+boundary facet of any triangulation, so each boundary facet's hyperplane,
+oriented away from the apex of its cell, is a facet inequality.
 
 Everything is exact; no floats are accepted or produced.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import InputError, UnsupportedError
+from .errors import InputError
+from .placing import boundary_facets, facet_hyperplane, placing_cells
 from .ratpoly import RatLike, _coerce
 
 Point = tuple[Fraction, ...]
@@ -184,59 +185,12 @@ def normalize(points: Iterable[Sequence[RatLike]], name: str = "") -> RationalPo
     return RationalPolytope.from_points(points, name=name)
 
 
-def facets(p: RationalPolytope) -> HRep:
-    return p.facets()
-
-
-def contains(p: RationalPolytope, x: Sequence[RatLike], region: str = "closed") -> bool:
-    return p.contains(x, region)
-
-
-def dilate(p: RationalPolytope, t: RatLike) -> RationalPolytope:
-    return p.dilate(t)
-
-
 def contains_polytope(inner: RationalPolytope, outer: RationalPolytope) -> bool:
     """True iff every vertex of `inner` satisfies `outer`'s half-space form."""
     if inner.ambient_dim != outer.ambient_dim:
         raise InputError("containment needs matching ambient dimensions")
     hrep = outer.facets()
     return all(hrep.satisfies(v) for v in inner.vertices)
-
-
-def interior_lattice_points(p: RationalPolytope) -> list[tuple[int, ...]]:
-    """Lattice points in the relative interior, by bounding-box scan."""
-    lo, hi = p.bounding_box()
-    if any(l > h for l, h in zip(lo, hi)):
-        return []
-    out = []
-    for cand in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if p.contains(cand, region="interior"):
-            out.append(cand)
-    return out
-
-
-def reflexive_check(p: RationalPolytope) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide whether some lattice translate of p is reflexive.
-
-    Requires a full-dimensional lattice polytope. A translate q = p - z is
-    reflexive iff 0 is its unique interior lattice point and every facet of
-    q, written with jointly primitive integer data (a, c), has offset c = 1
-    (equivalently the facet normal scaled to offset 1 stays integral).
-    Returns (True, z) with the witness translation, or (False, None).
-    """
-    if not p.is_lattice:
-        raise UnsupportedError("reflexive_check needs a lattice polytope")
-    if p.dim != p.ambient_dim:
-        raise UnsupportedError("reflexive_check needs a full-dimensional polytope")
-    interior = interior_lattice_points(p)
-    if len(interior) != 1:
-        return False, None
-    z = interior[0]
-    shifted = p.translate([-v for v in z])
-    if all(c == 1 for _, c in shifted.facets().inequalities):
-        return True, z
-    return False, None
 
 
 # -- internals ---------------------------------------------------------------
@@ -258,24 +212,11 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int]:
 
     ineqs: set[tuple[IntVec, int]] = set()
     if dim >= 1:
-        for subset in itertools.combinations(pts, dim):
-            sub_diffs = [linalg.vec_sub(q, subset[0]) for q in subset[1:]]
-            # candidate normal lives in the direction space: a = sum y_i B_i
-            m = [[linalg.dot(d, b) for b in directions] for d in sub_diffs]
-            kernel = linalg.nullspace(m, ncols=dim)
-            if len(kernel) != 1:
-                continue
-            y = kernel[0]
-            a = tuple(
-                sum((y[i] * directions[i][j] for i in range(dim)), Fraction(0))
-                for j in range(ambient)
-            )
-            c = linalg.dot(a, subset[0])
-            sides = [linalg.dot(a, q) - c for q in pts]
-            if all(s <= 0 for s in sides):
-                ineqs.add(_joint_primitive(a, c))
-            elif all(s >= 0 for s in sides):
-                ineqs.add(_joint_primitive([-v for v in a], -c))
+        for facet, apex in boundary_facets(placing_cells(pts)):
+            a, c = facet_hyperplane(pts, facet, directions)
+            if linalg.dot(a, pts[apex]) > c:
+                a, c = tuple(-v for v in a), -c
+            ineqs.add(_joint_primitive(a, c))
     hrep = HRep(tuple(sorted(eqs)), tuple(sorted(ineqs)))
     return hrep, dim
 

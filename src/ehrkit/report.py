@@ -27,10 +27,6 @@ class Report:
         verdict = PASS if all(inst.get("pass", False) for inst in instances) else FAIL
         return Report(theorem, instances, verdict, notes or {})
 
-    @staticmethod
-    def not_applicable(theorem: str, reason: str) -> "Report":
-        return Report(theorem, [], HYPOTHESIS_NOT_MET, {"reason": reason})
-
     @property
     def passed(self) -> bool:
         return self.verdict in (PASS, HYPOTHESIS_NOT_MET)

@@ -14,12 +14,13 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .enumeration import count_points, ehrhart
+from .enumeration import count_points, ehrhart, enumerate_points
 from .errors import InputError, TheoremViolationError, UnsupportedError
-from .polytope import RationalPolytope, contains_polytope, reflexive_check
+from .placing import boundary_facets
+from .polytope import RationalPolytope, contains_polytope
 from .ratpoly import HStarData, Poly, choose, hstar_from_counts
 from .report import HYPOTHESIS_NOT_MET, Report
-from .triangulation import Triangulation, placing_triangulation
+from .triangulation import placing_triangulation
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,29 @@ def ab_report(pr: HStarProfile) -> Report:
                                  notes={"l": dec.l, "d": dec.d})
 
 
+def reflexive_check(p: RationalPolytope) -> tuple[bool, tuple[int, ...] | None]:
+    """Decide whether some lattice translate of p is reflexive.
+
+    Requires a full-dimensional lattice polytope. A translate q = p - z is
+    reflexive iff 0 is its unique interior lattice point and every facet of
+    q, written with jointly primitive integer data (a, c), has offset c = 1
+    (equivalently the facet normal scaled to offset 1 stays integral).
+    Returns (True, z) with the witness translation, or (False, None).
+    """
+    if not p.is_lattice:
+        raise UnsupportedError("reflexive_check needs a lattice polytope")
+    if p.dim != p.ambient_dim:
+        raise UnsupportedError("reflexive_check needs a full-dimensional polytope")
+    interior = enumerate_points(p, "interior")
+    if len(interior) != 1:
+        return False, None
+    z = interior[0]
+    shifted = p.translate([-v for v in z])
+    if all(c == 1 for _, c in shifted.facets().inequalities):
+        return True, z
+    return False, None
+
+
 def hibi_check(p: RationalPolytope) -> Report:
     """Palindromic h* exactly when the codegree dilate translates to reflexive."""
     if not p.is_lattice:
@@ -209,16 +233,6 @@ def hibi_check(p: RationalPolytope) -> Report:
     if witness is not None:
         notes["witness"] = [str(v) for v in witness]
     return Report.from_instances("palindromy-reflexivity", instances, notes)
-
-
-def _boundary_cells(t: Triangulation) -> list[tuple[int, ...]]:
-    """Codimension-one faces lying in exactly one cell."""
-    seen: dict[tuple[int, ...], int] = {}
-    for cell in t.cells:
-        for drop in cell:
-            facet = tuple(v for v in cell if v != drop)
-            seen[facet] = seen.get(facet, 0) + 1
-    return [facet for facet, hits in seen.items() if hits == 1]
 
 
 def athanasiadis_check(p: RationalPolytope) -> Report:
@@ -252,8 +266,8 @@ def athanasiadis_check(p: RationalPolytope) -> Report:
             })
     boundary_unimodular = False
     if d >= 1:
-        boundary = _boundary_cells(t)
-        boundary_unimodular = all(t.cell_volume(f) == 1 for f in boundary)
+        boundary_unimodular = all(t.cell_volume(f) == 1
+                                  for f, _ in boundary_facets(t.cells))
     if boundary_unimodular:
         for j in range(d // 2):
             instances.append({

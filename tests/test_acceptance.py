@@ -19,13 +19,13 @@ from ehrkit.corpus import (
     random_lattice_polytopes,
 )
 from ehrkit.enumeration import count_points, ehrhart, reciprocity_check
-from ehrkit.polytope import reflexive_check
 from ehrkit.ratpoly import Poly
 from ehrkit.semimagic import adg_report, birkhoff_polytope, count_semimagic
 from ehrkit.structure import (
     ab_decomposition,
     hibi_check,
     polytope_profile,
+    reflexive_check,
     stanley_inequalities,
     stapledon_inequalities,
 )

@@ -1,17 +1,19 @@
 """Lattice-point enumeration and Ehrhart pipeline tests.
 
 Count oracles: closed-form formulas for boxes, crosses, and simplices;
-explicit hand-derived inequality systems for the Reeve simplex; the pruned
-DFS is cross-checked against the unpruned box scan on seeded random
-polytopes. Frozen h*-vectors were derived by transforming oracle counts
-with an independent convolution (see test_ratpoly) before being pinned here.
+explicit hand-derived inequality systems for the Reeve simplex; the DFS
+is cross-checked against a box scan with exact Fraction membership tests
+on seeded random rational and embedded polytopes. Frozen h*-vectors were
+derived by transforming oracle counts with an independent convolution (see
+test_ratpoly) before being pinned here.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -21,7 +23,43 @@ from ehrkit.enumeration import (
     enumerate_points,
     reciprocity_check,
 )
+from ehrkit.errors import InputError
 from ehrkit.polytope import normalize
+
+
+def box_scan(p, region="closed"):
+    """Oracle: every lattice point of the bounding box, tested exactly."""
+    lo, hi = p.bounding_box()
+    return [
+        pt
+        for pt in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+        if p.contains(pt, region)
+    ]
+
+
+def random_rational_polytope(rng):
+    """Hull of a few points with denominators 1-3, sometimes of lower dimension.
+
+    Points are o + M y for a rational offset o, an integer n x k matrix M and
+    rational y, so with k < n the polytope sits in a proper affine subspace
+    that need not pass through a lattice point.
+    """
+    n = rng.choice([1, 2, 2, 3, 3, 4])
+    k = n if n == 1 or rng.random() < 0.6 else rng.randint(1, n - 1)
+    den = rng.choice([1, 2, 3])
+    span = 1 if n == 4 else 2
+    if k == n:
+        offset = [Fraction(0)] * n
+        matrix = [[int(i == j) for j in range(k)] for i in range(n)]
+    else:
+        offset = [Fraction(rng.randint(-den, den), den) for _ in range(n)]
+        matrix = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(n)]
+    pts = []
+    for _ in range(rng.randint(k + 1, k + 3)):
+        y = [Fraction(rng.randint(-span * den, span * den), den) for _ in range(k)]
+        pts.append([o + sum(m * v for m, v in zip(row, y))
+                    for o, row in zip(offset, matrix)])
+    return normalize(pts)
 
 
 def cross_polytope(d):
@@ -90,17 +128,29 @@ def test_enumerate_returns_sorted_points():
 
 def test_pruned_dfs_agrees_with_box_scan_on_random_polytopes():
     rng = random.Random(20240817)
-    for trial in range(25):
-        dim = rng.choice([1, 2, 2, 3])
-        pts = [
-            [rng.randint(-2, 2) for _ in range(dim)]
-            for _ in range(rng.randint(dim + 1, dim + 4))
-        ]
-        p = normalize(pts)
-        for region in ("closed", "interior"):
-            fast = enumerate_points(p, region=region)
-            slow = enumerate_points(p, region=region, prune=False)
-            assert fast == slow, (trial, region, pts)
+    checked = 0
+    for trial in range(60):
+        p = random_rational_polytope(rng)
+        for t in (1, 2, 3):
+            q = p.dilate(t)
+            lo, hi = q.bounding_box()
+            if prod(max(h - l + 1, 0) for l, h in zip(lo, hi)) > 400:
+                continue  # keeps the Fraction box scan fast
+            for region in ("closed", "interior"):
+                assert enumerate_points(q, region) == box_scan(q, region), (
+                    trial, t, region, p.vertices)
+                checked += 1
+    assert checked >= 200
+
+
+def test_enumerate_interior_points():
+    square2 = normalize([[0, 0], [2, 0], [0, 2], [2, 2]])
+    assert enumerate_points(square2, "interior") == [(1, 1)]
+    assert enumerate_points(normalize([[0, 0], [1, 0], [0, 1], [1, 1]]), "interior") == []
+    seg = normalize([[0, 0], [3, 0]])
+    assert enumerate_points(seg, "interior") == [(1, 0), (2, 0)]
+    with pytest.raises(InputError):
+        enumerate_points(seg, "open")
 
 
 def test_rational_half_segment_counts():
@@ -135,6 +185,16 @@ def test_ehrhart_lower_dimensional_polytope():
     assert res.period == 1
     assert res.hstar.coeffs == (1,)
     assert res.count(7) == 8
+
+
+def test_ehrhart_result_exposes_no_name_of_an_equal_cached_polytope():
+    first = normalize([[0, 0], [2, 0], [0, 3]], name="first_triangle")
+    second = normalize([[0, 0], [2, 0], [0, 3]], name="second_triangle")
+    assert first == second
+    ehrhart(first)
+    res = ehrhart(second)
+    assert "first_triangle" not in repr(res)
+    assert res.dim == 2
 
 
 def test_ehrhart_simplex_hstar_codegree():

@@ -2,28 +2,93 @@
 
 Facet oracles are frozen by hand: each expected half-space was checked by
 evaluating the vertex list directly (all vertices satisfy it, some vertex
-set of affine rank dim-1 is tight). Reflexivity oracles follow from the
-offset-1 criterion applied to hand-translated facet data.
+set of affine rank dim-1 is tight). The facets read off the placing
+triangulation are also cross-checked against an exhaustive scan over point
+subsets on the corpus and on seeded random clouds. Reflexivity oracles
+follow from the offset-1 criterion applied to hand-translated facet data.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from ehrkit import linalg
+from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.polytope import (
+    HRep,
     RationalPolytope,
+    _joint_primitive,
     contains_polytope,
-    interior_lattice_points,
     normalize,
-    reflexive_check,
 )
+from ehrkit.structure import reflexive_check
 
 
 def square(side=1):
     return normalize([[0, 0], [side, 0], [0, side], [side, side]])
+
+
+def subset_scan(points):
+    """Oracle: half-space form by trying every dim-subset of the points.
+
+    Equalities come from the nullspace of the direction space; a subset
+    whose differences span a (dim-1)-flat of it gives a candidate
+    hyperplane, kept when every point lies on one side.
+    """
+    pts = list(dict.fromkeys(tuple(Fraction(v) for v in p) for p in points))
+    base = pts[0]
+    directions, _ = linalg.row_reduce([linalg.vec_sub(p, base) for p in pts[1:]])
+    dim = len(directions)
+    eqs = []
+    for a in linalg.nullspace(directions, ncols=len(base)):
+        normal, offset = _joint_primitive(a, linalg.dot(a, base))
+        if normal[next(i for i, v in enumerate(normal) if v != 0)] < 0:
+            normal, offset = tuple(-v for v in normal), -offset
+        eqs.append((normal, offset))
+    ineqs = set()
+    for subset in itertools.combinations(pts, dim) if dim else ():
+        rows = [[linalg.dot(linalg.vec_sub(q, subset[0]), b) for b in directions]
+                for q in subset[1:]]
+        kernel = linalg.nullspace(rows, ncols=dim)
+        if len(kernel) != 1:
+            continue
+        a = tuple(sum((y * b[j] for y, b in zip(kernel[0], directions)), Fraction(0))
+                  for j in range(len(base)))
+        c = linalg.dot(a, subset[0])
+        sides = [linalg.dot(a, q) - c for q in pts]
+        if all(v <= 0 for v in sides):
+            ineqs.add(_joint_primitive(a, c))
+        elif all(v >= 0 for v in sides):
+            ineqs.add(_joint_primitive([-v for v in a], -c))
+    return HRep(tuple(sorted(eqs)), tuple(sorted(ineqs)))
+
+
+def random_cloud(rng):
+    """Rational points in R^1..R^5, sometimes in a proper affine subspace,
+    with convex combinations of them and repeats mixed in."""
+    n = rng.randint(1, 5)
+    k = n if rng.random() < 0.5 else rng.randint(0, n)
+    den = rng.choice([1, 2, 3])
+    offset = [Fraction(rng.randint(-den, den), den) for _ in range(n)]
+    matrix = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+    pts = []
+    for _ in range(rng.randint(k + 1, k + 3)):
+        y = [Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(k)]
+        pts.append([o + sum((m * v for m, v in zip(row, y)), Fraction(0))
+                    for o, row in zip(offset, matrix)])
+    for _ in range(rng.randint(0, 2)):
+        weights = [rng.randint(1, 3) for _ in pts]
+        total = sum(weights)
+        pts.append([sum(w * p[j] for w, p in zip(weights, pts)) / total
+                    for j in range(n)])
+    pts += rng.sample(pts, rng.randint(0, 2))
+    rng.shuffle(pts)
+    return pts
 
 
 def test_normalize_drops_non_extreme_points():
@@ -60,6 +125,24 @@ def test_point_polytope():
     assert p.contains(["1/2", 3])
     assert p.contains(["1/2", 3], region="interior")
     assert not p.contains([0, 3])
+
+
+def test_facets_match_subset_scan_on_corpus():
+    for name in list_polytopes():
+        vertices = load_polytope(name).vertices
+        assert normalize(vertices).facets() == subset_scan(vertices), name
+
+
+def test_facets_match_subset_scan_on_random_clouds():
+    rng = random.Random(20240817)
+    dims = set()
+    for trial in range(50):
+        pts = random_cloud(rng)
+        p = normalize(pts)
+        dims.add((p.ambient_dim, p.dim))
+        assert p.facets() == subset_scan(pts), (trial, pts)
+    assert {n for n, _ in dims} == {1, 2, 3, 4, 5}
+    assert any(d < n for n, d in dims)
 
 
 def test_reeve_simplex_facets_frozen():
@@ -126,13 +209,6 @@ def test_contains_polytope_direction():
     assert contains_polytope(tri, small)
     with pytest.raises(InputError):
         contains_polytope(small, normalize([[0, 0, 0], [1, 0, 0]]))
-
-
-def test_interior_lattice_points_scan():
-    assert interior_lattice_points(square(2)) == [(1, 1)]
-    assert interior_lattice_points(square(1)) == []
-    seg = normalize([[0, 0], [3, 0]])
-    assert interior_lattice_points(seg) == [(1, 0), (2, 0)]
 
 
 def test_reflexive_check_positive_cases():
