@@ -20,17 +20,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
+from .enumeration import ehrhart, lattice_points
 from .errors import InputError, PoleError, TheoremViolationError, UnsupportedError
 from .placing import placing_cells
 from .polytope import RationalPolytope
-from .ratpoly import RatLike, _coerce
+from .ratpoly import RatLike, _coerce, choose
 from .report import Report
 
 IntVec = tuple[int, ...]
@@ -94,11 +95,10 @@ class HalfOpenSimplicialCone:
 
     def coefficients(self, x: Sequence) -> tuple[Fraction, ...] | None:
         """Barycentric ray coefficients of x, or None if x is off the span."""
-        t_mat, c_mat = _solver(self.generators)
-        for row in c_mat:
-            if linalg.dot(row, x) != 0:
-                return None
-        return tuple(linalg.dot(row, x) for row in t_mat)
+        t_rows, c_rows = _solver(self.generators)
+        if any(linalg.dot(row, x) for row in c_rows):
+            return None
+        return tuple(linalg.dot(row, x) / den for row, den in t_rows)
 
     def contains(self, x: Sequence, respect_flags: bool = True) -> bool:
         lam = self.coefficients(x)
@@ -112,11 +112,12 @@ class HalfOpenSimplicialCone:
 
 @lru_cache(maxsize=None)
 def _solver(generators: tuple[IntVec, ...]):
-    """Matrices (T, C) with lambda = T x and consistency C x = 0.
+    """Integer rows (T, C): lambda_i = <T_i, x> / den_i and span test C x = 0.
 
-    Built from the reduced row echelon form of [G | I]: G is the ambient x k
-    matrix whose columns are the generators. The first k rows give the
-    coefficient solve, the remaining rows give the span-membership test.
+    T is a tuple of (row, den) pairs with den > 0 and C a tuple of primitive
+    rows, read off the reduced row echelon form of [G | I], where G is the
+    ambient x k matrix whose columns are the generators: its first k rows
+    give the coefficient solve, the remaining rows the span-membership test.
     """
     k = len(generators)
     n = len(generators[0])
@@ -126,9 +127,12 @@ def _solver(generators: tuple[IntVec, ...]):
     rref, pivots = linalg.row_reduce(aug)
     if pivots[:k] != list(range(k)):
         raise InputError("generators of a simplicial piece must be independent")
-    t_mat = tuple(row[k:] for row in rref[:k])
-    c_mat = tuple(row[k:] for row in rref[k:])
-    return t_mat, c_mat
+    t_rows = []
+    for row in rref[:k]:
+        den = lcm(*(v.denominator for v in row[k:]))
+        t_rows.append((tuple(int(v * den) for v in row[k:]), den))
+    c_rows = tuple(linalg.primitive(row[k:]) for row in rref[k:])
+    return tuple(t_rows), c_rows
 
 
 def parallelepiped_points(piece: HalfOpenSimplicialCone,
@@ -137,56 +141,27 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
 
     mode 'half_open': coefficient i ranges in [0,1) where flag i is False
     and (0,1] where it is True. mode 'open': all coefficients strictly in
-    (0,1), the open box used by box polynomials. mode 'closed_open_dual':
-    flags complemented, i.e. (0,1] where False; this is the mode that turns
-    a half-open partition of the closed cone into one of its interior.
+    (0,1), the open box used by box polynomials.
+
+    With lambda_i = <T_i, x> / den_i the points are the integer solutions
+    of C x = 0 and 0 <= <T_i, x> <= den_i, found by the integer search
+    `lattice_points` over the parallelepiped's bounding box. All data are
+    integers, so an open side is the closed one tightened by 1.
     """
-    if mode not in ("half_open", "open", "closed_open_dual"):
+    if mode not in ("half_open", "open"):
         raise InputError(f"unknown parallelepiped mode {mode!r}")
     gens = piece.generators
-    k = len(gens)
     n = len(gens[0])
-    t_rows, c_rows = _solver_int(gens)
-    strictly_open = mode == "open"
-    if mode == "half_open":
-        left_open = list(piece.open_flags)
-    else:
-        left_open = [not f for f in piece.open_flags]
-    lo = [sum(min(0, g[j]) for g in gens) for j in range(n)]
-    hi = [sum(max(0, g[j]) for g in gens) for j in range(n)]
-    out = []
-    for cand in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        # integer-only hot loop: lambda_i = (row . cand) / den with den > 0
-        if any(sum(a * b for a, b in zip(row, cand)) for row in c_rows):
-            continue
-        ok = True
-        for i in range(k):
-            row, den = t_rows[i]
-            v = sum(a * b for a, b in zip(row, cand))
-            if strictly_open:
-                bad = v <= 0 or v >= den
-            else:
-                bad = (v < 0 or v > den or (v == 0 and left_open[i])
-                       or (v == den and not left_open[i]))
-            if bad:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(cand))
-    out.sort()
-    return out
-
-
-@lru_cache(maxsize=None)
-def _solver_int(generators: tuple[IntVec, ...]):
-    """Integer-scaled solver rows: (t_rows as (row, den) pairs, c_rows)."""
-    t_mat, c_mat = _solver(generators)
-    t_rows = []
-    for row in t_mat:
-        den = lcm(*(v.denominator for v in row))
-        t_rows.append((tuple(int(v * den) for v in row), den))
-    c_rows = tuple(linalg.primitive(row) for row in c_mat)
-    return tuple(t_rows), c_rows
+    t_rows, c_rows = _solver(gens)
+    inequalities = []
+    for (row, den), flag in zip(t_rows, piece.open_flags):
+        bottom_open = flag or mode == "open"
+        top_open = not flag or mode == "open"
+        inequalities.append((tuple(-a for a in row), -bottom_open))
+        inequalities.append((row, den - top_open))
+    lo = tuple(sum(min(0, g[j]) for g in gens) for j in range(n))
+    hi = tuple(sum(max(0, g[j]) for g in gens) for j in range(n))
+    return lattice_points([(row, 0) for row in c_rows], inequalities, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -306,10 +281,11 @@ def decompose(cone: RationalCone) -> tuple[HalfOpenSimplicialCone, ...]:
         lambdas = []
         generic = True
         for gens in pieces_gens:
-            t_mat, c_mat = _solver(gens)
-            if any(linalg.dot(row, reference) != 0 for row in c_mat):
+            # den > 0, so the numerators carry the coefficients' signs
+            t_rows, c_rows = _solver(gens)
+            if any(linalg.dot(row, reference) != 0 for row in c_rows):
                 raise TheoremViolationError("pieces do not share the cone's span")
-            lam = [linalg.dot(row, reference) for row in t_mat]
+            lam = [linalg.dot(row, reference) for row, _ in t_rows]
             if any(v == 0 for v in lam):
                 generic = False
                 break
@@ -337,10 +313,13 @@ def generating_function(cone: RationalCone, region: str = "closed") -> ConeGF:
     """Materialized lattice-point generating function of the (open) cone."""
     if region not in ("closed", "interior"):
         raise InputError(f"unknown region {region!r}")
-    mode = "half_open" if region == "closed" else "closed_open_dual"
     pieces = []
     for piece in decompose(cone):
-        pieces.append((tuple(parallelepiped_points(piece, mode)), piece.generators))
+        if region == "interior":
+            # complementing the flags turns the partition of the closed cone
+            # into one of its interior
+            piece = replace(piece, open_flags=tuple(not f for f in piece.open_flags))
+        pieces.append((tuple(parallelepiped_points(piece)), piece.generators))
     return ConeGF(tuple(pieces))
 
 
@@ -447,9 +426,6 @@ def specialization_check(p: RationalPolytope, x0: RatLike,
     Also re-expands the closed form as a power series and compares its first
     `truncation` coefficients with the dilate counts.
     """
-    from .enumeration import ehrhart
-    from .ratpoly import choose
-
     x0 = _coerce(x0)
     res = ehrhart(p)
     d, per = res.dim, res.period

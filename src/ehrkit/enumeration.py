@@ -1,13 +1,15 @@
 """Lattice-point enumeration and the Ehrhart counting pipeline.
 
-`enumerate_points` walks the coordinates of a polytope's bounding box
-depth-first, narrowing each coordinate's range with exact integer interval
-arithmetic derived from the half-space form. The half-space data are jointly
-primitive integers, so for a lattice point the strict facet inequality
-<a, x> < c is the same as <a, x> <= c - 1: the relative interior is walked
-by the same DFS with every facet bound lowered by one. The pruning bounds
-are sound but not tight, so every emitted point is re-checked at the leaf
+`lattice_points` is the one integer point search: it walks the coordinates
+of a box depth-first, narrowing each coordinate's range with exact integer
+interval arithmetic on integer equalities and inequalities. The bounds are
+sound but not tight, so every emitted point is re-checked at the leaf
 against the integer partial sums <a, x> the walk already maintains.
+`enumerate_points` feeds it a polytope's half-space form; the half-space
+data are jointly primitive integers, so for a lattice point the strict
+facet inequality <a, x> < c is the same as <a, x> <= c - 1, and the
+relative interior is the same search with every facet bound lowered by
+one. `cones.parallelepiped_points` feeds it fundamental parallelepipeds.
 
 `ehrhart` turns dilate counts into the closed and interior counting
 quasipolynomials and the h*-numerator over (1 - x^p)^(d+1), with guard-term
@@ -38,23 +40,15 @@ def _ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-def enumerate_points(p: RationalPolytope, region: str = "closed") -> list[IntPoint]:
-    """All lattice points of p (or of its relative interior), sorted.
-
-    region: 'closed' or 'interior' (interior is relative to the affine hull).
+def lattice_points(equalities, inequalities, lo: IntPoint, hi: IntPoint) -> list[IntPoint]:
+    """Integer points x of the box lo <= x <= hi, lexicographically sorted,
+    with <a, x> == c for every (a, c) in equalities and <a, x> <= c for
+    every (a, c) in inequalities. All data must be integers.
     """
-    if region not in ("closed", "interior"):
-        raise InputError(f"unknown region {region!r}")
-    lo, hi = p.bounding_box()
-    if any(l > h for l, h in zip(lo, hi)):
-        return []
-    hrep = p.facets()
-    slack = 1 if region == "interior" else 0
-
-    n = p.ambient_dim
+    n = len(lo)
     # constraints as (coeffs, bound, is_equality); <a, x> <= c or == c
-    constraints = [(a, c, True) for a, c in hrep.equalities] + [
-        (a, c - slack, False) for a, c in hrep.inequalities
+    constraints = [(a, c, True) for a, c in equalities] + [
+        (a, c, False) for a, c in inequalities
     ]
     # suffix extremes: smallest/largest possible contribution of coords j >= i
     suf_min = []
@@ -107,9 +101,24 @@ def enumerate_points(p: RationalPolytope, region: str = "closed") -> list[IntPoi
                 partial[k] -= a[depth] * value
         return
 
-    walk(0)
-    out.sort()
+    walk(0)  # values ascend at every depth, so `out` is already sorted
     return out
+
+
+def enumerate_points(p: RationalPolytope, region: str = "closed") -> list[IntPoint]:
+    """All lattice points of p (or of its relative interior), sorted.
+
+    region: 'closed' or 'interior' (interior is relative to the affine hull).
+    """
+    if region not in ("closed", "interior"):
+        raise InputError(f"unknown region {region!r}")
+    lo, hi = p.bounding_box()
+    if any(l > h for l, h in zip(lo, hi)):
+        return []
+    hrep = p.facets()
+    slack = 1 if region == "interior" else 0
+    return lattice_points(hrep.equalities,
+                          [(a, c - slack) for a, c in hrep.inequalities], lo, hi)
 
 
 def count_points(p: RationalPolytope, n: int, region: str = "closed") -> int:

@@ -67,10 +67,20 @@ def polytope_to_json(p: RationalPolytope) -> dict:
     return doc
 
 
+def _rows_from_json(doc: dict, kind: str, field: str) -> list[list[Fraction]]:
+    """The list of coordinate lists in doc[field] of a `kind` document."""
+    if doc.get("kind", kind) != kind:
+        raise InputError(f"a document of kind {doc['kind']!r} cannot be read as a {kind}")
+    if field not in doc:
+        raise InputError(f"{kind} document needs a {field!r} field")
+    rows = doc[field]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError(f"{kind} field {field!r} must be a list of coordinate lists")
+    return [[rat_from_json(v) for v in row] for row in rows]
+
+
 def polytope_from_json(doc: dict) -> RationalPolytope:
-    if "vertices" not in doc:
-        raise InputError("polytope document needs a 'vertices' field")
-    vertices = [[rat_from_json(v) for v in vert] for vert in doc["vertices"]]
+    vertices = _rows_from_json(doc, "polytope", "vertices")
     if not vertices:
         raise InputError("polytope document has no vertices")
     p = RationalPolytope.from_points(vertices, name=str(doc.get("name", "")))
@@ -91,9 +101,7 @@ def cone_to_json(c: RationalCone) -> dict:
 
 
 def cone_from_json(doc: dict) -> RationalCone:
-    if "rays" not in doc:
-        raise InputError("cone document needs a 'rays' field")
-    rays = [[rat_from_json(v) for v in ray] for ray in doc["rays"]]
+    rays = _rows_from_json(doc, "cone", "rays")
     if not rays:
         raise InputError("cone document has no rays")
     return RationalCone.from_rays(rays)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .enumeration import count_points, ehrhart, enumerate_points
+from .enumeration import ehrhart, enumerate_points
 from .errors import InputError, TheoremViolationError, UnsupportedError
 from .placing import boundary_facets
 from .polytope import RationalPolytope, contains_polytope
@@ -298,15 +298,17 @@ def monotonicity_check(inner: RationalPolytope, outer: RationalPolytope) -> Repo
     """Containment forces a componentwise h*-inequality in a common form.
 
     Both numerators are recomputed over (1 - x^p)^(d+1) with p the lcm of
-    the two periods and d the dimension of the outer polytope.
+    the two periods and d the dimension of the outer polytope. The counts
+    over that window come from the cached, count-checked quasipolynomials.
     """
     if not contains_polytope(inner, outer):
         raise InputError("inner polytope is not contained in the outer one")
     p = lcm(inner.vertex_denominator(), outer.vertex_denominator())
     d = outer.dim
     window = p * (d + 2)
-    counts_inner = [count_points(inner, n) for n in range(window)]
-    counts_outer = [count_points(outer, n) for n in range(window)]
+    inner_counts, outer_counts = ehrhart(inner), ehrhart(outer)
+    counts_inner = [inner_counts.count(n) for n in range(window)]
+    counts_outer = [outer_counts.count(n) for n in range(window)]
     h_inner = hstar_from_counts(counts_inner, d, period=p)
     h_outer = hstar_from_counts(counts_outer, d, period=p)
     top = max(len(h_inner.coeffs), len(h_outer.coeffs))

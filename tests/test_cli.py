@@ -1,9 +1,14 @@
 """Command-line surface: dispatch, JSON output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ehrkit
 from ehrkit.cli import main
 from ehrkit.corpus import corpus_dir
 
@@ -132,6 +137,21 @@ def test_wrong_document_kind(capsys):
     code, doc = run(capsys, "count", cone_file("quadrant"))
     assert code == 1
     assert "error" in doc
+
+
+def test_malformed_documents_exit_1_without_traceback(tmp_path):
+    src = str(Path(ehrkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for i, doc in enumerate([{"vertices": [0, 1]}, {"vertices": 5}, {"rays": [1, 2]},
+                             {"kind": "cone", "vertices": [[0], [1]]}]):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("count", "ehrhart"):
+            proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", command, str(path)],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 1, (doc, command, proc.stderr)
+            assert list(json.loads(proc.stdout)) == ["error"], (doc, command)
+            assert "Traceback" not in proc.stderr, (doc, command, proc.stderr)
 
 
 def test_missing_file(capsys):

@@ -1,16 +1,22 @@
 """Cone decomposition, parallelepiped, and generating function tests.
 
 Oracles: product formulas for axis-aligned cones (sigma = prod 1/(1-z_i)),
-hand-computed parallelepiped contents for two-generator cones, closed-form
-interior series for the standard triangle, and exact truncated-sum algebra.
+hand-computed parallelepiped contents for two-generator cones, a scan of the
+whole bounding box with exact coefficients for random simplicial pieces,
+closed-form interior series for the standard triangle, and exact
+truncated-sum algebra.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
+from ehrkit import linalg
 from ehrkit.cones import (
     HalfOpenSimplicialCone,
     RationalCone,
@@ -84,7 +90,8 @@ def test_parallelepiped_points_two_generator_cones():
     unit = HalfOpenSimplicialCone(((0, 1), (1, 1)), (False, False))
     assert parallelepiped_points(unit, "half_open") == [(0, 0)]
     assert parallelepiped_points(unit, "open") == []
-    assert parallelepiped_points(unit, "closed_open_dual") == [(1, 2)]
+    unit_dual = HalfOpenSimplicialCone(unit.generators, (True, True))
+    assert parallelepiped_points(unit_dual, "half_open") == [(1, 2)]
 
     lifted_wide_segment = HalfOpenSimplicialCone(((0, 0, 1), (2, 0, 1)), (False, False))
     assert parallelepiped_points(lifted_wide_segment, "open") == [(1, 0, 1)]
@@ -93,7 +100,81 @@ def test_parallelepiped_points_two_generator_cones():
     half = HalfOpenSimplicialCone(((0, 1), (1, 2)), (False, False))
     # lambda_2 must be integral in [0,1), which pins the origin alone
     assert parallelepiped_points(half, "half_open") == [(0, 0)]
-    assert parallelepiped_points(half, "closed_open_dual") == [(1, 3)]
+    half_dual = HalfOpenSimplicialCone(half.generators, (True, True))
+    assert parallelepiped_points(half_dual, "half_open") == [(1, 3)]
+
+
+def parallelepiped_box_scan(piece, mode):
+    """Oracle: every point of the parallelepiped's bounding box, tested by
+    its exact coefficients on the generators.
+
+    The coefficients come from the inverse of k independent coordinate rows
+    of the generator matrix G, scaled to integers: lambda = M x_rows / D.
+    A candidate x is in the span iff G (M x_rows) == D x.
+    """
+    gens = piece.generators
+    k, n = len(gens), len(gens[0])
+    rows = next(r for r in itertools.combinations(range(n), k)
+                if linalg.rank([[g[j] for g in gens] for j in r]) == k)
+    square = [[g[j] for g in gens] for j in rows]
+    cols = [linalg.solve(square, [int(i == c) for i in range(k)]) for c in range(k)]
+    den = lcm(*(v.denominator for col in cols for v in col))
+    inverse = [[int(col[i] * den) for col in cols] for i in range(k)]
+    lo = [sum(min(0, g[j]) for g in gens) for j in range(n)]
+    hi = [sum(max(0, g[j]) for g in gens) for j in range(n)]
+    out = []
+    for cand in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        lam = [sum(m * cand[j] for m, j in zip(row, rows)) for row in inverse]
+        if any(sum(c * g[j] for c, g in zip(lam, gens)) != den * cand[j]
+               for j in range(n)):
+            continue
+        if mode == "open":
+            ok = all(0 < v < den for v in lam)
+        else:
+            ok = all(0 < v <= den if flag else 0 <= v < den
+                     for v, flag in zip(lam, piece.open_flags))
+        if ok:
+            out.append(cand)
+    return out
+
+
+def random_simplicial_piece(rng):
+    """Random generators of rank k in R^n, n in 3..5, sometimes lifted (v, 1)."""
+    n = rng.randint(3, 5)
+    k = rng.randint(1, n)
+    lifted = rng.random() < 0.4
+    top = 2 if n == 3 else 1  # keeps the bounding boxes small
+    while True:
+        if lifted:
+            gens = [tuple(rng.randint(-1, top) for _ in range(n - 1)) + (1,)
+                    for _ in range(k)]
+        else:
+            gens = [tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(k)]
+        if len(set(gens)) == k and linalg.rank(gens) == k:
+            flags = tuple(rng.random() < 0.5 for _ in range(k))
+            return HalfOpenSimplicialCone(tuple(gens), flags), lifted
+
+
+def test_parallelepiped_points_match_box_scan_on_random_pieces():
+    rng = random.Random(20141)
+    cases = non_unimodular = lower_rank = lifted_cases = 0
+    for _ in range(400):
+        piece, lifted = random_simplicial_piece(rng)
+        gens = piece.generators
+        n = len(gens[0])
+        box = prod(sum(max(0, g[j]) for g in gens) - sum(min(0, g[j]) for g in gens) + 1
+                   for j in range(n))
+        if box > 400:
+            continue
+        for mode in ("half_open", "open"):
+            expected = parallelepiped_box_scan(piece, mode)
+            assert parallelepiped_points(piece, mode) == expected, (gens, piece.open_flags, mode)
+            cases += 1
+        non_unimodular += len(parallelepiped_points(piece, "half_open")) > 1
+        lower_rank += len(gens) < n
+        lifted_cases += lifted
+    assert cases >= 600
+    assert non_unimodular >= 80 and lower_rank >= 200 and lifted_cases >= 100
 
 
 def test_half_open_flags_move_boundary_points():

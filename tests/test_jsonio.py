@@ -1,8 +1,11 @@
-"""Serialization round trips and corpus integrity."""
+"""Serialization round trips, loader totality and corpus integrity."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrkit.cones import RationalCone
 from ehrkit.corpus import (
@@ -18,6 +21,7 @@ from ehrkit.jsonio import (
     cone_from_json,
     cone_to_json,
     dumps,
+    load_document,
     polytope_from_json,
     polytope_to_json,
     rat_from_json,
@@ -62,6 +66,49 @@ def test_polytope_document_validation():
         polytope_from_json({"vertices": []})
     with pytest.raises(InputError):
         polytope_from_json({"vertices": [[0], [1]], "ambient_dim": 2})
+
+
+def test_loaders_reject_fields_that_are_not_lists_of_lists():
+    for doc in [{"vertices": [0, 1]}, {"vertices": 5}, {"vertices": [[0], 1]},
+                {"vertices": "[[0]]"}, {"vertices": {"0": [0]}}]:
+        with pytest.raises(InputError):
+            polytope_from_json(doc)
+    for doc in [{"rays": [1, 2]}, {"rays": 5}, {"rays": [[1, 0], None]}]:
+        with pytest.raises(InputError):
+            cone_from_json(doc)
+
+
+def test_loaders_reject_a_contradicting_kind(tmp_path):
+    with pytest.raises(InputError):
+        polytope_from_json({"kind": "cone", "vertices": [[0], [1]]})
+    with pytest.raises(InputError):
+        cone_from_json({"kind": "polytope", "rays": [[1, 0]]})
+    assert polytope_from_json({"kind": "polytope", "vertices": [[0], [1]]}).dim == 1
+    assert cone_from_json({"kind": "cone", "rays": [[1, 0]]}).dim == 1
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "cone", "vertices": [[0], [1]]}))
+    with pytest.raises(InputError):
+        load_document(str(path))
+
+
+_FIELDS = st.sampled_from(["kind", "vertices", "rays", "name", "ambient_dim"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2)
+    | st.sampled_from(["polytope", "cone", "1/2", "-3", "1/0", "x", ""]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_FIELDS, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_FIELDS, _JSON, max_size=4) | _JSON)
+def test_load_document_loads_or_raises_input_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_document(str(path))
+    except InputError:
+        pass
 
 
 def test_cone_round_trip():
