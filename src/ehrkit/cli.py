@@ -136,7 +136,6 @@ def cmd_decompose(args) -> tuple[dict, bool]:
         "cells": [list(c) for c in dec.triangulation.cells],
         "unimodular": dec.triangulation.is_unimodular(),
         "contributions": contributions,
-        "verified_against_counts": True,
     }
     return doc, True
 
@@ -242,6 +241,8 @@ def _verify_polytope(name: str) -> tuple[dict, bool]:
 
 def cmd_corpus_verify(args) -> tuple[dict, bool]:
     seed = args.seed
+    # drawn first, so that a bad --random fails before the corpus work
+    random_polytopes = corpus_mod.random_lattice_polytopes(args.random, seed=seed)
     all_ok = True
     polytope_entries = []
     for name in corpus_mod.list_polytopes():
@@ -271,7 +272,7 @@ def cmd_corpus_verify(args) -> tuple[dict, bool]:
         })
         all_ok = all_ok and report.passed
     random_entries = []
-    for p in corpus_mod.random_lattice_polytopes(args.random, seed=seed):
+    for p in random_polytopes:
         report = reciprocity_check(p, max_n=3)
         random_entries.append({
             "name": p.name,

@@ -1,11 +1,14 @@
 """Pointed rational cones and their lattice-point generating functions.
 
 A cone is given by integer ray generators. All evaluation goes through a
-decomposition into half-open simplicial pieces: the cone's cross-section at
-a dual hyperplane is triangulated by inserting the generators in their given
-order, and each simplicial piece is made half-open against a fixed generic
+decomposition into half-open simplicial pieces: the generators themselves
+are placed in their given order (no cross-section is built; in a pointed
+cone the signs of barycentric coordinates are those of any cross-section),
+and each simplicial piece is made half-open against a fixed generic
 reference point chosen inside the first piece, so the pieces partition the
-cone's lattice points exactly (no inclusion-exclusion needed).
+cone's lattice points exactly (no inclusion-exclusion needed). Every piece
+reads its barycentric coordinates from the one cached solve
+`linalg.simplex_solve`.
 
 The generating function of a half-open simplicial piece is a finite sum over
 the lattice points of its half-open fundamental parallelepiped divided by
@@ -23,7 +26,6 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -90,12 +92,11 @@ class HalfOpenSimplicialCone:
     def __post_init__(self):
         if len(self.open_flags) != len(self.generators):
             raise InputError("one flag per generator required")
-        if linalg.rank(self.generators) != len(self.generators):
-            raise InputError("half-open pieces must be simplicial")
+        linalg.simplex_solve(self.generators)  # InputError unless simplicial
 
     def coefficients(self, x: Sequence) -> tuple[Fraction, ...] | None:
         """Barycentric ray coefficients of x, or None if x is off the span."""
-        t_rows, c_rows = _solver(self.generators)
+        t_rows, c_rows = linalg.simplex_solve(self.generators)
         if any(linalg.dot(row, x) for row in c_rows):
             return None
         return tuple(linalg.dot(row, x) / den for row, den in t_rows)
@@ -108,31 +109,6 @@ class HalfOpenSimplicialCone:
             if v < 0 or (respect_flags and self.open_flags[i] and v == 0):
                 return False
         return True
-
-
-@lru_cache(maxsize=None)
-def _solver(generators: tuple[IntVec, ...]):
-    """Integer rows (T, C): lambda_i = <T_i, x> / den_i and span test C x = 0.
-
-    T is a tuple of (row, den) pairs with den > 0 and C a tuple of primitive
-    rows, read off the reduced row echelon form of [G | I], where G is the
-    ambient x k matrix whose columns are the generators: its first k rows
-    give the coefficient solve, the remaining rows the span-membership test.
-    """
-    k = len(generators)
-    n = len(generators[0])
-    aug = [[Fraction(generators[i][j]) for i in range(k)]
-           + [Fraction(1 if jj == j else 0) for jj in range(n)]
-           for j in range(n)]
-    rref, pivots = linalg.row_reduce(aug)
-    if pivots[:k] != list(range(k)):
-        raise InputError("generators of a simplicial piece must be independent")
-    t_rows = []
-    for row in rref[:k]:
-        den = lcm(*(v.denominator for v in row[k:]))
-        t_rows.append((tuple(int(v * den) for v in row[k:]), den))
-    c_rows = tuple(linalg.primitive(row[k:]) for row in rref[k:])
-    return tuple(t_rows), c_rows
 
 
 def parallelepiped_points(piece: HalfOpenSimplicialCone,
@@ -152,7 +128,7 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
         raise InputError(f"unknown parallelepiped mode {mode!r}")
     gens = piece.generators
     n = len(gens[0])
-    t_rows, c_rows = _solver(gens)
+    t_rows, c_rows = linalg.simplex_solve(gens)
     inequalities = []
     for (row, den), flag in zip(t_rows, piece.open_flags):
         bottom_open = flag or mode == "open"
@@ -259,15 +235,12 @@ def _lineality_certificate(cone: RationalCone) -> IntVec:
 def decompose(cone: RationalCone) -> tuple[HalfOpenSimplicialCone, ...]:
     """Half-open simplicial pieces that partition the cone's lattice points.
 
-    The cross-section of the cone at the dual hyperplane is triangulated by
-    placing the generators in their given order; each piece's facet flags
-    are set against a fixed generic reference point inside the first piece.
+    The generators are placed in their given order; each piece's facet
+    flags are set against a fixed generic reference point inside the first
+    piece.
     """
-    w = dual_interior_vector(cone)
-    section = [
-        tuple(Fraction(v) / linalg.dot(w, g) for v in g) for g in cone.generators
-    ]
-    cells = placing_cells(section)
+    dual_interior_vector(cone)  # UnsupportedError unless the cone is pointed
+    cells = placing_cells(cone.generators)
     pieces_gens = [tuple(cone.generators[i] for i in cell) for cell in cells]
 
     rng = random.Random(_REFERENCE_SEED)
@@ -282,7 +255,7 @@ def decompose(cone: RationalCone) -> tuple[HalfOpenSimplicialCone, ...]:
         generic = True
         for gens in pieces_gens:
             # den > 0, so the numerators carry the coefficients' signs
-            t_rows, c_rows = _solver(gens)
+            t_rows, c_rows = linalg.simplex_solve(gens)
             if any(linalg.dot(row, reference) != 0 for row in c_rows):
                 raise TheoremViolationError("pieces do not share the cone's span")
             lam = [linalg.dot(row, reference) for row, _ in t_rows]
@@ -333,6 +306,8 @@ def sigma_eval(cone: RationalCone, z: Sequence[RatLike],
 def stanley_reciprocity_check(cone: RationalCone, trials: int = 10,
                               seed: int = 7) -> Report:
     """Verify sigma(1/z) == (-1)^dim sigma_interior(z) at random points."""
+    if trials < 1:
+        raise InputError("cone reciprocity needs trials >= 1")
     closed_gf = generating_function(cone, "closed")
     interior_gf = generating_function(cone, "interior")
     sign = (-1) ** cone.dim
@@ -426,6 +401,8 @@ def specialization_check(p: RationalPolytope, x0: RatLike,
     Also re-expands the closed form as a power series and compares its first
     `truncation` coefficients with the dilate counts.
     """
+    if truncation < 0:
+        raise InputError("truncation must be nonnegative")
     x0 = _coerce(x0)
     res = ehrhart(p)
     d, per = res.dim, res.period

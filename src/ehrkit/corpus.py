@@ -70,6 +70,8 @@ def load_cone(name: str):
 def random_lattice_polytopes(count: int, seed: int,
                              max_dim: int = 3) -> list[RationalPolytope]:
     """Seeded random lattice polytopes with small coordinates, dim >= 1."""
+    if count < 0:
+        raise InputError("the number of random polytopes must be nonnegative")
     rng = random.Random(seed)
     out = []
     while len(out) < count:

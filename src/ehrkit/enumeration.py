@@ -125,6 +125,8 @@ def count_points(p: RationalPolytope, n: int, region: str = "closed") -> int:
     """Number of lattice points in the n-th dilate (n >= 0)."""
     if n < 0:
         raise InputError("dilate index must be nonnegative")
+    if region not in ("closed", "interior"):
+        raise InputError(f"unknown region {region!r}")
     if n == 0:
         return 1  # the 0-th dilate is the origin
     return len(enumerate_points(p.dilate(n), region=region))
@@ -213,6 +215,8 @@ def reciprocity_check(p: RationalPolytope, max_n: int = 8,
     For n up to direct_cap the interior side is additionally re-counted by
     brute-force enumeration, anchoring the identity to actual geometry.
     """
+    if max_n < 1:
+        raise InputError("reciprocity needs max_n >= 1")
     res = ehrhart(p)
     sign = (-1) ** res.dim
     instances = []

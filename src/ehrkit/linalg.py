@@ -4,14 +4,19 @@ Vectors are tuples, matrices are lists of row tuples. Everything runs on
 `fractions.Fraction` (or plain int where the data is integral); no floats
 anywhere. The routines here are deliberately small-scale: ambient dimensions
 in this package stay in the single digits, so cubic Gaussian elimination and
-Smith reduction are more than fast enough.
+Smith reduction are more than fast enough. `simplex_solve` is the one
+(cached) barycentric solve of a simplex; placing triangulations, half-open
+cone pieces and fundamental parallelepipeds all read it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence
+
+from .errors import InputError
 
 Vec = tuple[Fraction, ...]
 
@@ -50,7 +55,7 @@ def row_reduce(rows: Sequence[Sequence]) -> tuple[list[Vec], list[int]]:
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                work[i] = [a - f * b if b else a for a, b in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -97,27 +102,34 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     return tuple(x)
 
 
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix by fraction-exact elimination."""
-    work = [list(map(Fraction, r)) for r in rows]
-    n = len(work)
-    if any(len(r) != n for r in work):
-        raise ValueError("determinant of a non-square matrix")
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = Fraction(1) / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return result
+@lru_cache(maxsize=None)
+def simplex_solve(generators: tuple[tuple, ...]):
+    """Barycentric solve of independent rational vectors: (T, C) in integers.
+
+    T is a tuple of (row, den) pairs with den > 0, so that the coefficient
+    of generators[i] in x is <T_i, x> / den_i, and C a tuple of primitive
+    rows with C x = 0 exactly when x lies in the generators' span. Both are
+    read off the reduced row echelon form of [G | I], where G is the
+    ambient x k matrix whose columns are the generators: its first k rows
+    give the coefficient solve, the remaining rows the span-membership test.
+    Raises InputError unless the generators are nonempty and independent.
+    """
+    if not generators:
+        raise InputError("a simplex needs at least one generator")
+    k = len(generators)
+    n = len(generators[0])
+    aug = [[Fraction(generators[i][j]) for i in range(k)]
+           + [Fraction(1 if jj == j else 0) for jj in range(n)]
+           for j in range(n)]
+    rref, pivots = row_reduce(aug)
+    if pivots[:k] != list(range(k)):
+        raise InputError("generators of a simplex must be independent")
+    t_rows = []
+    for row in rref[:k]:
+        den = lcm(*(v.denominator for v in row[k:]))
+        t_rows.append((tuple(int(v * den) for v in row[k:]), den))
+    c_rows = tuple(primitive(row[k:]) for row in rref[k:])
+    return tuple(t_rows), c_rows
 
 
 def primitive(vector: Sequence) -> tuple[int, ...]:
@@ -125,8 +137,6 @@ def primitive(vector: Sequence) -> tuple[int, ...]:
     fracs = [Fraction(v) for v in vector]
     if all(f == 0 for f in fracs):
         raise ValueError("primitive() of the zero vector")
-    from math import lcm
-
     denom = lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom) for f in fracs]
     g = gcd(*ints)

@@ -1,60 +1,65 @@
-"""Incremental (placing) triangulation of rational point configurations.
+"""Incremental (placing) triangulation of homogeneous vector configurations.
 
-Points are inserted one at a time in the caller's order. A point outside
-the current hull is joined to every boundary facet it sees strictly; a point
-that raises the affine dimension is joined to every current cell; a point
-inside or on the current hull adds nothing (it is simply not used as a
-vertex). All predicates are exact sign tests over Fractions.
+The input vectors are homogeneous: a polytope's point p is passed as
+(p, 1), a pointed cone's generator as itself. Vectors are inserted one at a
+time in the caller's order. A vector outside the span of the current cells
+raises the dimension and is joined to every current cell; otherwise it is
+joined to every boundary facet it sees strictly, and a vector inside or on
+the current hull adds nothing (it is simply not used as a vertex).
+
+Both predicates are exact sign tests on the barycentric coordinates of one
+cell, read from its cached `linalg.simplex_solve`: q raises the dimension
+when a span row of the first cell's solve is nonzero at q, and q sees the
+boundary facet opposite `apex` strictly when its coordinate on `apex` in
+the solve of that facet's cell is negative. Scaling a vector by a positive
+factor keeps the signs of its coordinates, so for a pointed cone this is
+visibility in any cross-section, and for points (p, 1) visibility of a
+facet of the hull.
 
 The caller controls insertion order. Lexicographic order guarantees that
 every point lands outside the hull of its predecessors, hence becomes a
-vertex; arbitrary order (used for cone cross-sections, where the generator
-order is part of the contract) may skip interior points, which is fine
+vertex; arbitrary order (used for cone generators, where the generator
+order is part of the contract) may skip interior vectors, which is fine
 there.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 
-Point = tuple[Fraction, ...]
 
+def placing_cells(vectors: Sequence[tuple]) -> list[tuple[int, ...]]:
+    """Triangulate the homogeneous vectors incrementally; cells are index tuples.
 
-def placing_cells(points: Sequence[Point]) -> list[tuple[int, ...]]:
-    """Triangulate conv(points) incrementally; cells are index tuples.
-
-    Every cell is a full-dimensional simplex of the final affine hull,
-    listed in creation order with sorted vertex indices.
+    Every cell is a simplex spanning the vectors' final span, listed in
+    creation order with sorted vertex indices.
     """
-    if not points:
+    if not vectors:
         return []
-    base = points[0]
-    directions: list[Point] = []  # row-reduced basis of the current hull
     cells: list[tuple[int, ...]] = [(0,)]
-    cur_dim = 0
+    _, span_rows = linalg.simplex_solve((vectors[0],))
 
-    for i in range(1, len(points)):
-        q = points[i]
-        diff = linalg.vec_sub(q, base)
-        enlarged, _ = linalg.row_reduce(directions + [diff])
-        if len(enlarged) > cur_dim:
-            # dimension jump: cone every existing cell over the new point
+    for i in range(1, len(vectors)):
+        q = vectors[i]
+        if any(_dot(row, q) for row in span_rows):
+            # dimension jump: cone every existing cell over the new vector
             cells = [cell + (i,) for cell in cells]
-            directions = list(enlarged)
-            cur_dim += 1
+            _, span_rows = linalg.simplex_solve(tuple(vectors[v] for v in cells[0]))
             continue
         added = []
         for facet, apex in boundary_facets(cells):
-            a, c = facet_hyperplane(points, facet, directions)
-            apex_side = linalg.dot(a, points[apex]) - c
-            q_side = linalg.dot(a, q) - c
-            if apex_side * q_side < 0:  # strictly visible
+            cell = tuple(sorted(facet + (apex,)))
+            coords, _ = linalg.simplex_solve(tuple(vectors[v] for v in cell))
+            if _dot(coords[cell.index(apex)][0], q) < 0:  # strictly visible
                 added.append(tuple(sorted(facet + (i,))))
         cells.extend(added)
     return cells
+
+
+def _dot(u: Sequence, v: Sequence):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def boundary_facets(cells: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
@@ -65,24 +70,3 @@ def boundary_facets(cells: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, .
             facet = tuple(v for v in cell if v != drop)
             seen.setdefault(facet, []).append(drop)
     return [(facet, apexes[0]) for facet, apexes in seen.items() if len(apexes) == 1]
-
-
-def facet_hyperplane(points: Sequence[Point], facet: tuple[int, ...],
-                     directions: list[Point]) -> tuple[Point, Fraction]:
-    """Hyperplane <a, x> = c through the facet, with a in the hull's span."""
-    k = len(directions)
-    f0 = points[facet[0]]
-    rows = [
-        [linalg.dot(linalg.vec_sub(points[v], f0), b) for b in directions]
-        for v in facet[1:]
-    ]
-    kernel = linalg.nullspace(rows, ncols=k)
-    if len(kernel) != 1:
-        raise AssertionError(f"degenerate facet {facet} in placing triangulation")
-    y = kernel[0]
-    ambient = len(f0)
-    a = tuple(
-        sum((y[i] * directions[i][j] for i in range(k)), Fraction(0))
-        for j in range(ambient)
-    )
-    return a, linalg.dot(a, f0)

@@ -4,9 +4,10 @@ A polytope is stored by its extreme points (lex-sorted tuples of Fraction
 coordinates). The half-space form is derived on demand: equalities pin the
 affine hull, inequalities are facet half-spaces of the form <a, x> <= c with
 (a, c) jointly primitive integer vectors. Facets are read off a placing
-triangulation of the points: every facet of the hull is spanned by some
-boundary facet of any triangulation, so each boundary facet's hyperplane,
-oriented away from the apex of its cell, is a facet inequality.
+triangulation of the points, each placed as the vector (p, 1): every
+facet of the hull is spanned by some boundary facet of any triangulation,
+so each boundary facet's hyperplane, oriented away from the apex of its
+cell, is a facet inequality.
 
 Everything is exact; no floats are accepted or produced.
 """
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import InputError
-from .placing import boundary_facets, facet_hyperplane, placing_cells
+from .placing import boundary_facets, placing_cells
 from .ratpoly import RatLike, _coerce
 
 Point = tuple[Fraction, ...]
@@ -212,13 +213,33 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int]:
 
     ineqs: set[tuple[IntVec, int]] = set()
     if dim >= 1:
-        for facet, apex in boundary_facets(placing_cells(pts)):
-            a, c = facet_hyperplane(pts, facet, directions)
+        for facet, apex in boundary_facets(placing_cells([p + (1,) for p in pts])):
+            a, c = _facet_hyperplane(pts, facet, directions)
             if linalg.dot(a, pts[apex]) > c:
                 a, c = tuple(-v for v in a), -c
             ineqs.add(_joint_primitive(a, c))
     hrep = HRep(tuple(sorted(eqs)), tuple(sorted(ineqs)))
     return hrep, dim
+
+
+def _facet_hyperplane(pts: list[Point], facet: tuple[int, ...],
+                      directions: list[Point]) -> tuple[Point, Fraction]:
+    """Hyperplane <a, x> = c through the facet, with a in the hull's span."""
+    k = len(directions)
+    f0 = pts[facet[0]]
+    rows = [
+        [linalg.dot(linalg.vec_sub(pts[v], f0), b) for b in directions]
+        for v in facet[1:]
+    ]
+    kernel = linalg.nullspace(rows, ncols=k)
+    if len(kernel) != 1:
+        raise AssertionError(f"degenerate facet {facet} in placing triangulation")
+    y = kernel[0]
+    a = tuple(
+        sum((y[i] * directions[i][j] for i in range(k)), Fraction(0))
+        for j in range(len(f0))
+    )
+    return a, linalg.dot(a, f0)
 
 
 def _is_extreme(p: Point, hrep: HRep, dim: int) -> bool:

@@ -112,12 +112,6 @@ class Poly:
         """Multiply by x^k (k >= 0)."""
         return Poly((Fraction(0),) * k + self.coeffs)
 
-    def reversed_within(self, top: int) -> "Poly":
-        """Coefficient reversal x^top * p(1/x); needs top >= degree."""
-        if top < self.degree():
-            raise InputError("reversal window smaller than the degree")
-        return Poly([self[top - i] for i in range(top + 1)])
-
     def is_palindromic(self, top: int) -> bool:
         """True iff coeffs[i] == coeffs[top - i] for 0 <= i <= top."""
         if self.degree() > top:

@@ -151,8 +151,10 @@ def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]
 def birkhoff_polytope(n: int) -> RationalPolytope:
     """Polytope of doubly stochastic n-by-n matrices, flattened row-major.
 
-    Vertices are the n! permutation matrices. Kept to n <= 3: the facet
-    scan in ambient dimension n^2 is not feasible beyond that here.
+    Vertices are the n! permutation matrices. Kept to n <= 3: for n = 4
+    the placing triangulation that finds the facets (24 points in R^16)
+    is slow, and counting the dilates that `ehrhart` needs (about 10.4
+    million points at dilate 11) is out of reach.
     """
     if not 1 <= n <= 3:
         raise UnsupportedError(

@@ -93,7 +93,7 @@ def placing_triangulation(p: RationalPolytope,
         points = enumerate_points(p)
     else:
         points = sorted(tuple(int(v) for v in vert) for vert in p.vertices)
-    cells = placing_cells([tuple(map(int, pt)) for pt in points])
+    cells = placing_cells([tuple(map(int, pt)) + (1,) for pt in points])
     t = Triangulation(points, cells, p.dim)
     if any(len(cell) != p.dim + 1 for cell in t.cells):
         raise TheoremViolationError("placing produced cells of the wrong dimension")

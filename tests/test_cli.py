@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, JSON output, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -83,7 +84,6 @@ def test_decompose_reeve(capsys):
     assert code == 0
     assert doc["hstar"] == [1, 0, 1]
     assert doc["unimodular"] is False
-    assert doc["verified_against_counts"] is True
 
 
 def test_triangulate_square(capsys):
@@ -152,6 +152,29 @@ def test_malformed_documents_exit_1_without_traceback(tmp_path):
             assert proc.returncode == 1, (doc, command, proc.stderr)
             assert list(json.loads(proc.stdout)) == ["error"], (doc, command)
             assert "Traceback" not in proc.stderr, (doc, command, proc.stderr)
+
+
+def test_corpus_verify_seed_7_bytes_are_pinned():
+    # a fresh interpreter, so that no cached result from another test serves it
+    src = str(Path(ehrkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("EHRKIT_CORPUS", None)
+    proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", "corpus-verify", "--seed", "7"],
+                          capture_output=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.md5(proc.stdout).hexdigest() == "9c7556014818623dd479dd0022e50cbd"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reciprocity", "--max-n", "-3", corpus_file("unit_square")],
+    ["cone-reciprocity", "--trials", "-2", cone_file("quadrant")],
+    ["specialize", "--truncation", "-1", corpus_file("unit_square")],
+    ["corpus-verify", "--random", "-1"],
+])
+def test_vacuous_check_arguments_exit_1(capsys, argv):
+    code, doc = run(capsys, *argv)
+    assert code == 1
+    assert list(doc) == ["error"]
 
 
 def test_missing_file(capsys):

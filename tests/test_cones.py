@@ -232,6 +232,9 @@ def test_stanley_reciprocity_axis_and_skew():
         report = stanley_reciprocity_check(cone, trials=10, seed=11)
         assert report.verdict == "pass", report.instances
         assert len(report.instances) == 10
+    for trials in (0, -2):
+        with pytest.raises(InputError):
+            stanley_reciprocity_check(axis_cone(2), trials=trials)
 
 
 def test_stanley_reciprocity_single_point_value():
@@ -274,6 +277,10 @@ def test_specialization_check_unit_segment():
     report = specialization_check(p, F(1, 2), truncation=8)
     assert report.verdict == "pass"
     assert report.instances[0]["lhs"] == 4  # 1/(1-x)^2 at 1/2
+    # truncation 0 still compares the constant coefficient; a negative one none
+    assert len(specialization_check(p, F(1, 2), truncation=0).instances) == 2
+    with pytest.raises(InputError):
+        specialization_check(p, F(1, 2), truncation=-1)
 
 
 def test_specialization_check_rational_and_pole():

@@ -225,6 +225,11 @@ def test_reciprocity_check_lattice_and_rational():
         assert report.verdict == "pass", (name, report.instances)
         assert len(report.instances) == 8
         assert all("interior_direct" in inst for inst in report.instances[:4])
+    # a window that checks nothing is an input error, not a pass
+    for max_n in (0, -3):
+        with pytest.raises(InputError):
+            reciprocity_check(builder(), max_n=max_n)
+    assert len(reciprocity_check(builder(), max_n=1).instances) == 1
 
 
 def test_reciprocity_half_segment_values():
@@ -239,6 +244,9 @@ def test_count_points_zero_dilate():
     assert count_points(p, 0) == 1
     with pytest.raises(Exception):
         count_points(p, -1)
+    # the region is checked before the 0-th dilate shortcut
+    with pytest.raises(InputError):
+        count_points(p, 0, "bogus")
 
 
 def test_birkhoff_counts_small():

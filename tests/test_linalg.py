@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from ehrkit.errors import InputError
 from ehrkit.linalg import (
-    det,
     dot,
     lattice_normalized_volume,
     nullspace,
     primitive,
     rank,
     row_reduce,
+    simplex_solve,
     snf_diagonal,
     solve,
 )
@@ -45,12 +46,20 @@ def test_nullspace_orthogonality():
     assert nullspace([], ncols=2) == [(1, 0), (0, 1)]
 
 
-def test_det_values():
-    assert det([[1, 0], [0, 1]]) == 1
-    assert det([[2, 1], [1, 2]]) == 3
-    assert det([[1, 2], [2, 4]]) == 0
-    assert det([[1, 0, 0], [0, 1, 0], [1, 1, 2]]) == 2
-    assert det([[Fraction(1, 2)]]) == Fraction(1, 2)
+def test_simplex_solve_coefficients_and_span_rows():
+    # x = a (1,0,0) + b (1,2,0): b = x2 / 2, a = x1 - x2 / 2, x3 = 0
+    coords, span = simplex_solve(((1, 0, 0), (1, 2, 0)))
+    assert coords == (((2, -1, 0), 2), ((0, 1, 0), 2))
+    assert span == ((0, 0, 1),)
+    assert simplex_solve(((1, 1), (1, -1))) == ((((1, 1), 2), ((1, -1), 2)), ())
+    # rational entries: x = t (1/2, 1) has t = x2 on the line 2 x1 = x2
+    assert simplex_solve(((Fraction(1, 2), 1),)) == ((((0, 1), 1),), ((2, -1),))
+    with pytest.raises(InputError):
+        simplex_solve(((1, 2), (2, 4)))
+    with pytest.raises(InputError):
+        simplex_solve(((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(InputError):
+        simplex_solve(())
 
 
 def test_primitive_scaling():
