@@ -1,11 +1,14 @@
 """Square matrices with equal row and column sums, counted exactly.
 
 H_n(r) counts n-by-n matrices of nonnegative integers whose rows and
-columns all sum to r. The counting runs as a dynamic program over residual
-column sums: each row consumes a weak composition of r bounded by what the
-columns can still absorb, and the final row is forced. Residual states are
-kept as sorted tuples since the remaining count only depends on the
-multiset of residuals.
+columns all sum to r. The matrix is split into its top min(2, n) rows and
+the rest, at most two rows each since n <= 4: H_n(r) is the sum over the
+column sums c of the top half of T_top(c) * T_bottom(r - c), where T_k(v)
+counts the k-row halves with row sums r and column sums v. T_0(v) is
+[v = 0], T_1 is 1, and a two-row half is fixed by its first row, whose
+choices 0 <= x_j <= v_j with sum r are counted by inclusion-exclusion.
+Both factors are symmetric in c, so c runs over nonincreasing tuples, each
+weighted by its number of distinct rearrangements.
 
 These counts are polynomial in r, vanish at r = -1..-(n-1), satisfy a
 reflection symmetry, and have a palindromic nonnegative series numerator
@@ -17,9 +20,11 @@ the permutation matrices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb, factorial
 
 from .errors import InputError, UnsupportedError
 from .polytope import RationalPolytope
@@ -29,16 +34,37 @@ from .report import Report
 MAX_SIZE = 4
 
 
-@lru_cache(maxsize=None)
-def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    """All weak compositions of `total` into `parts` nonnegative parts."""
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+def _nonincreasing(total: int, parts: int, cap: int):
+    """Nonincreasing tuples of `parts` integers in [0, cap] summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(cap, total), -((-total) // parts) - 1, -1):
+        for rest in _nonincreasing(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _rows_with_column_sums(rows: int, columns: tuple[int, ...], r: int) -> int:
+    """Number of `rows`-by-n nonnegative matrices with row sums r and the
+    given column sums, which add up to rows * r; rows is 0, 1 or 2.
+
+    Two rows: the first row x is free in 0 <= x_j <= columns[j] with sum r
+    (the second is columns - x), counted by inclusion-exclusion over the
+    sets S of columns where x_j exceeds its bound.
+    """
+    if rows == 0:
+        return int(not any(columns))
+    if rows == 1:
+        return 1
+    n = len(columns)
+    total = 0
+    for size in range(n + 1):
+        for subset in combinations(columns, size):
+            left = r - sum(c + 1 for c in subset)
+            if left >= 0:
+                total += (-1) ** size * comb(left + n - 1, n - 1)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -50,23 +76,17 @@ def count_semimagic(n: int, r: int) -> int:
         )
     if r < 0:
         raise InputError("line sum must be nonnegative")
-    if n == 1:
-        return 1
-    rows = _compositions(r, n)
-    states: dict[tuple[int, ...], int] = {(r,) * n: 1}
-    for _ in range(n - 1):
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, ways in states.items():
-            for row in rows:
-                if all(part <= left for part, left in zip(row, state)):
-                    key = tuple(
-                        sorted((left - part for part, left in zip(row, state)),
-                               reverse=True)
-                    )
-                    nxt[key] = nxt.get(key, 0) + ways
-        states = nxt
-    # the last row is forced to equal the residual column sums
-    return sum(states.values())
+    top = min(2, n)
+    total = 0
+    # c runs over the column sums of the top rows; both halves are symmetric
+    # in c, so each multiset of column sums is counted once with its weight
+    for c in _nonincreasing(top * r, n, r):
+        weight = factorial(n)
+        for repeat in Counter(c).values():
+            weight //= factorial(repeat)
+        total += (weight * _rows_with_column_sums(top, c, r)
+                  * _rows_with_column_sums(n - top, tuple(r - v for v in c), r))
+    return total
 
 
 @dataclass(frozen=True)

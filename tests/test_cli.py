@@ -43,6 +43,17 @@ def test_ehrhart_rational_constituents(capsys):
     assert doc["poly"]["constituents"] == ["1/2n+1", "1/2n+1/2"]
 
 
+def test_ehrhart_embedded_segment_off_the_lattice(capsys, tmp_path):
+    # the dilates with 3 not dividing n miss the lattice: zero constituents
+    doc_path = tmp_path / "segment.json"
+    doc_path.write_text(json.dumps({"vertices": [["1/3", "2/3"], ["4/3", "2/3"]]}))
+    code, doc = run(capsys, "ehrhart", str(doc_path))
+    assert code == 0, doc
+    assert doc["period"] == 3
+    assert doc["poly"]["constituents"] == ["n+1", "0", "0"]
+    assert doc["hstar"] == [1, 0, 0, 2]
+
+
 def test_count_closed_and_interior(capsys):
     code, doc = run(capsys, "count", corpus_file("reeve_2"), "--dilate", "2")
     assert code == 0 and doc["count"] == 11

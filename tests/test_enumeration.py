@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, prod
 
@@ -22,8 +23,9 @@ from ehrkit.enumeration import (
     ehrhart,
     enumerate_points,
     reciprocity_check,
+    region_counts,
 )
-from ehrkit.errors import InputError
+from ehrkit.errors import InputError, TheoremViolationError
 from ehrkit.polytope import normalize
 
 
@@ -143,6 +145,37 @@ def test_pruned_dfs_agrees_with_box_scan_on_random_polytopes():
     assert checked >= 200
 
 
+def test_region_counts_match_listing_and_box_scan():
+    # the count-only pass against the listing path and the Fraction box scan,
+    # on the 0-th to 3rd dilates; the 0-th dilate is the origin alone
+    rng = random.Random(20261018)
+    polytopes = [normalize([()]), normalize([["1/3", "2/3"], ["4/3", "2/3"]])]
+    polytopes += [random_rational_polytope(rng) for _ in range(90)]
+    kinds = Counter()
+    for p in polytopes:
+        for t in range(4):
+            q = p.dilate(t) if t else normalize([[0] * p.ambient_dim])
+            lo, hi = q.bounding_box()
+            if prod(max(h - l + 1, 0) for l, h in zip(lo, hi)) > 400:
+                continue  # keeps the Fraction box scan fast
+            closed, interior = region_counts(p, t)
+            assert closed == len(enumerate_points(q)) == len(box_scan(q)), (t, p.vertices)
+            assert interior == len(enumerate_points(q, "interior")) == len(
+                box_scan(q, "interior")), (t, p.vertices)
+            assert count_points(p, t) == closed
+            assert count_points(p, t, "interior") == interior
+            kinds[f"ambient {p.ambient_dim}"] += 1
+            kinds["rational"] += p.vertex_denominator() > 1
+            kinds["embedded"] += p.dim < p.ambient_dim
+            kinds["dilate 0"] += t == 0
+            kinds["interior points"] += interior > 0
+            kinds["boundary points"] += closed > interior > 0
+    minimum = {"ambient 0": 4, "ambient 1": 30, "ambient 2": 100, "ambient 3": 60,
+               "ambient 4": 15, "rational": 120, "embedded": 90, "dilate 0": 80,
+               "interior points": 150, "boundary points": 100}
+    assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
+
+
 def test_enumerate_interior_points():
     square2 = normalize([[0, 0], [2, 0], [0, 2], [2, 2]])
     assert enumerate_points(square2, "interior") == [(1, 1)]
@@ -185,6 +218,42 @@ def test_ehrhart_lower_dimensional_polytope():
     assert res.period == 1
     assert res.hstar.coeffs == (1,)
     assert res.count(7) == 8
+
+
+def test_ehrhart_embedded_segment_whose_dilates_miss_the_lattice():
+    # y = 2n/3 holds no lattice point unless 3 | n: two constituents are zero
+    res = ehrhart(normalize([["1/3", "2/3"], ["4/3", "2/3"]]))
+    assert res.dim == 1 and res.period == 3
+    assert [res.count(n) for n in range(10)] == [1, 0, 0, 4, 0, 0, 7, 0, 0, 10]
+    assert [c.coeffs for c in res.quasi.constituents] == [(1, 1), (), ()]
+    assert res.hstar.coeffs == (1, 0, 0, 2)
+    assert reciprocity_check(normalize([["1/3", "2/3"], ["4/3", "2/3"]])).verdict == "pass"
+
+
+def test_full_dimensional_polytope_keeps_the_strict_constituent_check(monkeypatch):
+    # a zero constituent of a full-dimensional polytope is still a violation
+    from ehrkit import enumeration
+
+    counted = enumeration._count_dilate
+
+    def only_multiples_of_3(data, n, slack, interior):
+        return (0, 0) if n % 3 else counted(data, n, slack, interior)
+
+    monkeypatch.setattr(enumeration, "_count_dilate", only_multiples_of_3)
+    with pytest.raises(TheoremViolationError, match="common volume"):
+        ehrhart(normalize([["0"], ["1/3"]], name="full_third_segment"))
+
+
+def test_zero_dilate_interior_convention():
+    # 0·P = {0} is its own relative interior, so one interior point is counted;
+    # the interior quasipolynomial is the reciprocity one, (-1)^dim at n = 0
+    segment = normalize([[0, 0], [2, 0]])
+    square = normalize([[0, 0], [1, 0], [0, 1], [1, 1]])
+    for p, sign in ((segment, -1), (square, 1)):
+        assert count_points(p, 0, "interior") == 1
+        assert region_counts(p, 0) == (1, 1)
+        assert ehrhart(p).interior_count(0) == sign
+        assert ehrhart(p).interior_count(1) == count_points(p, 1, "interior")
 
 
 def test_ehrhart_result_exposes_no_name_of_an_equal_cached_polytope():

@@ -1,6 +1,11 @@
-"""Equal-line-sum matrix counts, their structure, and the geometric bridge."""
+"""Equal-line-sum matrix counts, their structure, and the geometric bridge.
+
+Count oracle: `row_dp_count`, a dynamic program over residual column sums
+that places one row at a time, checked against the two-row-halves count.
+"""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -9,6 +14,42 @@ from ehrkit.enumeration import count_points, ehrhart
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.ratpoly import Poly
 from ehrkit.semimagic import adg_report, birkhoff_polytope, count_semimagic
+
+
+@lru_cache(maxsize=None)
+def compositions(total, parts):
+    """All weak compositions of `total` into `parts` nonnegative parts."""
+    if parts == 1:
+        return ((total,),)
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in compositions(total - first, parts - 1))
+
+
+def row_dp_count(n, r):
+    """Oracle: each of the first n - 1 rows takes a weak composition of r that
+    fits under the residual column sums; the last row is forced. A state is
+    the sorted residual vector, since the count only depends on its multiset."""
+    states = {(r,) * n: 1}
+    for _ in range(n - 1):
+        nxt = {}
+        for state, ways in states.items():
+            for row in compositions(r, n):
+                if all(part <= left for part, left in zip(row, state)):
+                    key = tuple(sorted((left - part for part, left in zip(row, state)),
+                                       reverse=True))
+                    nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return sum(states.values())
+
+
+def test_count_matches_row_dp_oracle():
+    for n in range(1, 5):
+        for r in range(21):
+            assert count_semimagic(n, r) == row_dp_count(n, r), (n, r)
+
+
+def test_count_known_values_of_size_four():
+    assert [count_semimagic(4, r) for r in (2, 4, 6)] == [282, 10147, 132724]
 
 
 def test_count_small_tables():
