@@ -97,9 +97,9 @@ class HalfOpenSimplicialCone:
     def coefficients(self, x: Sequence) -> tuple[Fraction, ...] | None:
         """Barycentric ray coefficients of x, or None if x is off the span."""
         t_rows, c_rows = linalg.simplex_solve(self.generators)
-        if any(linalg.dot(row, x) for row in c_rows):
+        if any(linalg.int_dot(row, x) for row in c_rows):
             return None
-        return tuple(linalg.dot(row, x) / den for row, den in t_rows)
+        return tuple(Fraction(linalg.int_dot(row, x), den) for row, den in t_rows)
 
     def contains(self, x: Sequence, respect_flags: bool = True) -> bool:
         lam = self.coefficients(x)
@@ -245,10 +245,10 @@ def decompose(cone: RationalCone) -> tuple[HalfOpenSimplicialCone, ...]:
 
     rng = random.Random(_REFERENCE_SEED)
     for _ in range(64):
-        coeffs = [1 + Fraction(rng.randint(1, 999983), 10**7)
-                  for _ in pieces_gens[0]]
+        # the reference point sum_i (1 + r_i / 10^7) g_i, scaled by 10^7
+        coeffs = [10**7 + rng.randint(1, 999983) for _ in pieces_gens[0]]
         reference = tuple(
-            sum((c * Fraction(g[j]) for c, g in zip(coeffs, pieces_gens[0])), Fraction(0))
+            sum(c * g[j] for c, g in zip(coeffs, pieces_gens[0]))
             for j in range(cone.ambient_dim)
         )
         lambdas = []
@@ -256,9 +256,9 @@ def decompose(cone: RationalCone) -> tuple[HalfOpenSimplicialCone, ...]:
         for gens in pieces_gens:
             # den > 0, so the numerators carry the coefficients' signs
             t_rows, c_rows = linalg.simplex_solve(gens)
-            if any(linalg.dot(row, reference) != 0 for row in c_rows):
+            if any(linalg.int_dot(row, reference) for row in c_rows):
                 raise TheoremViolationError("pieces do not share the cone's span")
-            lam = [linalg.dot(row, reference) for row, _ in t_rows]
+            lam = [linalg.int_dot(row, reference) for row, _ in t_rows]
             if any(v == 0 for v in lam):
                 generic = False
                 break

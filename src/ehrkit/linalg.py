@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals and the integers.
 
-Vectors are tuples, matrices are lists of row tuples. Everything runs on
-`fractions.Fraction` (or plain int where the data is integral); no floats
-anywhere. The routines here are deliberately small-scale: ambient dimensions
-in this package stay in the single digits, so cubic Gaussian elimination and
-Smith reduction are more than fast enough. `simplex_solve` is the one
-(cached) barycentric solve of a simplex; placing triangulations, half-open
-cone pieces and fundamental parallelepipeds all read it.
+Vectors are tuples, matrices are lists of row tuples; no floats anywhere.
+Every elimination is one fraction-free Gauss-Jordan, `_echelon`: rows are
+scaled to integers and each row operation is divided by the gcd of the new
+row, so entries stay no larger than in Bareiss's elimination (Math. Comp.
+22, 1968). `simplex_solve` is the one (cached) barycentric solve of a
+simplex; placing triangulations, half-open cone pieces and fundamental
+parallelepipeds all read it, and it never leaves the integers. Ambient
+dimensions here stay in the single digits, so cubic elimination and Smith
+reduction are more than fast enough.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import InputError
@@ -25,6 +28,11 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
 
 
+def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Dot product with no Fraction conversion: an int on integer data."""
+    return sum(map(mul, u, v))
+
+
 def vec_add(u: Sequence, v: Sequence) -> Vec:
     return tuple(Fraction(a) + b for a, b in zip(u, v))
 
@@ -33,38 +41,55 @@ def vec_sub(u: Sequence, v: Sequence) -> Vec:
     return tuple(Fraction(a) - b for a, b in zip(u, v))
 
 
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of rational rows.
+
+    Returns (rows, pivot_columns) with zero rows dropped: each row is an
+    integer vector with gcd 1 and a nonzero multiple (of either sign) of
+    the matching row of the reduced row echelon form.
+    """
+    work = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (scale // v.denominator) for v in row]
+        g = gcd(*ints)
+        work.append([v // g for v in ints] if g > 1 else ints)
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(work):
+            break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top = work[r]
+        p = top[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                new = [p * a - f * b for a, b in zip(row, top)]
+                g = gcd(*new)
+                work[i] = [v // g for v in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
 def row_reduce(rows: Sequence[Sequence]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form.
 
     Returns (rref_rows, pivot_columns). Zero rows are dropped, so
     len(rref_rows) == rank.
     """
-    work = [list(map(Fraction, r)) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b if b else a for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
+    echelon, pivots = _echelon(rows)
+    return [tuple(Fraction(v, row[c]) for v in row)
+            for row, c in zip(echelon, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(row_reduce(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
@@ -108,28 +133,30 @@ def simplex_solve(generators: tuple[tuple, ...]):
 
     T is a tuple of (row, den) pairs with den > 0, so that the coefficient
     of generators[i] in x is <T_i, x> / den_i, and C a tuple of primitive
-    rows with C x = 0 exactly when x lies in the generators' span. Both are
-    read off the reduced row echelon form of [G | I], where G is the
-    ambient x k matrix whose columns are the generators: its first k rows
-    give the coefficient solve, the remaining rows the span-membership test.
-    Raises InputError unless the generators are nonempty and independent.
+    rows with positive leading entries, C x = 0 exactly when x lies in the
+    generators' span. Both are read off the fraction-free Gauss-Jordan
+    elimination of [G | I], where G is the ambient x k matrix whose columns
+    are the generators: its first k rows, (p_i e_i | v_i), give
+    T_i = (v_i, p_i) up to the sign of p_i, the remaining rows (0 | w) the
+    span-membership test. Each row has gcd 1, so these are the reduced
+    forms of the rows of the rational rref. Raises InputError unless the
+    generators are nonempty, of one length and independent.
     """
     if not generators:
         raise InputError("a simplex needs at least one generator")
-    k = len(generators)
-    n = len(generators[0])
-    aug = [[Fraction(generators[i][j]) for i in range(k)]
-           + [Fraction(1 if jj == j else 0) for jj in range(n)]
-           for j in range(n)]
-    rref, pivots = row_reduce(aug)
+    k, n = len(generators), len(generators[0])
+    if any(len(g) != n for g in generators):
+        raise InputError("generators with mixed ambient dimensions")
+    rows, pivots = _echelon([[g[j] for g in generators]
+                             + [int(i == j) for i in range(n)] for j in range(n)])
     if pivots[:k] != list(range(k)):
         raise InputError("generators of a simplex must be independent")
-    t_rows = []
-    for row in rref[:k]:
-        den = lcm(*(v.denominator for v in row[k:]))
-        t_rows.append((tuple(int(v * den) for v in row[k:]), den))
-    c_rows = tuple(primitive(row[k:]) for row in rref[k:])
-    return tuple(t_rows), c_rows
+    t_rows = tuple((tuple(row[k:]), row[i]) if row[i] > 0
+                   else (tuple(-v for v in row[k:]), -row[i])
+                   for i, row in enumerate(rows[:k]))
+    c_rows = tuple(tuple(row[k:]) if row[c] > 0 else tuple(-v for v in row[k:])
+                   for row, c in zip(rows[k:], pivots[k:]))
+    return t_rows, c_rows
 
 
 def primitive(vector: Sequence) -> tuple[int, ...]:

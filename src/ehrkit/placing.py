@@ -43,7 +43,7 @@ def placing_cells(vectors: Sequence[tuple]) -> list[tuple[int, ...]]:
 
     for i in range(1, len(vectors)):
         q = vectors[i]
-        if any(_dot(row, q) for row in span_rows):
+        if any(linalg.int_dot(row, q) for row in span_rows):
             # dimension jump: cone every existing cell over the new vector
             cells = [cell + (i,) for cell in cells]
             _, span_rows = linalg.simplex_solve(tuple(vectors[v] for v in cells[0]))
@@ -52,14 +52,10 @@ def placing_cells(vectors: Sequence[tuple]) -> list[tuple[int, ...]]:
         for facet, apex in boundary_facets(cells):
             cell = tuple(sorted(facet + (apex,)))
             coords, _ = linalg.simplex_solve(tuple(vectors[v] for v in cell))
-            if _dot(coords[cell.index(apex)][0], q) < 0:  # strictly visible
+            if linalg.int_dot(coords[cell.index(apex)][0], q) < 0:  # strictly visible
                 added.append(tuple(sorted(facet + (i,))))
         cells.extend(added)
     return cells
-
-
-def _dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def boundary_facets(cells: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:

@@ -4,10 +4,14 @@ A polytope is stored by its extreme points (lex-sorted tuples of Fraction
 coordinates). The half-space form is derived on demand: equalities pin the
 affine hull, inequalities are facet half-spaces of the form <a, x> <= c with
 (a, c) jointly primitive integer vectors. Facets are read off a placing
-triangulation of the points, each placed as the vector (p, 1): every
-facet of the hull is spanned by some boundary facet of any triangulation,
-so each boundary facet's hyperplane, oriented away from the apex of its
-cell, is a facet inequality.
+triangulation of the points, each placed as the vector (p, 1) scaled to
+integers: every facet of the hull is spanned by some boundary facet of any
+triangulation. The apex row T_apex of the cell's cached `simplex_solve`
+vanishes exactly on that boundary facet's hyperplane, so boundary facets
+are grouped by the set of points q with <T_apex, (q, 1)> = 0, one set per
+facet of the hull. Only the first boundary facet of each set gives an
+inequality: its normal is -T_apex, projected orthogonally onto the hull's
+direction space so that it does not depend on the cell it was read from.
 
 Everything is exact; no floats are accepted or produced.
 """
@@ -199,47 +203,48 @@ def contains_polytope(inner: RationalPolytope, outer: RationalPolytope) -> bool:
 
 def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int]:
     base = pts[0]
-    diffs = [linalg.vec_sub(p, base) for p in pts[1:]]
-    directions, _ = linalg.row_reduce(diffs)
-    dim = len(directions)
+    kernel = linalg.nullspace([linalg.vec_sub(p, base) for p in pts[1:]], ncols=ambient)
+    dim = ambient - len(kernel)
 
     eqs: list[tuple[IntVec, int]] = []
-    for a in linalg.nullspace(directions, ncols=ambient):
+    for a in kernel:
         normal, offset = _joint_primitive(a, linalg.dot(a, base))
         if normal[next(i for i, v in enumerate(normal) if v != 0)] < 0:
             normal = tuple(-v for v in normal)
             offset = -offset
         eqs.append((normal, offset))
 
-    ineqs: set[tuple[IntVec, int]] = set()
+    facets: dict[frozenset[int], tuple[IntVec, int]] = {}
     if dim >= 1:
-        for facet, apex in boundary_facets(placing_cells([p + (1,) for p in pts])):
-            a, c = _facet_hyperplane(pts, facet, directions)
-            if linalg.dot(a, pts[apex]) > c:
-                a, c = tuple(-v for v in a), -c
-            ineqs.add(_joint_primitive(a, c))
-    hrep = HRep(tuple(sorted(eqs)), tuple(sorted(ineqs)))
+        # (p, 1) scaled to integers by one positive factor: placing signs
+        # and hyperplanes are those of (p, 1)
+        scale = lcm(*(v.denominator for p in pts for v in p))
+        lifted = [tuple(v.numerator * (scale // v.denominator) for v in p) + (scale,)
+                  for p in pts]
+        for facet, apex in boundary_facets(placing_cells(lifted)):
+            # <T_apex, (x, 1)> vanishes on the facet's hyperplane and is
+            # positive at the apex, so on the whole hull
+            cell = tuple(sorted(facet + (apex,)))
+            coords, _ = linalg.simplex_solve(tuple(lifted[v] for v in cell))
+            t_apex = coords[cell.index(apex)][0]
+            key = frozenset(j for j, q in enumerate(lifted)
+                            if not linalg.int_dot(t_apex, q))
+            if key not in facets:
+                a = _onto_hull(tuple(-v for v in t_apex[:-1]), eqs)
+                facets[key] = _joint_primitive(a, linalg.dot(a, pts[facet[0]]))
+    hrep = HRep(tuple(sorted(eqs)), tuple(sorted(set(facets.values()))))
     return hrep, dim
 
 
-def _facet_hyperplane(pts: list[Point], facet: tuple[int, ...],
-                      directions: list[Point]) -> tuple[Point, Fraction]:
-    """Hyperplane <a, x> = c through the facet, with a in the hull's span."""
-    k = len(directions)
-    f0 = pts[facet[0]]
-    rows = [
-        [linalg.dot(linalg.vec_sub(pts[v], f0), b) for b in directions]
-        for v in facet[1:]
-    ]
-    kernel = linalg.nullspace(rows, ncols=k)
-    if len(kernel) != 1:
-        raise AssertionError(f"degenerate facet {facet} in placing triangulation")
-    y = kernel[0]
-    a = tuple(
-        sum((y[i] * directions[i][j] for i in range(k)), Fraction(0))
-        for j in range(len(f0))
-    )
-    return a, linalg.dot(a, f0)
+def _onto_hull(a: IntVec, eqs: list[tuple[IntVec, int]]) -> tuple:
+    """Orthogonal projection of a onto the hull's direction space, the
+    common kernel of the equality normals."""
+    if not eqs:
+        return a
+    normals = [normal for normal, _ in eqs]
+    gram = [[linalg.int_dot(u, v) for v in normals] for u in normals]
+    y = linalg.solve(gram, [linalg.int_dot(u, a) for u in normals])
+    return tuple(v - sum(c * u[j] for c, u in zip(y, normals)) for j, v in enumerate(a))
 
 
 def _is_extreme(p: Point, hrep: HRep, dim: int) -> bool:

@@ -172,9 +172,8 @@ def birkhoff_polytope(n: int) -> RationalPolytope:
     """Polytope of doubly stochastic n-by-n matrices, flattened row-major.
 
     Vertices are the n! permutation matrices. Kept to n <= 3: for n = 4
-    the placing triangulation that finds the facets (24 points in R^16)
-    is slow, and counting the dilates that `ehrhart` needs (about 10.4
-    million points at dilate 11) is out of reach.
+    counting the dilates that `ehrhart` needs (about 10.4 million points
+    at dilate 11) is out of reach.
     """
     if not 1 <= n <= 3:
         raise UnsupportedError(

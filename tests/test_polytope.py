@@ -145,6 +145,24 @@ def test_facets_match_subset_scan_on_random_clouds():
     assert any(d < n for n, d in dims)
 
 
+def test_birkhoff_4_facets_are_the_nonnegativity_constraints():
+    """B4: the 24 permutation matrices in R^16 span a 9-dimensional
+    polytope cut out by 7 independent line sums and the 16 facets x_ij >= 0."""
+    points = [[int(perm[i] == j) for i in range(4) for j in range(4)]
+              for perm in itertools.permutations(range(4))]
+    p = normalize(points)
+    hrep = p.facets()
+    assert p.dim == 9 and len(p.vertices) == 24
+    assert len(hrep.equalities) == 7
+    assert all(linalg.dot(a, v) == c for a, c in hrep.equalities for v in p.vertices)
+    # the normals lie in the direction space, so each facet shows as the
+    # vertices it holds: those with x_ij = 0, for each of the 16 entries
+    tight = {frozenset(v for v in p.vertices if linalg.dot(a, v) == c)
+             for a, c in hrep.inequalities}
+    assert len(hrep.inequalities) == 16
+    assert tight == {frozenset(v for v in p.vertices if v[j] == 0) for j in range(16)}
+
+
 def test_reeve_simplex_facets_frozen():
     r2 = normalize([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2]])
     assert set(r2.facets().inequalities) == {
