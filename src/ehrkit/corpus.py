@@ -18,8 +18,9 @@ import random
 from importlib import resources
 from pathlib import Path
 
+from . import jsonio
+from .cones import RationalCone
 from .errors import InputError
-from .jsonio import load_document
 from .polytope import RationalPolytope
 
 # pairs (inner, outer) with inner contained in outer, for monotonicity sweeps
@@ -53,18 +54,19 @@ def list_cones() -> list[str]:
     return _names_in(corpus_dir() / "cones")
 
 
-def load_polytope(name: str):
-    path = corpus_dir() / f"{name}.json"
+def _member(directory: Path, name: str, kind: str) -> str:
+    path = directory / f"{name}.json"
     if not path.is_file():
-        raise InputError(f"no corpus polytope named {name!r}")
-    return load_document(str(path))
+        raise InputError(f"no corpus {kind} named {name!r}")
+    return str(path)
 
 
-def load_cone(name: str):
-    path = corpus_dir() / "cones" / f"{name}.json"
-    if not path.is_file():
-        raise InputError(f"no corpus cone named {name!r}")
-    return load_document(str(path))
+def load_polytope(name: str) -> RationalPolytope:
+    return jsonio.load_polytope(_member(corpus_dir(), name, "polytope"))
+
+
+def load_cone(name: str) -> RationalCone:
+    return jsonio.load_cone(_member(corpus_dir() / "cones", name, "cone"))
 
 
 def random_lattice_polytopes(count: int, seed: int,

@@ -130,7 +130,10 @@ def _walk(equalities, inequalities, lo: IntPoint, hi: IntPoint, interior: bool,
         for k, _, base in moves:
             partial[k] = base
 
-    walk(0, inside)
+    try:
+        walk(0, inside)
+    finally:
+        del walk  # the closure refers to itself: break that cycle on the way out
     return totals[0], totals[1]
 
 

@@ -136,3 +136,17 @@ def load_document(path: str) -> RationalPolytope | RationalCone:
     if "rays" in doc:
         return cone_from_json(doc)
     raise InputError(f"{path}: neither a polytope ('vertices') nor a cone ('rays')")
+
+
+def load_polytope(path: str) -> RationalPolytope:
+    doc = load_document(path)
+    if not isinstance(doc, RationalPolytope):
+        raise InputError(f"{path} holds a cone; this command needs a polytope")
+    return doc
+
+
+def load_cone(path: str) -> RationalCone:
+    doc = load_document(path)
+    if isinstance(doc, RationalPolytope):
+        raise InputError(f"{path} holds a polytope; this command needs a cone")
+    return doc

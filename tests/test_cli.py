@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import ehrkit
 from ehrkit.cli import main
-from ehrkit.corpus import corpus_dir
+from ehrkit.corpus import MONOTONE_PAIRS, corpus_dir, list_cones, list_polytopes
 
 
 def corpus_file(name: str) -> str:
@@ -165,6 +166,24 @@ def test_malformed_documents_exit_1_without_traceback(tmp_path):
             assert "Traceback" not in proc.stderr, (doc, command, proc.stderr)
 
 
+@pytest.mark.parametrize("misplaced", ["cone among polytopes", "polytope among cones"])
+def test_wrong_kind_in_corpus_directory_exits_1_without_traceback(tmp_path, misplaced):
+    (tmp_path / "cones").mkdir()
+    shutil.copy(corpus_file("segment_01"), tmp_path)
+    shutil.copy(cone_file("quadrant"), tmp_path / "cones")
+    if misplaced == "cone among polytopes":
+        shutil.copy(cone_file("quadrant"), tmp_path)
+    else:
+        shutil.copy(corpus_file("segment_01"), tmp_path / "cones")
+    src = str(Path(ehrkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, EHRKIT_CORPUS=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", "corpus-verify", "--random", "0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+    assert list(json.loads(proc.stdout)) == ["error"]
+
+
 def test_corpus_verify_seed_7_bytes_are_pinned():
     # a fresh interpreter, so that no cached result from another test serves it
     src = str(Path(ehrkit.__file__).resolve().parents[1])
@@ -209,9 +228,46 @@ def test_out_flag(tmp_path, capsys):
     assert doc["poly"] == "n+1"
 
 
+def test_unwritable_out_path_exits_1_with_error_document(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, doc = run(capsys, "hstar", corpus_file("segment_01"), "--out", str(target))
+    assert code == 1
+    assert list(doc) == ["error"]
+    assert doc["error"].startswith(f"cannot write {target}")
+    assert not target.exists()
+
+
 def test_seeded_commands_are_deterministic(capsys):
     code1, doc1 = run(capsys, "cone-reciprocity", cone_file("skew_3cone"),
                       "--seed", "99")
     code2, doc2 = run(capsys, "cone-reciprocity", cone_file("skew_3cone"),
                       "--seed", "99")
     assert (code1, doc1) == (code2, doc2)
+
+
+def sweep_invocations() -> list[list[str]]:
+    """Every subcommand over the corpus, with file names relative to
+    corpus_dir() so that echoed paths do not depend on the install."""
+    polytopes = [f"{name}.json" for name in list_polytopes()]
+    cones = [f"cones/{name}.json" for name in list_cones()]
+    runs = []
+    for path in polytopes:
+        runs += [["count", path], ["count", path, "--dilate", "3", "--region", "interior"]]
+        runs += [[command, path] for command in ("ehrhart", "hstar", "reciprocity", "specialize",
+                                                 "inequalities", "hibi", "ab")]
+        for command in ("decompose", "triangulate"):
+            runs += [[command, path], [command, path, "--all-points"]]
+    runs += [["cone-reciprocity", path, "--trials", "3", "--seed", "5"] for path in cones]
+    runs += [["monotonic", f"{inner}.json", f"{outer}.json"] for inner, outer in MONOTONE_PAIRS]
+    runs.append(["semimagic", "--n", "3"])
+    return runs
+
+
+def test_every_subcommand_output_is_pinned(capsys, monkeypatch):
+    monkeypatch.chdir(corpus_dir())
+    digest = hashlib.md5()
+    for argv in sweep_invocations():
+        code = main(argv)
+        digest.update(f"{' '.join(argv)} -> {code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "090372c37f8f4dd86e265c406ebaae62"

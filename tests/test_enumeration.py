@@ -10,6 +10,7 @@ test_ratpoly) before being pinned here.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -18,6 +19,7 @@ from math import comb, prod
 
 import pytest
 
+from ehrkit.corpus import load_polytope
 from ehrkit.enumeration import (
     count_points,
     ehrhart,
@@ -27,6 +29,7 @@ from ehrkit.enumeration import (
 )
 from ehrkit.errors import InputError, TheoremViolationError
 from ehrkit.polytope import normalize
+from ehrkit.triangulation import betke_mcmullen
 
 
 def box_scan(p, region="closed"):
@@ -331,3 +334,25 @@ def test_birkhoff_counts_small():
     assert b3.dim == 4
     assert [count_points(b3, n) for n in range(4)] == [1, 6, 21, 55]
     assert count_points(b3, 3, region="interior") == 1
+
+
+def test_walks_leave_no_reference_cycles():
+    # with the facets and caches already computed, a count, a listing and a
+    # decomposition must free everything they built without the cycle collector
+    members = [load_polytope(name) for name in ("hypercube_4d", "birkhoff_3", "reeve_3")]
+    for p in members:
+        count_points(p, 3)
+        enumerate_points(p)
+        betke_mcmullen(p)
+    gc.collect()
+    gc.disable()
+    try:
+        for p in members:
+            count_points(p, 3)
+            assert gc.collect() == 0, ("count_points", p.name)
+            enumerate_points(p)
+            assert gc.collect() == 0, ("enumerate_points", p.name)
+            betke_mcmullen(p)
+            assert gc.collect() == 0, ("betke_mcmullen", p.name)
+    finally:
+        gc.enable()
