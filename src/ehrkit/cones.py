@@ -15,6 +15,12 @@ the lattice points of its half-open fundamental parallelepiped divided by
 prod_i (1 - z^{g_i}). Closed cone, open (relative interior) cone, and the
 complement conventions are all expressed through which facets are open.
 
+Both hot paths stay in the integers. A piece whose solve has every
+denominator 1 has a one-point half-open box and an empty open box, read off
+without a search; the other boxes come from the integer lattice walk.
+`ConeGF.evaluate` scales each piece by one integer so that every monomial
+is a product of shared integer powers, and builds one Fraction per piece.
+
 Only pointed cones are supported; everything else raises UnsupportedError
 with a lineality certificate.
 """
@@ -26,6 +32,8 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil, floor, prod
+from operator import getitem, mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -94,21 +102,23 @@ class HalfOpenSimplicialCone:
             raise InputError("one flag per generator required")
         linalg.simplex_solve(self.generators)  # InputError unless simplicial
 
-    def coefficients(self, x: Sequence) -> tuple[Fraction, ...] | None:
-        """Barycentric ray coefficients of x, or None if x is off the span."""
+    def locate(self, x: Sequence) -> tuple[bool, bool]:
+        """(x lies in the closed cone, x lies in this half-open piece).
+
+        den_i > 0, so the integer numerators <T_i, x> carry the signs of
+        the barycentric coefficients.
+        """
         t_rows, c_rows = linalg.simplex_solve(self.generators)
         if any(linalg.int_dot(row, x) for row in c_rows):
-            return None
-        return tuple(Fraction(linalg.int_dot(row, x), den) for row, den in t_rows)
+            return False, False
+        lam = [linalg.int_dot(row, x) for row, _ in t_rows]
+        if any(v < 0 for v in lam):
+            return False, False
+        return True, not any(flag and v == 0 for v, flag in zip(lam, self.open_flags))
 
     def contains(self, x: Sequence, respect_flags: bool = True) -> bool:
-        lam = self.coefficients(x)
-        if lam is None:
-            return False
-        for i, v in enumerate(lam):
-            if v < 0 or (respect_flags and self.open_flags[i] and v == 0):
-                return False
-        return True
+        closed, owned = self.locate(x)
+        return owned if respect_flags else closed
 
 
 def parallelepiped_points(piece: HalfOpenSimplicialCone,
@@ -123,12 +133,24 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
     of C x = 0 and 0 <= <T_i, x> <= den_i, found by the integer search
     `lattice_points` over the parallelepiped's bounding box. All data are
     integers, so an open side is the closed one tightened by 1.
+
+    When every den_i is 1, each lattice point of the span has integer
+    coefficients, so the box needs no search: the half-open box is the one
+    point sum of the generators with open flags, and the open box is
+    empty. (A unimodular piece may still have some den_i > 1, e.g. the
+    single generator (3, 2), whose coefficient is read as x_2 / 2; such a
+    piece is searched.)
     """
     if mode not in ("half_open", "open"):
         raise InputError(f"unknown parallelepiped mode {mode!r}")
     gens = piece.generators
     n = len(gens[0])
     t_rows, c_rows = linalg.simplex_solve(gens)
+    if all(den == 1 for _, den in t_rows):
+        if mode == "open":
+            return []
+        return [tuple(sum(g[j] for g, flag in zip(gens, piece.open_flags) if flag)
+                      for j in range(n))]
     inequalities = []
     for (row, den), flag in zip(t_rows, piece.open_flags):
         bottom_open = flag or mode == "open"
@@ -147,26 +169,42 @@ class ConeGF:
     pieces: tuple[tuple[tuple[IntVec, ...], tuple[IntVec, ...]], ...]
     # each piece is (numerator_points, denominator_generators)
 
-    def evaluate(self, z: Sequence[Fraction]) -> Fraction:
+    def evaluate(self, z: Sequence[RatLike]) -> Fraction:
+        """The generating function at a point with nonzero rational coordinates.
+
+        Write z_j = a_j / b_j. Per piece, let [lo_j, hi_j] be the range of
+        the j-th exponents of its monomials, 0 included. Scaled by
+        S = prod_j a_j^(-lo_j) b_j^hi_j, every monomial is the integer
+        S z^e = prod_j a_j^(e_j - lo_j) b_j^(hi_j - e_j), read from per-call
+        power lists of a_j and b_j. The piece sum_m z^m / prod_g (1 - z^g) is
+        then N S^(|g| - 1) / prod_g (S - S z^g) with N = sum_m S z^m: one
+        Fraction per piece, and z^g = 1 exactly when S z^g == S.
+        """
+        pt = _check_point(z, len(self.pieces[0][1][0]))
+        ranges = [[(min(0, *col), max(0, *col)) for col in zip(*numerator, *denominators)]
+                  for numerator, denominators in self.pieces]
+        widths = [max(hi - lo for lo, hi in col) for col in zip(*ranges)]
+        a_pows = [list(itertools.accumulate([v.numerator] * w, mul, initial=1))
+                  for v, w in zip(pt, widths)]
+        b_pows = [list(itertools.accumulate([v.denominator] * w, mul, initial=1))
+                  for v, w in zip(pt, widths)]
         total = Fraction(0)
-        for numerator, denominators in self.pieces:
-            denom = Fraction(1)
+        for (numerator, denominators), bounds in zip(self.pieces, ranges):
+            # tables[j][e] = a_j^(e - lo_j) b_j^(hi_j - e), stored at e for e >= 0
+            # and at len + e for e < 0, so Python's negative indices read it
+            tables = [[a[e - lo] * b[hi - e]
+                       for e in itertools.chain(range(hi + 1), range(lo, 0))]
+                      for a, b, (lo, hi) in zip(a_pows, b_pows, bounds)]
+            scale = prod(table[0] for table in tables)
+            den = 1
             for g in denominators:
-                term = _monomial(z, g)
-                if term == 1:
+                term = prod(map(getitem, tables, g))
+                if term == scale:
                     raise PoleError(f"z^{g} = 1: evaluation point is a pole")
-                denom *= 1 - term
-            num = sum((_monomial(z, m) for m in numerator), Fraction(0))
-            total += num / denom
+                den *= scale - term
+            num = sum(prod(map(getitem, tables, m)) for m in numerator)
+            total += Fraction(num * scale ** (len(denominators) - 1), den)
         return total
-
-
-def _monomial(z: Sequence[Fraction], exponents: IntVec) -> Fraction:
-    value = Fraction(1)
-    for base, e in zip(z, exponents):
-        if e:
-            value *= Fraction(base) ** e
-    return value
 
 
 def _check_point(z: Sequence[RatLike], ambient: int) -> tuple[Fraction, ...]:
@@ -299,8 +337,7 @@ def generating_function(cone: RationalCone, region: str = "closed") -> ConeGF:
 def sigma_eval(cone: RationalCone, z: Sequence[RatLike],
                region: str = "closed") -> Fraction:
     """Evaluate the cone's generating function at a rational point."""
-    pt = _check_point(z, cone.ambient_dim)
-    return generating_function(cone, region).evaluate(pt)
+    return generating_function(cone, region).evaluate(z)
 
 
 def stanley_reciprocity_check(cone: RationalCone, trials: int = 10,
@@ -350,16 +387,14 @@ def partition_check(cone: RationalCone, bound: int = 4) -> Report:
     n = cone.ambient_dim
     heights = [g[-1] for g in cone.generators]
     if all(h > 0 for h in heights):
-        import math
-
         lo = [
-            math.floor(sum(min(Fraction(0), Fraction(bound, h) * g[j])
-                           for g, h in zip(cone.generators, heights)))
+            floor(sum(min(Fraction(0), Fraction(bound, h) * g[j])
+                      for g, h in zip(cone.generators, heights)))
             for j in range(n)
         ]
         hi = [
-            math.ceil(sum(max(Fraction(0), Fraction(bound, h) * g[j])
-                          for g, h in zip(cone.generators, heights)))
+            ceil(sum(max(Fraction(0), Fraction(bound, h) * g[j])
+                     for g, h in zip(cone.generators, heights)))
             for j in range(n)
         ]
         hi[-1] = min(hi[-1], bound)
@@ -374,8 +409,11 @@ def partition_check(cone: RationalCone, bound: int = 4) -> Report:
     violations = []
     for cand in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
         checked += 1
-        owners = sum(1 for piece in pieces if piece.contains(cand))
-        member = any(piece.contains(cand, respect_flags=False) for piece in pieces)
+        owners, member = 0, False
+        for piece in pieces:
+            closed, owned = piece.locate(cand)
+            member |= closed
+            owners += owned
         if member:
             inside += 1
         expected = 1 if member else 0

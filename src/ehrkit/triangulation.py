@@ -144,7 +144,11 @@ def box_polynomial(simplex: Simplex) -> Poly:
 
     B(x) = sum x^(last coordinate) over lattice points of the strictly open
     parallelepiped spanned by the lifted generators. The empty simplex has
-    B = 1; every unimodular simplex has B = 0.
+    B = 1; every unimodular simplex has B = 0. `parallelepiped_points`
+    recognises a unimodular box without searching it when every
+    denominator den_i of the cached `linalg.simplex_solve` of the lifted
+    generators is 1; a unimodular face with some den_i > 1 is searched and
+    gives B = 0 all the same.
     """
     if not simplex.lifted:
         return Poly([1])

@@ -2,9 +2,10 @@
 
 Oracles: product formulas for axis-aligned cones (sigma = prod 1/(1-z_i)),
 hand-computed parallelepiped contents for two-generator cones, a scan of the
-whole bounding box with exact coefficients for random simplicial pieces,
-closed-form interior series for the standard triangle, and exact
-truncated-sum algebra.
+whole bounding box with exact coefficients for random simplicial pieces
+(unimodular ones included), the generating function summed monomial by
+monomial in Fraction, closed-form interior series for the standard
+triangle, and exact truncated-sum algebra.
 """
 
 from __future__ import annotations
@@ -184,6 +185,72 @@ def test_half_open_flags_move_boundary_points():
     assert parallelepiped_points(piece, "half_open") == [(0, 1)]
 
 
+def random_unimodular(rng, n):
+    """Columns of a product of elementary integer n x n matrices."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(2, 6)):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        kind = rng.choice(("add", "swap", "negate"))
+        if kind == "add" and i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-a for a in rows[i]]
+    return [tuple(row[c] for row in rows) for c in range(n)]
+
+
+def random_unimodular_piece(rng):
+    """Part of a lattice basis of Z^n, n in 2..4, plain or lifted (v, 1).
+
+    A plain piece is k columns of a unimodular matrix. A lifted piece is
+    (t, 1), (t + u_1, 1), ..., (t + u_{k-1}, 1) for columns u_i of a
+    unimodular matrix: a unimodular simplex, lifted.
+    """
+    n = rng.randint(2, 4)
+    if rng.random() < 0.5:
+        cols = random_unimodular(rng, n)
+        gens = rng.sample(cols, rng.randint(1, n))
+    else:
+        cols = random_unimodular(rng, n - 1)
+        t = tuple(rng.randint(-1, 1) for _ in range(n - 1))
+        steps = [(0,) * (n - 1)] + rng.sample(cols, rng.randint(0, n - 1))
+        gens = [tuple(a + b for a, b in zip(t, u)) + (1,) for u in steps]
+    flags = tuple(rng.random() < 0.5 for _ in gens)
+    return HalfOpenSimplicialCone(tuple(gens), flags)
+
+
+def test_unimodular_boxes_match_box_scan():
+    # every den_i of these is 1, or some den_i > 1 although the piece is
+    # unimodular: (3, 2) has coefficient x_2 / 2 on its span
+    fixed = [((3, 2),), ((2, 3, 0), (0, 0, 1)), ((1, 1, 0), (0, 2, 3)),
+             ((0, 1), (1, 1)), ((0, 0, 1), (1, 0, 1), (0, 1, 1))]
+    pieces = [HalfOpenSimplicialCone(gens, flags) for gens in fixed
+              for flags in itertools.product((False, True), repeat=len(gens))]
+    rng = random.Random(8191)
+    pieces += [random_unimodular_piece(rng) for _ in range(300)]
+    read_off = searched = lower_rank = lifted = 0
+    for piece in pieces:
+        gens = piece.generators
+        assert linalg.lattice_normalized_volume(gens) == 1, gens
+        box = prod(sum(max(0, g[j]) for g in gens) - sum(min(0, g[j]) for g in gens) + 1
+                   for j in range(len(gens[0])))
+        if box > 600:
+            continue
+        for mode in ("half_open", "open"):
+            expected = parallelepiped_box_scan(piece, mode)
+            assert parallelepiped_points(piece, mode) == expected, (gens, piece.open_flags, mode)
+        if all(den == 1 for _, den in linalg.simplex_solve(gens)[0]):
+            read_off += 1
+        else:
+            searched += 1
+        lower_rank += len(gens) < len(gens[0])
+        lifted += all(g[-1] == 1 for g in gens)
+    assert read_off >= 250 and searched >= 25
+    assert lower_rank >= 150 and lifted >= 120
+
+
 def test_sigma_product_formula_on_axis_cones():
     for d in (1, 2, 3):
         cone = axis_cone(d)
@@ -225,6 +292,74 @@ def test_sigma_pole_detection():
         sigma_eval(axis_cone(2), (0, F(1, 2)))
     with pytest.raises(InputError):
         sigma_eval(axis_cone(2), (F(1, 2),))
+
+
+def test_evaluate_checks_its_point():
+    cone = RationalCone.from_rays([[1, 0], [1, 2]])
+    gf = generating_function(cone)
+    assert gf.evaluate(("1/2", "1/3")) == sigma_eval(cone, (F(1, 2), F(1, 3))) == F(42, 17)
+    # too short, too long, a zero coordinate and a float
+    for z in ((F(1, 2),), (F(1, 2), F(1, 3), F(1, 5)), (0, F(1, 3)), (F(1, 2), 0.5)):
+        with pytest.raises(InputError):
+            gf.evaluate(z)
+    # the generator (-1, 2) puts z_1 under a negative exponent
+    skew = generating_function(RationalCone.from_rays([[1, 0], [-1, 2]]))
+    with pytest.raises(InputError):
+        skew.evaluate((0, F(1, 3)))
+
+
+def fraction_evaluate(gf, z):
+    """Oracle: the generating function summed monomial by monomial in Fraction."""
+
+    def monomial(exponents):
+        value = Fraction(1)
+        for base, e in zip(z, exponents):
+            if e:
+                value *= Fraction(base) ** e
+        return value
+
+    total = Fraction(0)
+    for numerator, denominators in gf.pieces:
+        denom = Fraction(1)
+        for g in denominators:
+            term = monomial(g)
+            if term == 1:
+                raise PoleError(f"z^{g} = 1: evaluation point is a pole")
+            denom *= 1 - term
+        total += sum((monomial(m) for m in numerator), Fraction(0)) / denom
+    return total
+
+
+def test_evaluate_matches_fraction_oracle():
+    rng = random.Random(57721)
+    bases = [F(p, q) for p in range(1, 5) for q in range(1, 4)]
+    evaluations = poles = negative = multi_piece = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rays = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n + 2))]
+        if not any(any(r) for r in rays):
+            continue
+        try:
+            cone = RationalCone.from_rays([r for r in rays if any(r)])
+            gfs = [generating_function(cone, region) for region in ("closed", "interior")]
+        except UnsupportedError:
+            continue  # not pointed
+        multi_piece += len(gfs[0].pieces) > 1
+        for gf in gfs:
+            negative += any(e < 0 for num, den in gf.pieces for v in num + den for e in v)
+            for _ in range(4):
+                z = tuple(rng.choice((1, -1)) * rng.choice(bases) for _ in range(n))
+                try:
+                    expected = fraction_evaluate(gf, z)
+                except PoleError:
+                    with pytest.raises(PoleError):
+                        gf.evaluate(z)
+                    poles += 1
+                    continue
+                assert gf.evaluate(z) == expected, (gf, z)
+                evaluations += 1
+    assert evaluations >= 2000 and poles >= 200
+    assert negative >= 450 and multi_piece >= 55
 
 
 def test_stanley_reciprocity_axis_and_skew():
