@@ -7,8 +7,11 @@ cone the signs of barycentric coordinates are those of any cross-section),
 and each simplicial piece is made half-open against a fixed generic
 reference point chosen inside the first piece, so the pieces partition the
 cone's lattice points exactly (no inclusion-exclusion needed). Every piece
-reads its barycentric coordinates from the one cached solve
-`linalg.simplex_solve`.
+carries its barycentric solve (T, C) as data: by default the one cached
+solve `linalg.simplex_solve` of its generators; a face of a triangulation
+cell may instead carry the rows read off the cell's solve (see
+`triangulation`). Membership and the parallelepiped search read only that
+solve.
 
 The generating function of a half-open simplicial piece is a finite sum over
 the lattice points of its half-open fundamental parallelepiped divided by
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, prod
@@ -96,11 +99,17 @@ class HalfOpenSimplicialCone:
 
     generators: tuple[IntVec, ...]
     open_flags: tuple[bool, ...]
+    # (T, C) as returned by linalg.simplex_solve(generators), or any other
+    # solve of them: <T_i, x> / den_i the coefficient of generators[i], and
+    # C x = 0 exactly on their span. Defaults to simplex_solve(generators).
+    solve: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.open_flags) != len(self.generators):
             raise InputError("one flag per generator required")
-        linalg.simplex_solve(self.generators)  # InputError unless simplicial
+        if self.solve is None:
+            # InputError unless simplicial
+            object.__setattr__(self, "solve", linalg.simplex_solve(self.generators))
 
     def locate(self, x: Sequence) -> tuple[bool, bool]:
         """(x lies in the closed cone, x lies in this half-open piece).
@@ -108,7 +117,7 @@ class HalfOpenSimplicialCone:
         den_i > 0, so the integer numerators <T_i, x> carry the signs of
         the barycentric coefficients.
         """
-        t_rows, c_rows = linalg.simplex_solve(self.generators)
+        t_rows, c_rows = self.solve
         if any(linalg.int_dot(row, x) for row in c_rows):
             return False, False
         lam = [linalg.int_dot(row, x) for row, _ in t_rows]
@@ -129,10 +138,11 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
     and (0,1] where it is True. mode 'open': all coefficients strictly in
     (0,1), the open box used by box polynomials.
 
-    With lambda_i = <T_i, x> / den_i the points are the integer solutions
-    of C x = 0 and 0 <= <T_i, x> <= den_i, found by the integer search
-    `lattice_points` over the parallelepiped's bounding box. All data are
-    integers, so an open side is the closed one tightened by 1.
+    With lambda_i = <T_i, x> / den_i, (T, C) the piece's solve, the points
+    are the integer solutions of C x = 0 and 0 <= <T_i, x> <= den_i, found
+    by the integer search `lattice_points` over the parallelepiped's
+    bounding box. All data are integers, so an open side is the closed one
+    tightened by 1.
 
     When every den_i is 1, each lattice point of the span has integer
     coefficients, so the box needs no search: the half-open box is the one
@@ -145,7 +155,7 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
         raise InputError(f"unknown parallelepiped mode {mode!r}")
     gens = piece.generators
     n = len(gens[0])
-    t_rows, c_rows = linalg.simplex_solve(gens)
+    t_rows, c_rows = piece.solve
     if all(den == 1 for _, den in t_rows):
         if mode == "open":
             return []

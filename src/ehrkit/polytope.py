@@ -41,14 +41,21 @@ class HRep:
 
     def satisfies(self, x: Sequence[Fraction], strict: bool = False) -> bool:
         """Membership test; `strict` makes the facet inequalities strict."""
+        xs, den = _scaled(x)
         for a, c in self.equalities:
-            if linalg.dot(a, x) != c:
+            if linalg.int_dot(a, xs) != c * den:
                 return False
         for a, c in self.inequalities:
-            v = linalg.dot(a, x)
-            if v > c or (strict and v == c):
+            v = linalg.int_dot(a, xs)
+            if v > c * den or (strict and v == c * den):
                 return False
         return True
+
+
+def _scaled(x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers x * den for the common denominator den > 0 of x's entries."""
+    den = lcm(*(v.denominator for v in x))
+    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 def _joint_primitive(normal: Sequence[Fraction], offset: Fraction) -> tuple[IntVec, int]:
@@ -250,5 +257,6 @@ def _onto_hull(a: IntVec, eqs: list[tuple[IntVec, int]]) -> tuple:
 def _is_extreme(p: Point, hrep: HRep, dim: int) -> bool:
     if dim == 0:
         return True
-    tight = [a for a, c in hrep.inequalities if linalg.dot(a, p) == c]
+    xs, den = _scaled(p)
+    tight = [a for a, c in hrep.inequalities if linalg.int_dot(a, xs) == c * den]
     return linalg.rank(tight) == dim

@@ -1,28 +1,30 @@
 """Placing triangulations of lattice polytopes and h*-decomposition.
 
-A triangulation is stored as a point list plus cells given by sorted index
-tuples; every cell is a dim(P)-simplex. Two flavors are supported: placing
-the vertices only, or placing every lattice point of the polytope. Points
-are inserted in lexicographic order, which guarantees each one lies outside
-the hull of its predecessors and therefore appears as a vertex.
+A triangulation is a point list plus cells, sorted index tuples; every cell
+is a dim(P)-simplex. Placing inserts the vertices only, or every lattice
+point, in lexicographic order, so each point lies outside the hull of its
+predecessors and appears as a vertex.
 
-The h*-numerator of a lattice polytope decomposes over the faces of any of
-its triangulations: each face contributes the h-polynomial of its link times
-the box polynomial of its lifted simplex (the empty face contributes the
-h-polynomial of the whole complex). `betke_mcmullen` assembles that sum
-and, by default, verifies it against the enumeration pipeline.
+`betke_mcmullen` sums h_link(F) * B_F over the faces F, the empty face
+included (its link is the whole complex); B_F counts by height the lattice
+points of the open parallelepiped of F's lifted vertices. By default the
+sum is verified against the enumeration pipeline. A face of a cell whose
+solve has every den_i == 1 reads its solve off that cell, so B_F = 0 is
+read off with no elimination; other faces solve their own vertices. A
+link is counted over the cells that contain its face.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
+from . import linalg
 from .cones import HalfOpenSimplicialCone, parallelepiped_points
 from .enumeration import ehrhart, enumerate_points
 from .errors import InputError, TheoremViolationError, UnsupportedError
-from .linalg import lattice_normalized_volume
 from .placing import placing_cells
 from .polytope import RationalPolytope
 from .ratpoly import HStarData, Poly
@@ -32,10 +34,16 @@ IntPoint = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Simplex:
-    """A face of a triangulation together with its lifted generators."""
+    """A face of a triangulation together with its lifted generators.
+
+    `solve` is the barycentric solve (T, C) of `lifted` read off a cell
+    whose solve has every den_i == 1, or None when no cell containing the
+    face has one; the face then keeps its own `linalg.simplex_solve`.
+    """
 
     indices: tuple[int, ...]
     lifted: tuple[IntPoint, ...]  # rows (v, 1) for each vertex v
+    solve: tuple | None = None
 
 
 class Triangulation:
@@ -44,18 +52,43 @@ class Triangulation:
     def __init__(self, points: Sequence[IntPoint], cells: Sequence[tuple[int, ...]],
                  dim: int):
         self.points = tuple(tuple(int(v) for v in pt) for pt in points)
+        self._lifts = tuple(pt + (1,) for pt in self.points)
         self.cells = tuple(tuple(cell) for cell in cells)
         self.dim = dim
         self._faces: tuple[tuple[int, ...], ...] | None = None
+        self._owners: dict[tuple[int, ...], tuple | None] | None = None
+
+    def _lifted(self, face: Sequence[int]) -> tuple[IntPoint, ...]:
+        return tuple(self._lifts[i] for i in face)
+
+    def _face_owners(self) -> dict[tuple[int, ...], tuple | None]:
+        """Every face mapped to (cell, solve) for a cell containing it whose
+        solve has every den_i == 1, or to None when no cell containing it
+        has one."""
+        if self._owners is None:
+            owners: dict[tuple[int, ...], tuple | None] = {}
+            units = []
+            for cell in self.cells:
+                solve = linalg.simplex_solve(self._lifted(cell))
+                units.append((cell, solve) if all(den == 1 for _, den in solve[0]) else None)
+            # den-1 cells claim their faces first
+            for cell, unit in sorted(zip(self.cells, units), key=lambda cu: cu[1] is None):
+                for size in range(len(cell) + 1):
+                    for face in itertools.combinations(cell, size):
+                        owners.setdefault(face, unit)
+            self._owners = owners
+        return self._owners
+
+    def _checked(self, face: Sequence[int]) -> tuple[int, ...]:
+        face = tuple(sorted(face))
+        if face not in self._face_owners():
+            raise InputError(f"{face} is not a face of the triangulation")
+        return face
 
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """All faces of all cells, the empty face included, sorted."""
         if self._faces is None:
-            seen = set()
-            for cell in self.cells:
-                for size in range(len(cell) + 1):
-                    seen.update(itertools.combinations(cell, size))
-            self._faces = tuple(sorted(seen, key=lambda f: (len(f), f)))
+            self._faces = tuple(sorted(self._face_owners(), key=lambda f: (len(f), f)))
         return self._faces
 
     def f_vector(self) -> tuple[int, ...]:
@@ -66,8 +99,20 @@ class Triangulation:
         return tuple(counts)
 
     def simplex(self, face: Sequence[int]) -> Simplex:
-        face = tuple(face)
-        return Simplex(face, tuple(self.points[i] + (1,) for i in face))
+        """The face's lifted simplex, with the solve of its den-1 cell if any.
+
+        The face's T rows are the cell's at the face's vertices; its C rows
+        are the cell's C rows and the cell's T rows at the other vertices.
+        """
+        face = self._checked(face)
+        unit = self._owners[face]
+        if unit is None:
+            return Simplex(face, self._lifted(face))
+        cell, (t_rows, c_rows) = unit
+        inside = set(face)
+        solve = (tuple(t for v, t in zip(cell, t_rows) if v in inside),
+                 c_rows + tuple(row for v, (row, _) in zip(cell, t_rows) if v not in inside))
+        return Simplex(face, self._lifted(face), solve)
 
     def cell_volume(self, cell: Sequence[int]) -> int:
         """Normalized volume of a cell relative to its own lattice."""
@@ -75,7 +120,7 @@ class Triangulation:
         edges = [
             [v - b for v, b in zip(self.points[i], base)] for i in cell[1:]
         ]
-        return lattice_normalized_volume(edges)
+        return linalg.lattice_normalized_volume(edges)
 
     def is_unimodular(self) -> bool:
         return all(self.cell_volume(cell) == 1 for cell in self.cells)
@@ -112,30 +157,29 @@ def h_polynomial(f: Sequence[int], e: int) -> Poly:
         raise InputError("f-vector must list f_-1 through f_e")
     if f[0] != 1:
         raise InputError("f_-1 must be 1")
-    result = Poly()
-    for j, count in enumerate(f):
-        result = result + count * Poly([0] * j + [1]) * Poly([1, -1]).power(e + 1 - j)
-    return result
+    return Poly([sum(count * (-1) ** (k - j) * comb(e + 1 - j, k - j)
+                     for j, count in enumerate(f[:k + 1]))
+                 for k in range(e + 2)])
 
 
 def link_f_vector(t: Triangulation, face: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """f-vector and dimension of the link of a face.
 
     The link consists of the faces disjoint from `face` whose union with it
-    is again a face; its dimension is dim(T) - |face|.
+    is again a face: the subsets of cell - face over the cells of the
+    face's star. Its dimension is dim(T) - |face|.
     """
-    face = tuple(sorted(face))
-    face_set = set(face)
-    all_faces = set(t.faces())
-    if face not in all_faces:
-        raise InputError(f"{face} is not a face of the triangulation")
-    e = t.dim - len(face)
+    face_set = set(t._checked(face))
+    link = set()
+    for cell in t.cells:
+        if face_set.issubset(cell):
+            rest = tuple(v for v in cell if v not in face_set)
+            for size in range(len(rest) + 1):
+                link.update(itertools.combinations(rest, size))
+    e = t.dim - len(face_set)
     counts = [0] * (e + 2)
-    for other in all_faces:
-        if face_set & set(other):
-            continue
-        if tuple(sorted(face + other)) in all_faces:
-            counts[len(other)] += 1
+    for other in link:
+        counts[len(other)] += 1
     return tuple(counts), e
 
 
@@ -144,15 +188,15 @@ def box_polynomial(simplex: Simplex) -> Poly:
 
     B(x) = sum x^(last coordinate) over lattice points of the strictly open
     parallelepiped spanned by the lifted generators. The empty simplex has
-    B = 1; every unimodular simplex has B = 0. `parallelepiped_points`
-    recognises a unimodular box without searching it when every
-    denominator den_i of the cached `linalg.simplex_solve` of the lifted
-    generators is 1; a unimodular face with some den_i > 1 is searched and
-    gives B = 0 all the same.
+    B = 1; every unimodular simplex has B = 0. The box is searched with
+    the simplex's solve: the one inherited from a den-1 cell, whose every
+    den_i is 1, so that `parallelepiped_points` reads the empty box off
+    without a search, or else the face's own cached `linalg.simplex_solve`.
     """
     if not simplex.lifted:
         return Poly([1])
-    piece = HalfOpenSimplicialCone(simplex.lifted, (False,) * len(simplex.lifted))
+    piece = HalfOpenSimplicialCone(simplex.lifted, (False,) * len(simplex.lifted),
+                                   simplex.solve)
     heights: dict[int, int] = {}
     for point in parallelepiped_points(piece, mode="open"):
         heights[point[-1]] = heights.get(point[-1], 0) + 1

@@ -86,7 +86,7 @@ def random_cloud(rng):
         total = sum(weights)
         pts.append([sum(w * p[j] for w, p in zip(weights, pts)) / total
                     for j in range(n)])
-    pts += rng.sample(pts, rng.randint(0, 2))
+    pts += rng.sample(pts, min(len(pts), rng.randint(0, 2)))
     rng.shuffle(pts)
     return pts
 
@@ -183,6 +183,29 @@ def test_contains_regions():
         p.contains([0, 0], region="open")
     with pytest.raises(InputError):
         p.contains([0.5, 0.5])
+
+
+def test_satisfies_matches_fraction_dot_on_random_clouds():
+    # satisfies compares int_dot(a, x * den) with c * den; the oracle takes
+    # the Fraction dot product, on the cloud's own points (tight ones
+    # included), int points and nearby rational points
+    rng = random.Random(2255)
+    tight = 0
+    for _ in range(60):
+        pts = random_cloud(rng)
+        hrep = normalize(pts).facets()
+        candidates = [tuple(Fraction(v) for v in pt) for pt in pts]
+        candidates += [tuple(rng.randint(-3, 3) for _ in pts[0]) for _ in range(5)]
+        candidates += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in pts[0])
+                       for _ in range(5)]
+        for x in candidates:
+            for strict in (False, True):
+                expected = (all(linalg.dot(a, x) == c for a, c in hrep.equalities)
+                            and all(linalg.dot(a, x) < c if strict else linalg.dot(a, x) <= c
+                                    for a, c in hrep.inequalities))
+                assert hrep.satisfies(x, strict=strict) == expected, (pts, x, strict)
+            tight += any(linalg.dot(a, x) == c for a, c in hrep.inequalities)
+    assert tight >= 100
 
 
 def test_relative_interior_of_lower_dim_polytope():

@@ -1,13 +1,25 @@
-"""Placing triangulations, links, box polynomials, h*-assembly."""
+"""Placing triangulations, links, box polynomials, h*-assembly.
 
+The link scan over every face of the triangulation, which `link_f_vector`
+replaced with a scan of the face's star, lives here as the oracle
+`global_link_f_vector`.
+"""
+
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from ehrkit import linalg, triangulation
+from ehrkit.cones import HalfOpenSimplicialCone, parallelepiped_points
+from ehrkit.corpus import load_polytope
 from ehrkit.enumeration import ehrhart
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.polytope import RationalPolytope
 from ehrkit.ratpoly import Poly
+from ehrkit.semimagic import adg_report
 from ehrkit.triangulation import (
     betke_mcmullen,
     box_polynomial,
@@ -15,6 +27,7 @@ from ehrkit.triangulation import (
     link_f_vector,
     placing_triangulation,
 )
+from test_cones import parallelepiped_box_scan
 
 
 def poly(*coeffs):
@@ -176,3 +189,143 @@ def test_point_polytope():
     dec = betke_mcmullen(pt)
     assert dec.hstar.coeffs == (1,)
     assert dec.triangulation.cells == ((0,),)
+
+
+def test_simplex_rejects_non_faces():
+    t = placing_triangulation(square())
+    # (0, 3) is the other diagonal; 4 and -1 index no point
+    for bad in ((0, 3), (0, 1, 2, 3), (4,), (1, 4), (-1,)):
+        with pytest.raises(InputError, match="is not a face of the triangulation"):
+            t.simplex(bad)
+        with pytest.raises(InputError, match="is not a face of the triangulation"):
+            link_f_vector(t, bad)
+    assert t.simplex((2, 1)) == t.simplex((1, 2))
+
+
+def global_link_f_vector(t, face):
+    """Oracle: the faces disjoint from `face` whose union with it is a face,
+    found by scanning every face of the triangulation."""
+    face = tuple(sorted(face))
+    all_faces = set(t.faces())
+    e = t.dim - len(face)
+    counts = [0] * (e + 2)
+    for other in all_faces:
+        if set(face) & set(other):
+            continue
+        if tuple(sorted(face + other)) in all_faces:
+            counts[len(other)] += 1
+    return tuple(counts), e
+
+
+def heights(points):
+    counts = {}
+    for point in points:
+        counts[point[-1]] = counts.get(point[-1], 0) + 1
+    return Poly([counts.get(i, 0) for i in range(max(counts, default=-1) + 1)])
+
+
+def random_full(rng):
+    d = rng.choice((2, 3))
+    side = 3 if d == 2 else 2
+    while True:
+        pts = {tuple(rng.randint(0, side) for _ in range(d))
+               for _ in range(rng.randint(d + 1, d + 4))}
+        p = RationalPolytope.from_points(pts)
+        if p.dim == d:
+            return p
+
+
+def random_embedded(rng):
+    """A random lattice polygon or segment, mapped into Z^3 by an integer map."""
+    d = rng.choice((1, 2))
+    while True:
+        matrix = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(3)]
+        if linalg.rank(matrix) != d:
+            continue
+        shift = [rng.randint(-1, 1) for _ in range(3)]
+        pts = {tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(d + 3)}
+        image = [tuple(s + sum(m * v for m, v in zip(row, pt))
+                       for row, s in zip(matrix, shift)) for pt in pts]
+        p = RationalPolytope.from_points(image)
+        if p.dim == d:
+            return p
+
+
+def random_reeve(rng):
+    """A Reeve tetrahedron of height q, sometimes with one more lattice point."""
+    q = rng.randint(2, 4)
+    pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, q)]
+    if rng.random() < 0.5:
+        pts.append((rng.randint(0, 1), rng.randint(0, 1), rng.randint(-1, q + 1)))
+    return RationalPolytope.from_points(pts)
+
+
+def test_inherited_solves_match_own_solves_on_random_polytopes():
+    rng = random.Random(1407)
+    inherited = own = nonzero = 0
+    for make in (random_full, random_embedded, random_reeve) * 12:
+        p = make(rng)
+        for flavor in (False, True):
+            t = placing_triangulation(p, use_all_lattice_points=flavor)
+            for face in t.faces():
+                assert link_f_vector(t, face) == global_link_f_vector(t, face)
+                if not face:
+                    continue
+                simplex = t.simplex(face)
+                gens = simplex.lifted
+                piece = HalfOpenSimplicialCone(gens, (False,) * len(gens))
+                assert piece.solve == linalg.simplex_solve(gens)
+                box = box_polynomial(simplex)
+                assert box == heights(parallelepiped_points(piece, "open")), (p, face)
+                assert box == heights(parallelepiped_box_scan(piece, "open")), (p, face)
+                nonzero += bool(box)
+                if simplex.solve is None:
+                    own += 1
+                    continue
+                # the inherited rows solve the face: <T_i, g_j> = delta_ij with
+                # den_i = 1, and n - k independent C rows vanish on every g_j
+                inherited += 1
+                t_rows, c_rows = simplex.solve
+                assert [[linalg.int_dot(row, g) for g in gens] for row, _ in t_rows] == \
+                    [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
+                assert all(den == 1 for _, den in t_rows)
+                assert not any(linalg.int_dot(row, g) for row in c_rows for g in gens)
+                assert linalg.rank(c_rows) == len(c_rows) == len(gens[0]) - len(gens)
+    assert inherited >= 500 and own >= 300 and nonzero >= 40, (inherited, own, nonzero)
+
+
+def test_one_box_call_per_nonempty_face(monkeypatch):
+    # the benchmark's self-test pins these counts through its tracer
+    calls = []
+    original = triangulation.parallelepiped_points
+
+    def counting(piece, mode="half_open"):
+        calls.append(piece.generators)
+        return original(piece, mode)
+
+    monkeypatch.setattr(triangulation, "parallelepiped_points", counting)
+    for name, expected in (("hypercube_4d", 299), ("birkhoff_3", 55)):
+        calls.clear()
+        dec = betke_mcmullen(load_polytope(name), verify=False)
+        t = dec.triangulation
+        assert len(calls) == expected, name
+        # every cell has den_i == 1, so no face runs an elimination of its own
+        assert all(t.simplex(face).solve is not None for face in t.faces()), name
+        assert sorted(calls) == sorted(t.simplex(face).lifted for face in t.faces() if face)
+
+
+def test_birkhoff_4_by_faces_within_budget():
+    # B4 = conv of the 24 permutation matrices; birkhoff_polytope(4) stays
+    # guarded because counting its dilates is out of reach. Its placing
+    # triangulation has 352 unimodular cells and 55,440 faces. Reading each
+    # face's solve off its cell takes about 1.5 s on a 2-vCPU VM; one
+    # elimination per face took about 33 s.
+    perms = itertools.permutations(range(4))
+    b4 = RationalPolytope.from_points(
+        [tuple(int(perm[i] == j) for i in range(4) for j in range(4)) for perm in perms])
+    start = time.monotonic()
+    dec = betke_mcmullen(b4, verify=False)
+    elapsed = time.monotonic() - start
+    table, _ = adg_report(4)
+    assert dec.hstar.coeffs == table.numerator.coeffs == (1, 14, 87, 148, 87, 14, 1)
+    assert elapsed < 10.0, elapsed
