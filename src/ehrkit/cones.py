@@ -10,8 +10,8 @@ cone's lattice points exactly (no inclusion-exclusion needed). Every piece
 carries its barycentric solve (T, C) as data: by default the one cached
 solve `linalg.simplex_solve` of its generators; a face of a triangulation
 cell may instead carry the rows read off the cell's solve (see
-`triangulation`). Membership and the parallelepiped search read only that
-solve.
+`triangulation`). Membership and the unimodular read-off of a
+parallelepiped read only that solve.
 
 The generating function of a half-open simplicial piece is a finite sum over
 the lattice points of its half-open fundamental parallelepiped divided by
@@ -20,7 +20,11 @@ complement conventions are all expressed through which facets are open.
 
 Both hot paths stay in the integers. A piece whose solve has every
 denominator 1 has a one-point half-open box and an empty open box, read off
-without a search; the other boxes come from the integer lattice walk.
+without a search. Any other box is listed from the Smith form of its
+generator matrix: one point per element of the direct sum of the Z/d_i,
+the quotient of the span's lattice by the generators' lattice, as in LattE
+(De Loera et al., J. Symbolic Comput. 38, 2004) and Normaliz (Bruns, Ichim
+and Soeger, J. Symbolic Comput. 74, 2016). No bounding box is walked.
 `ConeGF.evaluate` scales each piece by one integer so that every monomial
 is a product of shared integer powers, and builds one Fraction per piece.
 
@@ -40,7 +44,7 @@ from operator import getitem, mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .enumeration import ehrhart, lattice_points
+from .enumeration import ehrhart
 from .errors import InputError, PoleError, TheoremViolationError, UnsupportedError
 from .placing import placing_cells
 from .polytope import RationalPolytope
@@ -138,38 +142,49 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
     and (0,1] where it is True. mode 'open': all coefficients strictly in
     (0,1), the open box used by box polynomials.
 
-    With lambda_i = <T_i, x> / den_i, (T, C) the piece's solve, the points
-    are the integer solutions of C x = 0 and 0 <= <T_i, x> <= den_i, found
-    by the integer search `lattice_points` over the parallelepiped's
-    bounding box. All data are integers, so an open side is the closed one
-    tightened by 1.
+    When every den_i of the piece's solve is 1, each lattice point of the
+    span has integer coefficients, so the half-open box is the one point
+    sum of the generators with open flags, and the open box is empty. (A
+    unimodular piece may still have some den_i > 1, e.g. the single
+    generator (3, 2), whose coefficient is read as x_2 / 2; such a piece
+    goes the general way.)
 
-    When every den_i is 1, each lattice point of the span has integer
-    coefficients, so the box needs no search: the half-open box is the one
-    point sum of the generators with open flags, and the open box is
-    empty. (A unimodular piece may still have some den_i > 1, e.g. the
-    single generator (3, 2), whose coefficient is read as x_2 / 2; such a
-    piece is searched.)
+    In general the box points are one representative of each class of the
+    span's lattice points modulo the generators' lattice, and that quotient
+    is listed from the Smith form U G V = D of the generator matrix G: the
+    classes are the points G V (m_i / d_i) for 0 <= m_i < d_i. With
+    D = lcm(d) = d_k, the coefficient vector of such a point, times D, is
+    c = V (m_i D / d_i), and its representative in the box has c mod D, with
+    a zero entry raised to D on a side that is open at 0, and is dropped in
+    the open box. Each point is sum_i c_i g_i / D, an exact division, and
+    exactly vol = prod d_i candidates are visited.
     """
     if mode not in ("half_open", "open"):
         raise InputError(f"unknown parallelepiped mode {mode!r}")
     gens = piece.generators
     n = len(gens[0])
-    t_rows, c_rows = piece.solve
+    t_rows, _ = piece.solve
     if all(den == 1 for _, den in t_rows):
         if mode == "open":
             return []
         return [tuple(sum(g[j] for g, flag in zip(gens, piece.open_flags) if flag)
                       for j in range(n))]
-    inequalities = []
-    for (row, den), flag in zip(t_rows, piece.open_flags):
-        bottom_open = flag or mode == "open"
-        top_open = not flag or mode == "open"
-        inequalities.append((tuple(-a for a in row), -bottom_open))
-        inequalities.append((row, den - top_open))
-    lo = tuple(sum(min(0, g[j]) for g in gens) for j in range(n))
-    hi = tuple(sum(max(0, g[j]) for g in gens) for j in range(n))
-    return lattice_points([(row, 0) for row in c_rows], inequalities, lo, hi)
+    diag, v = linalg.smith_form(gens)
+    scale = diag[-1]  # D
+    coefficients = [(0,) * len(gens)]
+    for i, d in enumerate(diag):
+        if d > 1:
+            step = [row[i] * (scale // d) for row in v]
+            coefficients = [tuple((a + m * b) % scale for a, b in zip(c, step))
+                            for c in coefficients for m in range(d)]
+    points = []
+    for c in coefficients:
+        if mode == "half_open":
+            c = tuple(scale if flag and not a else a for a, flag in zip(c, piece.open_flags))
+        elif not all(c):
+            continue
+        points.append(tuple(sum(map(mul, c, col)) // scale for col in zip(*gens)))
+    return sorted(points)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ do not depend on the coordinate order, so the count path walks last the
 coordinate along which the polytope has the longest runs. `lattice_points`
 lists the points of the same walk by expanding its runs, in the given
 coordinate order so that they come out sorted; `enumerate_points` lists a
-polytope's points through it and `cones.parallelepiped_points` lists
-fundamental parallelepipeds.
+polytope's points through it. (Fundamental parallelepipeds are not walked:
+`cones.parallelepiped_points` lists them from a Smith form.)
 
 `ehrhart` turns dilate counts into the closed and interior counting
 quasipolynomials and the h*-numerator over (1 - x^p)^(d+1), with guard-term

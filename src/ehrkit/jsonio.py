@@ -68,7 +68,11 @@ def polytope_to_json(p: RationalPolytope) -> dict:
 
 
 def _rows_from_json(doc: dict, kind: str, field: str) -> list[list[Fraction]]:
-    """The list of coordinate lists in doc[field] of a `kind` document."""
+    """The list of coordinate lists in doc[field] of a `kind` document.
+
+    An "ambient_dim" field, when present, must be an integer (not a bool)
+    equal to the length of every row.
+    """
     if doc.get("kind", kind) != kind:
         raise InputError(f"a document of kind {doc['kind']!r} cannot be read as a {kind}")
     if field not in doc:
@@ -76,6 +80,12 @@ def _rows_from_json(doc: dict, kind: str, field: str) -> list[list[Fraction]]:
     rows = doc[field]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError(f"{kind} field {field!r} must be a list of coordinate lists")
+    if "ambient_dim" in doc:
+        declared = doc["ambient_dim"]
+        if (isinstance(declared, bool) or not isinstance(declared, int)
+                or any(len(row) != declared for row in rows)):
+            raise InputError(
+                f"declared ambient dimension {declared!r} does not match the {field}")
     return [[rat_from_json(v) for v in row] for row in rows]
 
 
@@ -83,13 +93,7 @@ def polytope_from_json(doc: dict) -> RationalPolytope:
     vertices = _rows_from_json(doc, "polytope", "vertices")
     if not vertices:
         raise InputError("polytope document has no vertices")
-    p = RationalPolytope.from_points(vertices, name=str(doc.get("name", "")))
-    declared = doc.get("ambient_dim")
-    if declared is not None and declared != p.ambient_dim:
-        raise InputError(
-            f"declared ambient dimension {declared} does not match vertices"
-        )
-    return p
+    return RationalPolytope.from_points(vertices, name=str(doc.get("name", "")))
 
 
 def cone_to_json(c: RationalCone) -> dict:

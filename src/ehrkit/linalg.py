@@ -6,7 +6,10 @@ scaled to integers and each row operation is divided by the gcd of the new
 row, so entries stay no larger than in Bareiss's elimination (Math. Comp.
 22, 1968). `simplex_solve` is the one (cached) barycentric solve of a
 simplex; placing triangulations, half-open cone pieces and fundamental
-parallelepipeds all read it, and it never leaves the integers. Ambient
+parallelepipeds all read it, and it never leaves the integers. The one
+Smith reduction, `smith_form`, returns the invariant factors with the
+unimodular column transform: cone boxes are listed from both, and
+`snf_diagonal` and lattice volumes read the factors alone. Ambient
 dimensions here stay in the single digits, so cubic elimination and Smith
 reduction are more than fast enough.
 """
@@ -170,73 +173,83 @@ def primitive(vector: Sequence) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
+def smith_form(columns: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Smith normal form of the integer matrix A whose columns are given.
+
+    Returns (d, V): the nonnegative invariant factors d_1 | d_2 | ..., zeros
+    included, min(nrows, ncols) of them, and the unimodular k x k column
+    transform V (a list of rows, k the number of columns) with U A V = D for
+    some unimodular U that is not formed. So column i of A V is d_i times
+    column i of U^-1: for independent columns, the (A V)_i / d_i are a basis
+    of the lattice points of their span.
+
+    Works on A's transpose, whose rows are the columns: its row operations
+    are A's column operations and are applied to V's transpose as well; its
+    column operations are A's row operations, the part of U, and are not
+    recorded. Each step takes a nonzero entry of least absolute value in
+    the remaining block as pivot and reduces its row and column by it; a
+    remainder, or an entry of the block that the pivot does not divide
+    (brought into the pivot row by adding its row), gives a smaller pivot.
+    A pivot of 1 divides everything, so it ends the search and the step.
+    """
+    work = [list(map(int, col)) for col in columns]
+    k = len(work)
+    n = len(work[0]) if k else 0
+    vt = [[int(i == j) for j in range(k)] for i in range(k)]
+    diag: list[int] = []
+    for top in range(min(k, n)):
+        while True:
+            least, pi, pj = 0, top, top
+            for i in range(top, k):
+                row = work[i]
+                for j in range(top, n):
+                    if row[j] and (not least or abs(row[j]) < least):
+                        least, pi, pj = abs(row[j]), i, j
+                if least == 1:
+                    break
+            if not least:
+                return diag + [0] * (min(k, n) - top), [tuple(r) for r in zip(*vt)]
+            work[top], work[pi] = work[pi], work[top]
+            vt[top], vt[pi] = vt[pi], vt[top]
+            if pj != top:
+                for row in work:
+                    row[top], row[pj] = row[pj], row[top]
+            pivot_row, p = work[top], work[top][top]
+            remainder = False
+            for i in range(top + 1, k):
+                q = work[i][top] // p
+                if q:
+                    work[i] = [a - q * b for a, b in zip(work[i], pivot_row)]
+                    vt[i] = [a - q * b for a, b in zip(vt[i], vt[top])]
+                remainder = remainder or work[i][top] != 0
+            for j in range(top + 1, n):
+                q = pivot_row[j] // p
+                if q:
+                    for row in work:
+                        row[j] -= q * row[top]
+                remainder = remainder or pivot_row[j] != 0
+            if remainder:
+                continue
+            if least == 1:
+                break
+            offender = next((i for i in range(top + 1, k)
+                             if any(v % p for v in work[i][top + 1:])), None)
+            if offender is None:
+                break
+            work[top] = [a + b for a, b in zip(pivot_row, work[offender])]
+            vt[top] = [a + b for a, b in zip(vt[top], vt[offender])]
+        diag.append(least)
+    return diag, [tuple(r) for r in zip(*vt)]
+
+
 def snf_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returned entries are the nonnegative invariant factors d_1 | d_2 | ...,
-    including any zeros, with length min(nrows, ncols).
+    including any zeros, with length min(nrows, ncols). A matrix and its
+    transpose share them, so they are read off `smith_form` of the rows.
     """
-    work = [list(map(int, r)) for r in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    diag: list[int] = []
-    top = 0
-    while top < m and top < n:
-        # move a nonzero entry to the (top, top) position
-        pivot = next(
-            ((i, j) for i in range(top, m) for j in range(top, n) if work[i][j] != 0),
-            None,
-        )
-        if pivot is None:
-            diag.extend([0] * (min(m, n) - top))
-            return diag
-        pi, pj = pivot
-        work[top], work[pi] = work[pi], work[top]
-        for row in work:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            # clear the pivot column with euclidean steps
-            dirty = False
-            for i in range(top + 1, m):
-                if work[i][top] != 0:
-                    q = work[i][top] // work[top][top]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[top])]
-                    if work[i][top] != 0:
-                        work[top], work[i] = work[i], work[top]
-                        dirty = True
-            for j in range(top + 1, n):
-                if work[top][j] != 0:
-                    q = work[top][j] // work[top][top]
-                    for row in work:
-                        row[j] -= q * row[top]
-                    if work[top][j] != 0:
-                        for row in work:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility fix-up: pivot must divide the rest of the block
-        p = abs(work[top][top])
-        offender = next(
-            (
-                (i, j)
-                for i in range(top + 1, m)
-                for j in range(top + 1, n)
-                if work[i][j] % p != 0
-            ),
-            None,
-        )
-        if offender is not None:
-            oi, _ = offender
-            work[top] = [a + b for a, b in zip(work[top], work[oi])]
-            continue_outer = True
-        else:
-            continue_outer = False
-        if continue_outer:
-            continue
-        diag.append(p)
-        top += 1
-    return diag
+    return smith_form(rows)[0]
 
 
 def lattice_normalized_volume(edge_rows: Sequence[Sequence[int]]) -> int:

@@ -185,14 +185,17 @@ def test_wrong_kind_in_corpus_directory_exits_1_without_traceback(tmp_path, misp
 
 
 def test_corpus_verify_seed_7_bytes_are_pinned():
-    # a fresh interpreter, so that no cached result from another test serves it
+    # a fresh interpreter per run, so that no cached result from another test
+    # serves it; seed 7 and the default seed
     src = str(Path(ehrkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("EHRKIT_CORPUS", None)
-    proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", "corpus-verify", "--seed", "7"],
-                          capture_output=True, env=env, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.md5(proc.stdout).hexdigest() == "9c7556014818623dd479dd0022e50cbd"
+    for args, md5 in [(["--seed", "7"], "9c7556014818623dd479dd0022e50cbd"),
+                      ([], "6dc394ab95b78e22ad3291618ea114aa")]:
+        proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", "corpus-verify", *args],
+                              capture_output=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.md5(proc.stdout).hexdigest() == md5, args
 
 
 @pytest.mark.parametrize("argv", [

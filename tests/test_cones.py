@@ -32,6 +32,7 @@ from ehrkit.cones import (
     specialization_check,
     stanley_reciprocity_check,
 )
+from ehrkit.enumeration import lattice_points
 from ehrkit.errors import InputError, PoleError, UnsupportedError
 from ehrkit.polytope import normalize
 
@@ -139,6 +140,28 @@ def parallelepiped_box_scan(piece, mode):
     return out
 
 
+def parallelepiped_walk(piece, mode):
+    """Oracle: the integer walk `lattice_points` over the parallelepiped's
+    bounding box.
+
+    With lambda_i = <T_i, x> / den_i, (T, C) the piece's solve, the points
+    are the integer solutions of C x = 0 and 0 <= <T_i, x> <= den_i. All
+    data are integers, so an open side is the closed one tightened by 1.
+    """
+    gens = piece.generators
+    n = len(gens[0])
+    t_rows, c_rows = piece.solve
+    inequalities = []
+    for (row, den), flag in zip(t_rows, piece.open_flags):
+        bottom_open = flag or mode == "open"
+        top_open = not flag or mode == "open"
+        inequalities.append((tuple(-a for a in row), -bottom_open))
+        inequalities.append((row, den - top_open))
+    lo = tuple(sum(min(0, g[j]) for g in gens) for j in range(n))
+    hi = tuple(sum(max(0, g[j]) for g in gens) for j in range(n))
+    return lattice_points([(row, 0) for row in c_rows], inequalities, lo, hi)
+
+
 def random_simplicial_piece(rng):
     """Random generators of rank k in R^n, n in 3..5, sometimes lifted (v, 1)."""
     n = rng.randint(3, 5)
@@ -176,6 +199,53 @@ def test_parallelepiped_points_match_box_scan_on_random_pieces():
         lifted_cases += lifted
     assert cases >= 600
     assert non_unimodular >= 80 and lower_rank >= 200 and lifted_cases >= 100
+
+
+def random_wide_piece(rng):
+    """(piece, lifted): k <= n generators in R^n, n in 2..6, plain or lifted
+    (v, 1), with entries of either sign and normalized volume at most 400,
+    random flags. Too large for a scan of the bounding box."""
+    n = rng.randint(2, 6)
+    k = rng.randint(1, n)
+    lifted = rng.random() < 0.5
+    top = rng.choice((2, 3, 5)) if n <= 4 else rng.choice((1, 2, 3))
+    while True:
+        if lifted:
+            gens = [tuple(rng.randint(-top, top) for _ in range(n - 1)) + (1,)
+                    for _ in range(k)]
+        else:
+            gens = [tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(k)]
+        if (len(set(gens)) == k and linalg.rank(gens) == k
+                and linalg.lattice_normalized_volume(gens) <= 400):
+            flags = tuple(rng.random() < 0.5 for _ in range(k))
+            return HalfOpenSimplicialCone(tuple(gens), flags), lifted
+
+
+def test_parallelepiped_points_match_walk_on_wide_pieces():
+    rng = random.Random(65537)
+    seen = {"listed": 0, "large": 0, "lower_rank": 0, "full_rank": 0,
+            "lifted": 0, "plain": 0, "negative": 0, "flagged": 0}
+    ambient = set()
+    for _ in range(400):
+        piece, lifted = random_wide_piece(rng)
+        gens = piece.generators
+        for mode in ("half_open", "open"):
+            expected = parallelepiped_walk(piece, mode)
+            assert parallelepiped_points(piece, mode) == expected, (gens, piece.open_flags, mode)
+        ambient.add(len(gens[0]))
+        seen["listed"] += any(den > 1 for _, den in piece.solve[0])
+        seen["large"] += linalg.lattice_normalized_volume(gens) >= 50
+        seen["lower_rank"] += len(gens) < len(gens[0])
+        seen["full_rank"] += len(gens) == len(gens[0])
+        seen["lifted"] += lifted
+        seen["plain"] += not lifted
+        seen["negative"] += any(v < 0 for g in gens for v in g)
+        seen["flagged"] += any(piece.open_flags)
+    assert ambient == {2, 3, 4, 5, 6}
+    assert seen["listed"] >= 200 and seen["large"] >= 15, seen
+    assert seen["lower_rank"] >= 200 and seen["full_rank"] >= 90, seen
+    assert seen["lifted"] >= 150 and seen["plain"] >= 150, seen
+    assert seen["negative"] >= 300 and seen["flagged"] >= 250, seen
 
 
 def test_half_open_flags_move_boundary_points():

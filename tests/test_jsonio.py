@@ -64,8 +64,23 @@ def test_polytope_document_validation():
         polytope_from_json({"kind": "polytope"})
     with pytest.raises(InputError):
         polytope_from_json({"vertices": []})
-    with pytest.raises(InputError):
-        polytope_from_json({"vertices": [[0], [1]], "ambient_dim": 2})
+    # True == 1 and 1.0 == 1 in Python, yet neither is a JSON integer
+    for declared in (2, True, 1.0):
+        with pytest.raises(InputError):
+            polytope_from_json({"vertices": [[0], [1]], "ambient_dim": declared})
+
+
+@pytest.mark.parametrize("declared", [5, 1, "x", "2", None, True, 2.0, [2]])
+def test_declared_ambient_dim_must_be_the_row_length(tmp_path, declared):
+    path = tmp_path / "doc.json"
+    for doc, load in [({"rays": [[1, 0], [0, 1]]}, cone_from_json),
+                      ({"vertices": [[0, 0], [1, 0], [0, 1]]}, polytope_from_json)]:
+        assert load(dict(doc, ambient_dim=2)).ambient_dim == 2
+        with pytest.raises(InputError, match="declared ambient dimension"):
+            load(dict(doc, ambient_dim=declared))
+        path.write_text(json.dumps(dict(doc, ambient_dim=declared)))
+        with pytest.raises(InputError, match="declared ambient dimension"):
+            load_document(str(path))
 
 
 def test_loaders_reject_fields_that_are_not_lists_of_lists():

@@ -2,14 +2,16 @@
 
 The fraction-free `simplex_solve` is also compared with
 `fraction_simplex_solve`, the rational Gauss-Jordan solve it replaced, on
-seeded random generator sets.
+seeded random generator sets, and `smith_form` with the determinantal
+divisors (gcds of minors) of random integer matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -23,6 +25,7 @@ from ehrkit.linalg import (
     rank,
     row_reduce,
     simplex_solve,
+    smith_form,
     snf_diagonal,
     solve,
 )
@@ -183,6 +186,73 @@ def test_snf_known_diagonals():
     assert snf_diagonal([[2, 0], [0, 3]]) == [1, 6]  # invariant factors divide
     assert snf_diagonal([[0, 0], [0, 0]]) == [0, 0]
     assert snf_diagonal([[1, 1]]) == [1]
+
+
+def fraction_det(rows):
+    """Oracle: determinant of a square integer matrix by rational elimination."""
+    work = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for c in range(len(work)):
+        pivot = next((i for i in range(c, len(work)) if work[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            det = -det
+        det *= work[c][c]
+        for i in range(c + 1, len(work)):
+            f = work[i][c] / work[c][c]
+            work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    return int(det)
+
+
+def determinantal_divisor(rows, i):
+    """Oracle: gcd of the i x i minors, 0 when all of them vanish."""
+    g = 0
+    for rs in itertools.combinations(range(len(rows)), i):
+        for cs in itertools.combinations(range(len(rows[0])), i):
+            g = gcd(g, fraction_det([[rows[r][c] for c in cs] for r in rs]))
+    return g
+
+
+def test_smith_form_matches_determinantal_divisors():
+    rng = random.Random(4099)
+    seen = {"full_rank": 0, "rank_deficient": 0, "zero": 0, "nontrivial": 0}
+    for _ in range(600):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        roll = rng.random()
+        columns = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+        if roll < 0.1:
+            columns = [[0] * n for _ in range(k)]
+        elif roll < 0.5 and k > 1:
+            # a column that is an integer combination of the others
+            coeffs = [rng.randint(-2, 2) for _ in range(k - 1)]
+            columns[-1] = [sum(c * col[j] for c, col in zip(coeffs, columns))
+                           for j in range(n)]
+        a = [[col[j] for col in columns] for j in range(n)]  # columns as columns
+        diag, v = smith_form(columns)
+        assert len(diag) == min(n, k) and all(d >= 0 for d in diag)
+        for i in range(1, len(diag) + 1):
+            assert prod(diag[:i]) == determinantal_divisor(a, i), (columns, diag)
+        assert len(v) == k and all(len(row) == k for row in v)
+        assert abs(fraction_det(v)) == 1, (columns, v)
+        r = sum(d > 0 for d in diag)
+        av = [[sum(a[j][t] * v[t][i] for t in range(k)) for i in range(k)]
+              for j in range(n)]
+        # A V = U^-1 D: columns past the rank vanish, the others divide by d_i
+        # into a basis of the lattice points of the column span
+        assert all(av[j][i] == 0 for j in range(n) for i in range(r, k))
+        assert all(av[j][i] % diag[i] == 0 for j in range(n) for i in range(r))
+        basis = [[av[j][i] // diag[i] for i in range(r)] for j in range(n)]
+        if r:
+            assert determinantal_divisor(basis, r) == 1, (columns, diag)
+        assert snf_diagonal(columns) == diag
+        seen["full_rank"] += r == min(n, k)
+        seen["rank_deficient"] += 0 < r < min(n, k)
+        seen["zero"] += r == 0
+        seen["nontrivial"] += any(d > 1 for d in diag)
+    assert seen["full_rank"] >= 300 and seen["rank_deficient"] >= 60, seen
+    assert seen["zero"] >= 40 and seen["nontrivial"] >= 200, seen
 
 
 def test_lattice_normalized_volume():
