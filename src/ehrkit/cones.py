@@ -48,7 +48,7 @@ from .enumeration import ehrhart
 from .errors import InputError, PoleError, TheoremViolationError, UnsupportedError
 from .placing import placing_cells
 from .polytope import RationalPolytope
-from .ratpoly import RatLike, _coerce, choose
+from .ratpoly import RatLike, _coerce, counts_from_hstar
 from .report import Report
 
 IntVec = tuple[int, ...]
@@ -478,11 +478,7 @@ def specialization_check(p: RationalPolytope, x0: RatLike,
     rhs = res.hstar.poly().evaluate(x0) / denominator
     instances = [{"x0": str(x0), "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}]
     for n in range(truncation + 1):
-        coeff = sum(
-            (res.hstar.coefficient(n - per * k) * choose(k + d, d)
-             for k in range(n // per + 1)),
-            Fraction(0),
-        )
+        coeff = counts_from_hstar(res.hstar, n)
         instances.append({"n": n, "lhs": coeff, "rhs": res.count(n),
                           "pass": coeff == res.count(n)})
     return Report.from_instances(

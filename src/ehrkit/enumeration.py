@@ -21,11 +21,15 @@ coordinate order so that they come out sorted; `enumerate_points` lists a
 polytope's points through it. (Fundamental parallelepipeds are not walked:
 `cones.parallelepiped_points` lists them from a Smith form.)
 
-`ehrhart` turns dilate counts into the closed and interior counting
-quasipolynomials and the h*-numerator over (1 - x^p)^(d+1), with guard-term
-and nonnegativity verification baked in: if the counts fail to be
-quasipolynomial data of the right degree and period, that is a bug, not a
-warning.
+`ehrhart` counts the dilates 1..p(d+2)-1 in one walk each and turns
+them into the h*-numerator over (1 - x^p)^(d+1), an integer convolution,
+and the closed and interior counting quasipolynomials, read off the closed
+and interior series numerators in the binomial basis. The guard terms of
+both convolutions certify every count but the interior ones at multiples
+of p; those must give interior constituents that mirror the closed ones
+under reciprocity (zero together, else degree d and the common volume).
+If the counts fail any of this, or h* is not a nonnegative integer vector,
+that is a bug, not a warning.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from functools import lru_cache
 
 from .errors import InputError, TheoremViolationError
 from .polytope import RationalPolytope
-from .ratpoly import HStarData, Poly, QuasiPoly, hstar_from_counts, interpolate
+from .ratpoly import (HStarData, QuasiPoly, hstar_from_counts, quasi_from_numerator,
+                      series_numerator)
 from .report import Report
 
 IntPoint = tuple[int, ...]
@@ -178,7 +183,10 @@ def _walk_data(p: RationalPolytope):
     one point if an equality has a_j != 0; the coordinates are sorted by
     that bound, which scales with the dilate and so orders every dilate
     alike. The extremes are integers over the common denominator `den`.
+    Computed once per polytope and kept on it, as its half-space form is.
     """
+    if p._walk_order is not None:
+        return p._walk_order
     hrep = p.facets()
     den = p.vertex_denominator()
     verts = [tuple(x.numerator * (den // x.denominator) for x in v) for v in p.vertices]
@@ -199,8 +207,10 @@ def _walk_data(p: RationalPolytope):
     def pick(row):
         return tuple(row[j] for j in order)
 
-    return ([(pick(a), c) for a, c in hrep.equalities],
-            [(pick(a), c) for a, c in hrep.inequalities], pick(mins), pick(maxs), den)
+    p._walk_order = ([(pick(a), c) for a, c in hrep.equalities],
+                     [(pick(a), c) for a, c in hrep.inequalities],
+                     pick(mins), pick(maxs), den)
+    return p._walk_order
 
 
 def _count_dilate(data, n: int, slack: int, interior: bool) -> tuple[int, int]:
@@ -269,54 +279,44 @@ class EhrhartResult:
 def _ehrhart_cached(p: RationalPolytope) -> EhrhartResult:
     d = p.dim
     per = p.vertex_denominator()
-    top = per * (d + 2) - 1  # numerator window plus `per` guard terms
+    top = per * (d + 1)  # h* length; the counts run `per` guard terms past it
 
     closed_counts: list[int] = [1]
-    interior_counts: list[int] = [1]
+    interior_counts: list[int] = [0]  # the interior series is 0, L°(1), L°(2), ...
     data = _walk_data(p)
-    for n in range(1, top + 1):
+    for n in range(1, top + per):
         closed, interior = _count_dilate(data, n, 0, True)
         closed_counts.append(closed)
         interior_counts.append(interior)
 
-    constituents = []
-    for r in range(per):
-        nodes = [r + per * k for k in range(d + 1)]
-        constituents.append(interpolate([(n, closed_counts[n]) for n in nodes]))
-    interior_constituents = []
-    for r in range(per):
-        nodes = [r + per * k for k in range(d + 1)]
-        if r == 0:
-            nodes = [per * k for k in range(1, d + 2)]
-        interior_constituents.append(
-            interpolate([(n, interior_counts[n]) for n in nodes])
-        )
-    quasi = QuasiPoly(per, constituents)
-    quasi_interior = QuasiPoly(per, interior_constituents)
-
-    # cross-check the interpolation against every sampled dilate
-    for n in range(top + 1):
-        if quasi.evaluate(n) != closed_counts[n]:
-            raise TheoremViolationError(
-                f"closed counts of {p!r} are not degree-{d} period-{per} data"
-            )
-        if n >= 1 and quasi_interior.evaluate(n) != interior_counts[n]:
-            raise TheoremViolationError(
-                f"interior counts of {p!r} are not degree-{d} period-{per} data"
-            )
-    if d >= 1:
-        # the dilates of an embedded polytope may miss the lattice, so there
-        # a constituent may be zero; the nonzero ones still have degree d
-        kept = constituents
-        if d < p.ambient_dim:
-            kept = [c for c in constituents if c.degree() >= 0]
-        leads = {c.coeffs[-1] for c in kept if c.degree() == d}
-        if any(c.degree() != d for c in kept) or len(leads) != 1:
-            raise TheoremViolationError(
-                f"constituents of {p!r} do not share degree {d} and a common volume"
-            )
-
+    # The guards certify every closed count and every interior count off
+    # the multiples of per; the interior numerator runs to index top.
     hstar = hstar_from_counts(closed_counts, dim=d, period=per)
+    quasi = quasi_from_numerator(hstar.coeffs, d, per)
+    quasi_interior = quasi_from_numerator(
+        series_numerator(interior_counts, d, per, top + 1), d, per)
+
+    # the dilates of an embedded polytope may miss the lattice, so there a
+    # constituent may be zero; the nonzero ones still have degree d
+    closed_parts = quasi.constituents
+    kept = [c for c in closed_parts if c or d == p.ambient_dim]
+    leads = {c.coeffs[-1] for c in kept if c.degree() == d}
+    if any(c.degree() != d for c in kept) or len(leads) != 1:
+        raise TheoremViolationError(
+            f"constituents of {p!r} do not share degree {d} and a common volume"
+        )
+    # The interior counts at multiples of per have no guard. Reciprocity
+    # pins them: interior constituent r is (-1)^d times closed constituent
+    # -r mod per at -n, so it is zero exactly when that one is, and else
+    # has degree d and the common leading coefficient.
+    for r, c in enumerate(quasi_interior.constituents):
+        if bool(c) != bool(closed_parts[-r % per]) or (
+                c and (c.degree() != d or c.coeffs[-1] not in leads)):
+            raise TheoremViolationError(
+                f"interior constituent {r} of {p!r} does not mirror closed "
+                f"constituent {-r % per} under reciprocity"
+            )
+
     if hstar.coefficient(0) != 1 or not hstar.is_integral_nonnegative():
         raise TheoremViolationError(
             f"h* numerator of {p!r} is not a nonnegative integer vector "

@@ -93,7 +93,10 @@ def polytope_from_json(doc: dict) -> RationalPolytope:
     vertices = _rows_from_json(doc, "polytope", "vertices")
     if not vertices:
         raise InputError("polytope document has no vertices")
-    return RationalPolytope.from_points(vertices, name=str(doc.get("name", "")))
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise InputError(f"polytope name must be a string, got {name!r}")
+    return RationalPolytope.from_points(vertices, name=name)
 
 
 def cone_to_json(c: RationalCone) -> dict:

@@ -73,6 +73,7 @@ class RationalPolytope:
         self.name = name
         self._hrep = _hrep
         self._dim = _dim
+        self._walk_order = None  # enumeration._walk_data, memoised
 
     # -- construction ------------------------------------------------------
 

@@ -4,9 +4,15 @@ A polynomial is stored as a dense tuple of Fraction coefficients in
 ascending order of exponent with trailing zeros stripped; the zero
 polynomial is the empty tuple and reports degree -1. A quasipolynomial of
 period p is a tuple of p constituent polynomials, constituent r covering the
-arguments congruent to r mod p. h*-data couples an integer coefficient
-vector with the dimension and period that fix its denominator
+arguments congruent to r mod p. h*-data couples a coefficient vector (ints
+where integral) with the dimension and period that fix its denominator
 (1 - x^p)^(d+1).
+
+Counting data goes through the series numerator in integers:
+`series_numerator` convolves counts with (1 - x^p)^(d+1) and checks its
+guard terms, and `quasi_from_numerator` and `counts_from_hstar` read values
+back off it in the binomial basis (Stanley, "Decompositions of rational
+convex polytopes", 1980; Beck-Robins, ch. 3).
 
 All arithmetic is exact. Nothing in this module ever touches floats.
 """
@@ -15,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .errors import InputError, TheoremViolationError, UnsupportedError
+from .errors import InputError, TheoremViolationError
 
 RatLike = int | Fraction | str
 
@@ -26,6 +33,14 @@ def _coerce(value: RatLike) -> Fraction:
     if isinstance(value, float):
         raise InputError("floats are not accepted; use Fraction or 'p/q' strings")
     return Fraction(value)
+
+
+def _exact(value: RatLike) -> int | Fraction:
+    """value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = _coerce(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def choose(top: int, k: int) -> Fraction:
@@ -93,14 +108,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def power(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise InputError("negative polynomial power")
-        result = Poly([1])
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def evaluate(self, x: RatLike) -> Fraction:
         x = _coerce(x)
         acc = Fraction(0)
@@ -148,6 +155,9 @@ def interpolate(samples: Sequence[tuple[int, RatLike]]) -> Poly:
     """Lagrange interpolation through exact sample points (n_i, value_i).
 
     Degree is at most len(samples) - 1; duplicate abscissas are an error.
+    The library reads its polynomials off series numerators instead; this
+    stays as the tests' oracle and because the benchmark tracer in
+    `perfbench/tracer.py` wraps it by name.
     """
     xs = [int(x) for x, _ in samples]
     if len(set(xs)) != len(xs):
@@ -213,16 +223,16 @@ class QuasiPoly:
 class HStarData:
     """Numerator data of a rational counting series over (1 - x^p)^(d+1)."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]  # ints where integral
     dim: int
     period: int
 
     def __init__(self, coeffs: Iterable[RatLike], dim: int, period: int = 1):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
-            cs = [Fraction(0)]
+            cs = [0]
         if dim < 0 or period < 1:
             raise InputError("HStarData needs dim >= 0 and period >= 1")
         if len(cs) - 1 > period * (dim + 1) - 1:
@@ -242,16 +252,84 @@ class HStarData:
     def poly(self) -> Poly:
         return Poly(self.coeffs)
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> int | Fraction:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def is_integral_nonnegative(self) -> bool:
         return all(c.denominator == 1 and c >= 0 for c in self.coeffs)
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
+
+
+def series_numerator(values: Sequence[int | Fraction], dim: int, period: int,
+                     length: int) -> list:
+    """Coefficients below `length` of (sum_n values[n] x^n) * (1 - x^p)^(d+1).
+
+    The coefficient at i is sum_k (-1)^k C(d+1, k) values[i - kp], an
+    integer convolution for integer values. Every coefficient from `length`
+    to len(values) - 1 is a guard and must vanish: for length >= p(d+1) it
+    is the (d+1)-th difference of the d + 2 values i, i - p, ..., i - (d+1)p
+    of one residue class, zero exactly when they lie on one polynomial of
+    degree at most d. Raises TheoremViolationError otherwise.
+    """
+    signed = [(-1) ** k * comb(dim + 1, k) for k in range(dim + 2)]
+    numerator = []
+    for i in range(len(values)):
+        total = 0
+        for k in range(min(dim + 1, i // period) + 1):
+            total += signed[k] * values[i - k * period]
+        if i < length:
+            numerator.append(total)
+        elif total:
+            raise TheoremViolationError(
+                f"guard coefficient at x^{i} is {total}, expected 0: "
+                f"counts are not degree-{dim} period-{period} data"
+            )
+    return numerator
+
+
+def _binomial_numerator(coeffs: Sequence[int | Fraction], dim: int, period: int,
+                        r: int) -> list:
+    """d! p^d times constituent r of the series coeffs / (1 - x^p)^(d+1).
+
+    Returns the coefficients, ascending in x, of
+    sum_s coeffs[r + ps] * prod_{i=1..d} (x - r - ps + p i): the coefficient
+    of x^n in coeffs[j] x^j / (1 - x^p)^(d+1) is coeffs[j] C((n - j)/p + d, d)
+    for n = j mod p, and that binomial is prod_{i=1..d} (n - j + p i) / (d! p^d).
+    """
+    total = [0] * (dim + 1)
+    for j in range(r, len(coeffs), period):
+        if not coeffs[j]:
+            continue
+        product = [coeffs[j]]
+        for i in range(1, dim + 1):
+            shift = period * i - j
+            # times (x + shift)
+            product = ([shift * product[0]]
+                       + [product[k - 1] + shift * product[k] for k in range(1, i)]
+                       + [product[-1]])
+        for k, c in enumerate(product):
+            total[k] += c
+    return total
+
+
+def quasi_from_numerator(coeffs: Sequence[int | Fraction], dim: int,
+                         period: int) -> QuasiPoly:
+    """The quasipolynomial whose series is coeffs / (1 - x^p)^(d+1).
+
+    Constituent r is sum_s coeffs[r + ps] C((n - r - ps)/p + d, d). It gives
+    the series coefficient at every n >= 0 of its class when the numerator
+    has degree below p(d+1); a coefficient at p(d+1) (as in an interior
+    series, which is 0 at n = 0) is matched from n = p on.
+    """
+    scale = factorial(dim) * period ** dim
+    return QuasiPoly(period, [
+        Poly([Fraction(c, scale) for c in _binomial_numerator(coeffs, dim, period, r)])
+        for r in range(period)
+    ])
 
 
 def hstar_from_counts(counts: Sequence[RatLike], dim: int, period: int = 1) -> HStarData:
@@ -262,35 +340,24 @@ def hstar_from_counts(counts: Sequence[RatLike], dim: int, period: int = 1) -> H
     what certifies that the counts really come from a degree-d
     quasipolynomial of period p. Raises TheoremViolationError otherwise.
     """
-    cs = [_coerce(c) for c in counts]
+    cs = [_exact(c) for c in counts]
     top = period * (dim + 1)
     if len(cs) < top + 1:
         raise InputError(
             f"need counts for n = 0..{top} (got {len(cs)} values); "
             "include at least one guard term past the numerator degree"
         )
-    series = Poly(cs)
-    denominator = (Poly([1]) - Poly([0] * period + [1])).power(dim + 1)
-    product = series * denominator
-    numerator = [product[i] for i in range(top)]
-    for i in range(top, len(cs)):
-        if product[i] != 0:
-            raise TheoremViolationError(
-                f"guard coefficient at x^{i} is {product[i]}, expected 0: "
-                f"counts are not degree-{dim} period-{period} data"
-            )
-    return HStarData(numerator, dim=dim, period=period)
+    return HStarData(series_numerator(cs, dim, period, top), dim=dim, period=period)
 
 
 def counts_from_hstar(h: HStarData, n: int) -> Fraction:
-    """Evaluate the counting polynomial encoded by h* at integer n (period 1).
+    """Evaluate the counting quasipolynomial encoded by h* at any integer n.
 
-    Uses the binomial basis: count(n) = sum_k h*_k C(n + d - k, d).
+    Uses the binomial basis: count(n) = sum_{j = n mod p} h*_j C((n - j)/p + d, d),
+    the generalized binomial giving the reciprocity values at n < 0.
     """
-    if h.period != 1:
-        raise UnsupportedError("counts_from_hstar is defined for period 1 only")
-    d = h.dim
-    return sum(
-        (h.coefficient(k) * choose(n + d - k, d) for k in range(len(h.coeffs))),
-        Fraction(0),
-    )
+    d, p = h.dim, h.period
+    value = 0
+    for c in reversed(_binomial_numerator(h.coeffs, d, p, n % p)):
+        value = value * n + c
+    return Fraction(value, factorial(d) * p ** d)

@@ -13,9 +13,11 @@ weighted by its number of distinct rearrangements.
 These counts are polynomial in r, vanish at r = -1..-(n-1), satisfy a
 reflection symmetry, and have a palindromic nonnegative series numerator
 over (1-x)^(n^2-2n+2). `adg_report` verifies all of that from the computed
-table. The same numbers arise geometrically: H_n is the lattice-point
-counter of the polytope of doubly stochastic matrices, whose vertices are
-the permutation matrices.
+table: it convolves the table with (1-x)^(n^2-2n+2) in integers and reads
+the polynomial back off that numerator in the binomial basis. The same
+numbers arise geometrically: H_n is the lattice-point counter of the
+polytope of doubly stochastic matrices, whose vertices are the
+permutation matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import comb, factorial
 
 from .errors import InputError, UnsupportedError
 from .polytope import RationalPolytope
-from .ratpoly import Poly, hstar_from_counts, interpolate
+from .ratpoly import Poly, hstar_from_counts, quasi_from_numerator
 from .report import Report
 
 MAX_SIZE = 4
@@ -103,10 +105,12 @@ def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]
     """Count table for H_n plus verification of its structural properties.
 
     Checks, from the exact table: the counts are polynomial of degree
-    (n-1)^2 (interpolate, then match the spare values), the polynomial
-    vanishes at -1..-(n-1), the reflection H_n(-r) = (-1)^(n-1) H_n(r-n)
-    holds, and the series numerator over (1-x)^(n^2-2n+2) is palindromic
-    of degree n^2-3n+2 with nonnegative integer coefficients.
+    (n-1)^2 (the integer series numerator's guard terms vanish, and the
+    polynomial read off that numerator matches the spare values), the
+    polynomial vanishes at -1..-(n-1), the reflection
+    H_n(-r) = (-1)^(n-1) H_n(r-n) holds, and the series numerator over
+    (1-x)^(n^2-2n+2) is palindromic of degree n^2-3n+2 with nonnegative
+    integer coefficients.
     """
     if not 1 <= n <= MAX_SIZE:
         raise UnsupportedError(
@@ -118,7 +122,10 @@ def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]
     if rmax < poly_degree + 3:
         raise InputError(f"need rmax >= {poly_degree + 3} for verification slack")
     values = tuple(count_semimagic(n, r) for r in range(rmax + 1))
-    count_poly = interpolate([(r, values[r]) for r in range(poly_degree + 1)])
+    # poly_degree is also the series dimension n^2 - 2n + 1; the guard terms
+    # past the numerator certify the table before any property is read
+    numerator_h = hstar_from_counts(values, dim=poly_degree)
+    count_poly = quasi_from_numerator(numerator_h.coeffs, poly_degree, 1).constituents[0]
     instances = []
     for r in range(poly_degree + 1, rmax + 1):
         predicted = count_poly.evaluate(r)
@@ -141,8 +148,6 @@ def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]
             "property": "reflection", "index": r, "lhs": str(lhs), "rhs": str(rhs),
             "pass": lhs == rhs,
         })
-    series_dim = n * n - 2 * n + 1
-    numerator_h = hstar_from_counts(values, dim=series_dim)
     numerator = numerator_h.poly()
     expected_degree = n * n - 3 * n + 2
     instances.append({
@@ -163,7 +168,7 @@ def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]
     table = SemimagicTable(n, values, count_poly, numerator)
     report = Report.from_instances(
         "equal-line-sum-count-structure", instances,
-        notes={"n": n, "rmax": rmax, "denominator_exponent": series_dim + 1},
+        notes={"n": n, "rmax": rmax, "denominator_exponent": poly_degree + 1},
     )
     return table, report
 

@@ -210,6 +210,14 @@ def test_vacuous_check_arguments_exit_1(capsys, argv):
     assert list(doc) == ["error"]
 
 
+def test_non_string_polytope_name_exits_1(tmp_path, capsys):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"vertices": [[0], [1]], "name": [1, {"a": 2}]}))
+    code, doc = run(capsys, "ehrhart", str(path))
+    assert code == 1
+    assert list(doc) == ["error"] and "name" in doc["error"]
+
+
 def test_missing_file(capsys):
     code, doc = run(capsys, "ehrhart", "/nonexistent/thing.json")
     assert code == 1

@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ehrkit.corpus import load_polytope
 from ehrkit.enumeration import (
@@ -29,6 +31,7 @@ from ehrkit.enumeration import (
 )
 from ehrkit.errors import InputError, TheoremViolationError
 from ehrkit.polytope import normalize
+from ehrkit.ratpoly import interpolate
 from ehrkit.triangulation import betke_mcmullen
 
 
@@ -247,6 +250,50 @@ def test_full_dimensional_polytope_keeps_the_strict_constituent_check(monkeypatc
         ehrhart(normalize([["0"], ["1/3"]], name="full_third_segment"))
 
 
+def test_every_single_count_corruption_is_a_theorem_violation(monkeypatch):
+    # every count of both windows is certified: the guard terms cover every
+    # closed count and every interior count off the multiples of the period,
+    # the reciprocity match of the constituents covers the rest
+    from ehrkit import enumeration
+
+    counted = enumeration._count_dilate
+    polytopes = [
+        normalize([()]),
+        normalize([[0], [3]]),
+        normalize([[0, 0], [1, 0], [0, 1], [1, 1]]),
+        reeve_simplex(2),
+        normalize([["0"], ["1/2"]]),
+        normalize([[0, 0], ["1/2", 0], [0, "1/3"]]),
+        normalize([["-1/2", "0"], ["1", "2/3"], ["0", "-1"]]),
+        normalize([["1/2"]]),
+        normalize([[0, 0], [1, 0]]),
+        normalize([["1/3", "2/3"], ["4/3", "2/3"]]),
+        normalize([[0, 0, 0], [1, 1, 0], ["1/2", 0, "1/2"]]),
+        normalize([["1/2", 0, 0], [0, "1/2", 0], [0, 0, "1/2"]]),
+    ]
+    kinds = Counter()
+    for p in polytopes:
+        per = p.vertex_denominator()
+        for n in range(1, per * (p.dim + 2)):
+            for region, delta in itertools.product((0, 1), (1, -1)):
+                def corrupted(data, m, slack, interior):
+                    counts = list(counted(data, m, slack, interior))
+                    if m == n:
+                        counts[region] += delta
+                    return tuple(counts)
+
+                monkeypatch.setattr(enumeration, "_count_dilate", corrupted)
+                with pytest.raises(TheoremViolationError):
+                    enumeration._ehrhart_cached.__wrapped__(p)
+                kinds["interior at a multiple" if region and n % per == 0 else "other"] += 1
+        monkeypatch.setattr(enumeration, "_count_dilate", counted)
+        enumeration._ehrhart_cached.__wrapped__(p)  # the true counts pass
+        kinds["rational"] += per > 1
+        kinds["embedded"] += p.dim < p.ambient_dim
+    assert kinds["rational"] >= 7 and kinds["embedded"] >= 5, kinds
+    assert kinds["interior at a multiple"] >= 50, kinds
+
+
 def test_zero_dilate_interior_convention():
     # 0·P = {0} is its own relative interior, so one interior point is counted;
     # the interior quasipolynomial is the reciprocity one, (-1)^dim at n = 0
@@ -356,3 +403,79 @@ def test_walks_leave_no_reference_cycles():
             assert gc.collect() == 0, ("betke_mcmullen", p.name)
     finally:
         gc.enable()
+
+
+@st.composite
+def rational_polytopes(draw):
+    """Hull of a few points with denominators 1-3 in R^1..R^3, often embedded.
+
+    Points are o + M y as in `random_rational_polytope`; a rational offset o
+    off a lower-dimensional span gives dilates that miss the lattice.
+    """
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 3))
+    den = draw(st.integers(1, 3))
+    small = st.integers(-1, 1)
+    if k == n:
+        offset = [Fraction(0)] * n
+        matrix = [[int(i == j) for j in range(k)] for i in range(n)]
+    else:
+        offset = [Fraction(draw(st.integers(-den, den)), den) for _ in range(n)]
+        matrix = [[draw(small) for _ in range(k)] for _ in range(n)]
+    coordinate = st.integers(-2 * den, 2 * den).map(lambda v: Fraction(v, den))
+    pts = [[o + sum(m * v for m, v in zip(row, y)) for o, row in zip(offset, matrix)]
+           for y in draw(st.lists(st.lists(coordinate, min_size=k, max_size=k),
+                                  min_size=k + 1, max_size=k + 3))]
+    return normalize(pts)
+
+
+def lagrange_oracle(counts, interior_counts, d, per):
+    """Closed and interior constituents interpolated through d + 1 samples of
+    each residue class, checked against every other sample of the window."""
+    closed, interior = [], []
+    for r in range(per):
+        nodes = [r + per * k for k in range(d + 1)]
+        closed.append(interpolate([(n, counts[n]) for n in nodes]))
+        inner = nodes if r else [per * k for k in range(1, d + 2)]
+        interior.append(interpolate([(n, interior_counts[n]) for n in inner]))
+    for n in range(len(counts)):
+        assert closed[n % per].evaluate(n) == counts[n]
+        if n:
+            assert interior[n % per].evaluate(n) == interior_counts[n]
+    return closed, interior
+
+
+def test_integer_ehrhart_matches_the_lagrange_oracle():
+    kinds = Counter()
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(rational_polytopes())
+    def check(p):
+        assume(p.dim >= 1)
+        res = ehrhart(p)
+        d, per = p.dim, p.vertex_denominator()
+        window = [region_counts(p, n) for n in range(per * (d + 2))]
+        counts = [closed for closed, _ in window]
+        interior_counts = [interior for _, interior in window]
+        closed, interior = lagrange_oracle(counts, interior_counts, d, per)
+        assert res.quasi.constituents == tuple(closed)
+        assert res.quasi_interior.constituents == tuple(interior)
+        oracle_h = [sum((-1) ** k * comb(d + 1, k) * counts[i - per * k]
+                        for k in range(min(d + 1, i // per) + 1))
+                    for i in range(per * (d + 1))]
+        assert list(res.hstar.coeffs) == oracle_h[:len(res.hstar.coeffs)]
+        assert all(type(c) is int for c in res.hstar.coeffs)
+        assert not any(oracle_h[len(res.hstar.coeffs):])
+        # count(-n) against the direct interior count, not the interior
+        # quasipolynomial read off the same walk's counts
+        for n in range(1, 5):
+            assert res.count(-n) == (-1) ** d * count_points(p, n, "interior")
+        kinds["embedded"] += d < p.ambient_dim
+        kinds["rational"] += per > 1
+        kinds["missing dilates"] += any(c == 0 for c in counts)
+        kinds[f"dim {d}"] += 1
+
+    check()
+    minimum = {"embedded": 25, "rational": 30, "missing dilates": 10,
+               "dim 1": 15, "dim 2": 15, "dim 3": 15}
+    assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds

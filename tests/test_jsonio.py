@@ -106,6 +106,14 @@ def test_loaders_reject_a_contradicting_kind(tmp_path):
         load_document(str(path))
 
 
+def test_polytope_name_must_be_a_string():
+    for name in ([1, {"a": 2}], 7, None, True, {"x": "y"}):
+        with pytest.raises(InputError, match="name"):
+            polytope_from_json({"vertices": [[0], [1]], "name": name})
+    assert polytope_from_json({"vertices": [[0], [1]], "name": "seg"}).name == "seg"
+    assert polytope_from_json({"vertices": [[0], [1]]}).name == ""
+
+
 _FIELDS = st.sampled_from(["kind", "vertices", "rays", "name", "ambient_dim"])
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2)

@@ -8,12 +8,13 @@ test to generate its own expectations.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from ehrkit.errors import InputError, TheoremViolationError, UnsupportedError
+from ehrkit.errors import InputError, TheoremViolationError
 from ehrkit.ratpoly import (
     HStarData,
     Poly,
@@ -22,6 +23,8 @@ from ehrkit.ratpoly import (
     counts_from_hstar,
     hstar_from_counts,
     interpolate,
+    quasi_from_numerator,
+    series_numerator,
 )
 
 
@@ -50,8 +53,6 @@ def test_poly_basic_arithmetic():
     assert not Poly([0, 0])
     assert Poly([1, 0, 0]).coeffs == (Fraction(1),)
     assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)
-    assert Poly([5]).power(0).coeffs == (Fraction(1),)
-    assert Poly([1, 1]).power(3).coeffs == (1, 3, 3, 1)
 
 
 def test_poly_rejects_floats():
@@ -174,12 +175,61 @@ def test_counts_from_hstar_round_trip_and_reciprocity_values():
         assert counts_from_hstar(h, -n) == (n - 1) ** 2
 
 
-def test_counts_from_hstar_rejects_rational_period():
-    h = HStarData([1, 1], dim=1, period=2)
-    with pytest.raises(UnsupportedError):
-        counts_from_hstar(h, 3)
+def test_counts_from_hstar_reads_rational_periods():
+    # the half segment [0, 1/2]: floor(n/2) + 1 points, and by reciprocity
+    # count(-n) = -(ceil(n/2) - 1), minus the interior points of [0, n/2]
+    half = HStarData([1, 1], dim=1, period=2)
+    for n in range(9):
+        assert counts_from_hstar(half, n) == n // 2 + 1
+        if n >= 1:
+            assert counts_from_hstar(half, -n) == -((n + 1) // 2 - 1)
+    # the embedded third segment [(1/3, 2/3), (4/3, 2/3)]: n + 1 points when
+    # 3 | n, else none; n - 1 interior points when 3 | n, n >= 3
+    third = HStarData([1, 0, 0, 2], dim=1, period=3)
+    for n in range(10):
+        on_lattice = n % 3 == 0
+        assert counts_from_hstar(third, n) == (n + 1 if on_lattice else 0)
+        if n >= 1:
+            assert counts_from_hstar(third, -n) == (-(n - 1) if on_lattice else 0)
 
 
 def test_hstar_degree_cap():
     with pytest.raises(InputError):
         HStarData([1] * 5, dim=2, period=1)  # degree 4 > p(d+1)-1 = 2
+
+
+def test_numerator_read_off_matches_series_expansion_and_interpolation():
+    # random integer numerators h over (1 - x^p)^(d+1), expanded term by
+    # term with math.comb, then compared with the binomial read-off, the
+    # Lagrange oracle through d + 1 values per class, and the convolution
+    rng = random.Random(20261018)
+    for _ in range(300):
+        d, per = rng.randint(0, 4), rng.randint(1, 3)
+        length = per * (d + 1) + rng.randint(0, 1)  # interior series reach p(d+1)
+        h = [rng.randint(-3, 5) for _ in range(length)]
+        window = per * (d + 3)
+        series = [sum(h[j] * comb((n - j) // per + d, d)
+                      for j in range(min(n, length - 1) + 1) if (n - j) % per == 0)
+                  for n in range(window)]
+        quasi = quasi_from_numerator(h, d, per)
+        start = per if length > per * (d + 1) else 0  # the x^{p(d+1)} term
+        for n in range(start, window):
+            assert quasi.evaluate(n) == series[n], (h, d, per, n)
+        for r in range(per):
+            nodes = [r + per * k for k in range(1, d + 2)]
+            assert quasi.constituents[r] == interpolate([(n, series[n]) for n in nodes])
+        assert series_numerator(series, d, per, length) == h
+        assert series_numerator(series, d, per, length) == [
+            int(c) for c in convolve_with_denominator(series, per, d + 1)[:length]]
+        if length == per * (d + 1):
+            hstar = HStarData(h, dim=d, period=per)
+            for n in range(-window, window):
+                assert counts_from_hstar(hstar, n) == quasi.evaluate(n)
+
+
+def test_series_numerator_guards_name_the_first_bad_coefficient():
+    # (n+1)^2 for n = 0..4, then one count off by one: the guard at x^5 fires
+    counts = [1, 4, 9, 16, 25, 37]
+    assert series_numerator(counts[:5], 2, 1, 3) == [1, 1, 0]
+    with pytest.raises(TheoremViolationError, match=r"x\^5 is 1"):
+        series_numerator(counts, 2, 1, 3)
