@@ -259,22 +259,21 @@ def dual_interior_vector(cone: RationalCone) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def _dual_interior_cached(cone: RationalCone) -> tuple[Fraction, ...] | None:
-    basis, _ = linalg.row_reduce(cone.generators)
+    # B: integer rows spanning the generators' span, so w = B^T u and
+    # <g, w> = <B g, u>. A k-subset of the B g with <B g_i, u> = 1 on it
+    # fixes the unique span vector w with <g_i, w> = 1 there, whatever
+    # multiples of the rref rows B holds.
+    basis, _ = linalg._echelon(cone.generators)
     k = len(basis)
-    rows = [[linalg.dot(g, b) for b in basis] for g in cone.generators]
-    ones = [Fraction(1)] * k
+    rows = [[linalg.int_dot(g, b) for b in basis] for g in cone.generators]
     for subset in itertools.combinations(range(len(rows)), k):
-        sub = [rows[i] for i in subset]
-        if linalg.rank(sub) != k:
+        solved = linalg.solve_integral([rows[i] for i in subset], [1] * k)
+        if solved is None:
             continue
-        u = linalg.solve(sub, ones)
-        if u is None:
-            continue
-        if all(linalg.dot(r, u) >= 1 for r in rows):
-            return tuple(
-                sum((u[i] * basis[i][j] for i in range(k)), Fraction(0))
-                for j in range(cone.ambient_dim)
-            )
+        u, den = solved  # u / den
+        if all(linalg.int_dot(r, u) >= den for r in rows):
+            return tuple(Fraction(sum(c * b[j] for c, b in zip(u, basis)), den)
+                         for j in range(cone.ambient_dim))
     return None
 
 

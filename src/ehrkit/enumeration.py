@@ -2,22 +2,33 @@
 
 `_walk` is the one integer point search: it walks the coordinates of a box
 depth-first, narrowing each coordinate's range with exact integer interval
-arithmetic on integer equalities and inequalities. The ranges are sound at
-every depth and exact at the last coordinate, where nothing follows, so
-the walk stops there and takes the whole run prefix x [low, high] at once;
-no point is re-checked. In the same pass it carries the range of the
-interior system, every inequality <a, x> <= c lowered to c - 1, and a
-flag saying whether the prefix can still reach it, so one walk gives the
-closed and the interior counts as sums of run lengths.
+arithmetic on integer inequalities. The ranges are sound at every depth
+and exact at the last coordinate, where nothing follows, so the walk stops
+there and takes the whole run prefix x [low, high] at once; no point is
+re-checked. In the same pass it carries the range of the interior system,
+every inequality <a, x> <= c lowered to c - 1, and a flag saying whether
+the prefix can still reach it, so one walk gives the closed and the
+interior counts as sums of run lengths.
 
-`region_counts` and `count_points` feed it the half-space form of a
+Every walk is full-dimensional: it has no equality rows. Equalities are
+solved before the walk, in lattice coordinates of their solution set.
+`_lattice_basis` takes the Smith form U E V = D of the equality normals
+E; V is unimodular, so x = V y runs over the lattice exactly when y does,
+and the equalities fix the first k coordinates of y. The walk runs over
+the others, with each inequality's fixed part moved to its bound. An
+embedded polytope such as the Birkhoff polytope B_n, all of whose
+coordinates lie in equalities, is walked in its (n-1)^2 free coordinates,
+and a dilate whose fixed coordinates are not integers holds no lattice
+point and counts 0 without a walk. A full-dimensional polytope has V = I.
+
+`region_counts` and `count_points` feed the walk the half-space form of a
 dilate and build no points. The half-space data are integers, so for a
 lattice point the strict facet inequality <a, x> < c is the same as
 <a, x> <= c - 1, and that lowered system is the relative interior. Counts
 do not depend on the coordinate order, so the count path walks last the
-coordinate along which the polytope has the longest runs. `lattice_points`
-lists the points of the same walk by expanding its runs, in the given
-coordinate order so that they come out sorted; `enumerate_points` lists a
+free coordinate along which the polytope has the longest runs.
+`lattice_points` lists the points of the same walk by expanding its runs
+and mapping them back by x = V y, sorted; `enumerate_points` lists a
 polytope's points through it. (Fundamental parallelepipeds are not walked:
 `cones.parallelepiped_points` lists them from a Smith form.)
 
@@ -37,7 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
+from . import linalg
 from .errors import InputError, TheoremViolationError
 from .polytope import RationalPolytope
 from .ratpoly import (HStarData, QuasiPoly, hstar_from_counts, quasi_from_numerator,
@@ -47,45 +60,41 @@ from .report import Report
 IntPoint = tuple[int, ...]
 
 
-def _walk(equalities, inequalities, lo: IntPoint, hi: IntPoint, interior: bool,
+def _walk(inequalities, lo: IntPoint, hi: IntPoint, interior: bool,
           runs: list | None = None) -> tuple[int, int]:
     """Count the integer points of the box lo <= x <= hi in two regions.
 
-    Returns (closed, interior): closed counts the x with <a, x> == c for
-    every (a, c) in equalities and <a, x> <= c for every (a, c) in
-    inequalities, interior those that also satisfy each inequality with
-    c - 1 (0 unless `interior`). When `runs` is given, each closed run is
-    appended to it as (prefix, low, high): the points prefix + (v,) for
-    low <= v <= high. In ambient dimension 0 there is no last coordinate
-    and so no run; the empty point is counted on its own.
+    Returns (closed, interior): closed counts the x with <a, x> <= c for
+    every (a, c) in inequalities, interior those that also satisfy each
+    inequality with c - 1 (0 unless `interior`). When `runs` is given, each
+    closed run is appended to it as (prefix, low, high): the points
+    prefix + (v,) for low <= v <= high. In dimension 0 there is no last
+    coordinate and so no run; the empty point is counted on its own.
     """
     n = len(lo)
-    rows = [(a, c, True) for a, c in equalities] + [(a, c, False) for a, c in inequalities]
-    closed_bounds = [c for _, c, _ in rows]
-    interior_bounds = [c if is_eq else c - 1 for _, c, is_eq in rows]
-    # steps[j] holds (row, a_j, min and max of <a, x> over the box coordinates
-    # after j, is_eq) for each row whose coefficient a_j is nonzero
+    closed_bounds = [c for _, c in inequalities]
+    interior_bounds = [c - 1 for c in closed_bounds]
+    # steps[j] holds (row, a_j, min of <a, x> over the box coordinates after
+    # j) for each row whose coefficient a_j is nonzero
     steps: list[list[tuple]] = [[] for _ in range(n)]
     inside = interior
-    for k, (a, c, is_eq) in enumerate(rows):
-        tail_min = tail_max = 0
+    for k, (a, c) in enumerate(inequalities):
+        tail = 0
         for j in range(n - 1, -1, -1):
             if a[j]:
-                steps[j].append((k, a[j], tail_min, tail_max, is_eq))
-            tail_min += min(a[j] * lo[j], a[j] * hi[j])
-            tail_max += max(a[j] * lo[j], a[j] * hi[j])
+                steps[j].append((k, a[j], tail))
+            tail += min(a[j] * lo[j], a[j] * hi[j])
         # Up to its first nonzero coefficient a row is decided by the box
         # alone. From there on every chosen value keeps it satisfiable by the
         # rest of the box, so zero coefficients need no test in the walk.
-        if tail_min > c or (is_eq and tail_max < c):
+        if tail > c:
             return 0, 0
-        bound = interior_bounds[k]
-        if tail_min > bound or (is_eq and tail_max < bound):
+        if tail > c - 1:
             inside = False
     if n == 0:
         return 1, int(inside)
 
-    partial = [0] * len(rows)
+    partial = [0] * len(inequalities)
     prefix = [0] * n
     last = n - 1
     totals = [0, 0]
@@ -93,24 +102,16 @@ def _walk(equalities, inequalities, lo: IntPoint, hi: IntPoint, interior: bool,
     def span(depth: int, bounds: list[int]) -> tuple[int, int]:
         """Range of coordinate `depth` left by the partial sums under `bounds`."""
         low, high = lo[depth], hi[depth]
-        for k, coef, tail_min, tail_max, is_eq in steps[depth]:
-            room = bounds[k] - partial[k]
+        for k, coef, tail in steps[depth]:
+            room = bounds[k] - partial[k] - tail
             if coef > 0:
-                top = (room - tail_min) // coef
+                top = room // coef
                 if top < high:
                     high = top
-                if is_eq:
-                    bottom = -((tail_max - room) // coef)
-                    if bottom > low:
-                        low = bottom
             else:
-                bottom = -((tail_min - room) // coef)
+                bottom = -(-room // coef)
                 if bottom > low:
                     low = bottom
-                if is_eq:
-                    top = (room - tail_max) // coef
-                    if top < high:
-                        high = top
         return low, high
 
     def walk(depth: int, inside: bool) -> None:
@@ -126,7 +127,7 @@ def _walk(equalities, inequalities, lo: IntPoint, hi: IntPoint, interior: bool,
             if runs is not None:
                 runs.append((tuple(prefix[:last]), low, high))
             return
-        moves = [(k, coef, partial[k]) for k, coef, _, _, _ in steps[depth]]
+        moves = [(k, coef, partial[k]) for k, coef, _ in steps[depth]]
         for value in range(low, high + 1):
             for k, coef, base in moves:
                 partial[k] = base + coef * value
@@ -142,18 +143,70 @@ def _walk(equalities, inequalities, lo: IntPoint, hi: IntPoint, interior: bool,
     return totals[0], totals[1]
 
 
+def _lattice_basis(equalities, ambient: int):
+    """Lattice coordinates adapted to the solution set of integer equalities.
+
+    The equality normals must be independent. Returns (V, V_inv, Y, L): V
+    is a unimodular matrix (a list of rows) with inverse V_inv, so x = V y
+    maps Z^ambient onto itself, and <a, x> == c holds for every (a, c) in
+    equalities exactly when y_i = Y_i / L for i < k = len(equalities); the
+    other coordinates of y are free. V is the column transform of the Smith
+    form U E V = D of the equality normals E, so column i < k of E V is
+    d_i u_i for a basis u of Z^k and the columns from k on vanish; Y / L
+    solves (E V)_fixed y = e, which is d_i y_i = c_i for the integer
+    solution c = U e of sum_i c_i u_i = e. V_inv is read off the simplex
+    solve of V's columns, all of whose denominators are 1. No equalities
+    give V = I.
+    """
+    if not equalities:
+        identity = [tuple(int(i == j) for j in range(ambient)) for i in range(ambient)]
+        return identity, identity, (), 1
+    k = len(equalities)
+    _, v = linalg.smith_form(list(zip(*(a for a, _ in equalities))))
+    columns = tuple(zip(*v))
+    fixed, den = linalg.solve_integral(
+        [[linalg.int_dot(a, col) for col in columns[:k]] for a, _ in equalities],
+        [c for _, c in equalities])
+    t_rows, _ = linalg.simplex_solve(columns)
+    return v, [row for row, _ in t_rows], fixed, den
+
+
 def lattice_points(equalities, inequalities, lo: IntPoint, hi: IntPoint) -> list[IntPoint]:
     """Integer points x of the box lo <= x <= hi, lexicographically sorted,
     with <a, x> == c for every (a, c) in equalities and <a, x> <= c for
-    every (a, c) in inequalities. All data must be integers.
+    every (a, c) in inequalities. All data must be integers, and the
+    equality normals independent.
+
+    The walk runs over the free coordinates of `_lattice_basis`: the box
+    becomes the rows lo <= V y <= hi and, by interval arithmetic on V_inv,
+    a box of y; the points x = V y are sorted at the end.
     """
+    v, v_inv, fixed, den = _lattice_basis(equalities, len(lo))
+    if any(y % den for y in fixed):
+        return []
+    k = len(fixed)
+    y_fixed = [y // den for y in fixed]
+    columns = list(zip(*v))
+    rows = []
+    for a, c in inequalities:
+        av = [linalg.int_dot(a, col) for col in columns]
+        rows.append((av[k:], c - linalg.int_dot(av[:k], y_fixed)))
+    y_lo = [sum(min(u * l, u * h) for u, l, h in zip(row, lo, hi)) for row in v_inv[k:]]
+    y_hi = [sum(max(u * l, u * h) for u, l, h in zip(row, lo, hi)) for row in v_inv[k:]]
+    if k:  # with V = I the box of y is the box of x
+        for row, l, h in zip(v, lo, hi):
+            shift = linalg.int_dot(row[:k], y_fixed)
+            rows.append((row[k:], h - shift))
+            rows.append((tuple(-u for u in row[k:]), shift - l))
     runs: list = []
-    closed, _ = _walk(equalities, inequalities, lo, hi, False, runs)
-    if not lo:
-        return [()] * closed
-    # prefixes and values both ascend, so the points come out sorted
-    return [prefix + (value,) for prefix, low, high in runs
-            for value in range(low, high + 1)]
+    closed, _ = _walk(rows, y_lo, y_hi, False, runs)
+    # prefixes and values both ascend, so the points y come out sorted
+    points = ([prefix + (value,) for prefix, low, high in runs
+               for value in range(low, high + 1)] if y_lo else [()] * closed)
+    if not k:
+        return points  # V = I: y is x
+    head = tuple(y_fixed)
+    return sorted(tuple(linalg.int_dot(row, head + y) for row in v) for y in points)
 
 
 def _check_region(region: str) -> None:
@@ -175,52 +228,71 @@ def enumerate_points(p: RationalPolytope, region: str = "closed") -> list[IntPoi
 
 
 def _walk_data(p: RationalPolytope):
-    """p's equalities, inequalities and vertex extremes, in walk order.
+    """p's inequalities and vertex extremes in free lattice coordinates of
+    its affine hull, in walk order, with the period of its fixed coordinates.
+
+    With x = V y from `_lattice_basis` of p's equalities, the n-th dilate
+    fixes y_i = n Y_i / L for i < k: it misses the lattice unless `period`
+    = L / gcd(L, Y) divides n, and at n = m * period the fixed coordinates
+    are m times the integers Y_i / gcd(L, Y). Each facet <a, x> <= c
+    becomes <(a V)_free, y_free> <= n c - m t, t the fixed part of
+    <a V, y> at m = 1, and the free coordinates range over n times the
+    extremes of the vertices' images under V_inv. A full-dimensional p has
+    V = I and period 1.
 
     The walk costs one visit per prefix, so the coordinate with the longest
     runs goes last. A line parallel to axis j meets p in a segment no longer
-    than width_a(p) / |a_j| for each facet normal a with a_j != 0, and in
-    one point if an equality has a_j != 0; the coordinates are sorted by
-    that bound, which scales with the dilate and so orders every dilate
-    alike. The extremes are integers over the common denominator `den`.
-    Computed once per polytope and kept on it, as its half-space form is.
+    than width_a(p) / |a_j| for each facet normal a with a_j != 0; the free
+    coordinates are sorted by that bound, which scales with the dilate and
+    so orders every dilate alike. The extremes are integers over the common
+    denominator `den`. Computed once per polytope and kept on it, as its
+    half-space form is.
     """
     if p._walk_order is not None:
         return p._walk_order
     hrep = p.facets()
     den = p.vertex_denominator()
-    verts = [tuple(x.numerator * (den // x.denominator) for x in v) for v in p.vertices]
-    mins = [min(column) for column in zip(*verts)]
-    maxs = [max(column) for column in zip(*verts)]
+    v, v_inv, fixed, fixed_den = _lattice_basis(hrep.equalities, p.ambient_dim)
+    k = len(fixed)
+    step = gcd(fixed_den, *fixed)
+    period = fixed_den // step
+    shift = [y // step for y in fixed]
+    verts = [tuple(x.numerator * (den // x.denominator) for x in vert) for vert in p.vertices]
+    images = [[linalg.int_dot(row, vert) for row in v_inv[k:]] for vert in verts]
+    mins = [min(column) for column in zip(*images)]
+    maxs = [max(column) for column in zip(*images)]
     reach = [Fraction(top - bottom) for bottom, top in zip(mins, maxs)]
+    columns = list(zip(*v))
+    rows = []
     for a, c in hrep.inequalities:
-        width = c * den - min(sum(x * y for x, y in zip(a, v)) for v in verts)
-        for j, coef in enumerate(a):
+        av = [linalg.int_dot(a, col) for col in columns]
+        free = av[k:]
+        width = c * den - min(linalg.int_dot(a, vert) for vert in verts)
+        for j, coef in enumerate(free):
             if coef:
                 reach[j] = min(reach[j], Fraction(width, abs(coef)))
-    for a, _ in hrep.equalities:
-        for j, coef in enumerate(a):
-            if coef:
-                reach[j] = Fraction(0)
-    order = sorted(range(p.ambient_dim), key=reach.__getitem__)
+        rows.append((free, c, linalg.int_dot(av[:k], shift)))
+    order = sorted(range(len(reach)), key=reach.__getitem__)
 
     def pick(row):
         return tuple(row[j] for j in order)
 
-    p._walk_order = ([(pick(a), c) for a, c in hrep.equalities],
-                     [(pick(a), c) for a, c in hrep.inequalities],
-                     pick(mins), pick(maxs), den)
+    p._walk_order = ([(pick(a), c, t) for a, c, t in rows],
+                     pick(mins), pick(maxs), den, period)
     return p._walk_order
 
 
 def _count_dilate(data, n: int, slack: int, interior: bool) -> tuple[int, int]:
     """`_walk` counts of the n-th dilate (n >= 1) of the `_walk_data` polytope,
-    every inequality lowered by `slack`."""
-    equalities, inequalities, mins, maxs, den = data
-    lo = tuple(-((-n * m) // den) for m in mins)
-    hi = tuple(n * m // den for m in maxs)
-    return _walk([(a, n * c) for a, c in equalities],
-                 [(a, n * c - slack) for a, c in inequalities], lo, hi, interior)
+    every inequality lowered by `slack`; (0, 0) if the dilate's affine hull
+    holds no lattice point."""
+    inequalities, mins, maxs, den, period = data
+    if n % period:
+        return 0, 0
+    m = n // period
+    lo = tuple(-((-n * x) // den) for x in mins)
+    hi = tuple(n * x // den for x in maxs)
+    return _walk([(a, n * c - m * t - slack) for a, c, t in inequalities], lo, hi, interior)
 
 
 def region_counts(p: RationalPolytope, n: int) -> tuple[int, int]:

@@ -4,14 +4,16 @@ Vectors are tuples, matrices are lists of row tuples; no floats anywhere.
 Every elimination is one fraction-free Gauss-Jordan, `_echelon`: rows are
 scaled to integers and each row operation is divided by the gcd of the new
 row, so entries stay no larger than in Bareiss's elimination (Math. Comp.
-22, 1968). `simplex_solve` is the one (cached) barycentric solve of a
-simplex; placing triangulations, half-open cone pieces and fundamental
-parallelepipeds all read it, and it never leaves the integers. The one
-Smith reduction, `smith_form`, returns the invariant factors with the
-unimodular column transform: cone boxes are listed from both, and
-`snf_diagonal` and lattice volumes read the factors alone. Ambient
-dimensions here stay in the single digits, so cubic elimination and Smith
-reduction are more than fast enough.
+22, 1968); `solve_integral` reads a regular square system's solution off
+it over one common denominator. `simplex_solve` is the one (cached)
+barycentric solve of a simplex; placing triangulations, half-open cone
+pieces and fundamental parallelepipeds all read it, and it never leaves
+the integers. The one Smith reduction, `smith_form`, returns the invariant
+factors with the unimodular column transform: cone boxes are listed from
+both, lattice walks of embedded polytopes take their coordinates from the
+transform, and `snf_diagonal` and lattice volumes read the factors alone.
+Ambient dimensions here stay small (16 for the Birkhoff polytope B4), so
+cubic elimination and Smith reduction are more than fast enough.
 """
 
 from __future__ import annotations
@@ -128,6 +130,21 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
             return None  # pivot in the rhs column: 0 = 1
         x[p] = row[-1]
     return tuple(x)
+
+
+def solve_integral(rows: Sequence[Sequence],
+                   rhs: Sequence) -> tuple[tuple[int, ...], int] | None:
+    """The solution of a square system A y = b over the integers, in integers.
+
+    Returns (Y, L) with y = Y / L and L > 0, or None when A is singular.
+    The fraction-free elimination of [A | b] leaves rows (p_i e_i | q_i),
+    so y_i = q_i / p_i, and L is the lcm of the p_i.
+    """
+    echelon, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(len(rows))):
+        return None
+    den = lcm(*(row[i] for i, row in enumerate(echelon)))
+    return tuple(row[-1] * (den // row[i]) for i, row in enumerate(echelon)), den
 
 
 @lru_cache(maxsize=None)

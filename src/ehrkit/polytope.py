@@ -13,6 +13,13 @@ facet of the hull. Only the first boundary facet of each set gives an
 inequality: its normal is -T_apex, projected orthogonally onto the hull's
 direction space so that it does not depend on the cell it was read from.
 
+The half-space form is built in integers. The points are scaled to
+integers once; the equalities span the kernel of the fraction-free
+echelon form of their differences, each kernel vector scaled by the lcm
+of the pivots; each facet normal is projected by one integer solve of
+Gram y = N a, N the equality normals; and every (a, c) is made jointly
+primitive with gcd.
+
 Everything is exact; no floats are accepted or produced.
 """
 
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -210,13 +217,24 @@ def contains_polytope(inner: RationalPolytope, outer: RationalPolytope) -> bool:
 
 
 def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int]:
-    base = pts[0]
-    kernel = linalg.nullspace([linalg.vec_sub(p, base) for p in pts[1:]], ncols=ambient)
-    dim = ambient - len(kernel)
+    # every point scaled to integers by one positive factor, once: signs,
+    # hyperplanes and (up to a positive factor) normals are those of pts
+    scale = lcm(*(v.denominator for p in pts for v in p))
+    ints = [tuple(v.numerator * (scale // v.denominator) for v in p) for p in pts]
+    base = ints[0]
+    rows, pivots = linalg._echelon([[x - y for x, y in zip(q, base)] for q in ints[1:]])
+    dim = len(pivots)
 
+    # the kernel of the differences: for each free column f, e_f minus the
+    # rref rows' entries in f at the pivots, scaled by the pivots' lcm
+    step = lcm(*(row[c] for row, c in zip(rows, pivots)))
     eqs: list[tuple[IntVec, int]] = []
-    for a in kernel:
-        normal, offset = _joint_primitive(a, linalg.dot(a, base))
+    for f in (j for j in range(ambient) if j not in pivots):
+        a = [0] * ambient
+        a[f] = step
+        for row, c in zip(rows, pivots):
+            a[c] = -row[f] * (step // row[c])
+        normal, offset = _int_primitive(a, base, scale)
         if normal[next(i for i, v in enumerate(normal) if v != 0)] < 0:
             normal = tuple(-v for v in normal)
             offset = -offset
@@ -224,11 +242,7 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int]:
 
     facets: dict[frozenset[int], tuple[IntVec, int]] = {}
     if dim >= 1:
-        # (p, 1) scaled to integers by one positive factor: placing signs
-        # and hyperplanes are those of (p, 1)
-        scale = lcm(*(v.denominator for p in pts for v in p))
-        lifted = [tuple(v.numerator * (scale // v.denominator) for v in p) + (scale,)
-                  for p in pts]
+        lifted = [p + (scale,) for p in ints]
         for facet, apex in boundary_facets(placing_cells(lifted)):
             # <T_apex, (x, 1)> vanishes on the facet's hyperplane and is
             # positive at the apex, so on the whole hull
@@ -239,20 +253,32 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int]:
                             if not linalg.int_dot(t_apex, q))
             if key not in facets:
                 a = _onto_hull(tuple(-v for v in t_apex[:-1]), eqs)
-                facets[key] = _joint_primitive(a, linalg.dot(a, pts[facet[0]]))
+                facets[key] = _int_primitive(a, ints[facet[0]], scale)
     hrep = HRep(tuple(sorted(eqs)), tuple(sorted(set(facets.values()))))
     return hrep, dim
 
 
-def _onto_hull(a: IntVec, eqs: list[tuple[IntVec, int]]) -> tuple:
-    """Orthogonal projection of a onto the hull's direction space, the
-    common kernel of the equality normals."""
+def _int_primitive(a: Sequence[int], q: Sequence[int], scale: int) -> tuple[IntVec, int]:
+    """(a, <a, q / scale>) scaled by a positive rational to coprime integers."""
+    ints = [scale * v for v in a] + [linalg.int_dot(a, q)]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints[:-1]), ints[-1] // g
+
+
+def _onto_hull(a: IntVec, eqs: list[tuple[IntVec, int]]) -> IntVec:
+    """A positive integer multiple of the orthogonal projection of a onto the
+    hull's direction space, the common kernel of the equality normals N.
+
+    The projection is a - N^T y for the solution y = Y / L of Gram y = N a,
+    and L a - N^T Y is that multiple.
+    """
     if not eqs:
         return a
     normals = [normal for normal, _ in eqs]
-    gram = [[linalg.int_dot(u, v) for v in normals] for u in normals]
-    y = linalg.solve(gram, [linalg.int_dot(u, a) for u in normals])
-    return tuple(v - sum(c * u[j] for c, u in zip(y, normals)) for j, v in enumerate(a))
+    y, den = linalg.solve_integral([[linalg.int_dot(u, v) for v in normals] for u in normals],
+                                   [linalg.int_dot(u, a) for u in normals])
+    return tuple(den * v - sum(c * u[j] for c, u in zip(y, normals))
+                 for j, v in enumerate(a))
 
 
 def _is_extreme(p: Point, hrep: HRep, dim: int) -> bool:

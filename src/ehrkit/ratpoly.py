@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError, TheoremViolationError
@@ -109,11 +109,20 @@ class Poly:
     __rmul__ = __mul__
 
     def evaluate(self, x: RatLike) -> Fraction:
-        x = _coerce(x)
-        acc = Fraction(0)
+        if type(x) is not int:
+            x = _coerce(x)
+            if x.denominator != 1:
+                acc = Fraction(0)
+                for c in reversed(self.coeffs):
+                    acc = acc * x + c
+                return acc
+            x = x.numerator
+        # at an integer: Horner on the numerators over the common denominator
+        den = lcm(*(c.denominator for c in self.coeffs))
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * x + c.numerator * (den // c.denominator)
+        return Fraction(acc, den)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k (k >= 0)."""

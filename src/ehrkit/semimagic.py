@@ -176,13 +176,21 @@ def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]
 def birkhoff_polytope(n: int) -> RationalPolytope:
     """Polytope of doubly stochastic n-by-n matrices, flattened row-major.
 
-    Vertices are the n! permutation matrices. Kept to n <= 3: for n = 4
-    counting the dilates that `ehrhart` needs (about 10.4 million points
-    at dilate 11) is out of reach.
+    Vertices are the n! permutation matrices. It has dimension (n-1)^2 in
+    R^(n^2), and every coordinate lies in a line-sum equality, so it is
+    counted in lattice coordinates of its affine hull: `ehrhart` of B4
+    walks 9 free coordinates through dilates 1..10. Kept to n <= 4: B5 has
+    dimension 16, and its Ehrhart window runs to dilate 17, where H_5(17)
+    is about 9.8e13 lattice points.
     """
-    if not 1 <= n <= 3:
+    if n < 1:
+        raise UnsupportedError(f"doubly-stochastic polytopes need n >= 1, got {n}")
+    if n > 4:
         raise UnsupportedError(
-            f"doubly-stochastic polytope geometry is supported for n <= 3, got {n}"
+            f"doubly-stochastic polytope geometry is supported for n <= 4, got {n}: "
+            f"B{n} has dimension {(n - 1) ** 2}, and counting its Ehrhart window "
+            f"of dilates 1..{(n - 1) ** 2 + 1} is out of reach (B5 at dilate 17 "
+            f"alone has about 9.8e13 lattice points)"
         )
     points = []
     for perm in permutations(range(n)):

@@ -21,6 +21,7 @@ from ehrkit import linalg
 from ehrkit.cones import (
     HalfOpenSimplicialCone,
     RationalCone,
+    _dual_interior_cached,
     cone_contains,
     decompose,
     dual_interior_vector,
@@ -67,6 +68,50 @@ def test_dual_interior_vector_and_pointedness():
         dual_interior_vector(RationalCone.from_rays([[1, 0], [-1, 0], [0, 1]]))
     with pytest.raises(UnsupportedError):
         dual_interior_vector(RationalCone.from_rays([[1], [-1]]))
+
+
+def fraction_dual_interior(cone):
+    """Oracle: the pointedness certificate solved in Fraction.
+
+    Span coordinates from the rref rows B; each independent k-subset of the
+    rows B g gives u with <B g_i, u> = 1 on it, kept when <B g, u> >= 1 for
+    every generator; the certificate is w = B^T u, or None.
+    """
+    basis, _ = linalg.row_reduce(cone.generators)
+    k = len(basis)
+    rows = [[linalg.dot(g, b) for b in basis] for g in cone.generators]
+    for subset in itertools.combinations(range(len(rows)), k):
+        sub = [rows[i] for i in subset]
+        if linalg.rank(sub) != k:
+            continue
+        u = linalg.solve(sub, [Fraction(1)] * k)
+        if all(linalg.dot(r, u) >= 1 for r in rows):
+            return tuple(sum((u[i] * basis[i][j] for i in range(k)), Fraction(0))
+                         for j in range(cone.ambient_dim))
+    return None
+
+
+def test_dual_interior_vector_matches_fraction_oracle():
+    # the integer solve scales its basis rows and its solutions differently
+    # from the rref, yet must return the very same vector
+    rng = random.Random(20261021)
+    pointed = flat = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rays = []
+        while len(rays) < rng.randint(1, n + 2):
+            ray = [rng.randint(-2, 3) for _ in range(n)]
+            if any(ray):
+                rays.append(ray)
+        cone = RationalCone.from_rays(rays)
+        w = _dual_interior_cached.__wrapped__(cone)
+        assert w == fraction_dual_interior(cone), rays
+        if w is not None:
+            assert all(type(v) is Fraction for v in w)
+            assert all(linalg.dot(w, g) >= 1 for g in cone.generators)
+        pointed += w is not None
+        flat += w is not None and linalg.rank(cone.generators) < n
+    assert pointed >= 200 and 300 - pointed >= 20 and flat >= 50, (pointed, flat)
 
 
 def test_decompose_simplicial_cone_is_single_closed_piece():

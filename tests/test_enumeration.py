@@ -3,7 +3,9 @@
 Count oracles: closed-form formulas for boxes, crosses, and simplices;
 explicit hand-derived inequality systems for the Reeve simplex; the DFS
 is cross-checked against a box scan with exact Fraction membership tests
-on seeded random rational and embedded polytopes. Frozen h*-vectors were
+on seeded random rational and embedded polytopes, and the walk in lattice
+coordinates of the affine hull against `ambient_walk`, the walk with
+equality rows in ambient coordinates that it replaced. Frozen h*-vectors were
 derived by transforming oracle counts with an independent convolution (see
 test_ratpoly) before being pinned here.
 """
@@ -21,17 +23,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ehrkit.corpus import load_polytope
+from ehrkit import enumeration
+from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.enumeration import (
     count_points,
     ehrhart,
     enumerate_points,
+    lattice_points,
     reciprocity_check,
     region_counts,
 )
 from ehrkit.errors import InputError, TheoremViolationError
 from ehrkit.polytope import normalize
 from ehrkit.ratpoly import interpolate
+from ehrkit.semimagic import birkhoff_polytope
 from ehrkit.triangulation import betke_mcmullen
 
 
@@ -68,6 +73,93 @@ def random_rational_polytope(rng):
         pts.append([o + sum(m * v for m, v in zip(row, y))
                     for o, row in zip(offset, matrix)])
     return normalize(pts)
+
+
+def random_embedded_polytope(rng):
+    """Hull of a few points o + M y with denominators 1-3 in R^1..R^5.
+
+    M is an integer n x k matrix of rank at most k <= 3, k < n unless n <= 2, so
+    the polytope lies in a proper affine subspace; a rational offset o off
+    the lattice gives dilates whose affine hull holds no lattice point.
+    """
+    n = rng.randint(1, 5)
+    k = n if n <= 2 and rng.random() < 0.4 else rng.randint(0, min(n - 1, 3))
+    den = rng.choice([1, 2, 3])
+    offset = [Fraction(rng.randint(-den, den), den) for _ in range(n)]
+    matrix = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(n)]
+    pts = []
+    for _ in range(rng.randint(k + 1, k + 2)):
+        y = [Fraction(rng.randint(-den, den), den) for _ in range(k)]
+        pts.append([o + sum(m * v for m, v in zip(row, y)) for o, row in zip(offset, matrix)])
+    return normalize(pts)
+
+
+def ambient_walk(equalities, inequalities, lo, hi, interior):
+    """Oracle: (closed, interior) counts of the integer points of the box
+    lo <= x <= hi on the equalities and under the inequalities (interior:
+    each inequality lowered by 1), walked in ambient coordinates.
+
+    The walk the library ran before it walked lattice coordinates of the
+    affine hull: each coordinate's range is cut by exact integer interval
+    arithmetic on every row, an equality from both sides, and the last
+    coordinate's range is taken whole.
+    """
+    n = len(lo)
+    rows = [(a, c, c, True) for a, c in equalities]
+    rows += [(a, c, c - 1, False) for a, c in inequalities]
+
+    def tails(a):
+        low = high = 0
+        out = [None] * n
+        for j in range(n - 1, -1, -1):
+            out[j] = (low, high)
+            low += min(a[j] * lo[j], a[j] * hi[j])
+            high += max(a[j] * lo[j], a[j] * hi[j])
+        return out, low, high
+
+    table = [tails(a) for a, _, _, _ in rows]
+    for (_, c, _, is_eq), (_, low, high) in zip(rows, table):
+        if low > c or (is_eq and high < c):
+            return 0, 0
+    inside = interior and all(low <= inner and (not is_eq or high >= inner)
+                              for (_, _, inner, is_eq), (_, low, high) in zip(rows, table))
+    if n == 0:
+        return 1, int(inside)
+
+    def span(depth, partial, which):
+        low, high = lo[depth], hi[depth]
+        for (a, *bounds, is_eq), (tail, _, _), done in zip(rows, table, partial):
+            coef = a[depth]
+            if not coef:
+                continue
+            room = bounds[which] - done
+            tail_min, tail_max = tail[depth]
+            if coef > 0:
+                high = min(high, (room - tail_min) // coef)
+                if is_eq:
+                    low = max(low, -((tail_max - room) // coef))
+            else:
+                low = max(low, -((tail_min - room) // coef))
+                if is_eq:
+                    high = min(high, (room - tail_max) // coef)
+        return low, high
+
+    def walk(depth, partial, inside):
+        low, high = span(depth, partial, 0)
+        if low > high:
+            return 0, 0
+        inner = span(depth, partial, 1) if inside else (1, 0)
+        if depth == n - 1:
+            return high - low + 1, max(0, inner[1] - inner[0] + 1)
+        closed = interior_total = 0
+        for value in range(low, high + 1):
+            step = [done + a[depth] * value for (a, *_), done in zip(rows, partial)]
+            c, i = walk(depth + 1, step, inside and inner[0] <= value <= inner[1])
+            closed += c
+            interior_total += i
+        return closed, interior_total
+
+    return walk(0, [0] * len(rows), inside)
 
 
 def cross_polytope(d):
@@ -180,6 +272,68 @@ def test_region_counts_match_listing_and_box_scan():
                "ambient 4": 15, "rational": 120, "embedded": 90, "dilate 0": 80,
                "interior points": 150, "boundary points": 100}
     assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
+
+
+def test_hull_coordinate_counts_match_the_ambient_walk():
+    # every dilate of the Ehrhart window, walked in free lattice coordinates
+    # of the affine hull, against the ambient walk on the dilate's half-space
+    # form and bounding box; a dilate whose hull misses the lattice counts 0
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for _ in range(140):
+        p = random_embedded_polytope(rng)
+        hrep = p.facets()
+        per = p.vertex_denominator()
+        for n in range(1, per * (p.dim + 2)):
+            q = p.dilate(n)
+            lo, hi = q.bounding_box()
+            equalities = [(a, n * c) for a, c in hrep.equalities]
+            inequalities = [(a, n * c) for a, c in hrep.inequalities]
+            expected = ambient_walk(equalities, inequalities, lo, hi, True)
+            assert region_counts(p, n) == expected, (n, p.vertices)
+            assert count_points(p, n, "interior") == expected[1], (n, p.vertices)
+            if n <= 3:  # the listing, from the given equalities and box
+                points = lattice_points(equalities, inequalities, lo, hi)
+                assert len(points) == expected[0] and points == sorted(set(points))
+                assert all(q.contains(x) for x in points)
+            kinds[f"ambient {p.ambient_dim}"] += 1
+            kinds["embedded"] += p.dim < p.ambient_dim
+            kinds["embedded, rational"] += p.dim < p.ambient_dim and per > 1
+            kinds["full-dimensional"] += p.dim == p.ambient_dim
+            kinds["missing dilate"] += p.dim < p.ambient_dim and expected[0] == 0
+            kinds["interior points"] += expected[1] > 0
+            kinds[f"dim {p.dim}"] += 1
+    minimum = {"ambient 1": 40, "ambient 2": 90, "ambient 3": 60, "ambient 4": 60,
+               "ambient 5": 160, "dim 0": 50, "dim 1": 90, "dim 2": 90, "dim 3": 90,
+               "embedded": 400, "embedded, rational": 330, "full-dimensional": 40,
+               "missing dilate": 200, "interior points": 190}
+    assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
+
+
+def test_free_box_is_no_larger_than_the_ambient_box():
+    # x = V y with V from a Smith form could skew the box of the free
+    # coordinates; on the corpus's embedded members, on B4 and on the
+    # region-count test's embedded polytopes, no free coordinate is wider
+    # than the widest ambient one, and the free box holds no more cells
+    # than the dim widest ambient coordinates
+    rng = random.Random(20261018)
+    members = [load_polytope(name) for name in list_polytopes()]
+    members.append(birkhoff_polytope(4))
+    members += [random_rational_polytope(rng) for _ in range(90)]
+    embedded = 0
+    for p in members:
+        if not 0 < p.dim < p.ambient_dim:
+            continue
+        _, mins, maxs, den, _ = enumeration._walk_data(p)
+        free = sorted(top - bottom for bottom, top in zip(mins, maxs))
+        ambient = sorted(den * (max(v[j] for v in p.vertices) - min(v[j] for v in p.vertices))
+                         for j in range(p.ambient_dim))
+        assert len(free) == p.dim
+        assert free[-1] <= ambient[-1], (p.vertices, free, ambient)
+        assert prod(w + 1 for w in free) <= prod(w + 1 for w in ambient[-p.dim:]), (
+            p.vertices, free, ambient)
+        embedded += 1
+    assert embedded >= 30
 
 
 def test_enumerate_interior_points():

@@ -28,6 +28,7 @@ from ehrkit.linalg import (
     smith_form,
     snf_diagonal,
     solve,
+    solve_integral,
 )
 
 
@@ -47,6 +48,25 @@ def test_solve_consistent_and_inconsistent():
     assert solve([[1, 1], [2, 2]], [1, 3]) is None
     under = solve([[1, 1, 0]], [5])
     assert under is not None and sum(under[:2]) == 5
+
+
+def test_solve_integral_matches_fraction_solve():
+    # y = Y / L over one positive denominator, None exactly when singular
+    rng = random.Random(20261023)
+    singular = 0
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        rhs = [rng.randint(-4, 4) for _ in range(k)]
+        solved = solve_integral(rows, rhs)
+        if rank(rows) < k:
+            assert solved is None
+            singular += 1
+            continue
+        y, den = solved
+        assert den > 0 and all(type(v) is int for v in y)
+        assert tuple(Fraction(v, den) for v in y) == solve(rows, rhs)
+    assert singular >= 20, singular
 
 
 def test_nullspace_orthogonality():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,31 @@ def test_facets_match_subset_scan_on_random_clouds():
         assert p.facets() == subset_scan(pts), (trial, pts)
     assert {n for n, _ in dims} == {1, 2, 3, 4, 5}
     assert any(d < n for n, d in dims)
+
+
+def test_integer_hull_matches_subset_scan_on_rational_embedded_clouds():
+    # the equalities, the projected facet normals and their offsets are all
+    # built in integers; the oracle builds them in Fraction on its own
+    rng = random.Random(20261020)
+    kinds = Counter()
+    for trial in range(120):
+        n = rng.randint(2, 5)
+        k = rng.randint(1, n - 1)
+        den = rng.choice([2, 3, 4, 6])
+        offset = [Fraction(rng.randint(-den, den), den) for _ in range(n)]
+        matrix = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        pts = [[o + sum((m * Fraction(v, den) for m, v in zip(row, y)), Fraction(0))
+                for o, row in zip(offset, matrix)]
+               for y in ([rng.randint(-2 * den, 2 * den) for _ in range(k)]
+                         for _ in range(rng.randint(k + 1, k + 3)))]
+        p = normalize(pts)
+        assert p.facets() == subset_scan(pts), (trial, pts)
+        kinds["embedded"] += p.dim < n
+        kinds["rational"] += p.vertex_denominator() > 1
+        kinds["several equalities"] += n - p.dim >= 2
+        kinds["facets"] += len(p.facets().inequalities) >= 3
+    assert kinds["embedded"] == 120 and kinds["rational"] >= 100, kinds
+    assert kinds["several equalities"] >= 45 and kinds["facets"] >= 45, kinds
 
 
 def test_birkhoff_4_facets_are_the_nonnegativity_constraints():

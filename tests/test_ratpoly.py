@@ -55,6 +55,24 @@ def test_poly_basic_arithmetic():
     assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)
 
 
+def test_evaluate_at_integers_matches_fraction_horner():
+    # integer arguments take Horner on the numerators over the common
+    # denominator; the oracle runs Horner in Fraction
+    rng = random.Random(20261022)
+    for _ in range(300):
+        p = Poly([Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                  for _ in range(rng.randint(0, 10))])
+        for x in (rng.randint(-30, 30), Fraction(rng.randint(-30, 30)), str(rng.randint(-9, 9)),
+                  Fraction(rng.randint(-9, 9), rng.randint(2, 5))):
+            expected = Fraction(0)
+            for c in reversed(p.coeffs):
+                expected = expected * Fraction(x) + c
+            value = p.evaluate(x)
+            assert value == expected and type(value) is Fraction, (p, x)
+    with pytest.raises(InputError):
+        Poly([1, 2]).evaluate(0.5)
+
+
 def test_poly_rejects_floats():
     with pytest.raises(InputError):
         Poly([0.5])

@@ -4,6 +4,7 @@ Count oracle: `row_dp_count`, a dynamic program over residual column sums
 that places one row at a time, checked against the two-row-halves count.
 """
 
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -14,6 +15,7 @@ from ehrkit.enumeration import count_points, ehrhart
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.ratpoly import Poly
 from ehrkit.semimagic import adg_report, birkhoff_polytope, count_semimagic
+from ehrkit.triangulation import betke_mcmullen
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +129,11 @@ def test_birkhoff_vertices_and_dimension():
     b2 = birkhoff_polytope(2)
     assert len(b2.vertices) == 2
     assert b2.dim == 1
-    with pytest.raises(UnsupportedError):
-        birkhoff_polytope(4)
+    b4 = birkhoff_polytope(4)
+    assert (b4.ambient_dim, len(b4.vertices), b4.dim) == (16, 24, 9)
+    for n in (0, 5):
+        with pytest.raises(UnsupportedError, match=str(n)):
+            birkhoff_polytope(n)
 
 
 def test_birkhoff_counts_match_dp():
@@ -145,3 +150,28 @@ def test_birkhoff_series_numerator_from_geometry():
     assert result.hstar.coeffs == (Fraction(1), Fraction(1), Fraction(1))
     table, _ = adg_report(3)
     assert result.hstar.poly() == table.numerator
+
+
+def test_birkhoff_4_counts_match_dp():
+    # every coordinate of B4 lies in a line-sum equality; the walk runs over
+    # the 9 free lattice coordinates of its affine hull
+    b4 = birkhoff_polytope(4)
+    assert [count_points(b4, r) for r in range(7)] == [count_semimagic(4, r)
+                                                      for r in range(7)]
+
+
+def test_birkhoff_4_ehrhart_within_budget():
+    # dilates 1..10 of B4, closed and interior (5,045,326 points at dilate 10
+    # alone), take about 9 s on a 2-vCPU VM; the budget leaves room for a
+    # loaded machine. The assembly by faces then checks itself against it.
+    b4 = birkhoff_polytope(4)
+    start = time.monotonic()
+    result = ehrhart(b4)
+    elapsed = time.monotonic() - start
+    table, _ = adg_report(4)
+    assert result.hstar.poly() == table.numerator
+    assert result.hstar.coeffs == (1, 14, 87, 148, 87, 14, 1)
+    assert betke_mcmullen(b4, verify=True).hstar.coeffs == result.hstar.coeffs
+    assert [result.interior_count(n) for n in range(5, 11)] == [
+        count_semimagic(4, n - 4) for n in range(5, 11)]
+    assert elapsed < 30.0, elapsed

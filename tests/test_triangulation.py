@@ -315,11 +315,11 @@ def test_one_box_call_per_nonempty_face(monkeypatch):
 
 
 def test_birkhoff_4_by_faces_within_budget():
-    # B4 = conv of the 24 permutation matrices; birkhoff_polytope(4) stays
-    # guarded because counting its dilates is out of reach. Its placing
-    # triangulation has 352 unimodular cells and 55,440 faces. Reading each
-    # face's solve off its cell takes about 1.5 s on a 2-vCPU VM; one
-    # elimination per face took about 33 s.
+    # B4 = conv of the 24 permutation matrices, built here from the points
+    # so that the budget covers its hull too. Its placing triangulation has
+    # 352 unimodular cells and 55,440 faces. Reading each face's solve off
+    # its cell takes about 1.5 s on a 2-vCPU VM; one elimination per face
+    # took about 33 s. (Its Ehrhart counts are checked in test_semimagic.)
     perms = itertools.permutations(range(4))
     b4 = RationalPolytope.from_points(
         [tuple(int(perm[i] == j) for i in range(4) for j in range(4)) for perm in perms])
