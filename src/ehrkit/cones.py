@@ -24,9 +24,12 @@ without a search. Any other box is listed from the Smith form of its
 generator matrix: one point per element of the direct sum of the Z/d_i,
 the quotient of the span's lattice by the generators' lattice, as in LattE
 (De Loera et al., J. Symbolic Comput. 38, 2004) and Normaliz (Bruns, Ichim
-and Soeger, J. Symbolic Comput. 74, 2016). No bounding box is walked.
-`ConeGF.evaluate` scales each piece by one integer so that every monomial
-is a product of shared integer powers, and builds one Fraction per piece.
+and Soeger, J. Symbolic Comput. 74, 2016). No bounding box is walked. The
+interior generating function reflects each closed box instead of listing
+another. `ConeGF.evaluate` scales every monomial by one integer to a
+product of shared integer powers, and sums all pieces over the one common
+denominator prod_g (1 - z^g) of the distinct generators, so each
+evaluation builds one Fraction.
 
 Only pointed cones are supported; everything else raises UnsupportedError
 with a lineality certificate.
@@ -36,11 +39,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, prod
-from operator import getitem, mul
+from operator import getitem, mul, sub
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -54,6 +57,12 @@ from .report import Report
 IntVec = tuple[int, ...]
 
 _REFERENCE_SEED = 41183
+
+# Cones kept by `decompose`, `_dual_interior_cached` and `_closed_boxes`.
+# `corpus-verify` touches six, and a check asks for the same cone a few times
+# in a row; the bound keeps a process that meets many cones from keeping all
+# of them.
+_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -197,39 +206,42 @@ class ConeGF:
     def evaluate(self, z: Sequence[RatLike]) -> Fraction:
         """The generating function at a point with nonzero rational coordinates.
 
-        Write z_j = a_j / b_j. Per piece, let [lo_j, hi_j] be the range of
-        the j-th exponents of its monomials, 0 included. Scaled by
+        Write z_j = a_j / b_j, and let [lo_j, hi_j] be the range of the j-th
+        exponents of all monomials of all pieces, 0 included. Scaled by
         S = prod_j a_j^(-lo_j) b_j^hi_j, every monomial is the integer
-        S z^e = prod_j a_j^(e_j - lo_j) b_j^(hi_j - e_j), read from per-call
-        power lists of a_j and b_j. The piece sum_m z^m / prod_g (1 - z^g) is
-        then N S^(|g| - 1) / prod_g (S - S z^g) with N = sum_m S z^m: one
-        Fraction per piece, and z^g = 1 exactly when S z^g == S.
+        S z^e = prod_j a_j^(e_j - lo_j) b_j^(hi_j - e_j), read from one power
+        table per coordinate. The pieces share their generators, so each
+        distinct g gives one factor P_g = S - S z^g, which is 0 exactly when
+        z^g = 1. The piece sum_m z^m / prod_{g in k} (1 - z^g) is
+        N_k S^(|k| - 1) / prod_{g in k} P_g with N_k = sum_m S z^m, and over
+        the common denominator prod_g P_g (the generators of a piece are
+        distinct) the whole sum is one integer: one Fraction per call.
         """
         pt = _check_point(z, len(self.pieces[0][1][0]))
-        ranges = [[(min(0, *col), max(0, *col)) for col in zip(*numerator, *denominators)]
-                  for numerator, denominators in self.pieces]
-        widths = [max(hi - lo for lo, hi in col) for col in zip(*ranges)]
-        a_pows = [list(itertools.accumulate([v.numerator] * w, mul, initial=1))
-                  for v, w in zip(pt, widths)]
-        b_pows = [list(itertools.accumulate([v.denominator] * w, mul, initial=1))
-                  for v, w in zip(pt, widths)]
-        total = Fraction(0)
-        for (numerator, denominators), bounds in zip(self.pieces, ranges):
-            # tables[j][e] = a_j^(e - lo_j) b_j^(hi_j - e), stored at e for e >= 0
-            # and at len + e for e < 0, so Python's negative indices read it
-            tables = [[a[e - lo] * b[hi - e]
-                       for e in itertools.chain(range(hi + 1), range(lo, 0))]
-                      for a, b, (lo, hi) in zip(a_pows, b_pows, bounds)]
-            scale = prod(table[0] for table in tables)
-            den = 1
-            for g in denominators:
-                term = prod(map(getitem, tables, g))
-                if term == scale:
-                    raise PoleError(f"z^{g} = 1: evaluation point is a pole")
-                den *= scale - term
+        generators = list(dict.fromkeys(g for _, gens in self.pieces for g in gens))
+        monomials = [m for numerator, _ in self.pieces for m in numerator]
+        # tables[j][e] = a_j^(e - lo_j) b_j^(hi_j - e), stored at e for e >= 0
+        # and at len + e for e < 0, so Python's negative indices read it
+        tables = []
+        for v, col in zip(pt, zip(*generators, *monomials)):
+            lo, hi = min(0, *col), max(0, *col)
+            a = list(itertools.accumulate([v.numerator] * (hi - lo), mul, initial=1))
+            b = list(itertools.accumulate([v.denominator] * (hi - lo), mul, initial=1))
+            tables.append([a[e - lo] * b[hi - e]
+                           for e in itertools.chain(range(hi + 1), range(lo, 0))])
+        scale = prod(table[0] for table in tables)
+        factors = {}
+        for g in generators:
+            term = prod(map(getitem, tables, g))
+            if term == scale:
+                raise PoleError(f"z^{g} = 1: evaluation point is a pole")
+            factors[g] = scale - term
+        den = prod(factors.values())
+        total = 0
+        for numerator, gens in self.pieces:
             num = sum(prod(map(getitem, tables, m)) for m in numerator)
-            total += Fraction(num * scale ** (len(denominators) - 1), den)
-        return total
+            total += num * scale ** (len(gens) - 1) * (den // prod(map(factors.get, gens)))
+        return Fraction(total, den)
 
 
 def _check_point(z: Sequence[RatLike], ambient: int) -> tuple[Fraction, ...]:
@@ -257,7 +269,7 @@ def dual_interior_vector(cone: RationalCone) -> tuple[Fraction, ...]:
     return w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _dual_interior_cached(cone: RationalCone) -> tuple[Fraction, ...] | None:
     # B: integer rows spanning the generators' span, so w = B^T u and
     # <g, w> = <B g, u>. A k-subset of the B g with <B g_i, u> = 1 on it
@@ -293,7 +305,7 @@ def _lineality_certificate(cone: RationalCone) -> IntVec:
     raise TheoremViolationError("no dual vector and no lineality certificate found")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def decompose(cone: RationalCone) -> tuple[HalfOpenSimplicialCone, ...]:
     """Half-open simplicial pieces that partition the cone's lattice points.
 
@@ -339,9 +351,11 @@ def decompose(cone: RationalCone) -> tuple[HalfOpenSimplicialCone, ...]:
     return tuple(pieces)
 
 
-def cone_contains(cone: RationalCone, x: Sequence) -> bool:
-    """Exact membership in the closed cone."""
-    return any(piece.contains(x, respect_flags=False) for piece in decompose(cone))
+@lru_cache(maxsize=_CACHE_SIZE)
+def _closed_boxes(cone: RationalCone) -> tuple[tuple[IntVec, ...], ...]:
+    # the half-open box of each piece of decompose(cone), listed once for
+    # both regions
+    return tuple(tuple(parallelepiped_points(piece)) for piece in decompose(cone))
 
 
 def generating_function(cone: RationalCone, region: str = "closed") -> ConeGF:
@@ -349,12 +363,15 @@ def generating_function(cone: RationalCone, region: str = "closed") -> ConeGF:
     if region not in ("closed", "interior"):
         raise InputError(f"unknown region {region!r}")
     pieces = []
-    for piece in decompose(cone):
+    for piece, box in zip(decompose(cone), _closed_boxes(cone)):
         if region == "interior":
-            # complementing the flags turns the partition of the closed cone
-            # into one of its interior
-            piece = replace(piece, open_flags=tuple(not f for f in piece.open_flags))
-        pieces.append((tuple(parallelepiped_points(piece)), piece.generators))
+            # Complementing every flag turns the partition of the closed cone
+            # into one of its interior, and maps each coefficient c of a box
+            # point to 1 - c: the box point x to sum(g) - x. That reverses the
+            # sorted order.
+            top = [sum(col) for col in zip(*piece.generators)]
+            box = tuple(tuple(map(sub, top, x)) for x in reversed(box))
+        pieces.append((box, piece.generators))
     return ConeGF(tuple(pieces))
 
 

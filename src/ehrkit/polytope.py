@@ -200,11 +200,6 @@ class RationalPolytope:
         return tuple(los), tuple(his)
 
 
-def normalize(points: Iterable[Sequence[RatLike]], name: str = "") -> RationalPolytope:
-    """Functional alias for RationalPolytope.from_points."""
-    return RationalPolytope.from_points(points, name=name)
-
-
 def contains_polytope(inner: RationalPolytope, outer: RationalPolytope) -> bool:
     """True iff every vertex of `inner` satisfies `outer`'s half-space form."""
     if inner.ambient_dim != outer.ambient_dim:

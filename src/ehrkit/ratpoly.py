@@ -206,27 +206,6 @@ class QuasiPoly:
     def degree(self) -> int:
         return max(c.degree() for c in self.constituents)
 
-    def minimal_period(self) -> int:
-        """Smallest divisor q of the period with q-periodic constituents."""
-        for q in range(1, self.period + 1):
-            if self.period % q:
-                continue
-            if all(
-                self.constituents[r] == self.constituents[r % q]
-                for r in range(self.period)
-            ):
-                return q
-        return self.period
-
-    def negate_argument(self) -> "QuasiPoly":
-        """The quasipolynomial n -> self(-n), same period."""
-        p = self.period
-        flipped = []
-        for r in range(p):
-            base = self.constituents[(-r) % p]
-            flipped.append(Poly([c * (-1) ** i for i, c in enumerate(base.coeffs)]))
-        return QuasiPoly(p, flipped)
-
 
 @dataclass(frozen=True)
 class HStarData:

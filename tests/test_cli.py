@@ -12,7 +12,10 @@ import pytest
 
 import ehrkit
 from ehrkit.cli import main
+from ehrkit.cones import decompose
 from ehrkit.corpus import MONOTONE_PAIRS, corpus_dir, list_cones, list_polytopes
+
+from helpers import cloud_cone
 
 
 def corpus_file(name: str) -> str:
@@ -196,6 +199,21 @@ def test_corpus_verify_seed_7_bytes_are_pinned():
                               capture_output=True, env=env, timeout=600)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.md5(proc.stdout).hexdigest() == md5, args
+
+
+def test_cone_reciprocity_bytes_on_a_cloud_cone_are_pinned(capsys, monkeypatch, tmp_path):
+    # the cone over a seeded lattice cloud: 30 pieces sharing 11 generators,
+    # where the corpus cones have at most a few pieces; a relative file name
+    # keeps tmp_path out of the bytes
+    cone = cloud_cone(0, 4, 12, 3)
+    assert len(decompose(cone)) == 30 and len(cone.generators) == 11
+    (tmp_path / "cloud_cone.json").write_text(json.dumps(
+        {"kind": "cone", "ambient_dim": cone.ambient_dim,
+         "rays": [list(g) for g in cone.generators]}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["cone-reciprocity", "cloud_cone.json", "--trials", "10"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.md5(out).hexdigest() == "c6004307cb86a6608f1b7f7d0d48d074"
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from ast import literal_eval
+from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
 
@@ -21,8 +24,8 @@ from ehrkit import linalg
 from ehrkit.cones import (
     HalfOpenSimplicialCone,
     RationalCone,
+    _closed_boxes,
     _dual_interior_cached,
-    cone_contains,
     decompose,
     dual_interior_vector,
     generating_function,
@@ -33,9 +36,11 @@ from ehrkit.cones import (
     specialization_check,
     stanley_reciprocity_check,
 )
+from ehrkit.corpus import list_cones
 from ehrkit.enumeration import lattice_points
 from ehrkit.errors import InputError, PoleError, UnsupportedError
-from ehrkit.polytope import normalize
+
+from helpers import cloud_cone, cone_contains, normalize
 
 F = Fraction
 
@@ -475,6 +480,90 @@ def test_evaluate_matches_fraction_oracle():
                 evaluations += 1
     assert evaluations >= 2000 and poles >= 200
     assert negative >= 450 and multi_piece >= 55
+
+
+# (dim, size, side) of the seeded clouds below: 10 to 70 pieces per cone,
+# every generator shared by several of them
+CLOUD_CLASSES = [(3, 14, 4), (4, 12, 3), (4, 16, 3), (5, 12, 2)]
+
+
+def test_evaluate_matches_fraction_oracle_on_cloud_cones():
+    rng = random.Random(271828)
+    bases = [F(p, q) for p in range(1, 7) for q in range(1, 6)]
+    evaluations = poles = 0
+    for dim, size, side in CLOUD_CLASSES:
+        for seed in range(2):
+            cone = cloud_cone(seed, dim, size, side)
+            if seed:  # placed in the other order: the first generator is the largest
+                cone = RationalCone.from_rays(cone.generators[::-1])
+            closed, interior = (generating_function(cone, region)
+                                for region in ("closed", "interior"))
+            assert len(closed.pieces) >= 10
+            for _ in range(3):
+                z = tuple(rng.choice((1, -1)) * rng.choice(bases) for _ in range(dim + 1))
+                inverse = tuple(1 / v for v in z)
+                try:
+                    expected = fraction_evaluate(closed, inverse)
+                except PoleError:
+                    continue  # a pole drawn at random; one is built below
+                assert closed.evaluate(inverse) == expected
+                assert interior.evaluate(z) == fraction_evaluate(interior, z)
+                evaluations += 2
+            # z^g = 1 for a generator g = (v, 1) in several pieces: every
+            # coordinate but the last is random, and the last is z^-(v, 0)
+            shared = [g for g, count in Counter(g for _, gens in closed.pieces
+                                                for g in gens).items() if count >= 3]
+            g = rng.choice(shared)
+            head = [rng.choice((1, -1)) * rng.choice(bases) for _ in range(dim)]
+            z = (*head, 1 / prod(v ** e for v, e in zip(head, g)))
+            for gf in (closed, interior):
+                with pytest.raises(PoleError) as err:
+                    gf.evaluate(z)
+                with pytest.raises(PoleError) as oracle_err:
+                    fraction_evaluate(gf, z)
+                # both name the first generator, in piece order, that is a pole
+                assert str(err.value) == str(oracle_err.value)
+                named = literal_eval(str(err.value).split(" = ")[0][2:])
+                assert prod(F(v) ** e for v, e in zip(z, named)) == 1
+                # at (1, ..., 1) every generator is a pole
+                with pytest.raises(PoleError, match=re.escape(f"z^{gf.pieces[0][1][0]} = 1")):
+                    gf.evaluate((1,) * (dim + 1))
+                poles += 1
+    assert evaluations >= 40 and poles == 16, evaluations
+
+
+def test_interior_boxes_reflect_the_closed_boxes():
+    # interior pieces are the closed pieces with every flag complemented;
+    # their boxes are read off by reflection, not listed again
+    rng = random.Random(161803)
+    cones = [cloud_cone(seed, dim, size, side)
+             for dim, size, side in CLOUD_CLASSES for seed in range(2, 4)]
+    while len(cones) < 60:
+        n = rng.randint(2, 4)
+        rays = [[rng.randint(-2, 3) for _ in range(n)] for _ in range(rng.randint(n + 1, n + 3))]
+        try:
+            cone = RationalCone.from_rays([r for r in rays if any(r)])
+            decompose(cone)
+        except (InputError, UnsupportedError):
+            continue  # no nonzero ray, or not pointed
+        cones.append(cone)
+    multi_piece = listed = 0
+    for cone in cones:
+        interior = generating_function(cone, "interior")
+        for piece, (box, gens) in zip(decompose(cone), interior.pieces, strict=True):
+            flipped = HalfOpenSimplicialCone(
+                piece.generators, tuple(not f for f in piece.open_flags), piece.solve)
+            assert list(box) == parallelepiped_points(flipped), (cone, piece)
+            assert gens == piece.generators
+            listed += len(box) > 1
+        multi_piece += len(interior.pieces) > 1
+    assert multi_piece >= 45 and listed >= 350, (multi_piece, listed)
+
+
+def test_cone_caches_are_bounded():
+    for cached in (decompose, _dual_interior_cached, _closed_boxes):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and len(list_cones()) <= maxsize
 
 
 def test_stanley_reciprocity_axis_and_skew():

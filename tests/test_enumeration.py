@@ -34,10 +34,11 @@ from ehrkit.enumeration import (
     region_counts,
 )
 from ehrkit.errors import InputError, TheoremViolationError
-from ehrkit.polytope import normalize
 from ehrkit.ratpoly import interpolate
 from ehrkit.semimagic import birkhoff_polytope
 from ehrkit.triangulation import betke_mcmullen
+
+from helpers import minimal_period, normalize
 
 
 def box_scan(p, region="closed"):
@@ -369,7 +370,7 @@ def test_ehrhart_rational_half_segment():
     assert res.hstar.coeffs == (1, 1) and res.hstar.period == 2
     assert [res.count(n) for n in range(6)] == [1, 1, 2, 2, 3, 3]
     assert res.quasi.evaluate(5) == 3
-    assert res.quasi.minimal_period() == 2
+    assert minimal_period(res.quasi) == 2
 
 
 def test_ehrhart_lower_dimensional_polytope():

@@ -25,9 +25,10 @@ from ehrkit.polytope import (
     RationalPolytope,
     _joint_primitive,
     contains_polytope,
-    normalize,
 )
 from ehrkit.structure import reflexive_check
+
+from helpers import normalize
 
 
 def square(side=1):
