@@ -138,10 +138,6 @@ class HalfOpenSimplicialCone:
             return False, False
         return True, not any(flag and v == 0 for v, flag in zip(lam, self.open_flags))
 
-    def contains(self, x: Sequence, respect_flags: bool = True) -> bool:
-        closed, owned = self.locate(x)
-        return owned if respect_flags else closed
-
 
 def parallelepiped_points(piece: HalfOpenSimplicialCone,
                           mode: str = "half_open") -> list[IntVec]:
@@ -293,8 +289,7 @@ def _lineality_certificate(cone: RationalCone) -> IntVec:
     gens = cone.generators
     for size in range(2, len(gens) + 1):
         for subset in itertools.combinations(range(len(gens)), size):
-            cols = [[Fraction(gens[i][j]) for i in subset]
-                    for j in range(cone.ambient_dim)]
+            cols = [[gens[i][j] for i in subset] for j in range(cone.ambient_dim)]
             kernel = linalg.nullspace(cols, ncols=size)
             if len(kernel) != 1:
                 continue

@@ -347,7 +347,10 @@ class EhrhartResult:
         return self.quasi_interior.evaluate(n)
 
 
-@lru_cache(maxsize=None)
+# `corpus-verify` asks for about 30 distinct polytopes, most of them many
+# times; the bound keeps a process that meets many polytopes from keeping
+# all of them.
+@lru_cache(maxsize=128)
 def _ehrhart_cached(p: RationalPolytope) -> EhrhartResult:
     d = p.dim
     per = p.vertex_denominator()

@@ -1,19 +1,21 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra in the integers.
 
 Vectors are tuples, matrices are lists of row tuples; no floats anywhere.
 Every elimination is one fraction-free Gauss-Jordan, `_echelon`: rows are
 scaled to integers and each row operation is divided by the gcd of the new
 row, so entries stay no larger than in Bareiss's elimination (Math. Comp.
-22, 1968); `solve_integral` reads a regular square system's solution off
-it over one common denominator. `simplex_solve` is the one (cached)
-barycentric solve of a simplex; placing triangulations, half-open cone
-pieces and fundamental parallelepipeds all read it, and it never leaves
-the integers. The one Smith reduction, `smith_form`, returns the invariant
-factors with the unimodular column transform: cone boxes are listed from
-both, lattice walks of embedded polytopes take their coordinates from the
-transform, and `snf_diagonal` and lattice volumes read the factors alone.
-Ambient dimensions here stay small (16 for the Birkhoff polytope B4), so
-cubic elimination and Smith reduction are more than fast enough.
+22, 1968). Rows may be rational; everything read off the elimination is
+an integer. `rank` counts its pivots, `nullspace` reads a primitive
+integer kernel basis off it, and `solve_integral` reads a regular square
+system's solution off it over one common denominator. `simplex_solve` is
+the one (cached) barycentric solve of a simplex; placing triangulations,
+half-open cone pieces and fundamental parallelepipeds all read it. The
+one Smith reduction, `smith_form`, returns the invariant factors with the
+unimodular column transform: cone boxes are listed from both, lattice
+walks of embedded polytopes take their coordinates from the transform,
+and lattice volumes read the factors alone. Ambient dimensions here stay
+small (16 for the Birkhoff polytope B4), so cubic elimination and Smith
+reduction are more than fast enough.
 """
 
 from __future__ import annotations
@@ -26,24 +28,11 @@ from typing import Sequence
 
 from .errors import InputError
 
-Vec = tuple[Fraction, ...]
 
-
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
-
-
-def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
-    """Dot product with no Fraction conversion: an int on integer data."""
+def int_dot(u: Sequence, v: Sequence) -> int | Fraction:
+    """Dot product with no Fraction conversion: an int on integer data, and
+    exact on mixed int and Fraction data."""
     return sum(map(mul, u, v))
-
-
-def vec_add(u: Sequence, v: Sequence) -> Vec:
-    return tuple(Fraction(a) + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> Vec:
-    return tuple(Fraction(a) - b for a, b in zip(u, v))
 
 
 def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -82,54 +71,33 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     return work[:r], pivots
 
 
-def row_reduce(rows: Sequence[Sequence]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form.
-
-    Returns (rref_rows, pivot_columns). Zero rows are dropped, so
-    len(rref_rows) == rank.
-    """
-    echelon, pivots = _echelon(rows)
-    return [tuple(Fraction(v, row[c]) for v in row)
-            for row, c in zip(echelon, pivots)], pivots
-
-
 def rank(rows: Sequence[Sequence]) -> int:
     return len(_echelon(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
+def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[int, ...]]:
+    """Basis of {x : A x = 0} for the matrix with the given rational rows.
+
+    One primitive integer vector per free column f of the echelon form,
+    positive at f: lcm(pivots) e_f minus, at each pivot column, the pivot
+    row's entry in f scaled by lcm(pivots) / pivot, divided by its gcd.
+    """
     rows = list(rows)
     if ncols is None:
         if not rows:
             raise ValueError("nullspace of an empty matrix needs explicit ncols")
         ncols = len(rows[0])
-    rref, pivots = row_reduce(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vec] = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(rref, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
+    echelon, pivots = _echelon(rows)
+    step = lcm(*(row[c] for row, c in zip(echelon, pivots)))
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [0] * ncols
+        v[f] = step
+        for row, c in zip(echelon, pivots):
+            v[c] = -row[f] * (step // row[c])
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """One exact solution of A x = b, or None if the system is inconsistent."""
-    rows = list(rows)
-    if not rows:
-        return tuple() if all(Fraction(b) == 0 for b in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = row_reduce(aug)
-    x = [Fraction(0)] * ncols
-    for row, p in zip(rref, pivots):
-        if p == ncols:
-            return None  # pivot in the rhs column: 0 = 1
-        x[p] = row[-1]
-    return tuple(x)
 
 
 def solve_integral(rows: Sequence[Sequence],
@@ -259,24 +227,16 @@ def smith_form(columns: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[
     return diag, [tuple(r) for r in zip(*vt)]
 
 
-def snf_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returned entries are the nonnegative invariant factors d_1 | d_2 | ...,
-    including any zeros, with length min(nrows, ncols). A matrix and its
-    transpose share them, so they are read off `smith_form` of the rows.
-    """
-    return smith_form(rows)[0]
-
-
 def lattice_normalized_volume(edge_rows: Sequence[Sequence[int]]) -> int:
     """Normalized volume of the simplex spanned by integer edge vectors.
 
     For k independent integer vectors in Z^n this is the index-style volume
     relative to the k-dimensional lattice they span: the product of the
-    invariant factors of the edge matrix. For k == n it equals |det|.
+    invariant factors of the edge matrix, which it shares with its
+    transpose, so the rows go to `smith_form` as its columns. For k == n it
+    equals |det|.
     """
-    diag = snf_diagonal(edge_rows)
+    diag = smith_form(edge_rows)[0]
     vol = 1
     for d in diag:
         if d == 0:

@@ -14,11 +14,10 @@ inequality: its normal is -T_apex, projected orthogonally onto the hull's
 direction space so that it does not depend on the cell it was read from.
 
 The half-space form is built in integers. The points are scaled to
-integers once; the equalities span the kernel of the fraction-free
-echelon form of their differences, each kernel vector scaled by the lcm
-of the pivots; each facet normal is projected by one integer solve of
-Gram y = N a, N the equality normals; and every (a, c) is made jointly
-primitive with gcd.
+integers once; the equalities are the primitive integer kernel vectors
+`linalg.nullspace` reads off the echelon form of their differences; each
+facet normal is projected by one integer solve of Gram y = N a, N the
+equality normals; and every (a, c) is made jointly primitive with gcd.
 
 Everything is exact; no floats are accepted or produced.
 """
@@ -111,8 +110,9 @@ class RationalPolytope:
     @property
     def dim(self) -> int:
         if self._dim is None:
-            diffs = [linalg.vec_sub(p, self.vertices[0]) for p in self.vertices[1:]]
-            self._dim = linalg.rank(diffs) if diffs else 0
+            base = self.vertices[0]
+            diffs = [tuple(x - y for x, y in zip(p, base)) for p in self.vertices[1:]]
+            self._dim = linalg.rank(diffs)
         return self._dim
 
     def facets(self) -> HRep:
@@ -175,13 +175,13 @@ class RationalPolytope:
         s = tuple(_coerce(v) for v in shift)
         if len(s) != self.ambient_dim:
             raise InputError("translation vector has the wrong dimension")
-        verts = sorted(linalg.vec_add(p, s) for p in self.vertices)
+        verts = sorted(tuple(x + y for x, y in zip(p, s)) for p in self.vertices)
         hrep = None
         if self._hrep is not None:
             hrep = HRep(
-                tuple(_joint_primitive(a, c + linalg.dot(a, s))
+                tuple(_joint_primitive(a, c + linalg.int_dot(a, s))
                       for a, c in self._hrep.equalities),
-                tuple(_joint_primitive(a, c + linalg.dot(a, s))
+                tuple(_joint_primitive(a, c + linalg.int_dot(a, s))
                       for a, c in self._hrep.inequalities),
             )
         return RationalPolytope(self.ambient_dim, verts, name=self.name,
@@ -217,18 +217,12 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int]:
     scale = lcm(*(v.denominator for p in pts for v in p))
     ints = [tuple(v.numerator * (scale // v.denominator) for v in p) for p in pts]
     base = ints[0]
-    rows, pivots = linalg._echelon([[x - y for x, y in zip(q, base)] for q in ints[1:]])
-    dim = len(pivots)
+    kernel = linalg.nullspace([[x - y for x, y in zip(q, base)] for q in ints[1:]],
+                              ncols=ambient)
+    dim = ambient - len(kernel)
 
-    # the kernel of the differences: for each free column f, e_f minus the
-    # rref rows' entries in f at the pivots, scaled by the pivots' lcm
-    step = lcm(*(row[c] for row, c in zip(rows, pivots)))
     eqs: list[tuple[IntVec, int]] = []
-    for f in (j for j in range(ambient) if j not in pivots):
-        a = [0] * ambient
-        a[f] = step
-        for row, c in zip(rows, pivots):
-            a[c] = -row[f] * (step // row[c])
+    for a in kernel:
         normal, offset = _int_primitive(a, base, scale)
         if normal[next(i for i, v in enumerate(normal) if v != 0)] < 0:
             normal = tuple(-v for v in normal)

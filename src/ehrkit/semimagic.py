@@ -69,7 +69,9 @@ def _rows_with_column_sums(rows: int, columns: tuple[int, ...], r: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+# One int per (n, r); `adg_report` tables and the B_n bridge ask for a few
+# dozen line sums per size.
+@lru_cache(maxsize=1024)
 def count_semimagic(n: int, r: int) -> int:
     """Number of n-by-n nonnegative integer matrices with all line sums r."""
     if not 1 <= n <= MAX_SIZE:

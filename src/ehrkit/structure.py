@@ -5,15 +5,18 @@ zero-extended coefficients) or a polytope when the statement involves the
 geometry itself (reflexivity of a dilate, triangulations of the boundary,
 containment). Checks return Reports; decompositions return data and raise
 TheoremViolationError when an identity that must hold does not.
+
+A profile holds the h*-coefficients as plain ints, and every statement on
+it is decided in integers: the palindromic split of Stapledon
+("Inequalities and Ehrhart delta-vectors", Trans. AMS 361, 2009) is read
+off a recurrence on the codegree product, not solved as a linear system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
-from . import linalg
 from .enumeration import ehrhart, enumerate_points
 from .errors import InputError, TheoremViolationError, UnsupportedError
 from .placing import boundary_facets
@@ -57,14 +60,11 @@ def profile(h: HStarData) -> HStarProfile:
     """Profile of an integral h*; rational periods are not supported here."""
     if h.period != 1:
         raise UnsupportedError("profile-based statements need period 1")
-    coeffs = []
-    for c in h.coeffs:
-        value = Fraction(c)
-        if value.denominator != 1:
-            raise InputError("h*-coefficients must be integers")
-        coeffs.append(int(value))
-    s = len(coeffs) - 1
-    return HStarProfile(h.dim, s, h.dim + 1 - s, tuple(coeffs))
+    # HStarData stores ints where integral, so any other entry is a Fraction
+    if any(type(c) is not int for c in h.coeffs):
+        raise InputError("h*-coefficients must be integers")
+    s = len(h.coeffs) - 1
+    return HStarProfile(h.dim, s, h.dim + 1 - s, h.coeffs)
 
 
 def polytope_profile(p: RationalPolytope) -> HStarProfile:
@@ -120,48 +120,26 @@ def ab_decomposition(pr: HStarProfile) -> ABDecomposition:
     """Unique palindromic split a(x) + x^l b(x) of the codegree product.
 
     a is palindromic of degree d, b is palindromic about degree d-l (zero
-    when l = d+1). Solved as an exact linear system; uniqueness, the
-    reconstruction identity, nonnegativity, a_0 = 1, and the low-coefficient
-    chain a_1 <= a_j are all asserted.
+    when l = d+1). With c = (1 + x + ... + x^(l-1)) h*, the coefficients of
+    any split satisfy c_i = a_i + b_(i-l), and palindromy turns
+    c_(d-i) = a_(d-i) + b_(d-l-i) into c_(d-i) = a_i + b_i. So every split
+    satisfies b_i = c_(d-i) - c_i + b_(i-l) and a_i = c_i - b_(i-l), with
+    b_j = 0 for j < 0: the split is unique, and this recurrence, run in
+    integers, is the only candidate. That it is a split (reconstruction and
+    palindromy), nonnegativity, a_0 = 1, and the low-coefficient chain
+    a_1 <= a_j are all asserted.
     """
     d, l = pr.d, pr.l
-    window = Poly([1] * l)
-    product = window * Poly([Fraction(c) for c in pr.coeffs])
-    n_a = d + 1
-    n_b = max(d - l + 1, 0)
-    n = n_a + n_b
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    # coefficient matching: a_i + b_{i-l} = product_i for 0 <= i <= d
-    for i in range(d + 1):
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        if 0 <= i - l < n_b:
-            row[n_a + i - l] = Fraction(1)
-        rows.append(row)
-        rhs.append(product[i])
-    # palindromy constraints
-    for i in range(d + 1):
-        row = [Fraction(0)] * n
-        row[i] += 1
-        row[d - i] -= 1
-        rows.append(row)
-        rhs.append(Fraction(0))
-    for i in range(n_b):
-        row = [Fraction(0)] * n
-        row[n_a + i] += 1
-        row[n_a + d - l - i] -= 1
-        rows.append(row)
-        rhs.append(Fraction(0))
-    if linalg.rank(rows) != n:
-        raise TheoremViolationError("palindromic split is not unique")
-    solution = linalg.solve(rows, rhs)
-    if solution is None:
-        raise TheoremViolationError("palindromic split has no solution")
-    a = Poly(solution[:n_a])
-    b = Poly(solution[n_a:])
-    if product != a + b.shift(l):
+    c = [pr.h_sum(i - l + 1, i) for i in range(d + 1)]
+    bs: list[int] = []
+    for i in range(d - l + 1):
+        bs.append(c[d - i] - c[i] + (bs[i - l] if i >= l else 0))
+    a = Poly([c[i] - (bs[i - l] if i >= l else 0) for i in range(d + 1)])
+    b = Poly(bs)
+    if Poly(c) != a + b.shift(l):
         raise TheoremViolationError("palindromic split failed to reconstruct")
+    if not (a.is_palindromic(d) and b.is_palindromic(d - l)):
+        raise TheoremViolationError("palindromic split has no solution")
     for name, poly_part in (("a", a), ("b", b)):
         if not poly_part.is_nonnegative():
             raise TheoremViolationError(f"{name}-part has a negative coefficient")
@@ -220,7 +198,7 @@ def hibi_check(p: RationalPolytope) -> Report:
     if p.dim != p.ambient_dim:
         raise UnsupportedError("palindromy-reflexivity check needs full dimension")
     pr = polytope_profile(p)
-    hstar_poly = Poly([Fraction(c) for c in pr.coeffs])
+    hstar_poly = Poly(pr.coeffs)
     palindromic = hstar_poly.is_palindromic(pr.s)
     reflexive, witness = reflexive_check(p.dilate(pr.l))
     instances = [{

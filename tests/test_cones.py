@@ -40,7 +40,15 @@ from ehrkit.corpus import list_cones
 from ehrkit.enumeration import lattice_points
 from ehrkit.errors import InputError, PoleError, UnsupportedError
 
-from helpers import cloud_cone, cone_contains, normalize
+from helpers import (
+    cloud_cone,
+    cone_contains,
+    fraction_dot,
+    fraction_rank,
+    fraction_rref,
+    fraction_solve,
+    normalize,
+)
 
 F = Fraction
 
@@ -82,15 +90,15 @@ def fraction_dual_interior(cone):
     rows B g gives u with <B g_i, u> = 1 on it, kept when <B g, u> >= 1 for
     every generator; the certificate is w = B^T u, or None.
     """
-    basis, _ = linalg.row_reduce(cone.generators)
+    basis, _ = fraction_rref(cone.generators)
     k = len(basis)
-    rows = [[linalg.dot(g, b) for b in basis] for g in cone.generators]
+    rows = [[fraction_dot(g, b) for b in basis] for g in cone.generators]
     for subset in itertools.combinations(range(len(rows)), k):
         sub = [rows[i] for i in subset]
-        if linalg.rank(sub) != k:
+        if fraction_rank(sub) != k:
             continue
-        u = linalg.solve(sub, [Fraction(1)] * k)
-        if all(linalg.dot(r, u) >= 1 for r in rows):
+        u = fraction_solve(sub, [Fraction(1)] * k)
+        if all(fraction_dot(r, u) >= 1 for r in rows):
             return tuple(sum((u[i] * basis[i][j] for i in range(k)), Fraction(0))
                          for j in range(cone.ambient_dim))
     return None
@@ -113,10 +121,62 @@ def test_dual_interior_vector_matches_fraction_oracle():
         assert w == fraction_dual_interior(cone), rays
         if w is not None:
             assert all(type(v) is Fraction for v in w)
-            assert all(linalg.dot(w, g) >= 1 for g in cone.generators)
+            assert all(fraction_dot(w, g) >= 1 for g in cone.generators)
         pointed += w is not None
         flat += w is not None and linalg.rank(cone.generators) < n
     assert pointed >= 200 and 300 - pointed >= 20 and flat >= 50, (pointed, flat)
+
+
+def in_cone(x, generators):
+    """Oracle: x is a nonnegative combination of the generators. By
+    Caratheodory's theorem it is one of some independent subset, whose
+    coefficients are unique."""
+    for size in range(len(generators) + 1):
+        for subset in itertools.combinations(generators, size):
+            if fraction_rank(subset) != size:
+                continue
+            lam = fraction_solve([[g[j] for g in subset] for j in range(len(x))], x)
+            if lam is not None and all(v >= 0 for v in lam):
+                return True
+    return False
+
+
+def test_lineality_certificate_names_a_generator_whose_negative_is_in_the_cone():
+    # Each cone holds a line in x_n = 0: a ray and its negative, or two rays
+    # and minus a positive combination of them. Its other rays have x_n >= 1,
+    # and sometimes one more is the sum of two of them, a circuit with
+    # coefficients of both signs whose first generator's negative is not in
+    # the cone.
+    rng = random.Random(20261020)
+    seen = {"cones": 0, "no opposite generator": 0, "proper span": 0}
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        line = []
+        while not line:
+            line = [ray for ray in ([rng.randint(-2, 2) for _ in range(n - 1)] + [0]
+                                    for _ in range(rng.randint(1, 2))) if any(ray)]
+        coeffs = [rng.randint(1, 3) for _ in line]
+        line.append([-sum(c * r[j] for c, r in zip(coeffs, line)) for j in range(n)])
+        pointed = [[rng.randint(-2, 2) for _ in range(n - 1)] + [rng.randint(1, 2)]
+                   for _ in range(rng.randint(1, 3))]
+        if len(pointed) >= 2 and rng.random() < 0.5:
+            pointed.append([a + b for a, b in zip(*rng.sample(pointed, 2))])
+        rays = [r for r in line + pointed if any(r)]
+        rng.shuffle(rays)
+        cone = RationalCone.from_rays(rays)
+        assert _dual_interior_cached.__wrapped__(cone) is None, rays
+        with pytest.raises(UnsupportedError) as info:
+            dual_interior_vector(cone)
+        match = re.fullmatch(r"cone is not pointed: (\(.*\)) and its negative "
+                             r"both lie in the cone", str(info.value))
+        g = literal_eval(match.group(1))
+        assert g in cone.generators, (rays, g)
+        assert in_cone([-v for v in g], cone.generators), (rays, g)
+        seen["cones"] += 1
+        seen["no opposite generator"] += tuple(-v for v in g) not in cone.generators
+        seen["proper span"] += fraction_rank(cone.generators) < n
+    assert seen["cones"] == 200 and seen["no opposite generator"] >= 50, seen
+    assert seen["proper span"] >= 30, seen
 
 
 def test_decompose_simplicial_cone_is_single_closed_piece():
@@ -167,9 +227,9 @@ def parallelepiped_box_scan(piece, mode):
     gens = piece.generators
     k, n = len(gens), len(gens[0])
     rows = next(r for r in itertools.combinations(range(n), k)
-                if linalg.rank([[g[j] for g in gens] for j in r]) == k)
+                if fraction_rank([[g[j] for g in gens] for j in r]) == k)
     square = [[g[j] for g in gens] for j in rows]
-    cols = [linalg.solve(square, [int(i == c) for i in range(k)]) for c in range(k)]
+    cols = [fraction_solve(square, [int(i == c) for i in range(k)]) for c in range(k)]
     den = lcm(*(v.denominator for col in cols for v in col))
     inverse = [[int(col[i] * den) for col in cols] for i in range(k)]
     lo = [sum(min(0, g[j]) for g in gens) for j in range(n)]

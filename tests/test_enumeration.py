@@ -471,6 +471,21 @@ def test_ehrhart_result_exposes_no_name_of_an_equal_cached_polytope():
     assert res.dim == 2
 
 
+def test_ehrhart_cache_is_bounded_and_recomputes_evicted_polytopes():
+    cached = enumeration._ehrhart_cached
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None and len(list_polytopes()) < maxsize
+    triangle = normalize([[0, 0], [2, 0], [0, 3]], name="evicted")
+    first = ehrhart(triangle)
+    for k in range(1, maxsize + 1):
+        ehrhart(normalize([[0], [k]]))
+    misses = cached.cache_info().misses
+    again = ehrhart(triangle)
+    assert cached.cache_info().misses == misses + 1 and again is not first
+    assert again == first
+    assert cached.cache_info().currsize == maxsize
+
+
 def test_ehrhart_simplex_hstar_codegree():
     res = ehrhart(normalize([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert res.hstar.coeffs == (1,)

@@ -2,8 +2,10 @@
 
 The fraction-free `simplex_solve` is also compared with
 `fraction_simplex_solve`, the rational Gauss-Jordan solve it replaced, on
-seeded random generator sets, and `smith_form` with the determinantal
-divisors (gcds of minors) of random integer matrices.
+seeded random generator sets, the integer `nullspace` with
+`helpers.fraction_nullspace` on random rational matrices, and
+`smith_form` with the determinantal divisors (gcds of minors) of random
+integer matrices.
 """
 
 from __future__ import annotations
@@ -18,36 +20,43 @@ import pytest
 from ehrkit.cones import HalfOpenSimplicialCone
 from ehrkit.errors import InputError
 from ehrkit.linalg import (
-    dot,
+    _echelon,
+    int_dot,
     lattice_normalized_volume,
     nullspace,
     primitive,
     rank,
-    row_reduce,
     simplex_solve,
     smith_form,
-    snf_diagonal,
-    solve,
     solve_integral,
 )
 
+from helpers import fraction_nullspace, fraction_rank, fraction_rref, fraction_solve
+
 
 def test_row_reduce_and_rank():
-    rref, pivots = row_reduce([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert pivots == [0, 1]
-    assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+    rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    rref, pivots = fraction_rref(rows)
+    assert pivots == [0, 1] == _echelon(rows)[1]
+    assert rank(rows) == 2
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([[1, 0], [0, 1]]) == 2
-    # rref rows satisfy the pivot structure exactly
+    # rref rows satisfy the pivot structure exactly, and the echelon rows
+    # are nonzero integer multiples of them, of either sign
     assert rref[0][0] == 1 and rref[1][1] == 1
+    echelon, _ = _echelon(rows)
+    assert echelon == [[-1, 0, -1], [0, -1, -1]]
+    assert echelon == [[row[c] * v for v in r] for r, row, c in zip(rref, echelon, pivots)]
 
 
 def test_solve_consistent_and_inconsistent():
-    x = solve([[1, 1], [1, -1]], [4, 0])
+    x = fraction_solve([[1, 1], [1, -1]], [4, 0])
     assert x == (2, 2)
-    assert solve([[1, 1], [2, 2]], [1, 3]) is None
-    under = solve([[1, 1, 0]], [5])
+    assert fraction_solve([[1, 1], [2, 2]], [1, 3]) is None
+    under = fraction_solve([[1, 1, 0]], [5])
     assert under is not None and sum(under[:2]) == 5
+    assert solve_integral([[1, 1], [1, -1]], [4, 1]) == ((5, 3), 2)
+    assert solve_integral([[1, 1], [2, 2]], [1, 3]) is None
 
 
 def test_solve_integral_matches_fraction_solve():
@@ -59,22 +68,55 @@ def test_solve_integral_matches_fraction_solve():
         rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
         rhs = [rng.randint(-4, 4) for _ in range(k)]
         solved = solve_integral(rows, rhs)
-        if rank(rows) < k:
+        if fraction_rank(rows) < k:
             assert solved is None
             singular += 1
             continue
         y, den = solved
         assert den > 0 and all(type(v) is int for v in y)
-        assert tuple(Fraction(v, den) for v in y) == solve(rows, rhs)
+        assert tuple(Fraction(v, den) for v in y) == fraction_solve(rows, rhs)
     assert singular >= 20, singular
 
 
 def test_nullspace_orthogonality():
     basis = nullspace([[1, 1, 1]])
-    assert len(basis) == 2
+    assert basis == [(-1, 1, 0), (-1, 0, 1)]
     for v in basis:
-        assert dot([1, 1, 1], v) == 0
+        assert int_dot([1, 1, 1], v) == 0
     assert nullspace([], ncols=2) == [(1, 0), (0, 1)]
+    assert nullspace([[2, 4, 6], [Fraction(1, 2), 0, 3]]) == [(-12, 3, 2)]
+    with pytest.raises(ValueError):
+        nullspace([])
+
+
+def test_nullspace_matches_fraction_oracle_on_random_rational_matrices():
+    # one primitive integer vector per free column, a positive multiple of
+    # the rref kernel vector of that column; so the two span the same space
+    rng = random.Random(20261019)
+    seen = {"trivial": 0, "several": 0, "rational": 0, "zero_rows": 0}
+    for _ in range(1500):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 6)
+        rational = rng.random() < 0.5
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3) if rational else 1)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:
+            coeffs = [rng.randint(-2, 2) for _ in rows[1:]]
+            rows[0] = [sum((c * r[j] for c, r in zip(coeffs, rows[1:])), Fraction(0))
+                       for j in range(ncols)]
+        kernel = nullspace(rows, ncols=ncols)
+        expected = fraction_nullspace(rows, ncols)
+        free = [c for c in range(ncols) if c not in fraction_rref(rows)[1]]
+        assert len(kernel) == len(expected) == len(free), rows
+        for v, w, f in zip(kernel, expected, free):
+            assert all(type(x) is int for x in v) and gcd(*v) == 1, (rows, v)
+            assert w[f] == 1 and v[f] > 0
+            assert all(x == v[f] * y for x, y in zip(v, w)), (rows, v, w)
+        seen["trivial"] += not kernel
+        seen["several"] += len(kernel) >= 2
+        seen["rational"] += rational
+        seen["zero_rows"] += nrows == 0
+    assert seen["trivial"] >= 400 and seen["several"] >= 500, seen
+    assert seen["rational"] >= 600 and seen["zero_rows"] >= 150, seen
 
 
 def test_simplex_solve_coefficients_and_span_rows():
@@ -96,29 +138,6 @@ def test_simplex_solve_coefficients_and_span_rows():
             simplex_solve(gens)
         with pytest.raises(InputError, match="mixed ambient dimensions"):
             HalfOpenSimplicialCone(gens, (False,) * len(gens))
-
-
-def fraction_rref(rows):
-    """Oracle: reduced row echelon form by rational Gauss-Jordan."""
-    work = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(len(work[0]) if work else 0):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
 
 
 def fraction_simplex_solve(generators):
@@ -201,11 +220,11 @@ def test_primitive_scaling():
 
 
 def test_snf_known_diagonals():
-    assert snf_diagonal([[2, 4], [6, 8]]) == [2, 4]
-    assert snf_diagonal([[1, 0, 0], [0, 1, 0], [1, 1, 2]]) == [1, 1, 2]
-    assert snf_diagonal([[2, 0], [0, 3]]) == [1, 6]  # invariant factors divide
-    assert snf_diagonal([[0, 0], [0, 0]]) == [0, 0]
-    assert snf_diagonal([[1, 1]]) == [1]
+    assert smith_form([[2, 4], [6, 8]])[0] == [2, 4]
+    assert smith_form([[1, 0, 0], [0, 1, 0], [1, 1, 2]])[0] == [1, 1, 2]
+    assert smith_form([[2, 0], [0, 3]])[0] == [1, 6]  # invariant factors divide
+    assert smith_form([[0, 0], [0, 0]])[0] == [0, 0]
+    assert smith_form([[1, 1]])[0] == [1]
 
 
 def fraction_det(rows):
@@ -266,7 +285,6 @@ def test_smith_form_matches_determinantal_divisors():
         basis = [[av[j][i] // diag[i] for i in range(r)] for j in range(n)]
         if r:
             assert determinantal_divisor(basis, r) == 1, (columns, diag)
-        assert snf_diagonal(columns) == diag
         seen["full_rank"] += r == min(n, k)
         seen["rank_deficient"] += 0 < r < min(n, k)
         seen["zero"] += r == 0

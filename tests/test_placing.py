@@ -20,17 +20,26 @@ from ehrkit.cones import _REFERENCE_SEED, RationalCone, decompose, dual_interior
 from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.placing import boundary_facets, placing_cells
 
+from helpers import (
+    fraction_dot,
+    fraction_nullspace,
+    fraction_rank,
+    fraction_rref,
+    fraction_solve,
+    fraction_sub,
+)
+
 
 def facet_hyperplane(points, facet, directions):
     """Hyperplane <a, x> = c through the facet, with a in the hull's span."""
     f0 = points[facet[0]]
-    rows = [[linalg.dot(linalg.vec_sub(points[v], f0), b) for b in directions]
+    rows = [[fraction_dot(fraction_sub(points[v], f0), b) for b in directions]
             for v in facet[1:]]
-    kernel = linalg.nullspace(rows, ncols=len(directions))
+    kernel = fraction_nullspace(rows, len(directions))
     assert len(kernel) == 1, facet
     a = tuple(sum((y * b[j] for y, b in zip(kernel[0], directions)), Fraction(0))
               for j in range(len(f0)))
-    return a, linalg.dot(a, f0)
+    return a, fraction_dot(a, f0)
 
 
 def affine_placing_cells(points):
@@ -40,7 +49,7 @@ def affine_placing_cells(points):
     cells = [(0,)]
     for i in range(1, len(points)):
         q = points[i]
-        enlarged, _ = linalg.row_reduce(directions + [linalg.vec_sub(q, base)])
+        enlarged, _ = fraction_rref(directions + [fraction_sub(q, base)])
         if len(enlarged) > len(directions):
             cells = [cell + (i,) for cell in cells]
             directions = list(enlarged)
@@ -48,8 +57,8 @@ def affine_placing_cells(points):
         added = []
         for facet, apex in boundary_facets(cells):
             a, c = facet_hyperplane(points, facet, directions)
-            apex_side = linalg.dot(a, points[apex]) - c
-            q_side = linalg.dot(a, q) - c
+            apex_side = fraction_dot(a, points[apex]) - c
+            q_side = fraction_dot(a, q) - c
             if apex_side * q_side < 0:
                 added.append(tuple(sorted(facet + (i,))))
         cells.extend(added)
@@ -60,10 +69,10 @@ def cross_section_pieces(cone):
     """(generators, open flags) of each piece, from the cross-section placing.
 
     The flags are set against the same seeded reference point as
-    `cones.decompose`, with coefficients from `linalg.solve`.
+    `cones.decompose`, with coefficients from `fraction_solve`.
     """
     w = dual_interior_vector(cone)
-    section = [tuple(Fraction(v) / linalg.dot(w, g) for v in g) for g in cone.generators]
+    section = [tuple(Fraction(v) / fraction_dot(w, g) for v in g) for g in cone.generators]
     pieces = [tuple(cone.generators[i] for i in cell)
               for cell in affine_placing_cells(section)]
     rng = random.Random(_REFERENCE_SEED)
@@ -74,7 +83,7 @@ def cross_section_pieces(cone):
         lambdas = []
         for gens in pieces:
             columns = [[g[j] for g in gens] for j in range(cone.ambient_dim)]
-            lambdas.append(linalg.solve(columns, reference))
+            lambdas.append(fraction_solve(columns, reference))
         if all(all(lam) for lam in lambdas):
             return [(gens, tuple(v < 0 for v in lam))
                     for gens, lam in zip(pieces, lambdas)]
@@ -97,7 +106,7 @@ def random_cloud(rng):
                          for o, row in zip(offset, matrix)))
     pts = list(dict.fromkeys(pts))
     kinds = {"rational" if any(v.denominator > 1 for p in pts for v in p) else "lattice"}
-    if linalg.rank([linalg.vec_sub(p, pts[0]) for p in pts]) < n:
+    if fraction_rank([fraction_sub(p, pts[0]) for p in pts]) < n:
         kinds.add("embedded")
     return kinds, pts
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import pytest
 
-from ehrkit import linalg
 from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.polytope import (
@@ -28,7 +27,7 @@ from ehrkit.polytope import (
 )
 from ehrkit.structure import reflexive_check
 
-from helpers import normalize
+from helpers import fraction_dot, fraction_nullspace, fraction_rref, fraction_sub, normalize
 
 
 def square(side=1):
@@ -44,25 +43,25 @@ def subset_scan(points):
     """
     pts = list(dict.fromkeys(tuple(Fraction(v) for v in p) for p in points))
     base = pts[0]
-    directions, _ = linalg.row_reduce([linalg.vec_sub(p, base) for p in pts[1:]])
+    directions, _ = fraction_rref([fraction_sub(p, base) for p in pts[1:]])
     dim = len(directions)
     eqs = []
-    for a in linalg.nullspace(directions, ncols=len(base)):
-        normal, offset = _joint_primitive(a, linalg.dot(a, base))
+    for a in fraction_nullspace(directions, len(base)):
+        normal, offset = _joint_primitive(a, fraction_dot(a, base))
         if normal[next(i for i, v in enumerate(normal) if v != 0)] < 0:
             normal, offset = tuple(-v for v in normal), -offset
         eqs.append((normal, offset))
     ineqs = set()
     for subset in itertools.combinations(pts, dim) if dim else ():
-        rows = [[linalg.dot(linalg.vec_sub(q, subset[0]), b) for b in directions]
+        rows = [[fraction_dot(fraction_sub(q, subset[0]), b) for b in directions]
                 for q in subset[1:]]
-        kernel = linalg.nullspace(rows, ncols=dim)
+        kernel = fraction_nullspace(rows, dim)
         if len(kernel) != 1:
             continue
         a = tuple(sum((y * b[j] for y, b in zip(kernel[0], directions)), Fraction(0))
                   for j in range(len(base)))
-        c = linalg.dot(a, subset[0])
-        sides = [linalg.dot(a, q) - c for q in pts]
+        c = fraction_dot(a, subset[0])
+        sides = [fraction_dot(a, q) - c for q in pts]
         if all(v <= 0 for v in sides):
             ineqs.add(_joint_primitive(a, c))
         elif all(v >= 0 for v in sides):
@@ -181,10 +180,10 @@ def test_birkhoff_4_facets_are_the_nonnegativity_constraints():
     hrep = p.facets()
     assert p.dim == 9 and len(p.vertices) == 24
     assert len(hrep.equalities) == 7
-    assert all(linalg.dot(a, v) == c for a, c in hrep.equalities for v in p.vertices)
+    assert all(fraction_dot(a, v) == c for a, c in hrep.equalities for v in p.vertices)
     # the normals lie in the direction space, so each facet shows as the
     # vertices it holds: those with x_ij = 0, for each of the 16 entries
-    tight = {frozenset(v for v in p.vertices if linalg.dot(a, v) == c)
+    tight = {frozenset(v for v in p.vertices if fraction_dot(a, v) == c)
              for a, c in hrep.inequalities}
     assert len(hrep.inequalities) == 16
     assert tight == {frozenset(v for v in p.vertices if v[j] == 0) for j in range(16)}
@@ -227,11 +226,11 @@ def test_satisfies_matches_fraction_dot_on_random_clouds():
                        for _ in range(5)]
         for x in candidates:
             for strict in (False, True):
-                expected = (all(linalg.dot(a, x) == c for a, c in hrep.equalities)
-                            and all(linalg.dot(a, x) < c if strict else linalg.dot(a, x) <= c
+                expected = (all(fraction_dot(a, x) == c for a, c in hrep.equalities)
+                            and all(fraction_dot(a, x) < c if strict else fraction_dot(a, x) <= c
                                     for a, c in hrep.inequalities))
                 assert hrep.satisfies(x, strict=strict) == expected, (pts, x, strict)
-            tight += any(linalg.dot(a, x) == c for a, c in hrep.inequalities)
+            tight += any(fraction_dot(a, x) == c for a, c in hrep.inequalities)
     assert tight >= 100
 
 

@@ -67,6 +67,19 @@ def test_count_matches_closed_form():
         assert count_semimagic(3, r) == comb(r + 5, 5) - comb(r + 2, 5)
 
 
+def test_count_cache_is_bounded_and_recomputes_evicted_counts():
+    maxsize = count_semimagic.cache_info().maxsize
+    assert maxsize is not None
+    first = [count_semimagic(3, r) for r in range(8)]
+    for r in range(maxsize):
+        count_semimagic(1, r)
+    misses = count_semimagic.cache_info().misses
+    assert [count_semimagic(3, r) for r in range(8)] == first == [row_dp_count(3, r)
+                                                                  for r in range(8)]
+    assert count_semimagic.cache_info().misses == misses + 8
+    assert count_semimagic.cache_info().currsize == maxsize
+
+
 def test_count_preconditions():
     with pytest.raises(UnsupportedError):
         count_semimagic(5, 1)

@@ -1,5 +1,10 @@
-"""h*-vector inequalities, palindromic splits, reflexivity, monotonicity."""
+"""h*-vector inequalities, palindromic splits, reflexivity, monotonicity.
 
+The palindromic split's recurrence is compared with `fraction_ab_split`,
+the split solved as a rational linear system, on seeded random profiles.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +24,8 @@ from ehrkit.structure import (
     stapledon_inequalities,
 )
 
+from helpers import fraction_ab_split
+
 
 def pr(coeffs, d):
     s = len(coeffs) - 1
@@ -29,6 +36,9 @@ def test_profile_degree_and_codegree():
     assert profile(HStarData([1, 1], dim=2)) == pr((1, 1), 2)
     assert profile(HStarData([1, 6, 1], dim=2)) == pr((1, 6, 1), 2)
     assert profile(HStarData([1], dim=3)) == pr((1,), 3)
+    assert all(type(c) is int for c in profile(HStarData([1, Fraction(4, 2)], dim=2)).coeffs)
+    with pytest.raises(InputError, match="^h\\*-coefficients must be integers$"):
+        profile(HStarData([1, Fraction(1, 2)], dim=2))
 
 
 def test_profile_rejects_rational_period():
@@ -107,6 +117,39 @@ def test_ab_decomposition_rejects_negative_split():
     # forces b = (1, ?, 1) with a_1 = -1 via the palindromy constraints
     with pytest.raises(TheoremViolationError):
         ab_decomposition(pr((1, 0, 0, 2), 3))
+
+
+def split_outcome(split, profile):
+    try:
+        dec = split(profile)
+    except TheoremViolationError as exc:
+        return str(exc)
+    return dec
+
+
+def test_ab_recurrence_matches_the_linear_system_on_random_profiles():
+    rng = random.Random(20261019)
+    seen = {"split": 0, "b nonzero": 0, "l = 1": 0, "l = d + 1": 0}
+    errors = {}
+    for _ in range(5000):
+        d = rng.randint(0, 7)
+        s = rng.randint(0, d)
+        top = rng.choice([1, 2, 4, 8])
+        profile = pr((1,) + tuple(rng.randint(0, top) for _ in range(s)), d)
+        got = split_outcome(ab_decomposition, profile)
+        assert got == split_outcome(fraction_ab_split, profile), profile
+        if isinstance(got, str):
+            errors[got] = errors.get(got, 0) + 1
+            continue
+        seen["split"] += 1
+        seen["b nonzero"] += bool(got.b)
+        seen["l = 1"] += got.l == 1
+        seen["l = d + 1"] += got.l == d + 1
+    assert seen["split"] >= 3000 and seen["b nonzero"] >= 900, seen
+    assert seen["l = 1"] >= 300 and seen["l = d + 1"] >= 300, seen
+    assert errors.get("b-part has a negative coefficient", 0) >= 1000, errors
+    assert errors.get("a-part has a negative coefficient", 0) >= 200, errors
+    assert errors.get("a-part chain a_1 <= a_j failed", 0) >= 100, errors
 
 
 def test_hibi_positive_square():
