@@ -50,7 +50,7 @@ from . import linalg
 from .enumeration import ehrhart
 from .errors import InputError, PoleError, TheoremViolationError, UnsupportedError
 from .placing import placing_cells
-from .polytope import RationalPolytope
+from .polytope import RationalPolytope, check_region
 from .ratpoly import RatLike, _coerce, counts_from_hstar
 from .report import Report
 
@@ -355,8 +355,7 @@ def _closed_boxes(cone: RationalCone) -> tuple[tuple[IntVec, ...], ...]:
 
 def generating_function(cone: RationalCone, region: str = "closed") -> ConeGF:
     """Materialized lattice-point generating function of the (open) cone."""
-    if region not in ("closed", "interior"):
-        raise InputError(f"unknown region {region!r}")
+    check_region(region)
     pieces = []
     for piece, box in zip(decompose(cone), _closed_boxes(cone)):
         if region == "interior":

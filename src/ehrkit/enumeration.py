@@ -24,12 +24,12 @@ point and counts 0 without a walk. A full-dimensional polytope has V = I.
 `region_counts` and `count_points` feed the walk the half-space form of a
 dilate and build no points. The half-space data are integers, so for a
 lattice point the strict facet inequality <a, x> < c is the same as
-<a, x> <= c - 1, and that lowered system is the relative interior. Counts
-do not depend on the coordinate order, so the count path walks last the
-free coordinate along which the polytope has the longest runs.
-`lattice_points` lists the points of the same walk by expanding its runs
-and mapping them back by x = V y, sorted; `enumerate_points` lists a
-polytope's points through it. (Fundamental parallelepipeds are not walked:
+<a, x> <= c - 1, and that lowered system is the relative interior.
+`enumerate_points` lists the first dilate's points from the same walk data
+by expanding the runs and mapping each point back by x = V y. Counts do
+not depend on the coordinate order and listings are sorted, so every walk
+runs last the free coordinate along which the polytope has the longest
+runs. (Fundamental parallelepipeds are not walked:
 `cones.parallelepiped_points` lists them from a Smith form.)
 
 `ehrhart` counts the dilates 1..p(d+2)-1 in one walk each and turns
@@ -52,7 +52,7 @@ from math import gcd
 
 from . import linalg
 from .errors import InputError, TheoremViolationError
-from .polytope import RationalPolytope
+from .polytope import RationalPolytope, check_region
 from .ratpoly import (HStarData, QuasiPoly, hstar_from_counts, quasi_from_numerator,
                       series_numerator)
 from .report import Report
@@ -171,65 +171,27 @@ def _lattice_basis(equalities, ambient: int):
     return v, [row for row, _ in t_rows], fixed, den
 
 
-def lattice_points(equalities, inequalities, lo: IntPoint, hi: IntPoint) -> list[IntPoint]:
-    """Integer points x of the box lo <= x <= hi, lexicographically sorted,
-    with <a, x> == c for every (a, c) in equalities and <a, x> <= c for
-    every (a, c) in inequalities. All data must be integers, and the
-    equality normals independent.
-
-    The walk runs over the free coordinates of `_lattice_basis`: the box
-    becomes the rows lo <= V y <= hi and, by interval arithmetic on V_inv,
-    a box of y; the points x = V y are sorted at the end.
-    """
-    v, v_inv, fixed, den = _lattice_basis(equalities, len(lo))
-    if any(y % den for y in fixed):
-        return []
-    k = len(fixed)
-    y_fixed = [y // den for y in fixed]
-    columns = list(zip(*v))
-    rows = []
-    for a, c in inequalities:
-        av = [linalg.int_dot(a, col) for col in columns]
-        rows.append((av[k:], c - linalg.int_dot(av[:k], y_fixed)))
-    y_lo = [sum(min(u * l, u * h) for u, l, h in zip(row, lo, hi)) for row in v_inv[k:]]
-    y_hi = [sum(max(u * l, u * h) for u, l, h in zip(row, lo, hi)) for row in v_inv[k:]]
-    if k:  # with V = I the box of y is the box of x
-        for row, l, h in zip(v, lo, hi):
-            shift = linalg.int_dot(row[:k], y_fixed)
-            rows.append((row[k:], h - shift))
-            rows.append((tuple(-u for u in row[k:]), shift - l))
-    runs: list = []
-    closed, _ = _walk(rows, y_lo, y_hi, False, runs)
-    # prefixes and values both ascend, so the points y come out sorted
-    points = ([prefix + (value,) for prefix, low, high in runs
-               for value in range(low, high + 1)] if y_lo else [()] * closed)
-    if not k:
-        return points  # V = I: y is x
-    head = tuple(y_fixed)
-    return sorted(tuple(linalg.int_dot(row, head + y) for row in v) for y in points)
-
-
-def _check_region(region: str) -> None:
-    if region not in ("closed", "interior"):
-        raise InputError(f"unknown region {region!r}")
-
-
 def enumerate_points(p: RationalPolytope, region: str = "closed") -> list[IntPoint]:
     """All lattice points of p (or of its relative interior), sorted.
 
     region: 'closed' or 'interior' (interior is relative to the affine hull).
+    The points y of the first dilate's walk map back by x = V (shift ‖ y);
+    a hull that misses the lattice (period > 1) walks nothing.
     """
-    _check_region(region)
-    hrep = p.facets()
-    slack = 1 if region == "interior" else 0
-    lo, hi = p.bounding_box()
-    return lattice_points(hrep.equalities,
-                          [(a, c - slack) for a, c in hrep.inequalities], lo, hi)
+    check_region(region)
+    data = _walk_data(p)
+    _, mins, _, _, _, basis, shift = data
+    runs: list = []
+    closed, _ = _count_dilate(data, 1, int(region == "interior"), False, runs)
+    points = ([prefix + (value,) for prefix, low, high in runs
+               for value in range(low, high + 1)] if mins else [()] * closed)
+    return sorted(tuple(linalg.int_dot(row, shift + y) for row in basis) for y in points)
 
 
 def _walk_data(p: RationalPolytope):
     """p's inequalities and vertex extremes in free lattice coordinates of
-    its affine hull, in walk order, with the period of its fixed coordinates.
+    its affine hull, in walk order, with the period of its fixed coordinates
+    and the map back to x.
 
     With x = V y from `_lattice_basis` of p's equalities, the n-th dilate
     fixes y_i = n Y_i / L for i < k: it misses the lattice unless `period`
@@ -238,7 +200,9 @@ def _walk_data(p: RationalPolytope):
     becomes <(a V)_free, y_free> <= n c - m t, t the fixed part of
     <a V, y> at m = 1, and the free coordinates range over n times the
     extremes of the vertices' images under V_inv. A full-dimensional p has
-    V = I and period 1.
+    V = I and period 1. With period 1 the first dilate's fixed coordinates
+    are `shift`, and x = V (shift ‖ y) for V's rows with their free columns
+    in walk order.
 
     The walk costs one visit per prefix, so the coordinate with the longest
     runs goes last. A line parallel to axis j meets p in a segment no longer
@@ -256,43 +220,45 @@ def _walk_data(p: RationalPolytope):
     k = len(fixed)
     step = gcd(fixed_den, *fixed)
     period = fixed_den // step
-    shift = [y // step for y in fixed]
+    shift = tuple(y // step for y in fixed)
     verts = [tuple(x.numerator * (den // x.denominator) for x in vert) for vert in p.vertices]
-    images = [[linalg.int_dot(row, vert) for row in v_inv[k:]] for vert in verts]
+    images = [[linalg.int_dot(row, vert) for row in v_inv[k:]] for vert in verts] if k else verts
     mins = [min(column) for column in zip(*images)]
     maxs = [max(column) for column in zip(*images)]
-    reach = [Fraction(top - bottom) for bottom, top in zip(mins, maxs)]
+    reach = [(top - bottom, 1) for bottom, top in zip(mins, maxs)]  # w / q, compared crosswise
     columns = list(zip(*v))
     rows = []
     for a, c in hrep.inequalities:
-        av = [linalg.int_dot(a, col) for col in columns]
+        av = [linalg.int_dot(a, col) for col in columns] if k else a
         free = av[k:]
         width = c * den - min(linalg.int_dot(a, vert) for vert in verts)
         for j, coef in enumerate(free):
-            if coef:
-                reach[j] = min(reach[j], Fraction(width, abs(coef)))
+            if coef and width * reach[j][1] < reach[j][0] * abs(coef):
+                reach[j] = width, abs(coef)
         rows.append((free, c, linalg.int_dot(av[:k], shift)))
-    order = sorted(range(len(reach)), key=reach.__getitem__)
+    order = sorted(range(len(reach)), key=lambda j: Fraction(*reach[j]))
 
     def pick(row):
         return tuple(row[j] for j in order)
 
-    p._walk_order = ([(pick(a), c, t) for a, c, t in rows],
-                     pick(mins), pick(maxs), den, period)
+    p._walk_order = ([(pick(a), c, t) for a, c, t in rows], pick(mins), pick(maxs),
+                     den, period, [row[:k] + pick(row[k:]) for row in v], shift)
     return p._walk_order
 
 
-def _count_dilate(data, n: int, slack: int, interior: bool) -> tuple[int, int]:
+def _count_dilate(data, n: int, slack: int, interior: bool,
+                  runs: list | None = None) -> tuple[int, int]:
     """`_walk` counts of the n-th dilate (n >= 1) of the `_walk_data` polytope,
-    every inequality lowered by `slack`; (0, 0) if the dilate's affine hull
-    holds no lattice point."""
-    inequalities, mins, maxs, den, period = data
+    every inequality lowered by `slack`, its runs appended to `runs` if given;
+    (0, 0) if the dilate's affine hull holds no lattice point."""
+    inequalities, mins, maxs, den, period, _, _ = data
     if n % period:
         return 0, 0
     m = n // period
     lo = tuple(-((-n * x) // den) for x in mins)
     hi = tuple(n * x // den for x in maxs)
-    return _walk([(a, n * c - m * t - slack) for a, c, t in inequalities], lo, hi, interior)
+    return _walk([(a, n * c - m * t - slack) for a, c, t in inequalities], lo, hi, interior,
+                 runs)
 
 
 def region_counts(p: RationalPolytope, n: int) -> tuple[int, int]:
@@ -317,7 +283,7 @@ def count_points(p: RationalPolytope, n: int, region: str = "closed") -> int:
     """
     if n < 0:
         raise InputError("dilate index must be nonnegative")
-    _check_region(region)
+    check_region(region)
     if n == 0:
         return 1
     slack = 1 if region == "interior" else 0
@@ -358,9 +324,8 @@ def _ehrhart_cached(p: RationalPolytope) -> EhrhartResult:
 
     closed_counts: list[int] = [1]
     interior_counts: list[int] = [0]  # the interior series is 0, L°(1), L°(2), ...
-    data = _walk_data(p)
     for n in range(1, top + per):
-        closed, interior = _count_dilate(data, n, 0, True)
+        closed, interior = region_counts(p, n)
         closed_counts.append(closed)
         interior_counts.append(interior)
 
@@ -405,12 +370,11 @@ def ehrhart(p: RationalPolytope) -> EhrhartResult:
     return _ehrhart_cached(p)
 
 
-def reciprocity_check(p: RationalPolytope, max_n: int = 8,
-                      direct_cap: int = 5) -> Report:
+def reciprocity_check(p: RationalPolytope, max_n: int = 8) -> Report:
     """Verify count(-n) == (-1)^dim interior_count(n) for n = 1..max_n.
 
-    For n up to direct_cap the interior side is additionally re-counted by
-    brute-force enumeration, anchoring the identity to actual geometry.
+    For n up to 5 the interior side is additionally re-counted by the walk
+    of `count_points`, anchoring the identity to actual geometry.
     """
     if max_n < 1:
         raise InputError("reciprocity needs max_n >= 1")
@@ -422,7 +386,7 @@ def reciprocity_check(p: RationalPolytope, max_n: int = 8,
         rhs = sign * res.interior_count(n)
         ok = lhs == rhs
         inst = {"n": n, "lhs": lhs, "rhs": rhs, "pass": ok}
-        if n <= direct_cap:
+        if n <= 5:
             direct = count_points(p, n, "interior")
             inst["interior_direct"] = direct
             inst["pass"] = ok and res.interior_count(n) == direct

@@ -58,6 +58,12 @@ class HRep:
         return True
 
 
+def check_region(region: str) -> None:
+    """Raise InputError unless region is 'closed' or 'interior'."""
+    if region not in ("closed", "interior"):
+        raise InputError(f"unknown region {region!r}")
+
+
 def _scaled(x: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers x * den for the common denominator den > 0 of x's entries."""
     den = lcm(*(v.denominator for v in x))
@@ -147,8 +153,7 @@ class RationalPolytope:
 
     def contains(self, x: Sequence[RatLike], region: str = "closed") -> bool:
         """Exact membership; region is 'closed' or 'interior' (relative)."""
-        if region not in ("closed", "interior"):
-            raise InputError(f"unknown region {region!r}")
+        check_region(region)
         pt = tuple(_coerce(v) for v in x)
         if len(pt) != self.ambient_dim:
             raise InputError("point has the wrong ambient dimension")

@@ -85,7 +85,11 @@ def stanley_inequalities(pr: HStarProfile) -> Report:
 
 
 def stapledon_inequalities(pr: HStarProfile) -> Report:
-    """Codegree-indexed comparisons between low and high coefficient runs."""
+    """Codegree-indexed comparisons between low and high coefficient runs.
+
+    The trivial instance h*_1 >= h*_d needs d >= 1: a lattice point is its
+    own relative interior, so there h*_1 = 0 < 1 = h*_0.
+    """
     instances = []
     for j in range(pr.d // 2):
         lhs = pr.h_sum(2, j + 1)
@@ -99,10 +103,11 @@ def stapledon_inequalities(pr: HStarProfile) -> Report:
         instances.append({
             "family": "B", "index": j, "lhs": low, "rhs": rhs, "pass": low <= rhs,
         })
-    instances.append({
-        "family": "trivial", "index": 0, "lhs": pr.h(1), "rhs": pr.h(pr.d),
-        "pass": pr.h(1) >= pr.h(pr.d),
-    })
+    if pr.d >= 1:
+        instances.append({
+            "family": "trivial", "index": 0, "lhs": pr.h(1), "rhs": pr.h(pr.d),
+            "pass": pr.h(1) >= pr.h(pr.d),
+        })
     return Report.from_instances("stapledon-coefficient-runs", instances)
 
 

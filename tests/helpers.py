@@ -1,10 +1,17 @@
 """Helpers shared by the test modules: short forms of things the library
-has no caller for, seeded test inputs, and rational linear algebra.
+has no caller for, seeded test inputs, rational linear algebra and the
+listing oracle `lattice_points`.
 
 The `fraction_*` functions are oracles: Gauss-Jordan elimination over
 `Fraction`, sharing no code with the integer elimination `linalg._echelon`
 that the library runs, so an oracle built on them checks that elimination
 rather than repeating it.
+
+`lattice_points` lists the integer solutions of any integer equalities and
+inequalities in a given box. It prepares its own walk from those
+constraints, with a box of the free coordinates read off V^-1 by interval
+arithmetic and the given box as extra rows, so it checks the walk data
+that `enumerate_points` reads rather than sharing them.
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ehrkit import linalg
 from ehrkit.cones import RationalCone, decompose, homogenize
+from ehrkit.enumeration import IntPoint, _lattice_basis, _walk
 from ehrkit.errors import TheoremViolationError
 from ehrkit.polytope import RationalPolytope
 from ehrkit.ratpoly import Poly, QuasiPoly, RatLike
@@ -44,6 +53,44 @@ def negate_argument(q: QuasiPoly) -> QuasiPoly:
     p = q.period
     return QuasiPoly(p, [Poly([c * (-1) ** i for i, c in enumerate(q.constituents[(-r) % p].coeffs)])
                          for r in range(p)])
+
+
+def lattice_points(equalities, inequalities, lo: IntPoint, hi: IntPoint) -> list[IntPoint]:
+    """Integer points x of the box lo <= x <= hi, lexicographically sorted,
+    with <a, x> == c for every (a, c) in equalities and <a, x> <= c for
+    every (a, c) in inequalities. All data must be integers, and the
+    equality normals independent.
+
+    The walk runs over the free coordinates of `_lattice_basis`: the box
+    becomes the rows lo <= V y <= hi and, by interval arithmetic on V_inv,
+    a box of y; the points x = V y are sorted at the end.
+    """
+    v, v_inv, fixed, den = _lattice_basis(equalities, len(lo))
+    if any(y % den for y in fixed):
+        return []
+    k = len(fixed)
+    y_fixed = [y // den for y in fixed]
+    columns = list(zip(*v))
+    rows = []
+    for a, c in inequalities:
+        av = [linalg.int_dot(a, col) for col in columns]
+        rows.append((av[k:], c - linalg.int_dot(av[:k], y_fixed)))
+    y_lo = [sum(min(u * l, u * h) for u, l, h in zip(row, lo, hi)) for row in v_inv[k:]]
+    y_hi = [sum(max(u * l, u * h) for u, l, h in zip(row, lo, hi)) for row in v_inv[k:]]
+    if k:  # with V = I the box of y is the box of x
+        for row, l, h in zip(v, lo, hi):
+            shift = linalg.int_dot(row[:k], y_fixed)
+            rows.append((row[k:], h - shift))
+            rows.append((tuple(-u for u in row[k:]), shift - l))
+    runs: list = []
+    closed, _ = _walk(rows, y_lo, y_hi, False, runs)
+    # prefixes and values both ascend, so the points y come out sorted
+    points = ([prefix + (value,) for prefix, low, high in runs
+               for value in range(low, high + 1)] if y_lo else [()] * closed)
+    if not k:
+        return points  # V = I: y is x
+    head = tuple(y_fixed)
+    return sorted(tuple(linalg.int_dot(row, head + y) for row in v) for y in points)
 
 
 def lattice_cloud(seed: int, dim: int, size: int, side: int) -> list[tuple[int, ...]]:

@@ -119,6 +119,19 @@ def test_inequalities_scaled_square(capsys):
                for r in doc["reports"])
 
 
+def test_inequalities_on_a_lattice_point_pass(capsys, tmp_path):
+    # a lattice point has d = 0 and no trivial Stapledon instance
+    for vertices in ([[]], [[1, 2]]):
+        doc_path = tmp_path / "point.json"
+        doc_path.write_text(json.dumps({"vertices": vertices}))
+        code, doc = run(capsys, "inequalities", str(doc_path))
+        assert code == 0, doc
+        assert doc["profile"] == {"d": 0, "s": 0, "l": 1, "hstar": [1]}
+        stapledon = doc["reports"][1]
+        assert stapledon["theorem"] == "stapledon-coefficient-runs"
+        assert stapledon["verdict"] == "pass" and stapledon["instances"] == []
+
+
 def test_hibi_negative_member(capsys):
     code, doc = run(capsys, "hibi", corpus_file("triangle_wide"))
     assert code == 0

@@ -37,12 +37,12 @@ from ehrkit.cones import (
     stanley_reciprocity_check,
 )
 from ehrkit.corpus import list_cones
-from ehrkit.enumeration import lattice_points
 from ehrkit.errors import InputError, PoleError, UnsupportedError
 
 from helpers import (
     cloud_cone,
     cone_contains,
+    lattice_points,
     fraction_dot,
     fraction_rank,
     fraction_rref,

@@ -24,12 +24,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ehrkit import enumeration
+from ehrkit.cones import generating_function, homogenize
 from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.enumeration import (
     count_points,
     ehrhart,
     enumerate_points,
-    lattice_points,
     reciprocity_check,
     region_counts,
 )
@@ -38,7 +38,7 @@ from ehrkit.ratpoly import interpolate
 from ehrkit.semimagic import birkhoff_polytope
 from ehrkit.triangulation import betke_mcmullen
 
-from helpers import minimal_period, normalize
+from helpers import lattice_points, minimal_period, normalize
 
 
 def box_scan(p, region="closed"):
@@ -278,7 +278,9 @@ def test_region_counts_match_listing_and_box_scan():
 def test_hull_coordinate_counts_match_the_ambient_walk():
     # every dilate of the Ehrhart window, walked in free lattice coordinates
     # of the affine hull, against the ambient walk on the dilate's half-space
-    # form and bounding box; a dilate whose hull misses the lattice counts 0
+    # form and bounding box; a dilate whose hull misses the lattice counts 0.
+    # The first dilates are also listed, closed and interior, against the
+    # oracle `lattice_points` on the same equalities and box
     rng = random.Random(20261019)
     kinds = Counter()
     for _ in range(140):
@@ -293,10 +295,13 @@ def test_hull_coordinate_counts_match_the_ambient_walk():
             expected = ambient_walk(equalities, inequalities, lo, hi, True)
             assert region_counts(p, n) == expected, (n, p.vertices)
             assert count_points(p, n, "interior") == expected[1], (n, p.vertices)
-            if n <= 3:  # the listing, from the given equalities and box
-                points = lattice_points(equalities, inequalities, lo, hi)
+            if n <= 3:  # the listings against the oracle on the dilate's box
+                points = enumerate_points(q)
+                assert points == lattice_points(equalities, inequalities, lo, hi)
                 assert len(points) == expected[0] and points == sorted(set(points))
                 assert all(q.contains(x) for x in points)
+                assert enumerate_points(q, "interior") == lattice_points(
+                    equalities, [(a, c - 1) for a, c in inequalities], lo, hi)
             kinds[f"ambient {p.ambient_dim}"] += 1
             kinds["embedded"] += p.dim < p.ambient_dim
             kinds["embedded, rational"] += p.dim < p.ambient_dim and per > 1
@@ -325,7 +330,7 @@ def test_free_box_is_no_larger_than_the_ambient_box():
     for p in members:
         if not 0 < p.dim < p.ambient_dim:
             continue
-        _, mins, maxs, den, _ = enumeration._walk_data(p)
+        _, mins, maxs, den, *_ = enumeration._walk_data(p)
         free = sorted(top - bottom for bottom, top in zip(mins, maxs))
         ambient = sorted(den * (max(v[j] for v in p.vertices) - min(v[j] for v in p.vertices))
                          for j in range(p.ambient_dim))
@@ -345,6 +350,16 @@ def test_enumerate_interior_points():
     assert enumerate_points(seg, "interior") == [(1, 0), (2, 0)]
     with pytest.raises(InputError):
         enumerate_points(seg, "open")
+
+
+def test_every_region_entry_point_rejects_an_unknown_region_alike():
+    seg = normalize([[0, 0], [3, 0]])
+    calls = [lambda: enumerate_points(seg, "open"), lambda: count_points(seg, 2, "open"),
+             lambda: seg.contains([1, 0], "open"),
+             lambda: generating_function(homogenize(seg), "open")]
+    for call in calls:
+        with pytest.raises(InputError, match="^unknown region 'open'$"):
+            call()
 
 
 def test_rational_half_segment_counts():
@@ -510,10 +525,11 @@ def test_reciprocity_check_lattice_and_rational():
         (lambda: normalize([["0"], ["1/2"]]), "half_segment"),
         (lambda: reeve_simplex(2), "reeve"),
     ]:
-        report = reciprocity_check(builder(), max_n=8, direct_cap=4)
+        report = reciprocity_check(builder(), max_n=8)
         assert report.verdict == "pass", (name, report.instances)
         assert len(report.instances) == 8
-        assert all("interior_direct" in inst for inst in report.instances[:4])
+        assert all("interior_direct" in inst for inst in report.instances[:5])
+        assert not any("interior_direct" in inst for inst in report.instances[5:])
     # a window that checks nothing is an input error, not a pass
     for max_n in (0, -3):
         with pytest.raises(InputError):

@@ -98,6 +98,16 @@ def test_stapledon_unimodular_simplex():
     assert report.verdict == "pass"
 
 
+def test_stapledon_lattice_point_has_no_trivial_instance():
+    # d = 0: the point is its own relative interior, so h*_1 = 0 < 1 = h*_0
+    # and the bound h*_1 >= h*_d does not apply
+    for point in ([()], [(1, 2)]):
+        profile_of_point = polytope_profile(RationalPolytope.from_points(point))
+        assert profile_of_point == pr((1,), 0)
+        report = stapledon_inequalities(profile_of_point)
+        assert report.instances == [] and report.verdict == "pass"
+
+
 def test_ab_decomposition_values():
     cases = [
         ((1, 1), 2, (1, 2, 1), ()),
