@@ -3,12 +3,15 @@
 `_walk` is the one integer point search: it walks the coordinates of a box
 depth-first, narrowing each coordinate's range with exact integer interval
 arithmetic on integer inequalities. The ranges are sound at every depth
-and exact at the last coordinate, where nothing follows, so the walk stops
-there and takes the whole run prefix x [low, high] at once; no point is
-re-checked. In the same pass it carries the range of the interior system,
-every inequality <a, x> <= c lowered to c - 1, and a flag saying whether
-the prefix can still reach it, so one walk gives the closed and the
-interior counts as sums of run lengths.
+and exact at the last coordinate, where nothing follows, so the walk takes
+the whole run prefix x [low, high] at once; no point is re-checked. The
+depth before last reads those runs inline: for each of its values it moves
+the rooms of the rows that bound the last coordinate and takes the run
+from them, in one loop per prefix, with no call per run. In the same pass
+it carries the range of the interior system, every inequality <a, x> <= c
+lowered to c - 1, and a flag saying whether the prefix can still reach
+it, so one walk gives the closed and the interior counts as sums of run
+lengths.
 
 Every walk is full-dimensional: it has no equality rows. Equalities are
 solved before the walk, in lattice coordinates of their solution set.
@@ -53,8 +56,8 @@ from math import gcd
 from . import linalg
 from .errors import InputError, TheoremViolationError
 from .polytope import RationalPolytope, check_region
-from .ratpoly import (HStarData, QuasiPoly, hstar_from_counts, quasi_from_numerator,
-                      series_numerator)
+from .ratpoly import (HStarData, QuasiPoly, check_int, hstar_from_counts,
+                      quasi_from_numerator, series_numerator)
 from .report import Report
 
 IntPoint = tuple[int, ...]
@@ -70,6 +73,11 @@ def _walk(inequalities, lo: IntPoint, hi: IntPoint, interior: bool,
     closed run is appended to it as (prefix, low, high): the points
     prefix + (v,) for low <= v <= high. In dimension 0 there is no last
     coordinate and so no run; the empty point is counted on its own.
+
+    The recursion stops at the depth before last, which loops over its
+    values and computes each value's run at the last coordinate inline; the
+    interior run only where the prefix can still reach the interior. With
+    one coordinate that loop runs once, over the empty prefix.
     """
     n = len(lo)
     closed_bounds = [c for _, c in inequalities]
@@ -97,6 +105,14 @@ def _walk(inequalities, lo: IntPoint, hi: IntPoint, interior: bool,
     partial = [0] * len(inequalities)
     prefix = [0] * n
     last = n - 1
+    before = last - 1  # -1 with one coordinate, whose runs have the empty prefix
+    # (row, a_before, a_last) for the rows that bound the last coordinate,
+    # split by the sign of a_last
+    bounding = [(k, inequalities[k][0][before] if last else 0, coef)
+                for k, coef, _ in steps[last]]
+    tops = [row for row in bounding if row[2] > 0]
+    bottoms = [row for row in bounding if row[2] < 0]
+    end_lo, end_hi = lo[last], hi[last]
     totals = [0, 0]
 
     def span(depth: int, bounds: list[int]) -> tuple[int, int]:
@@ -114,30 +130,68 @@ def _walk(inequalities, lo: IntPoint, hi: IntPoint, interior: bool,
                     low = bottom
         return low, high
 
+    def ends(low: int, high: int, inner_low: int, inner_high: int) -> None:
+        """Count the last coordinate's runs for the values low..high of
+        coordinate `before`, the partial sums holding the prefix before it,
+        and the interior runs for the values in inner_low..inner_high."""
+        uppers = [(closed_bounds[k] - partial[k], step, coef) for k, step, coef in tops]
+        lowers = [(closed_bounds[k] - partial[k], step, -coef) for k, step, coef in bottoms]
+        closed = interior = 0
+        for value in range(low, high + 1):
+            # a row a_last v <= room gives v <= room // a_last, or for
+            # a_last < 0 it gives -v <= room // -a_last: top and cut bound v, -v
+            top, cut = end_hi, -end_lo
+            for room, step, coef in uppers:
+                bound = (room - step * value) // coef
+                if bound < top:
+                    top = bound
+            for room, step, coef in lowers:
+                bound = (room - step * value) // coef
+                if bound < cut:
+                    cut = bound
+            if top < -cut:
+                continue
+            closed += top + cut + 1
+            if runs is not None:
+                prefix[before] = value
+                runs.append((tuple(prefix[:last]), -cut, top))
+            if inner_low <= value <= inner_high:
+                top, cut = end_hi, -end_lo
+                for room, step, coef in uppers:
+                    bound = (room - 1 - step * value) // coef
+                    if bound < top:
+                        top = bound
+                for room, step, coef in lowers:
+                    bound = (room - 1 - step * value) // coef
+                    if bound < cut:
+                        cut = bound
+                if top >= -cut:
+                    interior += top + cut + 1
+        totals[0] += closed
+        totals[1] += interior
+
     def walk(depth: int, inside: bool) -> None:
         low, high = span(depth, closed_bounds)
         if low > high:
             return
-        if inside:
-            inner_low, inner_high = span(depth, interior_bounds)
-        if depth == last:
-            totals[0] += high - low + 1
-            if inside and inner_low <= inner_high:
-                totals[1] += inner_high - inner_low + 1
-            if runs is not None:
-                runs.append((tuple(prefix[:last]), low, high))
+        inner_low, inner_high = span(depth, interior_bounds) if inside else (0, -1)
+        if depth == before:
+            ends(low, high, inner_low, inner_high)
             return
         moves = [(k, coef, partial[k]) for k, coef, _ in steps[depth]]
         for value in range(low, high + 1):
             for k, coef, base in moves:
                 partial[k] = base + coef * value
             prefix[depth] = value
-            walk(depth + 1, inside and inner_low <= value <= inner_high)
+            walk(depth + 1, inner_low <= value <= inner_high)
         for k, _, base in moves:
             partial[k] = base
 
     try:
-        walk(0, inside)
+        if last:
+            walk(0, inside)
+        else:
+            ends(0, 0, 0, 0 if inside else -1)
     finally:
         del walk  # the closure refers to itself: break that cycle on the way out
     return totals[0], totals[1]
@@ -267,6 +321,7 @@ def region_counts(p: RationalPolytope, n: int) -> tuple[int, int]:
     The interior is relative to the affine hull. The 0-th dilate {0} is its
     own relative interior, so n = 0 gives (1, 1).
     """
+    check_int(n, "dilate index")
     if n < 0:
         raise InputError("dilate index must be nonnegative")
     if n == 0:
@@ -281,6 +336,7 @@ def count_points(p: RationalPolytope, n: int, region: str = "closed") -> int:
     counts 1 in both regions. (`EhrhartResult.interior_count(0)` is the
     reciprocity value (-1)^dim instead.)
     """
+    check_int(n, "dilate index")
     if n < 0:
         raise InputError("dilate index must be nonnegative")
     check_region(region)

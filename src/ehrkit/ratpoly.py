@@ -35,6 +35,12 @@ def _coerce(value: RatLike) -> Fraction:
     return Fraction(value)
 
 
+def check_int(value, what: str) -> None:
+    """Raise InputError unless value is an int; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an int, not {value!r}")
+
+
 def _exact(value: RatLike) -> int | Fraction:
     """value as an int when it is integral, else as a Fraction."""
     if type(value) is int:
@@ -201,6 +207,7 @@ class QuasiPoly:
         object.__setattr__(self, "constituents", tuple(constituents))
 
     def evaluate(self, n: int) -> Fraction:
+        check_int(n, "quasipolynomial argument")
         return self.constituents[n % self.period].evaluate(n)
 
     def degree(self) -> int:

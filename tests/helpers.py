@@ -11,7 +11,10 @@ rather than repeating it.
 inequalities in a given box. It prepares its own walk from those
 constraints, with a box of the free coordinates read off V^-1 by interval
 arithmetic and the given box as extra rows, so it checks the walk data
-that `enumerate_points` reads rather than sharing them.
+that `enumerate_points` reads rather than sharing them. It does share the
+library's `_lattice_basis` and `_walk`, so it is no oracle for the walk
+itself: the tests check the walk against the Fraction box scan and the
+ambient walk of `test_enumeration`, which share no code with it.
 """
 
 from __future__ import annotations

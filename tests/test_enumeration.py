@@ -316,6 +316,138 @@ def test_hull_coordinate_counts_match_the_ambient_walk():
     assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
 
 
+def free_coordinate_polytope(rng, free):
+    """Hull of free + 1 or free + 2 points with denominators 1-3 that span
+    `free` directions (fewer if the draw is degenerate): full-dimensional in
+    R^free, or embedded in R^(free+1) or R^(free+2) through a rational offset,
+    drawn as in `random_rational_polytope`."""
+    n = free + rng.choice([0, 0, 1, 2])
+    den = rng.choice([1, 2, 3])
+    span = 2 if free <= 2 else 1
+    if n == free:
+        offset = [Fraction(0)] * n
+        matrix = [[int(i == j) for j in range(free)] for i in range(n)]
+    else:
+        offset = [Fraction(rng.randint(-den, den), den) for _ in range(n)]
+        matrix = [[rng.randint(-1, 1) for _ in range(free)] for _ in range(n)]
+    pts = []
+    for _ in range(rng.randint(free + 1, free + 2)):
+        y = [Fraction(rng.randint(-span * den, span * den), den) for _ in range(free)]
+        pts.append([o + sum(m * v for m, v in zip(row, y)) for o, row in zip(offset, matrix)])
+    return normalize(pts)
+
+
+def last_runs(inequalities, lo, hi):
+    """Each prefix of the box of all but the last coordinate that satisfies
+    every inequality on its own for some value of the last coordinate in its
+    box, with its closed and interior runs there as (low, high), found by
+    trying every prefix of the box: the values that the walk's depth before
+    last loops over."""
+    *head_lo, end_lo = lo
+    *head_hi, end_hi = hi
+    for prefix in itertools.product(*(range(l, h + 1) for l, h in zip(head_lo, head_hi))):
+        sums = [(sum(u * y for u, y in zip(a, prefix)), a[-1], c) for a, c in inequalities]
+        if any(s + min(e * end_lo, e * end_hi) > c for s, e, c in sums):
+            continue
+        runs = []
+        for slack in (0, 1):
+            low, high = end_lo, end_hi
+            for s, e, c in sums:
+                room = c - slack - s
+                if e > 0:
+                    high = min(high, room // e)
+                elif e < 0:
+                    low = max(low, -(room // -e))
+                elif room < 0:
+                    high = low - 1
+            runs.append((low, high))
+        reach = all(s + min(e * end_lo, e * end_hi) <= c - 1 for s, e, c in sums)
+        yield runs[0], runs[1], reach
+
+
+def test_inline_last_level_matches_independent_oracles(monkeypatch):
+    # counts of dilates 1..6 in both regions against the ambient walk and the
+    # first dilates' listings against the Fraction box scan, on polytopes with
+    # 1-4 free coordinates. The walks of `region_counts` are recorded and their
+    # prefixes re-derived by trying every prefix of the box, to show that the
+    # inline last level met one free coordinate, values whose last run is
+    # empty, interior runs shorter than the closed run, and closed runs whose
+    # prefix cannot reach the interior
+    walks = []
+    walked = enumeration._walk
+
+    def recorded(inequalities, lo, hi, interior, runs=None):
+        if interior:
+            walks.append((inequalities, lo, hi))
+        return walked(inequalities, lo, hi, interior, runs)
+
+    monkeypatch.setattr(enumeration, "_walk", recorded)
+    rng = random.Random(20261020)
+    kinds = Counter()
+    for free in (1, 2, 3, 4):
+        for _ in range(12):
+            p = free_coordinate_polytope(rng, free)
+            hrep = p.facets()
+            for n in range(1, 7):
+                q = p.dilate(n)
+                lo, hi = q.bounding_box()
+                equalities = [(a, n * c) for a, c in hrep.equalities]
+                inequalities = [(a, n * c) for a, c in hrep.inequalities]
+                expected = ambient_walk(equalities, inequalities, lo, hi, True)
+                assert region_counts(p, n) == expected, (n, p.vertices)
+                assert count_points(p, n) == expected[0], (n, p.vertices)
+                assert count_points(p, n, "interior") == expected[1], (n, p.vertices)
+                if n <= 2 and prod(h - l + 1 for l, h in zip(lo, hi)) <= 3000:
+                    for region in ("closed", "interior"):
+                        assert enumerate_points(q, region) == box_scan(q, region), (
+                            n, region, p.vertices)
+                    kinds["listed"] += 1
+                kinds[f"dim {p.dim}"] += 1
+                kinds["embedded"] += p.dim < p.ambient_dim
+                kinds["rational"] += p.vertex_denominator() > 1
+    for inequalities, lo, hi in walks:
+        kinds["one free coordinate"] += len(lo) == 1
+        if not lo or prod(h - l + 1 for l, h in zip(lo[:-1], hi[:-1])) > 4000:
+            continue
+        for (low, high), (inner_low, inner_high), reach in last_runs(inequalities, lo, hi):
+            kinds["empty last run"] += low > high
+            kinds["interior run cut"] += reach and inner_low <= inner_high and (
+                inner_high - inner_low < high - low)
+            kinds["prefix off the interior"] += low <= high and not reach
+    minimum = {"dim 1": 60, "dim 2": 50, "dim 3": 50, "dim 4": 40, "embedded": 120,
+               "rational": 150, "listed": 60, "one free coordinate": 60,
+               "empty last run": 3000, "interior run cut": 800,
+               "prefix off the interior": 800}
+    assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
+
+
+def test_a_row_decided_by_the_box_alone_decides_the_interior():
+    # 0 <= 0 holds at every point and 0 <= -1 at none, so such a row keeps
+    # the closed count and empties the interior, with one coordinate or more
+    for lo, hi in (((0,), (3,)), ((0, 0), (3, 1)), ((0, 0, 0), (1, 1, 1))):
+        box = prod(h - l + 1 for l, h in zip(lo, hi))
+        bottom = ((1,) + (0,) * (len(lo) - 1), 0)  # keeps x_0 <= 0
+        assert enumeration._walk([((0,) * len(lo), 0)], lo, hi, True) == (box, 0)
+        assert enumeration._walk([((0,) * len(lo), -1)], lo, hi, True) == (0, 0)
+        assert enumeration._walk([bottom], lo, hi, True) == (box // (hi[0] + 1), 0)
+
+
+def test_a_dilate_that_is_not_a_plain_int_is_an_input_error():
+    # the 3/2 dilate of this triangle holds 10 points, so a count there
+    # must not read 0; a float or a bool is not a dilate index either
+    triangle = normalize([[0, 0], [2, 0], [0, 2]])
+    res = ehrhart(triangle)
+    calls = [lambda n: count_points(triangle, n),
+             lambda n: count_points(triangle, n, "interior"),
+             lambda n: region_counts(triangle, n), res.count, res.interior_count,
+             res.quasi.evaluate, res.quasi_interior.evaluate]
+    for n in (Fraction(3, 2), Fraction(2), 1.5, 2.0, True, False, "2"):
+        for call in calls:
+            with pytest.raises(InputError, match="must be an int"):
+                call(n)
+    assert count_points(triangle, 2) == region_counts(triangle, 2)[0] == res.count(2) == 15
+
+
 def test_free_box_is_no_larger_than_the_ambient_box():
     # x = V y with V from a Smith form could skew the box of the free
     # coordinates; on the corpus's embedded members, on B4 and on the
