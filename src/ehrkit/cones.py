@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, prod
@@ -48,7 +47,8 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .enumeration import ehrhart
-from .errors import InputError, PoleError, TheoremViolationError, UnsupportedError
+from .errors import (FrozenRecord, InputError, PoleError, TheoremViolationError,
+                     UnsupportedError, _set_field)
 from .placing import placing_cells
 from .polytope import RationalPolytope, check_region
 from .ratpoly import RatLike, _coerce, counts_from_hstar
@@ -65,12 +65,14 @@ _REFERENCE_SEED = 41183
 _CACHE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(FrozenRecord):
     """Cone spanned by integer ray generators (primitive, deduplicated)."""
 
-    ambient_dim: int
-    generators: tuple[IntVec, ...]
+    __slots__ = _fields = ("ambient_dim", "generators")
+
+    def __init__(self, ambient_dim: int, generators: tuple[IntVec, ...]):
+        _set_field(self, "ambient_dim", ambient_dim)
+        _set_field(self, "generators", generators)
 
     @staticmethod
     def from_rays(rays: Iterable[Sequence[RatLike]]) -> "RationalCone":
@@ -101,28 +103,32 @@ def homogenize(p: RationalPolytope) -> RationalCone:
     return RationalCone.from_rays([tuple(v) + (1,) for v in p.vertices])
 
 
-@dataclass(frozen=True)
-class HalfOpenSimplicialCone:
+class HalfOpenSimplicialCone(FrozenRecord):
     """Simplicial cone with some facets removed.
 
     open_flags[i] refers to the facet spanned by all generators except
     generators[i]: when True, lattice points with zero coefficient on
     generators[i] are excluded.
+
+    `solve` is (T, C) as returned by linalg.simplex_solve(generators), or
+    any other solve of them: <T_i, x> / den_i the coefficient of
+    generators[i], and C x = 0 exactly on their span. It defaults to
+    simplex_solve(generators) and takes no part in equality or repr.
     """
 
-    generators: tuple[IntVec, ...]
-    open_flags: tuple[bool, ...]
-    # (T, C) as returned by linalg.simplex_solve(generators), or any other
-    # solve of them: <T_i, x> / den_i the coefficient of generators[i], and
-    # C x = 0 exactly on their span. Defaults to simplex_solve(generators).
-    solve: tuple | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("generators", "open_flags", "solve")
+    _fields = ("generators", "open_flags")
 
-    def __post_init__(self):
-        if len(self.open_flags) != len(self.generators):
+    def __init__(self, generators: tuple[IntVec, ...], open_flags: tuple[bool, ...],
+                 solve: tuple | None = None):
+        if len(open_flags) != len(generators):
             raise InputError("one flag per generator required")
-        if self.solve is None:
+        if solve is None:
             # InputError unless simplicial
-            object.__setattr__(self, "solve", linalg.simplex_solve(self.generators))
+            solve = linalg.simplex_solve(generators)
+        _set_field(self, "generators", generators)
+        _set_field(self, "open_flags", open_flags)
+        _set_field(self, "solve", solve)
 
     def locate(self, x: Sequence) -> tuple[bool, bool]:
         """(x lies in the closed cone, x lies in this half-open piece).
@@ -192,12 +198,30 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
     return sorted(points)
 
 
-@dataclass(frozen=True)
-class ConeGF:
-    """Materialized generating function: sum over half-open pieces."""
+class ConeGF(FrozenRecord):
+    """Materialized generating function: sum over half-open pieces.
 
-    pieces: tuple[tuple[tuple[IntVec, ...], tuple[IntVec, ...]], ...]
-    # each piece is (numerator_points, denominator_generators)
+    Each piece is (numerator_points, denominator_generators).
+    """
+
+    __slots__ = ("pieces", "_plan")
+    _fields = ("pieces",)
+
+    def __init__(self, pieces: tuple[tuple[tuple[IntVec, ...], tuple[IntVec, ...]], ...]):
+        _set_field(self, "pieces", pieces)
+        _set_field(self, "_plan", None)
+
+    def _evaluation_plan(self) -> tuple[tuple[IntVec, ...], tuple[tuple[int, int], ...]]:
+        """The distinct generators in first-seen order, and the range
+        [lo_j, hi_j] of the j-th exponents of all monomials of all pieces,
+        0 included; they do not depend on the point, so they are made once."""
+        if self._plan is None:
+            generators = tuple(dict.fromkeys(g for _, gens in self.pieces for g in gens))
+            monomials = [m for numerator, _ in self.pieces for m in numerator]
+            ranges = tuple((min(0, *col), max(0, *col))
+                           for col in zip(*generators, *monomials))
+            _set_field(self, "_plan", (generators, ranges))
+        return self._plan
 
     def evaluate(self, z: Sequence[RatLike]) -> Fraction:
         """The generating function at a point with nonzero rational coordinates.
@@ -214,13 +238,11 @@ class ConeGF:
         distinct) the whole sum is one integer: one Fraction per call.
         """
         pt = _check_point(z, len(self.pieces[0][1][0]))
-        generators = list(dict.fromkeys(g for _, gens in self.pieces for g in gens))
-        monomials = [m for numerator, _ in self.pieces for m in numerator]
+        generators, ranges = self._evaluation_plan()
         # tables[j][e] = a_j^(e - lo_j) b_j^(hi_j - e), stored at e for e >= 0
         # and at len + e for e < 0, so Python's negative indices read it
         tables = []
-        for v, col in zip(pt, zip(*generators, *monomials)):
-            lo, hi = min(0, *col), max(0, *col)
+        for v, (lo, hi) in zip(pt, ranges):
             a = list(itertools.accumulate([v.numerator] * (hi - lo), mul, initial=1))
             b = list(itertools.accumulate([v.denominator] * (hi - lo), mul, initial=1))
             tables.append([a[e - lo] * b[hi - e]

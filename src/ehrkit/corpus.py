@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import random
-from importlib import resources
 from pathlib import Path
 
 from . import jsonio
@@ -34,10 +33,15 @@ MONOTONE_PAIRS = (
 
 
 def corpus_dir() -> Path:
+    """EHRKIT_CORPUS if set, else the package data next to this module.
+
+    The data ship as plain files in the package directory (see
+    pyproject.toml), so no `importlib.resources` lookup is needed.
+    """
     override = os.environ.get("EHRKIT_CORPUS")
     if override:
         return Path(override)
-    return Path(str(resources.files("ehrkit") / "corpus"))
+    return Path(__file__).parent / "corpus"
 
 
 def _names_in(directory: Path) -> list[str]:

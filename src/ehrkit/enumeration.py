@@ -48,13 +48,12 @@ that is a bug, not a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from . import linalg
-from .errors import InputError, TheoremViolationError
+from .errors import FrozenRecord, InputError, TheoremViolationError, _set_field
 from .polytope import RationalPolytope, check_region
 from .ratpoly import (HStarData, QuasiPoly, check_int, hstar_from_counts,
                       quasi_from_numerator, series_numerator)
@@ -346,15 +345,18 @@ def count_points(p: RationalPolytope, n: int, region: str = "closed") -> int:
     return _count_dilate(_walk_data(p), n, slack, False)[0]
 
 
-@dataclass(frozen=True)
-class EhrhartResult:
+class EhrhartResult(FrozenRecord):
     """Counting data of one polytope: quasipolynomials plus h*-numerator."""
 
-    dim: int
-    period: int
-    quasi: QuasiPoly
-    quasi_interior: QuasiPoly
-    hstar: HStarData
+    __slots__ = _fields = ("dim", "period", "quasi", "quasi_interior", "hstar")
+
+    def __init__(self, dim: int, period: int, quasi: QuasiPoly,
+                 quasi_interior: QuasiPoly, hstar: HStarData):
+        _set_field(self, "dim", dim)
+        _set_field(self, "period", period)
+        _set_field(self, "quasi", quasi)
+        _set_field(self, "quasi_interior", quasi_interior)
+        _set_field(self, "hstar", hstar)
 
     def count(self, n: int) -> Fraction:
         return self.quasi.evaluate(n)

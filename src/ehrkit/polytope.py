@@ -24,13 +24,12 @@ Everything is exact; no floats are accepted or produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import InputError
+from .errors import FrozenRecord, InputError, _set_field
 from .placing import boundary_facets, placing_cells
 from .ratpoly import RatLike, _coerce
 
@@ -38,12 +37,15 @@ Point = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(FrozenRecord):
     """Half-space form: <a, x> = c for equalities, <a, x> <= c for facets."""
 
-    equalities: tuple[tuple[IntVec, int], ...]
-    inequalities: tuple[tuple[IntVec, int], ...]
+    __slots__ = _fields = ("equalities", "inequalities")
+
+    def __init__(self, equalities: tuple[tuple[IntVec, int], ...],
+                 inequalities: tuple[tuple[IntVec, int], ...]):
+        _set_field(self, "equalities", equalities)
+        _set_field(self, "inequalities", inequalities)
 
     def satisfies(self, x: Sequence[Fraction], strict: bool = False) -> bool:
         """Membership test; `strict` makes the facet inequalities strict."""

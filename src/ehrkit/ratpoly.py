@@ -19,12 +19,11 @@ All arithmetic is exact. Nothing in this module ever touches floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, Sequence
 
-from .errors import InputError, TheoremViolationError
+from .errors import FrozenRecord, InputError, TheoremViolationError, _set_field
 
 RatLike = int | Fraction | str
 
@@ -66,17 +65,16 @@ def choose(top: int, k: int) -> Fraction:
     return result
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(FrozenRecord):
     """Dense exact polynomial; coeffs[i] is the coefficient of x^i."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):  # strips trailing zeros
         cs = [_coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_field(self, "coeffs", tuple(cs))
 
     def degree(self) -> int:
         """Degree, with the zero polynomial reporting -1."""
@@ -193,18 +191,16 @@ def interpolate(samples: Sequence[tuple[int, RatLike]]) -> Poly:
     return result
 
 
-@dataclass(frozen=True)
-class QuasiPoly:
+class QuasiPoly(FrozenRecord):
     """Quasipolynomial: `constituents[n % period]` evaluated at n."""
 
-    period: int
-    constituents: tuple[Poly, ...]
+    __slots__ = _fields = ("period", "constituents")
 
     def __init__(self, period: int, constituents: Sequence[Poly]):
         if period < 1 or len(constituents) != period:
             raise InputError("need exactly `period` constituents, period >= 1")
-        object.__setattr__(self, "period", int(period))
-        object.__setattr__(self, "constituents", tuple(constituents))
+        _set_field(self, "period", int(period))
+        _set_field(self, "constituents", tuple(constituents))
 
     def evaluate(self, n: int) -> Fraction:
         check_int(n, "quasipolynomial argument")
@@ -214,13 +210,13 @@ class QuasiPoly:
         return max(c.degree() for c in self.constituents)
 
 
-@dataclass(frozen=True)
-class HStarData:
-    """Numerator data of a rational counting series over (1 - x^p)^(d+1)."""
+class HStarData(FrozenRecord):
+    """Numerator data of a rational counting series over (1 - x^p)^(d+1).
 
-    coeffs: tuple[int | Fraction, ...]  # ints where integral
-    dim: int
-    period: int
+    `coeffs` holds ints where integral.
+    """
+
+    __slots__ = _fields = ("coeffs", "dim", "period")
 
     def __init__(self, coeffs: Iterable[RatLike], dim: int, period: int = 1):
         cs = [_exact(c) for c in coeffs]
@@ -232,9 +228,9 @@ class HStarData:
             raise InputError("HStarData needs dim >= 0 and period >= 1")
         if len(cs) - 1 > period * (dim + 1) - 1:
             raise InputError("h* degree exceeds p(d+1) - 1")
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "period", int(period))
+        _set_field(self, "coeffs", tuple(cs))
+        _set_field(self, "dim", int(dim))
+        _set_field(self, "period", int(period))
 
     def degree(self) -> int:
         """Largest index with a nonzero coefficient (0 for the zero vector)."""

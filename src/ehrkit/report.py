@@ -8,19 +8,22 @@ hypotheses did not apply to the input, which is not a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .errors import Record
 
 PASS = "pass"
 FAIL = "fail"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
 
-@dataclass
-class Report:
-    theorem: str
-    instances: list[dict]
-    verdict: str
-    notes: dict = field(default_factory=dict)
+class Report(Record):
+    __slots__ = _fields = ("theorem", "instances", "verdict", "notes")
+
+    def __init__(self, theorem: str, instances: list[dict], verdict: str,
+                 notes: dict | None = None):
+        self.theorem = theorem
+        self.instances = instances
+        self.verdict = verdict
+        self.notes = {} if notes is None else notes
 
     @staticmethod
     def from_instances(theorem: str, instances: list[dict], notes: dict | None = None) -> "Report":

@@ -23,12 +23,11 @@ permutation matrices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from .errors import InputError, UnsupportedError
+from .errors import FrozenRecord, InputError, UnsupportedError, _set_field
 from .polytope import RationalPolytope
 from .ratpoly import Poly, hstar_from_counts, quasi_from_numerator
 from .report import Report
@@ -82,25 +81,39 @@ def count_semimagic(n: int, r: int) -> int:
         raise InputError("line sum must be nonnegative")
     top = min(2, n)
     total = 0
+    # T_k(v) by (k, v). At n = 4 both halves have two rows, and the bottom's
+    # column sums r - c, sorted, are a c that the loop also visits.
+    halves: dict[tuple[int, tuple[int, ...]], int] = {}
     # c runs over the column sums of the top rows; both halves are symmetric
     # in c, so each multiset of column sums is counted once with its weight
     for c in _nonincreasing(top * r, n, r):
         weight = factorial(n)
         for repeat in Counter(c).values():
             weight //= factorial(repeat)
-        total += (weight * _rows_with_column_sums(top, c, r)
-                  * _rows_with_column_sums(n - top, tuple(r - v for v in c), r))
+        bottom = tuple(r - v for v in reversed(c))  # nonincreasing, as c is
+        for key in ((top, c), (n - top, bottom)):
+            if key not in halves:
+                halves[key] = _rows_with_column_sums(*key, r)
+        total += weight * halves[top, c] * halves[n - top, bottom]
     return total
 
 
-@dataclass(frozen=True)
-class SemimagicTable:
-    """Count table with its polynomial and series numerator."""
+class SemimagicTable(FrozenRecord):
+    """Count table with its polynomial and series numerator.
 
-    n: int
-    values: tuple[int, ...]  # H_n(r) for r = 0..len-1
-    count_poly: Poly  # degree (n-1)^2 polynomial through the table
-    numerator: Poly  # numerator over (1-x)^(n^2-2n+2)
+    `values` holds H_n(r) for r = 0..len-1, `count_poly` is the degree
+    (n-1)^2 polynomial through the table, and `numerator` is the series
+    numerator over (1-x)^(n^2-2n+2).
+    """
+
+    __slots__ = _fields = ("n", "values", "count_poly", "numerator")
+
+    def __init__(self, n: int, values: tuple[int, ...], count_poly: Poly,
+                 numerator: Poly):
+        _set_field(self, "n", n)
+        _set_field(self, "values", values)
+        _set_field(self, "count_poly", count_poly)
+        _set_field(self, "numerator", numerator)
 
 
 def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]:

@@ -14,11 +14,11 @@ off a recurrence on the codegree product, not solved as a linear system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .enumeration import ehrhart, enumerate_points
-from .errors import InputError, TheoremViolationError, UnsupportedError
+from .errors import (FrozenRecord, InputError, TheoremViolationError, UnsupportedError,
+                     _set_field)
 from .placing import boundary_facets
 from .polytope import RationalPolytope, contains_polytope
 from .ratpoly import HStarData, Poly, choose, hstar_from_counts
@@ -26,24 +26,24 @@ from .report import HYPOTHESIS_NOT_MET, Report
 from .triangulation import placing_triangulation
 
 
-@dataclass(frozen=True)
-class HStarProfile:
+class HStarProfile(FrozenRecord):
     """Dimension, degree, codegree, and zero-extended h*-coefficients."""
 
-    d: int
-    s: int
-    l: int
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("d", "s", "l", "coeffs")
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != 1:
+    def __init__(self, d: int, s: int, l: int, coeffs: tuple[int, ...]):
+        if not coeffs or coeffs[0] != 1:
             raise InputError("h*-vector must start with 1")
-        if any(c < 0 for c in self.coeffs):
+        if any(c < 0 for c in coeffs):
             raise InputError("h*-coefficients must be nonnegative")
-        if self.s != len(self.coeffs) - 1 or self.l != self.d + 1 - self.s:
+        if s != len(coeffs) - 1 or l != d + 1 - s:
             raise InputError("inconsistent degree/codegree data")
-        if not 1 <= self.l <= self.d + 1:
+        if not 1 <= l <= d + 1:
             raise InputError("codegree out of range")
+        _set_field(self, "d", d)
+        _set_field(self, "s", s)
+        _set_field(self, "l", l)
+        _set_field(self, "coeffs", coeffs)
 
     def h(self, j: int) -> int:
         """Coefficient h*_j, reading 0 outside the stored range."""
@@ -111,14 +111,16 @@ def stapledon_inequalities(pr: HStarProfile) -> Report:
     return Report.from_instances("stapledon-coefficient-runs", instances)
 
 
-@dataclass(frozen=True)
-class ABDecomposition:
+class ABDecomposition(FrozenRecord):
     """Split of (1 + x + ... + x^(l-1)) h*(x) into palindromic halves."""
 
-    a: Poly
-    b: Poly
-    l: int
-    d: int
+    __slots__ = _fields = ("a", "b", "l", "d")
+
+    def __init__(self, a: Poly, b: Poly, l: int, d: int):
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "l", l)
+        _set_field(self, "d", d)
 
 
 def ab_decomposition(pr: HStarProfile) -> ABDecomposition:

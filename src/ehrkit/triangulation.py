@@ -17,14 +17,14 @@ link is counted over the cells that contain its face.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
 from . import linalg
 from .cones import HalfOpenSimplicialCone, parallelepiped_points
 from .enumeration import ehrhart, enumerate_points
-from .errors import InputError, TheoremViolationError, UnsupportedError
+from .errors import (FrozenRecord, InputError, TheoremViolationError, UnsupportedError,
+                     _set_field)
 from .placing import placing_cells
 from .polytope import RationalPolytope
 from .ratpoly import HStarData, Poly
@@ -32,18 +32,22 @@ from .ratpoly import HStarData, Poly
 IntPoint = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(FrozenRecord):
     """A face of a triangulation together with its lifted generators.
 
-    `solve` is the barycentric solve (T, C) of `lifted` read off a cell
-    whose solve has every den_i == 1, or None when no cell containing the
-    face has one; the face then keeps its own `linalg.simplex_solve`.
+    `lifted` holds the rows (v, 1) for each vertex v. `solve` is the
+    barycentric solve (T, C) of `lifted` read off a cell whose solve has
+    every den_i == 1, or None when no cell containing the face has one; the
+    face then keeps its own `linalg.simplex_solve`.
     """
 
-    indices: tuple[int, ...]
-    lifted: tuple[IntPoint, ...]  # rows (v, 1) for each vertex v
-    solve: tuple | None = None
+    __slots__ = _fields = ("indices", "lifted", "solve")
+
+    def __init__(self, indices: tuple[int, ...], lifted: tuple[IntPoint, ...],
+                 solve: tuple | None = None):
+        _set_field(self, "indices", indices)
+        _set_field(self, "lifted", lifted)
+        _set_field(self, "solve", solve)
 
 
 class Triangulation:
@@ -206,14 +210,20 @@ def box_polynomial(simplex: Simplex) -> Poly:
     return Poly([heights.get(i, 0) for i in range(top + 1)])
 
 
-@dataclass(frozen=True)
-class HStarDecomposition:
-    """Assembled h* with its per-face contributions."""
+class HStarDecomposition(FrozenRecord):
+    """Assembled h* with its per-face contributions.
 
-    hstar: HStarData
-    triangulation: Triangulation
-    contributions: tuple[tuple[tuple[int, ...], Poly, Poly], ...]
-    # (face, link h-polynomial, box polynomial); zero boxes are omitted
+    Each contribution is (face, link h-polynomial, box polynomial); zero
+    boxes are omitted.
+    """
+
+    __slots__ = _fields = ("hstar", "triangulation", "contributions")
+
+    def __init__(self, hstar: HStarData, triangulation: Triangulation,
+                 contributions: tuple[tuple[tuple[int, ...], Poly, Poly], ...]):
+        _set_field(self, "hstar", hstar)
+        _set_field(self, "triangulation", triangulation)
+        _set_field(self, "contributions", contributions)
 
 
 def betke_mcmullen(p: RationalPolytope, use_all_lattice_points: bool = False,
