@@ -16,6 +16,12 @@ factor keeps the signs of its coordinates, so for a pointed cone this is
 visibility in any cross-section, and for points (p, 1) visibility of a
 facet of the hull.
 
+The boundary is a dict from each boundary facet to its visibility row,
+the apex row of its cell's solve. Each cell is solved once, when it is
+created, and toggles its facets in or out of the dict; after a dimension
+jump the dict is rebuilt from all cells. Its order, by cell creation and
+then dropped vertex, is the order in which new cells are appended.
+
 The caller controls insertion order. Lexicographic order guarantees that
 every point lands outside the hull of its predecessors, hence becomes a
 vertex; arbitrary order (used for cone generators, where the generator
@@ -39,23 +45,42 @@ def placing_cells(vectors: Sequence[tuple]) -> list[tuple[int, ...]]:
     if not vectors:
         return []
     cells: list[tuple[int, ...]] = [(0,)]
-    _, span_rows = linalg.simplex_solve((vectors[0],))
+    first = linalg.simplex_solve((vectors[0],))  # cells[0]'s; its C rows test the span
+    boundary: dict[tuple[int, ...], tuple] | None = None  # None: to be rebuilt
 
     for i in range(1, len(vectors)):
         q = vectors[i]
-        if any(linalg.int_dot(row, q) for row in span_rows):
+        if any(linalg.int_dot(row, q) for row in first[1]):
             # dimension jump: cone every existing cell over the new vector
             cells = [cell + (i,) for cell in cells]
-            _, span_rows = linalg.simplex_solve(tuple(vectors[v] for v in cells[0]))
+            first = linalg.simplex_solve(tuple(vectors[v] for v in cells[0]))
+            boundary = None
             continue
-        added = []
-        for facet, apex in boundary_facets(cells):
-            cell = tuple(sorted(facet + (apex,)))
-            coords, _ = linalg.simplex_solve(tuple(vectors[v] for v in cell))
-            if linalg.int_dot(coords[cell.index(apex)][0], q) < 0:  # strictly visible
-                added.append(tuple(sorted(facet + (i,))))
+        if boundary is None:
+            boundary = {}
+            _toggle(boundary, cells[0], first[0])
+            for cell in cells[1:]:
+                _toggle(boundary, cell, _solve(vectors, cell))
+        # strictly visible facets; i is the largest index, so facet + (i,) is sorted
+        added = [facet + (i,) for facet, row in boundary.items()
+                 if linalg.int_dot(row, q) < 0]
+        for cell in added:
+            _toggle(boundary, cell, _solve(vectors, cell))
         cells.extend(added)
     return cells
+
+
+def _solve(vectors: Sequence[tuple], cell: tuple[int, ...]) -> tuple:
+    return linalg.simplex_solve(tuple(vectors[v] for v in cell))[0]
+
+
+def _toggle(boundary: dict, cell: tuple[int, ...], t_rows: tuple) -> None:
+    """Add each facet of the cell to the boundary with its apex row, or
+    remove it when an earlier cell already has it."""
+    for pos, (row, _) in enumerate(t_rows):
+        facet = cell[:pos] + cell[pos + 1:]
+        if boundary.pop(facet, None) is None:
+            boundary[facet] = row
 
 
 def boundary_facets(cells: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:

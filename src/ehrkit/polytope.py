@@ -12,6 +12,8 @@ are grouped by the set of points q with <T_apex, (q, 1)> = 0, one set per
 facet of the hull. Only the first boundary facet of each set gives an
 inequality: its normal is -T_apex, projected orthogonally onto the hull's
 direction space so that it does not depend on the cell it was read from.
+The same sets give the vertices: a point is a vertex exactly when the sets
+that contain it meet in it alone.
 
 The half-space form is built in integers. The points are scaled to
 integers once; the equalities are the primitive integer kernel vectors
@@ -109,9 +111,8 @@ class RationalPolytope:
         if not pts:
             raise InputError("a polytope needs at least one point")
         assert ambient is not None
-        hrep, dim = _half_space_form(ambient, pts)
-        verts = sorted(p for p in pts if _is_extreme(p, hrep, dim))
-        return RationalPolytope(ambient, verts, name=name, _hrep=hrep, _dim=dim)
+        hrep, dim, verts = _half_space_form(ambient, pts)
+        return RationalPolytope(ambient, sorted(verts), name=name, _hrep=hrep, _dim=dim)
 
     # -- basic structure ---------------------------------------------------
 
@@ -126,7 +127,8 @@ class RationalPolytope:
     def facets(self) -> HRep:
         """Half-space form (cached)."""
         if self._hrep is None:
-            self._hrep, self._dim = _half_space_form(self.ambient_dim, list(self.vertices))
+            self._hrep, self._dim, _ = _half_space_form(self.ambient_dim,
+                                                        list(self.vertices))
         return self._hrep
 
     @property
@@ -218,7 +220,8 @@ def contains_polytope(inner: RationalPolytope, outer: RationalPolytope) -> bool:
 # -- internals ---------------------------------------------------------------
 
 
-def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int]:
+def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int, list[Point]]:
+    """The half-space form, the dimension, and the points that are vertices."""
     # every point scaled to integers by one positive factor, once: signs,
     # hyperplanes and (up to a positive factor) normals are those of pts
     scale = lcm(*(v.denominator for p in pts for v in p))
@@ -251,7 +254,12 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int]:
                 a = _onto_hull(tuple(-v for v in t_apex[:-1]), eqs)
                 facets[key] = _int_primitive(a, ints[facet[0]], scale)
     hrep = HRep(tuple(sorted(eqs)), tuple(sorted(set(facets.values()))))
-    return hrep, dim
+    # a point is a vertex exactly when the facets through it meet in it alone
+    # (with no facet through it, it is the only point)
+    everything = frozenset(range(len(pts)))
+    vertices = [p for j, p in enumerate(pts)
+                if everything.intersection(*(key for key in facets if j in key)) == {j}]
+    return hrep, dim, vertices
 
 
 def _int_primitive(a: Sequence[int], q: Sequence[int], scale: int) -> tuple[IntVec, int]:
@@ -275,11 +283,3 @@ def _onto_hull(a: IntVec, eqs: list[tuple[IntVec, int]]) -> IntVec:
                                    [linalg.int_dot(u, a) for u in normals])
     return tuple(den * v - sum(c * u[j] for c, u in zip(y, normals))
                  for j, v in enumerate(a))
-
-
-def _is_extreme(p: Point, hrep: HRep, dim: int) -> bool:
-    if dim == 0:
-        return True
-    xs, den = _scaled(p)
-    tight = [a for a, c in hrep.inequalities if linalg.int_dot(a, xs) == c * den]
-    return linalg.rank(tight) == dim

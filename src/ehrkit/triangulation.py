@@ -8,10 +8,12 @@ predecessors and appears as a vertex.
 `betke_mcmullen` sums h_link(F) * B_F over the faces F, the empty face
 included (its link is the whole complex); B_F counts by height the lattice
 points of the open parallelepiped of F's lifted vertices. By default the
-sum is verified against the enumeration pipeline. A face of a cell whose
-solve has every den_i == 1 reads its solve off that cell, so B_F = 0 is
-read off with no elimination; other faces solve their own vertices. A
-link is counted over the cells that contain its face.
+sum is verified against the enumeration pipeline. Each cell is solved
+once, by the placing, and every face reads its solve off a cell that
+contains it, so no face runs an elimination. A face whose cell has
+den_i == 1 at all of the face's vertices has B_F = 0, read off with no
+search; any other box is listed from its Smith form. A link is counted
+over the cells that contain its face.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ class Simplex(FrozenRecord):
     """A face of a triangulation together with its lifted generators.
 
     `lifted` holds the rows (v, 1) for each vertex v. `solve` is the
-    barycentric solve (T, C) of `lifted` read off a cell whose solve has
-    every den_i == 1, or None when no cell containing the face has one; the
-    face then keeps its own `linalg.simplex_solve`.
+    barycentric solve (T, C) of `lifted` read off a cell containing the
+    face: <T_i, g_j> = den_i * delta_ij with den_i > 0, and C x = 0 exactly
+    on the face's span. None leaves the solve to `linalg.simplex_solve`.
     """
 
     __slots__ = _fields = ("indices", "lifted", "solve")
@@ -60,26 +62,30 @@ class Triangulation:
         self.cells = tuple(tuple(cell) for cell in cells)
         self.dim = dim
         self._faces: tuple[tuple[int, ...], ...] | None = None
-        self._owners: dict[tuple[int, ...], tuple | None] | None = None
+        self._owners: dict[tuple[int, ...], tuple] | None = None
 
     def _lifted(self, face: Sequence[int]) -> tuple[IntPoint, ...]:
         return tuple(self._lifts[i] for i in face)
 
-    def _face_owners(self) -> dict[tuple[int, ...], tuple | None]:
-        """Every face mapped to (cell, solve) for a cell containing it whose
-        solve has every den_i == 1, or to None when no cell containing it
-        has one."""
+    def _face_owners(self) -> dict[tuple[int, ...], tuple]:
+        """Every face mapped to (cell, solve) for a cell containing it and
+        its cached solve, preferring a cell whose den_i are 1 at all of the
+        face's vertices, so that the face's box is read off as empty."""
         if self._owners is None:
-            owners: dict[tuple[int, ...], tuple | None] = {}
-            units = []
+            owners: dict[tuple[int, ...], tuple] = {}
+            rest = []
             for cell in self.cells:
-                solve = linalg.simplex_solve(self._lifted(cell))
-                units.append((cell, solve) if all(den == 1 for _, den in solve[0]) else None)
-            # den-1 cells claim their faces first
-            for cell, unit in sorted(zip(self.cells, units), key=lambda cu: cu[1] is None):
-                for size in range(len(cell) + 1):
-                    for face in itertools.combinations(cell, size):
-                        owners.setdefault(face, unit)
+                owner = (cell, linalg.simplex_solve(self._lifted(cell)))
+                unit = tuple(v for v, (_, den) in zip(cell, owner[1][0]) if den == 1)
+                for size in range(len(unit) + 1):
+                    for face in itertools.combinations(unit, size):
+                        owners.setdefault(face, owner)
+                if len(unit) < len(cell):
+                    rest.append(owner)
+            for owner in rest:
+                for size in range(len(owner[0]) + 1):
+                    for face in itertools.combinations(owner[0], size):
+                        owners.setdefault(face, owner)
             self._owners = owners
         return self._owners
 
@@ -103,16 +109,13 @@ class Triangulation:
         return tuple(counts)
 
     def simplex(self, face: Sequence[int]) -> Simplex:
-        """The face's lifted simplex, with the solve of its den-1 cell if any.
+        """The face's lifted simplex, with its solve read off its owner cell.
 
         The face's T rows are the cell's at the face's vertices; its C rows
         are the cell's C rows and the cell's T rows at the other vertices.
         """
         face = self._checked(face)
-        unit = self._owners[face]
-        if unit is None:
-            return Simplex(face, self._lifted(face))
-        cell, (t_rows, c_rows) = unit
+        cell, (t_rows, c_rows) = self._owners[face]
         inside = set(face)
         solve = (tuple(t for v, t in zip(cell, t_rows) if v in inside),
                  c_rows + tuple(row for v, (row, _) in zip(cell, t_rows) if v not in inside))
@@ -192,10 +195,10 @@ def box_polynomial(simplex: Simplex) -> Poly:
 
     B(x) = sum x^(last coordinate) over lattice points of the strictly open
     parallelepiped spanned by the lifted generators. The empty simplex has
-    B = 1; every unimodular simplex has B = 0. The box is searched with
-    the simplex's solve: the one inherited from a den-1 cell, whose every
-    den_i is 1, so that `parallelepiped_points` reads the empty box off
-    without a search, or else the face's own cached `linalg.simplex_solve`.
+    B = 1; every unimodular simplex has B = 0. The box is listed with the
+    solve the simplex read off its cell: when every den_i is 1,
+    `parallelepiped_points` reads the empty box off without a search, and
+    otherwise lists it from the Smith form, which never reads the solve.
     """
     if not simplex.lifted:
         return Poly([1])
@@ -231,7 +234,9 @@ def betke_mcmullen(p: RationalPolytope, use_all_lattice_points: bool = False,
     """Assemble h* from a placing triangulation, face by face.
 
     Sums h_link(face) * B(face) over every face including the empty one.
-    With verify=True the result is checked against the enumeration
+    The only eliminations are the placing's, one per cell: each face's box
+    is listed with the solve it reads off a cell containing it. With
+    verify=True the result is checked against the enumeration
     pipeline's h*; a mismatch raises TheoremViolationError.
     """
     t = placing_triangulation(p, use_all_lattice_points)

@@ -175,6 +175,16 @@ def fraction_solve(rows, rhs):
     return tuple(x)
 
 
+def rank_vertices(points, hrep, dim: int) -> list:
+    """Oracle: the distinct points at which the tight facet normals of the
+    half-space form have rank dim, sorted."""
+    points = sorted(set(tuple(Fraction(v) for v in p) for p in points))
+    if dim == 0:
+        return points
+    return [p for p in points
+            if fraction_rank([a for a, c in hrep.inequalities if fraction_dot(a, p) == c]) == dim]
+
+
 def fraction_ab_split(pr: HStarProfile) -> ABDecomposition:
     """The palindromic split solved as a linear system in Fraction, with a
     rank certificate of uniqueness, and the same checks and messages as

@@ -211,6 +211,21 @@ def test_simplex_solve_matches_fraction_solve_on_random_generators():
     assert ambient == {1, 2, 3, 4, 5, 6}
 
 
+def test_simplex_solve_cache_is_bounded_and_recomputes_evicted_solves():
+    # one B4 hull and triangulation keeps 930 solves
+    maxsize = simplex_solve.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 1000
+    gens = ((1, 2, 0), (0, 3, 1))
+    first = simplex_solve(gens)
+    for k in range(1, maxsize + 1):
+        simplex_solve(((k, 1),))
+    misses = simplex_solve.cache_info().misses
+    again = simplex_solve(gens)
+    assert simplex_solve.cache_info().misses == misses + 1 and again is not first
+    assert again == first
+    assert simplex_solve.cache_info().currsize == maxsize
+
+
 def test_primitive_scaling():
     assert primitive([Fraction(1, 2), Fraction(3, 2)]) == (1, 3)
     assert primitive([2, 4, 6]) == (1, 2, 3)

@@ -7,15 +7,20 @@ point. `placing_cells` places homogeneous vectors and reads both predicates
 from `linalg.simplex_solve`. The two must list the same cells in the same
 order: for points p placed as (p, 1), and for cone generators, which the
 oracle places through the cross-section g / <w, g> at the dual vector w of
-`dual_interior_vector`, with half-open flags from its own exact solve.
+`dual_interior_vector`, with half-open flags from its own exact solve. The
+oracle also tallies the steps that `placing_cells`' incremental boundary
+handles apart, so that the tests can require each of them to occur.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from ehrkit import linalg
+from ehrkit import linalg, placing
 from ehrkit.cones import _REFERENCE_SEED, RationalCone, decompose, dual_interior_vector
 from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.placing import boundary_facets, placing_cells
@@ -33,6 +38,10 @@ from helpers import (
 def facet_hyperplane(points, facet, directions):
     """Hyperplane <a, x> = c through the facet, with a in the hull's span."""
     f0 = points[facet[0]]
+    if len(directions) == len(f0):  # the rref of a full span is the identity
+        kernel = fraction_nullspace([fraction_sub(points[v], f0) for v in facet[1:]], len(f0))
+        assert len(kernel) == 1, facet
+        return kernel[0], fraction_dot(kernel[0], f0)
     rows = [[fraction_dot(fraction_sub(points[v], f0), b) for b in directions]
             for v in facet[1:]]
     kernel = fraction_nullspace(rows, len(directions))
@@ -42,26 +51,51 @@ def facet_hyperplane(points, facet, directions):
     return a, fraction_dot(a, f0)
 
 
-def affine_placing_cells(points):
-    """Cells of the placing of affine points, in creation order."""
+def affine_placing_cells(points, events=None):
+    """Cells of the placing of affine points, in creation order.
+
+    `events`, a Counter, tallies the cells created (the first, the coned
+    ones of each dimension jump, the new ones of each other step) and the
+    steps of the kinds an incremental boundary handles apart: a jump after
+    a step that tested the boundary, a vector that sees no facet, and a
+    ridge of two visible facets, which becomes interior.
+    """
+    events = Counter() if events is None else events
     base = points[0]
     directions = []
     cells = [(0,)]
+    events["cells_created"] += 1
+    tested = False
+    planes = {}  # (facet, apex) -> (a, c, <a, apex> > c), integer a and c
     for i in range(1, len(points)):
         q = points[i]
         enlarged, _ = fraction_rref(directions + [fraction_sub(q, base)])
         if len(enlarged) > len(directions):
             cells = [cell + (i,) for cell in cells]
             directions = list(enlarged)
+            events["cells_created"] += len(cells)
+            events["jump_after_boundary"] += tested
+            tested = False
+            planes.clear()
             continue
+        tested = True
         added = []
         for facet, apex in boundary_facets(cells):
-            a, c = facet_hyperplane(points, facet, directions)
-            apex_side = fraction_dot(a, points[apex]) - c
-            q_side = fraction_dot(a, q) - c
-            if apex_side * q_side < 0:
+            if (facet, apex) not in planes:
+                a, c = facet_hyperplane(points, facet, directions)
+                scale = lcm(*(v.denominator for v in a + (c,)))
+                a, c = tuple(int(v * scale) for v in a), int(c * scale)
+                planes[facet, apex] = a, c, fraction_dot(a, points[apex]) > c
+            a, c, apex_above = planes[facet, apex]
+            q_side = sum(map(mul, a, q)) - c
+            if (q_side < 0) if apex_above else (q_side > 0):
                 added.append(tuple(sorted(facet + (i,))))
         cells.extend(added)
+        events["cells_created"] += len(added)
+        events["sees_nothing"] += not added
+        ridges = Counter(tuple(v for v in cell if v != drop)
+                         for cell in added for drop in cell if drop != i)
+        events["shared_ridge"] += any(n == 2 for n in ridges.values())
     return cells
 
 
@@ -134,6 +168,43 @@ def test_placing_matches_affine_placing_on_seeded_clouds():
     assert min(seen[kind] for kind in ("lattice", "rational", "embedded",
                                        "sorted", "shuffled")) >= 40, seen
     assert seen["skipped"] >= 15 and seen["several_cells"] >= 60, seen
+
+
+def test_incremental_boundary_matches_affine_placing_in_r5(monkeypatch):
+    # clouds of 12-25 points of {0..side}^5; sorted clouds rise through the
+    # lower dimensions first, so their jumps come after the boundary was
+    # used, and shuffled ones get midpoints, which often see no facet
+    solved = []
+    original = linalg.simplex_solve
+
+    def counting(generators):
+        solved.append(generators)
+        return original(generators)
+
+    monkeypatch.setattr(linalg, "simplex_solve", counting)
+    rng = random.Random(5125)
+    seen = Counter()
+    for trial in range(40):
+        side, size = rng.choice((1, 2)), rng.randint(12, 25)
+        pts = set()
+        while len(pts) < size:
+            pts.add(tuple(2 * rng.randint(0, side) for _ in range(5)))
+        pts = sorted(pts)
+        if trial % 2:
+            pairs = [rng.sample(pts, 2) for _ in range(3)]
+            pts = list(dict.fromkeys(pts + [tuple((u + v) // 2 for u, v in zip(*pair))
+                                            for pair in pairs]))
+            rng.shuffle(pts)
+        events = Counter()
+        solved.clear()
+        cells = placing.placing_cells([p + (1,) for p in pts])
+        assert cells == affine_placing_cells(pts, events), (trial, pts)
+        # each cell it creates is solved at most once
+        assert len(set(solved)) == len(solved) <= events["cells_created"], trial
+        seen.update(kind for kind, n in events.items() if n)
+    # trials with at least one step of each kind
+    assert seen["jump_after_boundary"] >= 20 and seen["sees_nothing"] >= 12, seen
+    assert seen["shared_ridge"] >= 35, seen
 
 
 def test_placing_matches_affine_placing_on_corpus():

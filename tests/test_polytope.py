@@ -4,7 +4,9 @@ Facet oracles are frozen by hand: each expected half-space was checked by
 evaluating the vertex list directly (all vertices satisfy it, some vertex
 set of affine rank dim-1 is tight). The facets read off the placing
 triangulation are also cross-checked against an exhaustive scan over point
-subsets on the corpus and on seeded random clouds. Reflexivity oracles
+subsets on the corpus and on seeded random clouds, and the vertices read
+off the facet incidence against the rank rule of `helpers.rank_vertices`
+(the tight facet normals of a vertex have rank dim). Reflexivity oracles
 follow from the offset-1 criterion applied to hand-translated facet data.
 """
 
@@ -27,7 +29,14 @@ from ehrkit.polytope import (
 )
 from ehrkit.structure import reflexive_check
 
-from helpers import fraction_dot, fraction_nullspace, fraction_rref, fraction_sub, normalize
+from helpers import (
+    fraction_dot,
+    fraction_nullspace,
+    fraction_rref,
+    fraction_sub,
+    normalize,
+    rank_vertices,
+)
 
 
 def square(side=1):
@@ -169,6 +178,30 @@ def test_integer_hull_matches_subset_scan_on_rational_embedded_clouds():
         kinds["facets"] += len(p.facets().inequalities) >= 3
     assert kinds["embedded"] == 120 and kinds["rational"] >= 100, kinds
     assert kinds["several equalities"] >= 45 and kinds["facets"] >= 45, kinds
+
+
+def test_vertices_match_rank_rule_on_random_clouds():
+    # vertices are read off the facet incidence; the oracle asks for tight
+    # normals of rank dim, and the hull of the vertices alone must give the
+    # same half-space form
+    rng = random.Random(3000)
+    kinds = Counter()
+    # the midpoint of an edge of the 4-dimensional cross-polytope lies on
+    # four facets, as many as a vertex
+    cross = [tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    for trial in range(301):
+        pts = random_cloud(rng) if trial else cross + [(Fraction(1, 2), Fraction(1, 2), 0, 0)]
+        p = normalize(pts)
+        hrep = p.facets()
+        assert list(p.vertices) == rank_vertices(pts, hrep, p.dim), (trial, pts)
+        assert normalize(p.vertices).facets() == hrep, (trial, pts)
+        distinct = {tuple(Fraction(v) for v in q) for q in pts}
+        kinds["embedded"] += p.dim < p.ambient_dim
+        kinds["rational"] += p.vertex_denominator() > 1
+        kinds["duplicates"] += len(distinct) < len(pts)
+        kinds["dropped"] += len(p.vertices) < len(distinct)
+    assert kinds["embedded"] >= 120 and kinds["rational"] >= 160, kinds
+    assert kinds["duplicates"] >= 180 and kinds["dropped"] >= 160, kinds
 
 
 def test_birkhoff_4_facets_are_the_nonnegativity_constraints():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from ehrkit import linalg, triangulation
-from ehrkit.cones import HalfOpenSimplicialCone, parallelepiped_points
+from ehrkit.cones import HalfOpenSimplicialCone
 from ehrkit.corpus import load_polytope
 from ehrkit.enumeration import ehrhart
 from ehrkit.errors import InputError, UnsupportedError
@@ -27,6 +27,7 @@ from ehrkit.triangulation import (
     link_f_vector,
     placing_triangulation,
 )
+from helpers import lattice_cloud
 from test_cones import parallelepiped_box_scan
 
 
@@ -260,10 +261,10 @@ def random_reeve(rng):
     return RationalPolytope.from_points(pts)
 
 
-def test_inherited_solves_match_own_solves_on_random_polytopes():
+def test_face_solves_read_off_cells_on_random_polytopes():
     rng = random.Random(1407)
-    inherited = own = nonzero = 0
-    for make in (random_full, random_embedded, random_reeve) * 12:
+    unit = listed = nonzero = 0
+    for make in (random_full, random_embedded, random_reeve) * 30:
         p = make(rng)
         for flavor in (False, True):
             t = placing_triangulation(p, use_all_lattice_points=flavor)
@@ -273,25 +274,65 @@ def test_inherited_solves_match_own_solves_on_random_polytopes():
                     continue
                 simplex = t.simplex(face)
                 gens = simplex.lifted
-                piece = HalfOpenSimplicialCone(gens, (False,) * len(gens))
-                assert piece.solve == linalg.simplex_solve(gens)
-                box = box_polynomial(simplex)
-                assert box == heights(parallelepiped_points(piece, "open")), (p, face)
-                assert box == heights(parallelepiped_box_scan(piece, "open")), (p, face)
-                nonzero += bool(box)
-                if simplex.solve is None:
-                    own += 1
-                    continue
-                # the inherited rows solve the face: <T_i, g_j> = delta_ij with
-                # den_i = 1, and n - k independent C rows vanish on every g_j
-                inherited += 1
+                # the rows read off the cell solve the face: <T_i, g_j> =
+                # den_i delta_ij with den_i > 0, and n - k independent C
+                # rows vanish on every g_j
                 t_rows, c_rows = simplex.solve
                 assert [[linalg.int_dot(row, g) for g in gens] for row, _ in t_rows] == \
-                    [[int(i == j) for j in range(len(gens))] for i in range(len(gens))]
-                assert all(den == 1 for _, den in t_rows)
+                    [[den * (i == j) for j in range(len(gens))]
+                     for i, (_, den) in enumerate(t_rows)]
+                assert all(den > 0 for _, den in t_rows)
                 assert not any(linalg.int_dot(row, g) for row in c_rows for g in gens)
                 assert linalg.rank(c_rows) == len(c_rows) == len(gens[0]) - len(gens)
-    assert inherited >= 500 and own >= 300 and nonzero >= 40, (inherited, own, nonzero)
+                box = box_polynomial(simplex)
+                piece = HalfOpenSimplicialCone(gens, (False,) * len(gens))
+                assert box == heights(parallelepiped_box_scan(piece, "open")), (p, face)
+                if all(den == 1 for _, den in t_rows):
+                    unit += 1
+                else:
+                    # no cell containing the face has den_i == 1 at all of
+                    # its vertices
+                    listed += 1
+                    for cell in t.cells:
+                        if set(face) <= set(cell):
+                            cell_rows = linalg.simplex_solve(t._lifted(cell))[0]
+                            assert any(den > 1 for v, (_, den) in zip(cell, cell_rows)
+                                       if v in face), (p, face, cell)
+                nonzero += bool(box)
+    assert unit >= 1700 and listed >= 1100 and nonzero >= 130, (unit, listed, nonzero)
+
+
+def test_betke_mcmullen_solves_only_cells(monkeypatch):
+    # the placing solves each cell it creates once; afterwards only the
+    # cells of the triangulation are looked up, once each, and no face
+    solved, placed = [], []
+    original_solve = linalg.simplex_solve
+    original_placing = triangulation.placing_cells
+
+    def counting(generators):
+        solved.append(generators)
+        return original_solve(generators)
+
+    def placing(vectors):
+        cells = original_placing(vectors)
+        placed.extend(solved)
+        return cells
+
+    monkeypatch.setattr(linalg, "simplex_solve", counting)
+    monkeypatch.setattr(triangulation, "placing_cells", placing)
+    polytopes = [RationalPolytope.from_points(lattice_cloud(seed, dim, size, side))
+                 for seed in range(3) for dim, size, side in
+                 ((3, 20, 2), (3, 16, 2), (4, 11, 1), (4, 12, 1), (5, 7, 1))]
+    polytopes += [load_polytope("reeve_2"), load_polytope("reeve_3")]
+    for p in polytopes:
+        for flavor in (False, True):
+            solved.clear()
+            placed.clear()
+            t = betke_mcmullen(p, use_all_lattice_points=flavor, verify=False).triangulation
+            assert len(set(placed)) == len(placed), p
+            after = solved[len(placed):]
+            assert sorted(after) == sorted(t._lifted(cell) for cell in t.cells), p
+            assert all(len(g) == p.dim + 1 for g in after), p
 
 
 def test_one_box_call_per_nonempty_face(monkeypatch):
@@ -309,7 +350,7 @@ def test_one_box_call_per_nonempty_face(monkeypatch):
         dec = betke_mcmullen(load_polytope(name), verify=False)
         t = dec.triangulation
         assert len(calls) == expected, name
-        # every cell has den_i == 1, so no face runs an elimination of its own
+        # every face reads its solve off a cell
         assert all(t.simplex(face).solve is not None for face in t.faces()), name
         assert sorted(calls) == sorted(t.simplex(face).lifted for face in t.faces() if face)
 
