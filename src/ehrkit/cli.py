@@ -18,6 +18,7 @@ from .cones import partition_check, specialization_check, stanley_reciprocity_ch
 from .enumeration import count_points, ehrhart, reciprocity_check
 from .errors import EhrkitError
 from .jsonio import dumps, load_cone, load_polytope, rat_from_json, report_to_json
+from .polytope import RationalPolytope
 from .ratpoly import QuasiPoly
 from .report import Report
 from .semimagic import adg_report, birkhoff_polytope
@@ -179,8 +180,7 @@ def cmd_semimagic(args) -> tuple[dict, bool]:
     return _with_report(doc, report)
 
 
-def _verify_polytope(name: str) -> tuple[dict, bool]:
-    p = corpus_mod.load_polytope(name)
+def _verify_polytope(name: str, p: RationalPolytope) -> tuple[dict, bool]:
     result = ehrhart(p)
     reports = [reciprocity_check(p, max_n=4)]
     if p.is_lattice:
@@ -230,12 +230,18 @@ def cmd_corpus_verify(args) -> tuple[dict, bool]:
     # drawn first, so that a bad --random fails before the corpus work
     random_polytopes = corpus_mod.random_lattice_polytopes(args.random, seed=seed)
     load = corpus_mod.load_polytope
+    # each member is read and built once, for its own checks and its pairs
+    members = {name: load(name) for name in corpus_mod.list_polytopes()}
+
+    def member(name: str) -> RationalPolytope:
+        return members[name] if name in members else load(name)
+
     sections = {
-        "polytopes": [_verify_polytope(name) for name in corpus_mod.list_polytopes()],
+        "polytopes": [_verify_polytope(name, p) for name, p in members.items()],
         "cones": [_verify_cone(name, seed) for name in corpus_mod.list_cones()],
         "monotone_pairs": [
             _with_report({"inner": inner, "outer": outer},
-                         monotonicity_check(load(inner), load(outer)))
+                         monotonicity_check(member(inner), member(outer)))
             for inner, outer in corpus_mod.MONOTONE_PAIRS
         ],
         "random_polytopes": [
@@ -321,9 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc, ok = args.run(args)
+        text = dumps(doc)  # a value it cannot write is an InputError too
     except EhrkitError as exc:
-        doc, ok = {"error": str(exc)}, False
-    text = dumps(doc)
+        text, ok = dumps({"error": str(exc)}), False
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

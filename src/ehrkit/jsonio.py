@@ -5,6 +5,11 @@ round trip never loses precision. Polytopes are stored by vertex list,
 cones by ray list, reports as their instance dictionaries. All emitted
 documents are deterministic: keys are written in a fixed order and nothing
 depends on hash iteration.
+
+A document is converted once, as `dumps` writes it: Fractions, tuples and
+non-string keys go straight from library values to text, which is
+byte-identical to `json.dumps(indent=2)` (`ensure_ascii` on) of the
+converted copy that is never made.
 """
 
 from __future__ import annotations
@@ -39,21 +44,68 @@ def rat_from_json(value: Any) -> Fraction:
     raise InputError(f"expected an exact rational, got {value!r}")
 
 
-def to_jsonable(value: Any) -> Any:
-    """Recursively convert Fractions and tuples into JSON-safe values."""
-    if isinstance(value, Fraction):
-        return rat_to_json(value)
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    raise InputError(f"cannot serialize {type(value).__name__} to JSON")
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write(value: Any, out: list[str], indent: str) -> None:
+    """Append the JSON text of `value`, whose first line is at `indent`, to `out`."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif isinstance(value, int):
+        out.append("true" if value is True else "false" if value is False
+                   else int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        comma = ",\n" + inner
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            sep = comma
+            _write(item, out, inner)
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        start = len(out)
+        inner = indent + "  "
+        comma = ",\n" + inner
+        sep = "{\n" + inner
+        for key, item in value.items():
+            if key.__class__ is not str:
+                # again with str(key) keys, the last of equal ones winning;
+                # a value that a later one replaces must still be writable
+                del out[start:]
+                keyed = {str(k): v for k, v in value.items()}
+                if len(keyed) < len(value):
+                    _write(list(value.values()), [], indent)
+                _write(keyed, out, indent)
+                return
+            out.append(sep + _escape(key) + ": ")
+            sep = comma
+            _write(item, out, inner)
+        out.append("\n" + indent + "}")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, Fraction):
+        _write(rat_to_json(value), out, indent)
+    else:
+        raise InputError(f"cannot serialize {type(value).__name__} to JSON")
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(to_jsonable(obj), indent=2) + "\n"
+    """`obj` as JSON text ending in a newline, written in one pass from
+    `dict` (keys as `str(key)`), `list`, `tuple`, `str`, `int`, `bool`,
+    `None` and `Fraction` (as `rat_to_json` renders it): byte-identical to
+    `json.dumps(indent=2)`, `ensure_ascii` on, of the value so converted.
+    Any other value raises InputError."""
+    out: list[str] = []
+    _write(obj, out, "")
+    out.append("\n")
+    return "".join(out)
 
 
 def polytope_to_json(p: RationalPolytope) -> dict:
@@ -115,13 +167,17 @@ def cone_from_json(doc: dict) -> RationalCone:
 
 
 def report_to_json(report: Report) -> dict:
+    """The document of `report`: its instances and notes as they are.
+
+    Their Fractions and tuples are converted by `dumps` as it writes them.
+    """
     doc = {
         "theorem": report.theorem,
         "verdict": report.verdict,
-        "instances": to_jsonable(report.instances),
+        "instances": report.instances,
     }
     if report.notes:
-        doc["notes"] = to_jsonable(report.notes)
+        doc["notes"] = report.notes
     return doc
 
 

@@ -1,6 +1,6 @@
 """Helpers shared by the test modules: short forms of things the library
-has no caller for, seeded test inputs, rational linear algebra and the
-listing oracle `lattice_points`.
+has no caller for, seeded test inputs, rational linear algebra, the
+listing oracle `lattice_points` and the serialization oracle `to_jsonable`.
 
 The `fraction_*` functions are oracles: Gauss-Jordan elimination over
 `Fraction`, sharing no code with the integer elimination `linalg._echelon`
@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 from ehrkit import linalg
 from ehrkit.cones import RationalCone, decompose, homogenize
 from ehrkit.enumeration import IntPoint, _lattice_basis, _walk
-from ehrkit.errors import TheoremViolationError
+from ehrkit.errors import InputError, TheoremViolationError
+from ehrkit.jsonio import rat_to_json
 from ehrkit.polytope import RationalPolytope
 from ehrkit.ratpoly import Poly, QuasiPoly, RatLike
 from ehrkit.structure import ABDecomposition, HStarProfile
@@ -94,6 +95,21 @@ def lattice_points(equalities, inequalities, lo: IntPoint, hi: IntPoint) -> list
         return points  # V = I: y is x
     head = tuple(y_fixed)
     return sorted(tuple(linalg.int_dot(row, head + y) for row in v) for y in points)
+
+
+def to_jsonable(value):
+    """A JSON-ready copy of `value`: Fractions as `rat_to_json` renders them,
+    tuples as lists, keys as `str(key)`. `json.dumps(to_jsonable(x),
+    indent=2) + "\\n"` is what `jsonio.dumps(x)` must write."""
+    if isinstance(value, Fraction):
+        return rat_to_json(value)
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    raise InputError(f"cannot serialize {type(value).__name__} to JSON")
 
 
 def lattice_cloud(seed: int, dim: int, size: int, side: int) -> list[tuple[int, ...]]:

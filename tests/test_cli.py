@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import ehrkit
+from ehrkit import cli
 from ehrkit.cli import main
 from ehrkit.cones import decompose
 from ehrkit.corpus import MONOTONE_PAIRS, corpus_dir, list_cones, list_polytopes
+from ehrkit.report import Report
 
 from helpers import cloud_cone
 
@@ -200,6 +202,16 @@ def test_wrong_kind_in_corpus_directory_exits_1_without_traceback(tmp_path, misp
     assert list(json.loads(proc.stdout)) == ["error"]
 
 
+def test_corpus_without_a_pair_member_exits_1_with_error_document(tmp_path, monkeypatch, capsys):
+    (tmp_path / "cones").mkdir()
+    shutil.copy(corpus_file("segment_01"), tmp_path)
+    shutil.copy(cone_file("quadrant"), tmp_path / "cones")
+    monkeypatch.setenv("EHRKIT_CORPUS", str(tmp_path))
+    code, doc = run(capsys, "corpus-verify", "--random", "0")
+    assert code == 1
+    assert doc == {"error": f"no corpus polytope named {MONOTONE_PAIRS[0][0]!r}"}
+
+
 def test_corpus_verify_seed_7_bytes_are_pinned():
     # a fresh interpreter per run, so that no cached result from another test
     # serves it; seed 7 and the default seed
@@ -277,6 +289,22 @@ def test_unwritable_out_path_exits_1_with_error_document(tmp_path, capsys):
     assert list(doc) == ["error"]
     assert doc["error"].startswith(f"cannot write {target}")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("where", ["document", "report instance"])
+def test_a_value_dumps_rejects_exits_1_with_error_document(capsys, monkeypatch, tmp_path, where):
+    def handler(args):
+        if where == "document":
+            return {"name": "x", "ratio": 0.5}, True
+        return cli._with_report({"name": "x"}, Report("t", [{"lhs": 0.5, "pass": True}], "pass"))
+
+    monkeypatch.setitem(cli.COMMANDS, "count", (handler, "", []))
+    error = {"error": "cannot serialize float to JSON"}
+    assert run(capsys, "count") == (1, error)
+    target = tmp_path / "report.json"
+    assert main(["count", "--out", str(target)]) == 1
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text()) == error
 
 
 def test_seeded_commands_are_deterministic(capsys):

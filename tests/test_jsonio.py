@@ -26,9 +26,10 @@ from ehrkit.jsonio import (
     polytope_to_json,
     rat_from_json,
     rat_to_json,
-    to_jsonable,
 )
 from ehrkit.polytope import RationalPolytope, contains_polytope
+
+from helpers import to_jsonable
 
 
 def test_rational_round_trip():
@@ -144,6 +145,57 @@ def test_to_jsonable_nested():
     assert doc == {"a": ["1/2", [1, 2]], "b": None, "c": True}
     with pytest.raises(InputError):
         to_jsonable(object())
+
+
+# every code point, surrogates included, and the ones JSON escapes
+_TEXT = st.text(st.characters(codec=None, exclude_categories=())
+                | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff\U0001f600'))
+_INTS = st.integers() | st.integers(-(2 ** 200), 2 ** 200)
+_FRACTIONS = st.fractions() | st.fractions(-3, 3, max_denominator=4)
+# small ones too, so that keys such as 1, True, "1" and Fraction(1) collide
+_KEYS = (_TEXT | st.sampled_from(["1", "True", "1/2", "-2"]) | st.integers(-2, 2)
+         | st.booleans() | _FRACTIONS)
+
+
+def _documents(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(_KEYS, inner, max_size=4)),
+        max_leaves=16,
+    )
+
+
+_GOOD = st.none() | st.booleans() | _INTS | _TEXT | _FRACTIONS
+_BAD = (st.floats() | st.sets(st.integers(), max_size=2) | st.binary(max_size=2)
+        | st.builds(object))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents(_GOOD))
+def test_dumps_matches_json_dumps_of_the_oracle_copy(doc):
+    assert dumps(doc) == json.dumps(to_jsonable(doc), indent=2) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents(_GOOD | _BAD))
+def test_dumps_rejects_what_the_oracle_rejects(doc):
+    try:
+        expected = json.dumps(to_jsonable(doc), indent=2) + "\n"
+    except InputError as exc:
+        with pytest.raises(InputError) as caught:
+            dumps(doc)
+        assert str(caught.value) == str(exc)
+    else:
+        assert dumps(doc) == expected
+
+
+@pytest.mark.parametrize("bad", [0.5, {1, 2}, b"x", object()])
+def test_dumps_names_the_type_it_cannot_serialize(bad):
+    for doc in (bad, [1, bad], {"a": {"b": (bad,)}}, {1: bad, "1": 2}):
+        with pytest.raises(InputError) as caught:
+            dumps(doc)
+        assert str(caught.value) == f"cannot serialize {type(bad).__name__} to JSON"
 
 
 def test_dumps_is_deterministic():
