@@ -18,11 +18,12 @@ the lattice points of its half-open fundamental parallelepiped divided by
 prod_i (1 - z^{g_i}). Closed cone, open (relative interior) cone, and the
 complement conventions are all expressed through which facets are open.
 
-Both hot paths stay in the integers. A piece whose solve has every
-denominator 1 has a one-point half-open box and an empty open box, read off
-without a search. Any other box is listed from the Smith form of its
-generator matrix: one point per element of the direct sum of the Z/d_i,
-the quotient of the span's lattice by the generators' lattice, as in LattE
+Both hot paths stay in the integers. A piece whose solve has some
+denominator 1 has an empty open box, and one whose solve has every
+denominator 1 a one-point half-open box, both read off without a search.
+Any other box is listed from the Smith form of its generator matrix: one
+point per element of the direct sum of the Z/d_i, the quotient of the
+span's lattice by the generators' lattice, as in LattE
 (De Loera et al., J. Symbolic Comput. 38, 2004) and Normaliz (Bruns, Ichim
 and Soeger, J. Symbolic Comput. 74, 2016). No bounding box is walked. The
 interior generating function reflects each closed box instead of listing
@@ -39,11 +40,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, prod
 from operator import getitem, mul, sub
-from typing import Iterable, Sequence
 
 from . import linalg
 from .enumeration import ehrhart
@@ -153,12 +154,13 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
     and (0,1] where it is True. mode 'open': all coefficients strictly in
     (0,1), the open box used by box polynomials.
 
-    When every den_i of the piece's solve is 1, each lattice point of the
-    span has integer coefficients, so the half-open box is the one point
-    sum of the generators with open flags, and the open box is empty. (A
-    unimodular piece may still have some den_i > 1, e.g. the single
-    generator (3, 2), whose coefficient is read as x_2 / 2; such a piece
-    goes the general way.)
+    When some den_i of the piece's solve is 1, the coefficient
+    <T_i, x> / den_i of every lattice point x is an integer, never in
+    (0, 1), so the open box is empty. When every den_i is 1, each lattice
+    point of the span has integer coefficients, so the half-open box is the
+    one point sum of the generators with open flags. (A unimodular piece
+    may still have some den_i > 1, e.g. the single generator (3, 2), whose
+    coefficient is read as x_2 / 2; such a piece goes the general way.)
 
     In general the box points are one representative of each class of the
     span's lattice points modulo the generators' lattice, and that quotient
@@ -175,9 +177,10 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
     gens = piece.generators
     n = len(gens[0])
     t_rows, _ = piece.solve
-    if all(den == 1 for _, den in t_rows):
-        if mode == "open":
+    if mode == "open":
+        if any(den == 1 for _, den in t_rows):
             return []
+    elif all(den == 1 for _, den in t_rows):
         return [tuple(sum(g[j] for g, flag in zip(gens, piece.open_flags) if flag)
                       for j in range(n))]
     diag, v = linalg.smith_form(gens)

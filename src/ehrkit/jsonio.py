@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
 
 from .cones import RationalCone
 from .errors import InputError
@@ -31,7 +30,7 @@ def rat_to_json(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def rat_from_json(value: Any) -> Fraction:
+def rat_from_json(value: object) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise InputError(f"expected an exact rational, got {value!r}")
     if isinstance(value, int):
@@ -47,7 +46,7 @@ def rat_from_json(value: Any) -> Fraction:
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _write(value: Any, out: list[str], indent: str) -> None:
+def _write(value: object, out: list[str], indent: str) -> None:
     """Append the JSON text of `value`, whose first line is at `indent`, to `out`."""
     if isinstance(value, str):
         out.append(_escape(value))
@@ -96,7 +95,7 @@ def _write(value: Any, out: list[str], indent: str) -> None:
         raise InputError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: object) -> str:
     """`obj` as JSON text ending in a newline, written in one pass from
     `dict` (keys as `str(key)`), `list`, `tuple`, `str`, `int`, `bool`,
     `None` and `Fraction` (as `rat_to_json` renders it): byte-identical to

@@ -8,23 +8,28 @@ row, so entries stay no larger than in Bareiss's elimination (Math. Comp.
 an integer. `rank` counts its pivots, `nullspace` reads a primitive
 integer kernel basis off it, and `solve_integral` reads a regular square
 system's solution off it over one common denominator. `simplex_solve` is
-the one (cached) barycentric solve of a simplex; placing triangulations,
-half-open cone pieces and fundamental parallelepipeds all read it. The
-one Smith reduction, `smith_form`, returns the invariant factors with the
-unimodular column transform: cone boxes are listed from both, lattice
-walks of embedded polytopes take their coordinates from the transform,
-and lattice volumes read the factors alone. Ambient dimensions here stay
-small (16 for the Birkhoff polytope B4), so cubic elimination and Smith
-reduction are more than fast enough.
+the one barycentric solve of a simplex, kept in one bounded LRU cache;
+placing triangulations, half-open cone pieces and fundamental
+parallelepipeds all read it. A placing cell differs from a solved
+neighbour in one generator, so `exchange_solve` fills its cache entry with
+one exchange pivot, quadratic in the ambient dimension, instead of the
+cubic elimination. The one Smith reduction, `smith_form`, returns the
+invariant factors with the unimodular column transform: cone boxes are
+listed from both, lattice walks of embedded polytopes take their
+coordinates from the transform, and lattice volumes read the factors
+alone. Ambient dimensions here stay small (16 for the Birkhoff polytope
+B4), so a cubic elimination is cheap once; but a triangulation solves
+every cell, and eliminations are left only for its first cell, the cells
+of a dimension jump and cells placed from non-integer vectors.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
 from .errors import InputError
 
@@ -115,9 +120,17 @@ def solve_integral(rows: Sequence[Sequence],
     return tuple(row[-1] * (den // row[i]) for i, row in enumerate(echelon)), den
 
 
-# Only cells are solved, each once by the placing and then looked up; one B4
-# hull and triangulation keeps 930 entries, a `corpus-verify` run under 200.
-@lru_cache(maxsize=2048)
+# The one solve cache, least recently used first. Only cells add entries:
+# placing makes each cell's solve once, by `exchange_solve`'s pivot or by
+# elimination, and the hull, the faces and the cone pieces look it up again.
+# One B4 hull and triangulation keeps 930 entries, a `corpus-verify` run
+# under 200.
+_solves: dict = {}
+_MAX_SOLVES = 2048
+_hits = _misses = 0
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
 def simplex_solve(generators: tuple[tuple, ...]):
     """Barycentric solve of independent rational vectors: (T, C) in integers.
 
@@ -130,8 +143,83 @@ def simplex_solve(generators: tuple[tuple, ...]):
     T_i = (v_i, p_i) up to the sign of p_i, the remaining rows (0 | w) the
     span-membership test. Each row has gcd 1, so these are the reduced
     forms of the rows of the rational rref. Raises InputError unless the
-    generators are nonempty, of one length and independent.
+    generators are nonempty, of one length and independent. Solves are
+    cached; `cache_info()` and `cache_clear()` work as for `lru_cache`.
     """
+    global _hits, _misses
+    solve = _solves.pop(generators, None)
+    if solve is None:
+        _misses += 1
+        solve = _eliminate(generators)
+    else:
+        _hits += 1
+    _keep(generators, solve)
+    return solve
+
+
+def exchange_solve(generators: tuple[tuple, ...], solve: tuple, apex: int):
+    """`simplex_solve(generators)`, where the generators are those of a
+    solved simplex with its generator at position `apex` dropped and a new
+    one, q, appended; `solve` is that simplex's solve, and its apex row must
+    not vanish at q.
+
+    A cache miss on an integer q is filled by one exchange pivot instead of
+    an elimination. With s = <T_apex, q> and t_j = <T_j, q>, the
+    coefficient of q in x is <T_apex, x> / s, and that of each kept
+    generator j is <t_j T_apex - s T_j, x> / (-s den_j). Each row divided
+    by the gcd of its entries and den, and signed to den > 0, is the reduced
+    row that the elimination reads off; the span, hence C, is unchanged.
+    """
+    global _hits, _misses
+    found = _solves.pop(generators, None)
+    if found is not None:
+        _hits += 1
+    elif all(type(v) is int for v in generators[-1]):
+        _misses += 1
+        q = generators[-1]
+        t_rows, c_rows = solve
+        top = t_rows[apex][0]
+        s = int_dot(top, q)
+        rows = []
+        for j, (row, den) in enumerate(t_rows):
+            if j != apex:
+                t = int_dot(row, q)
+                rows.append(_reduced([t * a - s * b for a, b in zip(top, row)], -s * den))
+        rows.append(_reduced([-a for a in top], -s))
+        found = (tuple(rows), c_rows)
+    else:
+        return simplex_solve(generators)
+    _keep(generators, found)
+    return found
+
+
+def _reduced(row: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """(row, den) divided by their gcd, with the sign that makes den > 0."""
+    g = gcd(*row, den) if den > 0 else -gcd(*row, den)
+    return tuple(v // g for v in row), den // g
+
+
+def _keep(generators: tuple[tuple, ...], solve: tuple) -> None:
+    _solves[generators] = solve
+    if len(_solves) > _MAX_SOLVES:
+        del _solves[next(iter(_solves))]
+
+
+def _cache_info() -> tuple:
+    return _CacheInfo(_hits, _misses, _MAX_SOLVES, len(_solves))
+
+
+def _cache_clear() -> None:
+    global _hits, _misses
+    _solves.clear()
+    _hits = _misses = 0
+
+
+simplex_solve.cache_info = _cache_info
+simplex_solve.cache_clear = _cache_clear
+
+
+def _eliminate(generators: tuple[tuple, ...]) -> tuple:
     if not generators:
         raise InputError("a simplex needs at least one generator")
     k, n = len(generators), len(generators[0])

@@ -17,10 +17,16 @@ visibility in any cross-section, and for points (p, 1) visibility of a
 facet of the hull.
 
 The boundary is a dict from each boundary facet to its visibility row,
-the apex row of its cell's solve. Each cell is solved once, when it is
-created, and toggles its facets in or out of the dict; after a dimension
-jump the dict is rebuilt from all cells. Its order, by cell creation and
-then dropped vertex, is the order in which new cells are appended.
+the apex row of its cell's solve, kept with that solve and the apex
+position. A cell made from a boundary facet swaps that cell's apex for q,
+so its solve is one exchange pivot of the kept solve
+(`linalg.exchange_solve`), looked up in the solve cache first; only the
+first cell, the cells of a dimension jump and cells with a non-integer
+vector q run the elimination. Each cell's solve is made once, when the
+cell is created, and the cell toggles its facets in or out of the dict;
+after a dimension jump the dict is rebuilt from all cells. Its order, by
+cell creation and then dropped vertex, is the order in which new cells are
+appended.
 
 The caller controls insertion order. Lexicographic order guarantees that
 every point lands outside the hull of its predecessors, hence becomes a
@@ -31,7 +37,7 @@ there.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import linalg
 
@@ -58,29 +64,27 @@ def placing_cells(vectors: Sequence[tuple]) -> list[tuple[int, ...]]:
             continue
         if boundary is None:
             boundary = {}
-            _toggle(boundary, cells[0], first[0])
+            _toggle(boundary, cells[0], first)
             for cell in cells[1:]:
-                _toggle(boundary, cell, _solve(vectors, cell))
+                _toggle(boundary, cell, linalg.simplex_solve(tuple(vectors[v] for v in cell)))
         # strictly visible facets; i is the largest index, so facet + (i,) is sorted
-        added = [facet + (i,) for facet, row in boundary.items()
+        added = [(facet + (i,), solve, apex) for facet, (row, solve, apex) in boundary.items()
                  if linalg.int_dot(row, q) < 0]
-        for cell in added:
-            _toggle(boundary, cell, _solve(vectors, cell))
-        cells.extend(added)
+        for cell, solve, apex in added:
+            _toggle(boundary, cell,
+                    linalg.exchange_solve(tuple(vectors[v] for v in cell), solve, apex))
+        cells.extend(cell for cell, _, _ in added)
     return cells
 
 
-def _solve(vectors: Sequence[tuple], cell: tuple[int, ...]) -> tuple:
-    return linalg.simplex_solve(tuple(vectors[v] for v in cell))[0]
-
-
-def _toggle(boundary: dict, cell: tuple[int, ...], t_rows: tuple) -> None:
-    """Add each facet of the cell to the boundary with its apex row, or
-    remove it when an earlier cell already has it."""
-    for pos, (row, _) in enumerate(t_rows):
+def _toggle(boundary: dict, cell: tuple[int, ...], solve: tuple) -> None:
+    """Add each facet of the cell to the boundary with its apex row, the
+    cell's solve and the apex position, or remove it when an earlier cell
+    already has it."""
+    for pos, (row, _) in enumerate(solve[0]):
         facet = cell[:pos] + cell[pos + 1:]
         if boundary.pop(facet, None) is None:
-            boundary[facet] = row
+            boundary[facet] = (row, solve, pos)
 
 
 def boundary_facets(cells: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:

@@ -26,9 +26,9 @@ Everything is exact; no floats are accepted or produced.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import FrozenRecord, InputError, _set_field

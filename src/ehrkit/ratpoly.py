@@ -19,9 +19,9 @@ All arithmetic is exact. Nothing in this module ever touches floats.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterable, Sequence
 
 from .errors import FrozenRecord, InputError, TheoremViolationError, _set_field
 

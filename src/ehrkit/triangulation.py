@@ -8,19 +8,19 @@ predecessors and appears as a vertex.
 `betke_mcmullen` sums h_link(F) * B_F over the faces F, the empty face
 included (its link is the whole complex); B_F counts by height the lattice
 points of the open parallelepiped of F's lifted vertices. By default the
-sum is verified against the enumeration pipeline. Each cell is solved
-once, by the placing, and every face reads its solve off a cell that
-contains it, so no face runs an elimination. A face whose cell has
-den_i == 1 at all of the face's vertices has B_F = 0, read off with no
-search; any other box is listed from its Smith form. A link is counted
-over the cells that contain its face.
+sum is verified against the enumeration pipeline. Each cell's solve is
+made once, by the placing's pivot or elimination, and every face reads its
+solve off a cell that contains it, so no face runs an elimination. A face
+whose cell has den_i == 1 at any of the face's vertices has B_F = 0, read
+off with no search; any other box is listed from its Smith form. A link is
+counted over the cells that contain its face.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence
 
 from . import linalg
 from .cones import HalfOpenSimplicialCone, parallelepiped_points
@@ -196,7 +196,7 @@ def box_polynomial(simplex: Simplex) -> Poly:
     B(x) = sum x^(last coordinate) over lattice points of the strictly open
     parallelepiped spanned by the lifted generators. The empty simplex has
     B = 1; every unimodular simplex has B = 0. The box is listed with the
-    solve the simplex read off its cell: when every den_i is 1,
+    solve the simplex read off its cell: when some den_i is 1,
     `parallelepiped_points` reads the empty box off without a search, and
     otherwise lists it from the Smith form, which never reads the solve.
     """

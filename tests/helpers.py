@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from ehrkit import linalg
@@ -189,6 +190,23 @@ def fraction_solve(rows, rhs):
             return None  # pivot in the rhs column: 0 = 1
         x[p] = row[-1]
     return tuple(x)
+
+
+def fraction_simplex_solve(generators):
+    """Oracle: (T, C) read off the rational rref of [G | I]."""
+    if not generators:
+        raise InputError("a simplex needs at least one generator")
+    k, n = len(generators), len(generators[0])
+    rref, pivots = fraction_rref([[g[j] for g in generators]
+                                  + [int(i == j) for i in range(n)] for j in range(n)])
+    if pivots[:k] != list(range(k)):
+        raise InputError("generators of a simplex must be independent")
+    t_rows = []
+    for row in rref[:k]:
+        den = lcm(*(v.denominator for v in row[k:]))
+        t_rows.append((tuple(int(v * den) for v in row[k:]), den))
+    c_rows = tuple(linalg.primitive(row[k:]) for row in rref[k:])
+    return tuple(t_rows), c_rows
 
 
 def rank_vertices(points, hrep, dim: int) -> list:

@@ -291,7 +291,7 @@ def random_simplicial_piece(rng):
 
 def test_parallelepiped_points_match_box_scan_on_random_pieces():
     rng = random.Random(20141)
-    cases = non_unimodular = lower_rank = lifted_cases = 0
+    cases = non_unimodular = lower_rank = lifted_cases = some_den_one = 0
     for _ in range(400):
         piece, lifted = random_simplicial_piece(rng)
         gens = piece.generators
@@ -307,8 +307,12 @@ def test_parallelepiped_points_match_box_scan_on_random_pieces():
         non_unimodular += len(parallelepiped_points(piece, "half_open")) > 1
         lower_rank += len(gens) < n
         lifted_cases += lifted
+        # the open box is read off as empty, not listed
+        dens = [den for _, den in piece.solve[0]]
+        some_den_one += 1 in dens and max(dens) > 1
     assert cases >= 600
     assert non_unimodular >= 80 and lower_rank >= 200 and lifted_cases >= 100
+    assert some_den_one >= 40
 
 
 def random_wide_piece(rng):

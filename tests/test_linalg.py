@@ -12,15 +12,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ehrkit.cones import HalfOpenSimplicialCone
 from ehrkit.errors import InputError
 from ehrkit.linalg import (
     _echelon,
+    exchange_solve,
     int_dot,
     lattice_normalized_volume,
     nullspace,
@@ -31,7 +35,13 @@ from ehrkit.linalg import (
     solve_integral,
 )
 
-from helpers import fraction_nullspace, fraction_rank, fraction_rref, fraction_solve
+from helpers import (
+    fraction_nullspace,
+    fraction_rank,
+    fraction_rref,
+    fraction_simplex_solve,
+    fraction_solve,
+)
 
 
 def test_row_reduce_and_rank():
@@ -140,23 +150,6 @@ def test_simplex_solve_coefficients_and_span_rows():
             HalfOpenSimplicialCone(gens, (False,) * len(gens))
 
 
-def fraction_simplex_solve(generators):
-    """Oracle: (T, C) read off the rational rref of [G | I]."""
-    if not generators:
-        raise InputError("a simplex needs at least one generator")
-    k, n = len(generators), len(generators[0])
-    rref, pivots = fraction_rref([[g[j] for g in generators]
-                                  + [int(i == j) for i in range(n)] for j in range(n)])
-    if pivots[:k] != list(range(k)):
-        raise InputError("generators of a simplex must be independent")
-    t_rows = []
-    for row in rref[:k]:
-        den = lcm(*(v.denominator for v in row[k:]))
-        t_rows.append((tuple(int(v * den) for v in row[k:]), den))
-    c_rows = tuple(primitive(row[k:]) for row in rref[k:])
-    return tuple(t_rows), c_rows
-
-
 def random_generators(rng):
     """(generators, kind, rational): k <= n vectors in R^n, n = 1..6, with
     integer entries or denominators 1-3; kind "dependent" when one more
@@ -224,6 +217,65 @@ def test_simplex_solve_cache_is_bounded_and_recomputes_evicted_solves():
     assert simplex_solve.cache_info().misses == misses + 1 and again is not first
     assert again == first
     assert simplex_solve.cache_info().currsize == maxsize
+
+
+@st.composite
+def exchanges(draw):
+    """(generators, apex, q): k independent vectors in R^n, n = 1..5, with
+    integer entries or denominators 1-3, one of them the apex, and a
+    vector q = L sum_j c_j g_j in their span with c_apex != 0, scaled by the
+    lcm L of the entries' denominators to integers; q is sometimes handed
+    over as Fractions, which the pivot leaves to the elimination."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    den = draw(st.sampled_from((1, 1, 2, 3)))
+    entry = st.integers(-3 * den, 3 * den).map(lambda v: Fraction(v, den))
+    gens = draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+    try:
+        fraction_simplex_solve(gens)
+    except InputError:
+        assume(False)
+    apex = draw(st.integers(0, k - 1))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    coeffs[apex] = draw(st.sampled_from((-3, -2, -1, -1, -1, 1, 2)))
+    scale = lcm(*(v.denominator for g in gens for v in g))
+    q = tuple(int(scale * sum(c * g[j] for c, g in zip(coeffs, gens))) for j in range(n))
+    if draw(st.booleans()) and den == 1:
+        gens = [tuple(map(int, g)) for g in gens]
+    if draw(st.integers(0, 9)) == 0:
+        q = tuple(map(Fraction, q))
+    return tuple(gens), apex, q
+
+
+def test_exchange_solve_matches_fraction_solve():
+    kinds = Counter()
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(exchanges())
+    def check(case):
+        gens, apex, q = case
+        new = gens[:apex] + gens[apex + 1:] + (q,)
+        solve = simplex_solve(gens)
+        simplex_solve.cache_clear()
+        made = exchange_solve(new, solve, apex)
+        assert made == fraction_simplex_solve(new), case
+        assert all(type(v) is int for row, den in made[0] for v in row + (den,))
+        # made once and kept: looking it up again is a hit
+        assert simplex_solve.cache_info()[:2] == (0, 1)
+        assert simplex_solve(new) is made and simplex_solve.cache_info()[:2] == (1, 1)
+        s = int_dot(solve[0][apex][0], q)
+        kinds["pivot" if all(type(v) is int for v in q) else "elimination"] += 1
+        kinds["visible" if s < 0 else "not visible"] += 1
+        kinds["embedded"] += len(gens) < len(gens[0])
+        kinds["rational generators"] += any(type(v) is not int for g in gens for v in g)
+        # a row whose gcd with its den is not 1 before the division
+        kinds["reduced"] += any(den != abs(s) * old for (_, den), (_, old)
+                                in zip(made[0], solve[0][:apex] + solve[0][apex + 1:]))
+
+    check()
+    minimum = {"pivot": 200, "elimination": 50, "visible": 200, "not visible": 30,
+               "embedded": 150, "rational generators": 150, "reduced": 150}
+    assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
 
 
 def test_primitive_scaling():

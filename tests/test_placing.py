@@ -30,6 +30,7 @@ from helpers import (
     fraction_nullspace,
     fraction_rank,
     fraction_rref,
+    fraction_simplex_solve,
     fraction_solve,
     fraction_sub,
 )
@@ -170,18 +171,68 @@ def test_placing_matches_affine_placing_on_seeded_clouds():
     assert seen["skipped"] >= 15 and seen["several_cells"] >= 60, seen
 
 
+def test_placing_keeps_each_cell_solve_on_mixed_rational_clouds(monkeypatch):
+    # integral points are placed as int tuples three times in four, so cells
+    # mix Fraction and int generators; a cell with an int vector q is made by
+    # the exchange pivot, one with a Fraction q by the elimination
+    made = []
+    original = linalg.exchange_solve
+
+    def recording(generators, solve, apex):
+        made.append((generators, original(generators, solve, apex)))
+        return made[-1][1]
+
+    monkeypatch.setattr(linalg, "exchange_solve", recording)
+    rng = random.Random(3113)
+    seen = Counter()
+    for trial in range(150):
+        kinds, pts = random_cloud(rng)
+        if trial % 2:
+            rng.shuffle(pts)
+        else:
+            pts.sort()
+        vectors = [tuple(map(int, p)) + (1,)
+                   if all(v.denominator == 1 for v in p) and rng.random() < 0.75
+                   else p + (1,) for p in pts]
+        made.clear()
+        linalg.simplex_solve.cache_clear()
+        cells = placing_cells(vectors)
+        assert cells == affine_placing_cells(pts), (trial, pts)
+        for generators, solve in made:
+            assert solve == fraction_simplex_solve(generators), (trial, generators)
+            pivot = all(type(v) is int for v in generators[-1])
+            seen["pivot" if pivot else "elimination"] += 1
+            seen["pivot on Fraction generators"] += pivot and any(
+                type(v) is not int for g in generators for v in g)
+            seen["embedded"] += pivot and len(generators) < len(generators[0])
+        # every cell's solve stays in the cache for the hull, faces and pieces
+        misses = linalg.simplex_solve.cache_info().misses
+        for cell in cells:
+            linalg.simplex_solve(tuple(vectors[v] for v in cell))
+        assert linalg.simplex_solve.cache_info().misses == misses, trial
+        seen.update(kinds)
+    assert seen["pivot"] >= 150 and seen["elimination"] >= 200, seen
+    assert seen["pivot on Fraction generators"] >= 80 and seen["embedded"] >= 60, seen
+    assert seen["rational"] >= 60 and seen["lattice"] >= 60, seen
+
+
 def test_incremental_boundary_matches_affine_placing_in_r5(monkeypatch):
     # clouds of 12-25 points of {0..side}^5; sorted clouds rise through the
     # lower dimensions first, so their jumps come after the boundary was
     # used, and shuffled ones get midpoints, which often see no facet
     solved = []
-    original = linalg.simplex_solve
+    original, original_exchange = linalg.simplex_solve, linalg.exchange_solve
 
     def counting(generators):
         solved.append(generators)
         return original(generators)
 
+    def exchanging(generators, solve, apex):
+        solved.append(generators)
+        return original_exchange(generators, solve, apex)
+
     monkeypatch.setattr(linalg, "simplex_solve", counting)
+    monkeypatch.setattr(linalg, "exchange_solve", exchanging)
     rng = random.Random(5125)
     seen = Counter()
     for trial in range(40):
@@ -199,7 +250,8 @@ def test_incremental_boundary_matches_affine_placing_in_r5(monkeypatch):
         solved.clear()
         cells = placing.placing_cells([p + (1,) for p in pts])
         assert cells == affine_placing_cells(pts, events), (trial, pts)
-        # each cell it creates is solved at most once
+        # the solve of each cell it creates is made at most once, by pivot
+        # or elimination (the points are ints, so no pivot falls back)
         assert len(set(solved)) == len(solved) <= events["cells_created"], trial
         seen.update(kind for kind, n in events.items() if n)
     # trials with at least one step of each kind

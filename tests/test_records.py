@@ -185,8 +185,9 @@ def test_report_is_mutable_unhashable_and_owns_its_notes():
 def test_cli_import_in_a_fresh_interpreter_skips_heavy_stdlib_modules():
     """`import ehrkit.cli` is what every CLI call and benchmark worker pays
     first; `dataclasses` pulls in `inspect` (and `ast`, `dis`, `tokenize`),
-    and `importlib.resources` pulls in zipfile and tempfile."""
-    heavy = ("dataclasses", "inspect", "importlib.resources")
+    `importlib.resources` pulls in zipfile and tempfile, and `typing` would
+    be loaded for annotations only."""
+    heavy = ("dataclasses", "inspect", "importlib.resources", "typing")
     code = ("import sys; import ehrkit.cli; "
             f"print(sorted(set({heavy!r}) & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(ehrkit.__file__).resolve().parents[1]))

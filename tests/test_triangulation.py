@@ -303,15 +303,20 @@ def test_face_solves_read_off_cells_on_random_polytopes():
 
 
 def test_betke_mcmullen_solves_only_cells(monkeypatch):
-    # the placing solves each cell it creates once; afterwards only the
-    # cells of the triangulation are looked up, once each, and no face
+    # the placing makes the solve of each cell it creates once, by pivot or
+    # elimination; afterwards only the cells of the triangulation are looked
+    # up, once each, and no face
     solved, placed = [], []
-    original_solve = linalg.simplex_solve
+    original_solve, original_exchange = linalg.simplex_solve, linalg.exchange_solve
     original_placing = triangulation.placing_cells
 
     def counting(generators):
         solved.append(generators)
         return original_solve(generators)
+
+    def exchanging(generators, solve, apex):
+        solved.append(generators)
+        return original_exchange(generators, solve, apex)
 
     def placing(vectors):
         cells = original_placing(vectors)
@@ -319,6 +324,7 @@ def test_betke_mcmullen_solves_only_cells(monkeypatch):
         return cells
 
     monkeypatch.setattr(linalg, "simplex_solve", counting)
+    monkeypatch.setattr(linalg, "exchange_solve", exchanging)
     monkeypatch.setattr(triangulation, "placing_cells", placing)
     polytopes = [RationalPolytope.from_points(lattice_cloud(seed, dim, size, side))
                  for seed in range(3) for dim, size, side in
