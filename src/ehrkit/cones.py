@@ -32,8 +32,10 @@ product of shared integer powers, and sums all pieces over the one common
 denominator prod_g (1 - z^g) of the distinct generators, so each
 evaluation builds one Fraction.
 
-Only pointed cones are supported; everything else raises UnsupportedError
-with a lineality certificate.
+Only pointed cones are supported, and pointedness is read off the same
+placing: the apex rows of its boundary facets sum to a vector positive on
+every generator exactly when the cone is pointed. Any other cone raises
+UnsupportedError with a lineality certificate.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from . import linalg
 from .enumeration import ehrhart
 from .errors import (FrozenRecord, InputError, PoleError, TheoremViolationError,
                      UnsupportedError, _set_field)
-from .placing import placing_cells
+from .placing import boundary_rows, placing_cells
 from .polytope import RationalPolytope, check_region
 from .ratpoly import RatLike, _coerce, counts_from_hstar
 from .report import Report
@@ -59,7 +61,7 @@ IntVec = tuple[int, ...]
 
 _REFERENCE_SEED = 41183
 
-# Cones kept by `decompose`, `_dual_interior_cached` and `_closed_boxes`.
+# Cones kept by `decompose` and `_closed_boxes`.
 # `corpus-verify` touches six, and a check asks for the same cone a few times
 # in a row; the bound keeps a process that meets many cones from keeping all
 # of them.
@@ -275,39 +277,31 @@ def _check_point(z: Sequence[RatLike], ambient: int) -> tuple[Fraction, ...]:
 
 
 def dual_interior_vector(cone: RationalCone) -> tuple[Fraction, ...]:
-    """Rational w with <w, g> >= 1 for every generator g.
-
-    Exists iff the cone is pointed. Found by exhaustive vertex enumeration
-    of {u : <g_i, B^T u> >= 1} in the span coordinates; raises
-    UnsupportedError with a lineality certificate when the cone has a line.
+    """Rational w with <w, g> >= 1 for every generator g, the least of them 1:
+    `_inner_normal` of the generators' placing, scaled. Exists iff the cone
+    is pointed; raises UnsupportedError with a lineality certificate otherwise.
     """
-    w = _dual_interior_cached(cone)
-    if w is None:
+    w = _inner_normal(cone, placing_cells(cone.generators))
+    least = min(linalg.int_dot(w, g) for g in cone.generators)
+    return tuple(Fraction(v, least) for v in w)
+
+
+def _inner_normal(cone: RationalCone, cells: Sequence[tuple[int, ...]]) -> IntVec:
+    """Integer w with <w, g> > 0 for every generator g: the sum of the apex
+    rows of the boundary of `cells`, the generators' placing. Any such w
+    proves the cone pointed; in a pointed cone each row is an inner normal
+    of a facet of the cone (De Loera, Rambau and Santos, Triangulations,
+    4.3), and no generator lies on every facet. Otherwise raises
+    UnsupportedError with a lineality certificate.
+    """
+    rows = [row for row, _, _ in boundary_rows(cone.generators, cells).values()]
+    w = tuple(map(sum, zip(*rows)))  # () when there is no boundary: 0 on every g
+    if any(linalg.int_dot(w, g) <= 0 for g in cone.generators):
         cert = _lineality_certificate(cone)
         raise UnsupportedError(
             f"cone is not pointed: {cert} and its negative both lie in the cone"
         )
     return w
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _dual_interior_cached(cone: RationalCone) -> tuple[Fraction, ...] | None:
-    # B: integer rows spanning the generators' span, so w = B^T u and
-    # <g, w> = <B g, u>. A k-subset of the B g with <B g_i, u> = 1 on it
-    # fixes the unique span vector w with <g_i, w> = 1 there, whatever
-    # multiples of the rref rows B holds.
-    basis, _ = linalg._echelon(cone.generators)
-    k = len(basis)
-    rows = [[linalg.int_dot(g, b) for b in basis] for g in cone.generators]
-    for subset in itertools.combinations(range(len(rows)), k):
-        solved = linalg.solve_integral([rows[i] for i in subset], [1] * k)
-        if solved is None:
-            continue
-        u, den = solved  # u / den
-        if all(linalg.int_dot(r, u) >= den for r in rows):
-            return tuple(Fraction(sum(c * b[j] for c, b in zip(u, basis)), den)
-                         for j in range(cone.ambient_dim))
-    return None
 
 
 def _lineality_certificate(cone: RationalCone) -> IntVec:
@@ -322,7 +316,7 @@ def _lineality_certificate(cone: RationalCone) -> IntVec:
             if all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs):
                 # g and -g both lie in the cone for the first generator here
                 return gens[subset[0]]
-    raise TheoremViolationError("no dual vector and no lineality certificate found")
+    raise TheoremViolationError("no inner normal and no lineality certificate found")
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -333,8 +327,8 @@ def decompose(cone: RationalCone) -> tuple[HalfOpenSimplicialCone, ...]:
     flags are set against a fixed generic reference point inside the first
     piece.
     """
-    dual_interior_vector(cone)  # UnsupportedError unless the cone is pointed
     cells = placing_cells(cone.generators)
+    _inner_normal(cone, cells)  # UnsupportedError unless the cone is pointed
     pieces_gens = [tuple(cone.generators[i] for i in cell) for cell in cells]
 
     rng = random.Random(_REFERENCE_SEED)

@@ -26,7 +26,8 @@ vector q run the elimination. Each cell's solve is made once, when the
 cell is created, and the cell toggles its facets in or out of the dict;
 after a dimension jump the dict is rebuilt from all cells. Its order, by
 cell creation and then dropped vertex, is the order in which new cells are
-appended.
+appended. `boundary_rows` builds the same dict from finished cells, for
+the hull's facets, a triangulation's boundary and a cone's pointedness.
 
 The caller controls insertion order. Lexicographic order guarantees that
 every point lands outside the hull of its predecessors, hence becomes a
@@ -87,11 +88,12 @@ def _toggle(boundary: dict, cell: tuple[int, ...], solve: tuple) -> None:
             boundary[facet] = (row, solve, pos)
 
 
-def boundary_facets(cells: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
-    """(facet, apex) pairs for facets lying in exactly one cell."""
-    seen: dict[tuple[int, ...], list[int]] = {}
+def boundary_rows(vectors: Sequence[tuple],
+                  cells: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], tuple]:
+    """Each facet that lies in exactly one cell, mapped to (apex row, cell
+    solve, apex position), in the order of the cells and then of the dropped
+    vertex: placing's boundary, built from each cell's cached solve."""
+    boundary: dict[tuple[int, ...], tuple] = {}
     for cell in cells:
-        for drop in cell:
-            facet = tuple(v for v in cell if v != drop)
-            seen.setdefault(facet, []).append(drop)
-    return [(facet, apexes[0]) for facet, apexes in seen.items() if len(apexes) == 1]
+        _toggle(boundary, cell, linalg.simplex_solve(tuple(vectors[v] for v in cell)))
+    return boundary

@@ -6,8 +6,9 @@ affine hull, inequalities are facet half-spaces of the form <a, x> <= c with
 (a, c) jointly primitive integer vectors. Facets are read off a placing
 triangulation of the points, each placed as the vector (p, 1) scaled to
 integers: every facet of the hull is spanned by some boundary facet of any
-triangulation. The apex row T_apex of the cell's cached `simplex_solve`
-vanishes exactly on that boundary facet's hyperplane, so boundary facets
+triangulation. `placing.boundary_rows` maps each boundary facet to the
+apex row T_apex of its cell's cached `simplex_solve`, which vanishes
+exactly on that boundary facet's hyperplane, so boundary facets
 are grouped by the set of points q with <T_apex, (q, 1)> = 0, one set per
 facet of the hull. Only the first boundary facet of each set gives an
 inequality: its normal is -T_apex, projected orthogonally onto the hull's
@@ -32,7 +33,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import FrozenRecord, InputError, _set_field
-from .placing import boundary_facets, placing_cells
+from .placing import boundary_rows, placing_cells
 from .ratpoly import RatLike, _coerce
 
 Point = tuple[Fraction, ...]
@@ -242,12 +243,9 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int, list[Po
     facets: dict[frozenset[int], tuple[IntVec, int]] = {}
     if dim >= 1:
         lifted = [p + (scale,) for p in ints]
-        for facet, apex in boundary_facets(placing_cells(lifted)):
+        for facet, (t_apex, _, _) in boundary_rows(lifted, placing_cells(lifted)).items():
             # <T_apex, (x, 1)> vanishes on the facet's hyperplane and is
             # positive at the apex, so on the whole hull
-            cell = tuple(sorted(facet + (apex,)))
-            coords, _ = linalg.simplex_solve(tuple(lifted[v] for v in cell))
-            t_apex = coords[cell.index(apex)][0]
             key = frozenset(j for j, q in enumerate(lifted)
                             if not linalg.int_dot(t_apex, q))
             if key not in facets:

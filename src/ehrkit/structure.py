@@ -19,7 +19,7 @@ from math import lcm
 from .enumeration import ehrhart, enumerate_points
 from .errors import (FrozenRecord, InputError, TheoremViolationError, UnsupportedError,
                      _set_field)
-from .placing import boundary_facets
+from .placing import boundary_rows
 from .polytope import RationalPolytope, contains_polytope
 from .ratpoly import HStarData, Poly, choose, hstar_from_counts
 from .report import HYPOTHESIS_NOT_MET, Report
@@ -252,7 +252,7 @@ def athanasiadis_check(p: RationalPolytope) -> Report:
     boundary_unimodular = False
     if d >= 1:
         boundary_unimodular = all(t.cell_volume(f) == 1
-                                  for f, _ in boundary_facets(t.cells))
+                                  for f in boundary_rows(t._lifts, t.cells))
     if boundary_unimodular:
         for j in range(d // 2):
             instances.append({

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: short forms of things the library
 has no caller for, seeded test inputs, rational linear algebra, the
-listing oracle `lattice_points` and the serialization oracle `to_jsonable`.
+listing oracle `lattice_points`, the serialization oracle `to_jsonable`
+and the combinatorial boundary oracle `boundary_facets`.
 
 The `fraction_*` functions are oracles: Gauss-Jordan elimination over
 `Fraction`, sharing no code with the integer elimination `linalg._echelon`
@@ -207,6 +208,17 @@ def fraction_simplex_solve(generators):
         t_rows.append((tuple(int(v * den) for v in row[k:]), den))
     c_rows = tuple(linalg.primitive(row[k:]) for row in rref[k:])
     return tuple(t_rows), c_rows
+
+
+def boundary_facets(cells):
+    """Oracle: (facet, apex) pairs for the facets lying in exactly one cell,
+    in the order of the cells and then of the dropped vertex."""
+    seen = {}
+    for cell in cells:
+        for drop in cell:
+            facet = tuple(v for v in cell if v != drop)
+            seen.setdefault(facet, []).append(drop)
+    return [(facet, apexes[0]) for facet, apexes in seen.items() if len(apexes) == 1]
 
 
 def rank_vertices(points, hrep, dim: int) -> list:

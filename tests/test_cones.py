@@ -25,7 +25,6 @@ from ehrkit.cones import (
     HalfOpenSimplicialCone,
     RationalCone,
     _closed_boxes,
-    _dual_interior_cached,
     decompose,
     dual_interior_vector,
     generating_function,
@@ -105,8 +104,8 @@ def fraction_dual_interior(cone):
 
 
 def test_dual_interior_vector_matches_fraction_oracle():
-    # the integer solve scales its basis rows and its solutions differently
-    # from the rref, yet must return the very same vector
+    # the vector read off the placing's boundary differs from the oracle's
+    # vertex, but exists for exactly the same cones and is scaled alike
     rng = random.Random(20261021)
     pointed = flat = 0
     for _ in range(300):
@@ -117,14 +116,50 @@ def test_dual_interior_vector_matches_fraction_oracle():
             if any(ray):
                 rays.append(ray)
         cone = RationalCone.from_rays(rays)
-        w = _dual_interior_cached.__wrapped__(cone)
-        assert w == fraction_dual_interior(cone), rays
-        if w is not None:
-            assert all(type(v) is Fraction for v in w)
-            assert all(fraction_dot(w, g) >= 1 for g in cone.generators)
-        pointed += w is not None
-        flat += w is not None and linalg.rank(cone.generators) < n
+        expected = fraction_dual_interior(cone)
+        if expected is None:
+            with pytest.raises(UnsupportedError):
+                dual_interior_vector(cone)
+            continue
+        w = dual_interior_vector(cone)
+        assert all(type(v) is Fraction for v in w), rays
+        assert min(fraction_dot(w, g) for g in cone.generators) == 1, rays
+        pointed += 1
+        flat += linalg.rank(cone.generators) < n
     assert pointed >= 200 and 300 - pointed >= 20 and flat >= 50, (pointed, flat)
+
+
+# 20 rays in R^6 holding the line through e_1; without -e_1 the cone is pointed
+LINE_CONE_RAYS = [
+    (1, 0, 0, 0, 0, 0), (-2, 2, 2, -1, 0, 2), (0, -2, 1, 0, 1, 2), (1, -2, 0, -1, 0, 2),
+    (0, 0, 2, -1, -1, 2), (-1, -2, -2, -2, 2, 2), (-2, -2, 0, -1, 1, 2), (2, 1, 2, -2, -2, 2),
+    (-1, -2, 1, 2, -1, 2), (1, 2, -1, 1, 0, 2), (-2, -2, -2, 0, 0, 1), (-2, -1, 1, -2, 2, 1),
+    (1, 1, -1, 2, 1, 2), (0, 1, 1, 1, 1, 1), (0, 1, 1, -1, 1, 2), (-2, 2, -1, 1, 0, 2),
+    (-2, 1, 1, -2, 0, 2), (1, 0, 0, 0, 2, 1), (-2, 2, 1, 0, -2, 2), (-1, 0, 0, 0, 0, 0),
+]
+
+
+def test_pointedness_of_twenty_rays_in_r6_needs_no_subset_solves(monkeypatch):
+    # the certificate comes from the placing, not from one integer solve per
+    # 6-subset of the generators (C(20, 6) = 38,760 of them)
+    solves = []
+    original = linalg.solve_integral
+
+    def counting(rows, rhs):
+        solves.append(rows)
+        return original(rows, rhs)
+
+    monkeypatch.setattr(linalg, "solve_integral", counting)
+    line = RationalCone.from_rays(LINE_CONE_RAYS)
+    assert len(line.generators) == 20 and line.dim == 6
+    with pytest.raises(UnsupportedError) as info:
+        decompose(line)
+    assert str(info.value) == ("cone is not pointed: (1, 0, 0, 0, 0, 0) and its "
+                               "negative both lie in the cone")
+    pointed = RationalCone.from_rays(LINE_CONE_RAYS[:-1])
+    assert len(decompose(pointed)) > 1
+    assert min(fraction_dot(dual_interior_vector(pointed), g) for g in pointed.generators) == 1
+    assert solves == []
 
 
 def in_cone(x, generators):
@@ -164,7 +199,6 @@ def test_lineality_certificate_names_a_generator_whose_negative_is_in_the_cone()
         rays = [r for r in line + pointed if any(r)]
         rng.shuffle(rays)
         cone = RationalCone.from_rays(rays)
-        assert _dual_interior_cached.__wrapped__(cone) is None, rays
         with pytest.raises(UnsupportedError) as info:
             dual_interior_vector(cone)
         match = re.fullmatch(r"cone is not pointed: (\(.*\)) and its negative "
@@ -625,7 +659,7 @@ def test_interior_boxes_reflect_the_closed_boxes():
 
 
 def test_cone_caches_are_bounded():
-    for cached in (decompose, _dual_interior_cached, _closed_boxes):
+    for cached in (decompose, _closed_boxes):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and len(list_cones()) <= maxsize
 

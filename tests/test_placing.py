@@ -10,6 +10,8 @@ oracle places through the cross-section g / <w, g> at the dual vector w of
 `dual_interior_vector`, with half-open flags from its own exact solve. The
 oracle also tallies the steps that `placing_cells`' incremental boundary
 handles apart, so that the tests can require each of them to occur.
+`boundary_rows` is checked against `boundary_facets`, the combinatorial
+oracle in `helpers`, and each of its rows against `fraction_simplex_solve`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from operator import mul
 from ehrkit import linalg, placing
 from ehrkit.cones import _REFERENCE_SEED, RationalCone, decompose, dual_interior_vector
 from ehrkit.corpus import list_polytopes, load_polytope
-from ehrkit.placing import boundary_facets, placing_cells
+from ehrkit.placing import boundary_rows, placing_cells
 
 from helpers import (
+    boundary_facets,
     fraction_dot,
     fraction_nullspace,
     fraction_rank,
@@ -298,3 +301,35 @@ def test_decompose_matches_cross_section_placing_on_seeded_cones():
         seen["open_flags"] += any(any(flags) for _, flags in pieces)
     assert seen["embedded"] >= 60 and seen["several_pieces"] >= 50, seen
     assert seen["open_flags"] >= 50, seen
+
+
+def test_boundary_rows_match_boundary_facets_oracle():
+    # the facets of the combinatorial oracle in its order, each with its
+    # cell's solve and the T row at its apex, against Fraction elimination
+    rng = random.Random(2113)
+    seen = Counter()
+    for trial in range(240):
+        if trial % 3:
+            kinds, pts = random_cloud(rng)
+            if trial % 2:
+                rng.shuffle(pts)
+            else:
+                pts.sort()
+            vectors = [p + (1,) for p in pts]
+        else:
+            cone = random_pointed_cone(rng)
+            kinds = {"cone", "embedded"} if cone.dim < cone.ambient_dim else {"cone"}
+            vectors = cone.generators
+        cells = placing_cells(vectors)
+        oracle = boundary_facets(cells)
+        rows = boundary_rows(vectors, cells)
+        assert list(rows) == [facet for facet, _ in oracle], (trial, vectors)
+        for (facet, apex), (row, solve, pos) in zip(oracle, rows.values()):
+            cell = tuple(sorted(facet + (apex,)))
+            expected = fraction_simplex_solve(tuple(vectors[v] for v in cell))
+            assert cell[pos] == apex and solve == expected, (trial, cell)
+            assert row == expected[0][pos][0], (trial, cell)
+        seen.update(kinds)
+        seen["several_cells"] += len(cells) > 1
+    assert min(seen[kind] for kind in ("lattice", "rational", "embedded", "cone")) >= 60, seen
+    assert seen["several_cells"] >= 100, seen
