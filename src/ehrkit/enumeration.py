@@ -13,6 +13,14 @@ lowered to c - 1, and a flag saying whether the prefix can still reach
 it, so one walk gives the closed and the interior counts as sums of run
 lengths.
 
+Each facet row bounds a coordinate on its own, so most values of the
+depth before last would find an empty last run. After the facet rows, the
+walk data therefore carry the rows of one Fourier-Motzkin step that
+projects out the last coordinate, one from each adjacent pair of an upper
+and a lower facet. They bound the polytope's shadow on the coordinates
+before the last, so the walk skips the values over which the polytope has
+no section.
+
 Every walk is full-dimensional: it has no equality rows. Equalities are
 solved before the walk, in lattice coordinates of their solution set.
 `_lattice_basis` takes the Smith form U E V = D of the equality normals
@@ -262,8 +270,9 @@ def _walk_data(p: RationalPolytope):
     than width_a(p) / |a_j| for each facet normal a with a_j != 0; the free
     coordinates are sorted by that bound, which scales with the dilate and
     so orders every dilate alike. The extremes are integers over the common
-    denominator `den`. Computed once per polytope and kept on it, as its
-    half-space form is.
+    denominator `den`. The facet rows come first, in the order of p's
+    facets, and `_projected_rows` follow. Computed once per polytope and
+    kept on it, as its half-space form is.
     """
     if p._walk_order is not None:
         return p._walk_order
@@ -281,22 +290,67 @@ def _walk_data(p: RationalPolytope):
     reach = [(top - bottom, 1) for bottom, top in zip(mins, maxs)]  # w / q, compared crosswise
     columns = list(zip(*v))
     rows = []
+    incidence = []  # bit j set: vertex j lies on the facet
     for a, c in hrep.inequalities:
         av = [linalg.int_dot(a, col) for col in columns] if k else a
         free = av[k:]
-        width = c * den - min(linalg.int_dot(a, vert) for vert in verts)
+        bound = c * den
+        dots = [linalg.int_dot(a, vert) for vert in verts]
+        width = bound - min(dots)
         for j, coef in enumerate(free):
             if coef and width * reach[j][1] < reach[j][0] * abs(coef):
                 reach[j] = width, abs(coef)
         rows.append((free, c, linalg.int_dot(av[:k], shift)))
+        incidence.append(sum(1 << j for j, dot in enumerate(dots) if dot == bound))
     order = sorted(range(len(reach)), key=lambda j: Fraction(*reach[j]))
 
     def pick(row):
         return tuple(row[j] for j in order)
 
-    p._walk_order = ([(pick(a), c, t) for a, c, t in rows], pick(mins), pick(maxs),
+    rows = [(pick(a), c, t) for a, c, t in rows]
+    p._walk_order = (rows + _projected_rows(rows, incidence), pick(mins), pick(maxs),
                      den, period, [row[:k] + pick(row[k:]) for row in v], shift)
     return p._walk_order
+
+
+def _projected_rows(rows, incidence) -> list:
+    """The rows that project the last walk coordinate out of the facet rows
+    `rows` of a `_walk_data` polytope, in their (a, c, t) form; bit j of
+    `incidence[i]` is set when vertex j lies on facet i.
+
+    For a facet with a_last = p > 0 and one with a_last = -q < 0, q times the
+    first plus p times the second (c and t alike, so at every dilate) holds
+    on the polytope and has last coefficient 0; it is divided by the gcd of
+    all its entries. Only facets that share at least n - 1 vertices (n free
+    coordinates) can meet in a ridge, whose projection may be a facet of the
+    shadow; other pairs are skipped, since they would add rows quadratic in
+    the facets. Two parallel facets that share a vertex would lie in one
+    hyperplane, so no kept pair combines to zero; a repeated row is kept
+    once. Interior points satisfy each facet row with c - 1, hence a
+    combined row with c - (p + q) / g <= c - 1, so the walk may lower these
+    rows by 1 as it lowers the others.
+    """
+    n = len(rows[0][0]) if rows else 0
+    if n < 2:
+        return []
+    uppers = [(row, on) for row, on in zip(rows, incidence) if row[0][-1] > 0]
+    lowers = [(row, on) for row, on in zip(rows, incidence) if row[0][-1] < 0]
+    seen = set(rows)
+    projected = []
+    for (a, c, t), on in uppers:
+        p = a[-1]
+        for (b, d, s), under in lowers:
+            if (on & under).bit_count() < n - 1:
+                continue
+            q = -b[-1]
+            vec = [q * x + p * y for x, y in zip(a, b)]
+            c_row, t_row = q * c + p * d, q * t + p * s
+            g = gcd(*vec, c_row, t_row)
+            row = (tuple(x // g for x in vec), c_row // g, t_row // g)
+            if row not in seen:
+                seen.add(row)
+                projected.append(row)
+    return projected
 
 
 def _count_dilate(data, n: int, slack: int, interior: bool,
@@ -432,7 +486,7 @@ def reciprocity_check(p: RationalPolytope, max_n: int = 8) -> Report:
     """Verify count(-n) == (-1)^dim interior_count(n) for n = 1..max_n.
 
     For n up to 5 the interior side is additionally re-counted by the walk
-    of `count_points`, anchoring the identity to actual geometry.
+    of `count_points`.
     """
     if max_n < 1:
         raise InputError("reciprocity needs max_n >= 1")

@@ -187,10 +187,16 @@ def load_document(path: str) -> RationalPolytope | RationalCone:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError(f"malformed JSON in {path}: nested too deeply") from exc
+    except ValueError as exc:  # an integer longer than `int` converts
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     if "vertices" in doc:

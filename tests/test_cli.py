@@ -267,6 +267,30 @@ def test_missing_file(capsys):
     assert "error" in doc
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff{}", "is not UTF-8 text: invalid start byte at byte 0"),
+    (b"[" * 100_000 + b"]" * 100_000, ": nested too deeply"),
+], ids=["not UTF-8", "nested 100,000 deep"])
+def test_undecodable_documents_exit_1_with_error_document(capsys, tmp_path, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    for command in ("count", "ehrhart"):
+        code, doc = run(capsys, command, str(path))
+        assert code == 1
+        assert list(doc) == ["error"] and doc["error"].endswith(message), doc
+
+
+def test_an_integer_too_long_to_convert_exits_1_with_error_document(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this interpreter converts integer strings of any length")
+    path = tmp_path / "doc.json"
+    path.write_text('{"vertices": [[' + "9" * (limit + 1) + "]]}")
+    code, doc = run(capsys, "count", str(path))
+    assert code == 1
+    assert list(doc) == ["error"] and doc["error"].startswith(f"malformed JSON in {path}: "), doc
+
+
 def test_unsupported_size_names_parameter(capsys):
     code, doc = run(capsys, "semimagic", "--n", "9")
     assert code == 1

@@ -17,7 +17,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,11 +34,12 @@ from ehrkit.enumeration import (
     region_counts,
 )
 from ehrkit.errors import InputError, TheoremViolationError
+from ehrkit.polytope import RationalPolytope
 from ehrkit.ratpoly import interpolate
 from ehrkit.semimagic import birkhoff_polytope
 from ehrkit.triangulation import betke_mcmullen
 
-from helpers import lattice_points, minimal_period, normalize
+from helpers import lattice_cloud, lattice_points, minimal_period, normalize
 
 
 def box_scan(p, region="closed"):
@@ -342,7 +343,7 @@ def last_runs(inequalities, lo, hi):
     every inequality on its own for some value of the last coordinate in its
     box, with its closed and interior runs there as (low, high), found by
     trying every prefix of the box: the values that the walk's depth before
-    last loops over."""
+    last loops over, as (prefix, closed, interior, reach)."""
     *head_lo, end_lo = lo
     *head_hi, end_hi = hi
     for prefix in itertools.product(*(range(l, h + 1) for l, h in zip(head_lo, head_hi))):
@@ -362,7 +363,7 @@ def last_runs(inequalities, lo, hi):
                     high = low - 1
             runs.append((low, high))
         reach = all(s + min(e * end_lo, e * end_hi) <= c - 1 for s, e, c in sums)
-        yield runs[0], runs[1], reach
+        yield prefix, runs[0], runs[1], reach
 
 
 def test_inline_last_level_matches_independent_oracles(monkeypatch):
@@ -372,13 +373,16 @@ def test_inline_last_level_matches_independent_oracles(monkeypatch):
     # prefixes re-derived by trying every prefix of the box, to show that the
     # inline last level met one free coordinate, values whose last run is
     # empty, interior runs shorter than the closed run, and closed runs whose
-    # prefix cannot reach the interior
+    # prefix cannot reach the interior. Re-derived on the facet rows alone,
+    # which come first, the prefixes also show the values that a projected row
+    # cut, each with an empty closed run
     walks = []
     walked = enumeration._walk
+    facet_count = [0]
 
     def recorded(inequalities, lo, hi, interior, runs=None):
         if interior:
-            walks.append((inequalities, lo, hi))
+            walks.append((inequalities, lo, hi, facet_count[0]))
         return walked(inequalities, lo, hi, interior, runs)
 
     monkeypatch.setattr(enumeration, "_walk", recorded)
@@ -388,6 +392,7 @@ def test_inline_last_level_matches_independent_oracles(monkeypatch):
         for _ in range(12):
             p = free_coordinate_polytope(rng, free)
             hrep = p.facets()
+            facet_count[0] = len(hrep.inequalities)
             for n in range(1, 7):
                 q = p.dilate(n)
                 lo, hi = q.bounding_box()
@@ -405,20 +410,148 @@ def test_inline_last_level_matches_independent_oracles(monkeypatch):
                 kinds[f"dim {p.dim}"] += 1
                 kinds["embedded"] += p.dim < p.ambient_dim
                 kinds["rational"] += p.vertex_denominator() > 1
-    for inequalities, lo, hi in walks:
+    for inequalities, lo, hi, facets in walks:
         kinds["one free coordinate"] += len(lo) == 1
         if not lo or prod(h - l + 1 for l, h in zip(lo[:-1], hi[:-1])) > 4000:
             continue
-        for (low, high), (inner_low, inner_high), reach in last_runs(inequalities, lo, hi):
+        tried = set()
+        for prefix, (low, high), (inner_low, inner_high), reach in last_runs(
+                inequalities, lo, hi):
+            tried.add(prefix)
             kinds["empty last run"] += low > high
             kinds["interior run cut"] += reach and inner_low <= inner_high and (
                 inner_high - inner_low < high - low)
             kinds["prefix off the interior"] += low <= high and not reach
+        for prefix, (low, high), _, _ in last_runs(inequalities[:facets], lo, hi):
+            if prefix not in tried:
+                assert low > high, (inequalities, lo, hi, prefix)
+                kinds["value cut by a projected row"] += 1
     minimum = {"dim 1": 60, "dim 2": 50, "dim 3": 50, "dim 4": 40, "embedded": 120,
                "rational": 150, "listed": 60, "one free coordinate": 60,
-               "empty last run": 3000, "interior run cut": 800,
-               "prefix off the interior": 800}
+               "empty last run": 500, "interior run cut": 800,
+               "prefix off the interior": 800, "value cut by a projected row": 3000}
     assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
+
+
+def vertex_sets(p):
+    """For each facet of p, the indices of the vertices on it, by Fraction
+    dot products in ambient coordinates."""
+    return [{j for j, vert in enumerate(p.vertices) if sum(x * y for x, y in zip(a, vert)) == c}
+            for a, c in p.facets().inequalities]
+
+
+def projected_rows_oracle(p, rows, facets, kinds):
+    """The rows that `_walk_data` appends to p's facet rows `rows[:facets]`,
+    found from the Fraction incidence of p's vertices with its facets in
+    ambient coordinates: for each upper facet (last walk coefficient u > 0)
+    and lower facet (last coefficient -w < 0) that share at least n - 1
+    vertices, w times the first plus u times the second over the gcd of all
+    its entries, once each and never a facet row again. The pairs skipped
+    are counted in `kinds` as parallel (their combination is zero) or as
+    not adjacent."""
+    on = vertex_sets(p)
+    n = len(rows[0][0]) if facets else 0
+    expected = []
+    for (a, c, t), top in zip(rows[:facets], on):
+        for (b, d, s), bottom in zip(rows[:facets], on):
+            if n < 2 or a[-1] <= 0 or b[-1] >= 0:
+                continue
+            w, u = -b[-1], a[-1]
+            vec = tuple(w * x + u * y for x, y in zip(a, b))
+            if not any(vec):
+                kinds["parallel pair"] += 1
+            elif len(top & bottom) < n - 1:
+                kinds["pair not adjacent"] += 1
+            else:
+                g = gcd(*vec, w * c + u * d, w * t + u * s)
+                row = (tuple(x // g for x in vec), (w * c + u * d) // g, (w * t + u * s) // g)
+                if row not in expected and row not in rows[:facets]:
+                    expected.append(row)
+    return expected
+
+
+def test_projected_rows_keep_every_count_and_run(monkeypatch):
+    # every dilate of the Ehrhart window, closed and interior as
+    # `region_counts` walks them and interior as `count_points` does, walked
+    # once on all of `_walk_data`'s rows and once on its facet rows alone:
+    # the counts and the runs are identical. The appended rows are those of
+    # the oracle, and the recorded walks, their prefixes re-derived by
+    # trying every prefix of the box, show values that a projected row cut
+    walks = []
+    walked = enumeration._walk
+
+    def recorded(inequalities, lo, hi, interior, runs=None):
+        walks.append((inequalities, lo, hi))
+        return walked(inequalities, lo, hi, interior, runs)
+
+    monkeypatch.setattr(enumeration, "_walk", recorded)
+    rng = random.Random(20261022)
+    members = [random_rational_polytope(rng) for _ in range(40)]
+    members += [random_embedded_polytope(rng) for _ in range(60)]
+    members += [free_coordinate_polytope(rng, free) for free in (1, 2, 3, 4) for _ in range(6)]
+    members += [RationalPolytope.from_points(lattice_cloud(seed, dim, size, side))
+                for seed, (dim, size, side) in enumerate(
+                    [(2, 12, 6), (3, 12, 3), (3, 25, 4), (3, 30, 4), (4, 10, 2), (4, 16, 2)])]
+    members += [load_polytope(name) for name in list_polytopes()]  # boxes, crosses, B3
+    for _ in range(20):  # rational boxes, some with a corner cut off: parallel facets
+        dim, den = rng.randint(2, 3), rng.randint(1, 3)
+        sides = [Fraction(rng.randint(1, 2 * den), den) for _ in range(dim)]
+        corners = [[side * bit for side, bit in zip(sides, bits)]
+                   for bits in itertools.product((0, 1), repeat=dim)]
+        if rng.random() < 0.5:
+            top = corners.pop()
+            corners += [top[:j] + [top[j] / 2] + top[j + 1:] for j in range(dim)]
+        members.append(normalize(corners))
+    kinds = Counter()
+    for p in members:
+        data = enumeration._walk_data(p)
+        rows = data[0]
+        facets = len(p.facets().inequalities)
+        assert rows[facets:] == projected_rows_oracle(p, rows, facets, kinds), p.vertices
+        assert all(a[-1] == 0 and gcd(*a, c, t) == 1 for a, c, t in rows[facets:])
+        kinds["projected rows"] += len(rows) - facets
+        alone = (rows[:facets],) + data[1:]
+        for n in range(1, p.vertex_denominator() * (p.dim + 2)):
+            for slack, interior in ((0, True), (1, False)):
+                runs, runs_alone = [], []
+                del walks[:]
+                counts = enumeration._count_dilate(data, n, slack, interior, runs)
+                assert counts == enumeration._count_dilate(alone, n, slack, interior,
+                                                          runs_alone), (n, slack, p.vertices)
+                assert runs == runs_alone, (n, slack, p.vertices)
+                if not walks:  # the dilate's hull misses the lattice
+                    continue
+                kinds["walk"] += 1
+                inequalities, lo, hi = walks[0]
+                kinds["one free coordinate"] += len(lo) == 1
+                if len(lo) < 2 or prod(h - l + 1 for l, h in zip(lo[:-1], hi[:-1])) > 2000:
+                    continue
+                tried = {prefix for prefix, *_ in last_runs(inequalities, lo, hi)}
+                kinds["walk with a value cut by a projected row"] += any(
+                    prefix not in tried
+                    for prefix, *_ in last_runs(inequalities[:facets], lo, hi))
+    minimum = {"walk": 1500, "projected rows": 160, "one free coordinate": 200,
+               "walk with a value cut by a projected row": 350, "parallel pair": 30,
+               "pair not adjacent": 250}
+    assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
+
+
+def test_projected_rows_grow_with_the_facets_not_with_their_pairs():
+    # a seeded 60-point cloud in [0, 8]^4 has 130 facets and thousands of
+    # pairs of an upper and a lower facet; the adjacency filter keeps no more
+    # rows than the pairs that share n - 1 = 3 vertices, and fewer than the
+    # facets, on this cloud and on a 30-point one
+    for size, least in ((30, 60), (60, 120)):
+        p = RationalPolytope.from_points(lattice_cloud(14, 4, size, 8))
+        rows = enumeration._walk_data(p)[0]
+        facets = len(p.facets().inequalities)
+        ends = [(a[-1], on) for (a, _, _), on in zip(rows[:facets], vertex_sets(p))]
+        pairs = [(top, bottom) for up, top in ends if up > 0 for down, bottom in ends if down < 0]
+        adjacent = sum(len(top & bottom) >= 3 for top, bottom in pairs)
+        assert facets >= least
+        assert len(rows) - facets <= adjacent
+        assert len(rows) - facets <= facets
+        assert len(pairs) >= 10 * facets, (len(pairs), facets)
 
 
 def test_a_row_decided_by_the_box_alone_decides_the_interior():
