@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,26 @@ def test_corpus_verify_seed_7_bytes_are_pinned():
                               capture_output=True, env=env, timeout=600)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.md5(proc.stdout).hexdigest() == md5, args
+
+
+def test_semimagic_size_four_bytes_are_pinned(capsys):
+    assert main(["semimagic", "--n", "4", "--rmax", "14"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.md5(out).hexdigest() == "54cb557ba4f488eae9a508819edcd8b0"
+
+
+def test_semimagic_out_of_reach_exits_1_fast_with_error_document():
+    src = str(Path(ehrkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", "semimagic", "--n", "4",
+                           "--rmax", "400"], capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert list(doc) == ["error"] and "column-sum tuples" in doc["error"], doc
+    assert elapsed < 1.0, elapsed
 
 
 def test_cone_reciprocity_bytes_on_a_cloud_cone_are_pinned(capsys, monkeypatch, tmp_path):

@@ -4,9 +4,11 @@ Count oracle: `row_dp_count`, a dynamic program over residual column sums
 that places one row at a time, checked against the two-row-halves count.
 """
 
+import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -14,7 +16,9 @@ import pytest
 from ehrkit.enumeration import count_points, ehrhart
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.ratpoly import Poly
-from ehrkit.semimagic import adg_report, birkhoff_polytope, count_semimagic
+from ehrkit.semimagic import (
+    _WEIGHTS, MAX_TUPLES, _two_rows, adg_report, birkhoff_polytope, count_semimagic,
+)
 from ehrkit.triangulation import betke_mcmullen
 
 
@@ -87,6 +91,71 @@ def test_count_preconditions():
         count_semimagic(0, 1)
     with pytest.raises(InputError):
         count_semimagic(3, -1)
+
+
+@pytest.mark.parametrize("call, args", [
+    (count_semimagic, (4, 2.0)),
+    (count_semimagic, (4, True)),
+    (count_semimagic, (True, 2)),
+    (adg_report, (4, 12.5)),
+    (adg_report, (4.0,)),
+    (birkhoff_polytope, (2.0,)),
+], ids=["float line sum", "bool line sum", "bool size", "float rmax", "float size",
+        "float birkhoff size"])
+def test_non_int_arguments_are_input_errors_whatever_the_cache_holds(call, args):
+    # the int entries these arguments equal are cached first
+    assert (count_semimagic(4, 2), count_semimagic(4, 1), count_semimagic(1, 2)) == (282, 24, 1)
+    for _ in range(2):
+        with pytest.raises(InputError, match="must be an int"):
+            call(*args)
+
+
+def test_counts_out_of_reach_fail_fast_with_the_estimate():
+    start = time.monotonic()
+    for call, args, what in [(count_semimagic, (4, 400), "H_4(400)"),
+                             (count_semimagic, (3, 10**6), "H_3(1000000)"),
+                             (adg_report, (4, 400), "H_4(r) for r <= 400"),
+                             (adg_report, (3, 10**9), "H_3(r) for r <= 1000000000")]:
+        with pytest.raises(UnsupportedError) as info:
+            call(*args)
+        message = str(info.value)
+        assert message.startswith(f"{what} visits about ") and message.endswith(
+            f" column-sum tuples, over the limit of {MAX_TUPLES:,}"), message
+    assert time.monotonic() - start < 1.0
+    # the default tables and rmax 14 stay far inside the limit; size 2 has
+    # one column-sum tuple per line sum and is never refused
+    assert adg_report(4, rmax=14)[1].verdict == "pass"
+    assert count_semimagic(2, 10**6) == 10**6 + 1
+
+
+def random_column_sums(rng, r):
+    """A nonincreasing c in [0, r]^4 with sum 2r, the column sums of a
+    two-row half; often with zeros, repeated parts or parts equal to r."""
+    while True:
+        c = [rng.choice((0, r, rng.randint(0, r), rng.randint(0, r))) for _ in range(3)]
+        last = 2 * r - sum(c)
+        if 0 <= last <= r:
+            return tuple(sorted(c + [last], reverse=True))
+
+
+def test_two_row_half_matches_brute_force():
+    rng = random.Random(23)
+    for _ in range(300):
+        r = rng.randint(0, 9)
+        c = random_column_sums(rng, r)
+        binom = [comb(m + 3, 3) for m in range(r + 1)]
+        brute = sum(1 for x in product(*(range(v + 1) for v in c)) if sum(x) == r)
+        assert _two_rows(*c, r, binom) == brute, (c, r)
+
+
+def test_rearrangement_weights_match_permutations():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.choice((3, 4))
+        c = sorted((rng.randint(0, 3) for _ in range(n)), reverse=True)
+        padded = c + [0] * (4 - n)
+        ties = sum(1 << j for j in range(3) if padded[j] == padded[j + 1])
+        assert _WEIGHTS[n][ties] == len(set(permutations(c))), c
 
 
 def test_report_size_three():
