@@ -17,10 +17,12 @@ cubic elimination. The one Smith reduction, `smith_form`, returns the
 invariant factors with the unimodular column transform: cone boxes are
 listed from both, lattice walks of embedded polytopes take their
 coordinates from the transform, and lattice volumes read the factors
-alone. Ambient dimensions here stay small (16 for the Birkhoff polytope
-B4), so a cubic elimination is cheap once; but a triangulation solves
-every cell, and eliminations are left only for its first cell, the cells
-of a dimension jump and cells placed from non-integer vectors.
+alone. `lll` reduces a lattice basis under an integer quadratic form, in
+integers only; the walks take their free coordinates from it. Ambient
+dimensions here stay small (16 for the Birkhoff polytope B4), so a cubic
+elimination is cheap once; but a triangulation solves every cell, and
+eliminations are left only for its first cell, the cells of a dimension
+jump and cells placed from non-integer vectors.
 """
 
 from __future__ import annotations
@@ -315,6 +317,63 @@ def smith_form(columns: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[
             vt[top] = [a + b for a, b in zip(vt[top], vt[offender])]
         diag.append(least)
     return diag, [tuple(r) for r in zip(*vt)]
+
+
+def lll(gram: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """LLL reduction (delta = 3/4) of Z^n under the positive definite integer
+    Gram matrix `gram`, in integers only (H. Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7).
+
+    Returns (U, W): the rows of the unimodular U are the reduced basis, and
+    W = (U^-1)^T, the dual basis, is kept by the inverse row operations. As
+    in Cohen, d[i] is the Gram determinant of the first i vectors and
+    lam[k][j] = d[j + 1] mu_kj, both integers, so every division is exact.
+    """
+    n = len(gram)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    w = [row[:] for row in u]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest integer
+            u[k] = [a - q * b for a, b in zip(u[k], u[l])]
+            w[l] = [a + q * b for a, b in zip(w[l], w[k])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    if n:
+        d[1] = gram[0][0]
+    k = k_max = 1  # b_0 .. b_(k_max - 1) have their Gram-Schmidt data
+    while k < n:
+        if k == k_max:  # that of b_k, still e_k
+            k_max += 1
+            for j in range(k + 1):
+                s = int_dot(gram[k], u[j])
+                for i in range(j):
+                    s = (d[i + 1] * s - lam[k][i] * lam[j][i]) // d[i]
+                lam[k][j] = s
+            d[k + 1] = lam[k][k]
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            u[k], u[k - 1], w[k], w[k - 1] = u[k - 1], u[k], w[k - 1], w[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            m = lam[k][k - 1]
+            b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, k_max):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+            d[k] = b
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return u, w
 
 
 def lattice_normalized_volume(edge_rows: Sequence[Sequence[int]]) -> int:

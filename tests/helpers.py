@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from typing import Iterable, Sequence
 
 from ehrkit import linalg
@@ -280,3 +280,66 @@ def fraction_ab_split(pr: HStarProfile) -> ABDecomposition:
         if not a[1] <= a[j]:
             raise TheoremViolationError("a-part chain a_1 <= a_j failed")
     return ABDecomposition(a, b, l, d)
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Fraction."""
+    work = [list(map(Fraction, row)) for row in rows]
+    det = Fraction(1)
+    for c in range(len(work)):
+        pivot = next((i for i in range(c, len(work)) if work[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            det = -det
+        det *= work[c][c]
+        for i in range(c + 1, len(work)):
+            f = work[i][c] / work[c][c]
+            work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    return det
+
+
+def fraction_gram_schmidt(gram, basis):
+    """(mu, B): the Gram-Schmidt coefficients and squared lengths of the rows
+    of `basis` under the Gram matrix `gram`, in Fraction."""
+    n = len(basis)
+    images = [[sum(a * b for a, b in zip(row, vec)) for row in gram] for vec in basis]
+    inner = [[sum(a * b for a, b in zip(u, image)) for image in images] for u in basis]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    lengths = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (inner[i][j] - sum(mu[j][m] * mu[i][m] * lengths[m]
+                                          for m in range(j))) / lengths[j]
+        lengths.append(inner[i][i] - sum(mu[i][m] ** 2 * lengths[m] for m in range(i)))
+    return mu, lengths
+
+
+def fraction_lll(gram):
+    """Oracle: LLL reduction (delta = 3/4) of Z^n under `gram` in Fraction,
+    with the Gram-Schmidt data recomputed from scratch at every step, in the
+    step order of Cohen's Alg. 2.6.3: reduce b_k by b_(k-1), test Lovasz's
+    condition, and either swap or reduce b_k by the others. Returns U, whose
+    rows are the reduced basis."""
+    n = len(gram)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def reduce(k, l):
+        mu = fraction_gram_schmidt(gram, basis)[0][k][l]
+        if abs(mu) > Fraction(1, 2):
+            q = floor(mu + Fraction(1, 2))
+            basis[k] = [a - q * b for a, b in zip(basis[k], basis[l])]
+
+    k = 1
+    while k < n:
+        reduce(k, k - 1)
+        mu, lengths = fraction_gram_schmidt(gram, basis)
+        if lengths[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * lengths[k - 1]:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return basis

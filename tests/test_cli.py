@@ -236,15 +236,19 @@ def test_semimagic_size_four_bytes_are_pinned(capsys):
 def test_semimagic_out_of_reach_exits_1_fast_with_error_document():
     src = str(Path(ehrkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", "semimagic", "--n", "4",
-                           "--rmax", "400"], capture_output=True, text=True, env=env, timeout=60)
-    elapsed = time.monotonic() - start
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert list(doc) == ["error"] and "column-sum tuples" in doc["error"], doc
-    assert elapsed < 1.0, elapsed
+    # too many column-sum tuples at n = 4; at n = 2 one tuple per line sum,
+    # but about two million report rows
+    for n, rmax, reason in (("4", "400", "column-sum tuples"), ("2", "1000000", "rows")):
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", "semimagic", "--n", n,
+                               "--rmax", rmax], capture_output=True, text=True, env=env,
+                              timeout=60)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert list(doc) == ["error"] and reason in doc["error"], doc
+        assert elapsed < 1.0, (n, elapsed)
 
 
 def test_cone_reciprocity_bytes_on_a_cloud_cone_are_pinned(capsys, monkeypatch, tmp_path):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
 from ast import literal_eval
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,7 @@ import pytest
 
 from ehrkit import linalg
 from ehrkit.cones import (
+    MAX_CIRCUIT_SOLVES,
     HalfOpenSimplicialCone,
     RationalCone,
     _closed_boxes,
@@ -160,6 +162,45 @@ def test_pointedness_of_twenty_rays_in_r6_needs_no_subset_solves(monkeypatch):
     assert len(decompose(pointed)) > 1
     assert min(fraction_dot(dual_interior_vector(pointed), g) for g in pointed.generators) == 1
     assert solves == []
+
+
+def test_a_line_that_needs_a_long_circuit_is_refused_after_the_solve_limit(monkeypatch):
+    # five independent rays in x_6 = 0 and minus their sum: the line's only
+    # circuit of one sign takes six of the 20 generators, the others having
+    # x_6 >= 1, so the subset search would try tens of thousands of subsets
+    # before it; it stops at the limit, with the count
+    rng = random.Random(6)
+    while True:
+        line = [[rng.randint(-2, 2) for _ in range(5)] + [0] for _ in range(5)]
+        if fraction_rank(line) == 5:
+            break
+    line.append([-sum(r[j] for r in line) for j in range(6)])
+    rays = line + [[rng.randint(-2, 2) for _ in range(5)] + [rng.randint(1, 2)]
+                   for _ in range(14)]
+    rng.shuffle(rays)
+    solves = []
+    original = linalg.nullspace
+
+    def counting(rows, ncols=None):
+        solves.append(ncols)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", counting)
+    cone = RationalCone.from_rays(rays)
+    assert len(cone.generators) == 20
+    start = time.monotonic()
+    with pytest.raises(UnsupportedError) as info:
+        decompose(cone)
+    assert time.monotonic() - start < 1.0
+    assert str(info.value) == (f"cone is not pointed, but none of the first "
+                               f"{MAX_CIRCUIT_SOLVES:,} generator subsets is a circuit "
+                               f"with coefficients of one sign")
+    assert len(solves) == MAX_CIRCUIT_SOLVES and max(solves) <= 4
+    # the line's opposite generators are found within the limit
+    del solves[:]
+    with pytest.raises(UnsupportedError, match="and its negative both lie in the cone"):
+        decompose(RationalCone.from_rays(rays + [[-v for v in line[0]]]))
+    assert 0 < len(solves) < MAX_CIRCUIT_SOLVES
 
 
 def in_cone(x, generators):

@@ -39,7 +39,7 @@ from ehrkit.ratpoly import interpolate
 from ehrkit.semimagic import birkhoff_polytope
 from ehrkit.triangulation import betke_mcmullen
 
-from helpers import lattice_cloud, lattice_points, minimal_period, normalize
+from helpers import fraction_det, lattice_cloud, lattice_points, minimal_period, normalize
 
 
 def box_scan(p, region="closed"):
@@ -389,7 +389,7 @@ def test_inline_last_level_matches_independent_oracles(monkeypatch):
     rng = random.Random(20261020)
     kinds = Counter()
     for free in (1, 2, 3, 4):
-        for _ in range(12):
+        for _ in range(18):
             p = free_coordinate_polytope(rng, free)
             hrep = p.facets()
             facet_count[0] = len(hrep.inequalities)
@@ -581,19 +581,35 @@ def test_a_dilate_that_is_not_a_plain_int_is_an_input_error():
     assert count_points(triangle, 2) == region_counts(triangle, 2)[0] == res.count(2) == 15
 
 
+def skewed_simplex(rng):
+    """A simplex with denominators 1-3, long and thin along a lattice
+    direction that is no coordinate axis: a small simplex under an integer
+    shear, of full dimension 2-4 unless the draw is degenerate."""
+    dim = rng.choice([2, 2, 3, 3, 4])
+    den = rng.choice([1, 2, 3]) if dim < 4 else 1
+    shear = [[int(i == j) or (rng.randint(-3, 3) if j > i else 0) for j in range(dim)]
+             for i in range(dim)]
+    pts = []
+    for _ in range(dim + 1):
+        y = [Fraction(rng.randint(0, den + den // 2), den) for _ in range(dim)]
+        pts.append([sum(s * v for s, v in zip(row, y)) for row in shear])
+    return normalize(pts)
+
+
 def test_free_box_is_no_larger_than_the_ambient_box():
-    # x = V y with V from a Smith form could skew the box of the free
-    # coordinates; on the corpus's embedded members, on B4 and on the
-    # region-count test's embedded polytopes, no free coordinate is wider
-    # than the widest ambient one, and the free box holds no more cells
-    # than the dim widest ambient coordinates
+    # x = V y with V from a Smith form, and the reduced basis of the free
+    # coordinates, could skew the box of the free coordinates; on the corpus,
+    # on B4, on the region-count test's polytopes and on skewed simplices, no
+    # free coordinate is wider than the widest ambient one, and the free box
+    # holds no more cells than the dim widest ambient coordinates
     rng = random.Random(20261018)
     members = [load_polytope(name) for name in list_polytopes()]
     members.append(birkhoff_polytope(4))
     members += [random_rational_polytope(rng) for _ in range(90)]
-    embedded = 0
+    members += [skewed_simplex(rng) for _ in range(30)]
+    kinds = Counter()
     for p in members:
-        if not 0 < p.dim < p.ambient_dim:
+        if not p.dim:
             continue
         _, mins, maxs, den, *_ = enumeration._walk_data(p)
         free = sorted(top - bottom for bottom, top in zip(mins, maxs))
@@ -603,8 +619,80 @@ def test_free_box_is_no_larger_than_the_ambient_box():
         assert free[-1] <= ambient[-1], (p.vertices, free, ambient)
         assert prod(w + 1 for w in free) <= prod(w + 1 for w in ambient[-p.dim:]), (
             p.vertices, free, ambient)
-        embedded += 1
-    assert embedded >= 30
+        kinds["embedded" if p.dim < p.ambient_dim else "full-dimensional"] += 1
+    assert kinds["embedded"] >= 30 and kinds["full-dimensional"] >= 80, kinds
+
+
+def walk_turn(p):
+    """(T, before, after): the walk's free coordinates as T times those of
+    `_lattice_basis`, read off V_inv V' for the walk basis V', whose fixed
+    block must be the identity, and the cells of the den-th dilate's free
+    box in both coordinates."""
+    _, mins, maxs, den, _, basis, _ = enumeration._walk_data(p)
+    v, v_inv, fixed, _ = enumeration._lattice_basis(p.facets().equalities, p.ambient_dim)
+    k = len(fixed)
+    block = [[sum(a * b for a, b in zip(row, col)) for col in zip(*basis)] for row in v_inv]
+    assert [row[:k] for row in block] == [[int(i == j) for j in range(k)]
+                                          for i in range(p.ambient_dim)], p.vertices
+    assert all(not any(row[k:]) for row in block[:k]), p.vertices
+    images = [[sum(a * x * den for a, x in zip(row, vert)) for row in v_inv[k:]]
+              for vert in p.vertices]
+    before = prod(max(col) - min(col) + 1 for col in zip(*images))
+    return [row[k:] for row in block[k:]], before, prod(t - b + 1 for b, t in zip(mins, maxs))
+
+
+def is_permutation(rows):
+    return all(sorted(line) == [0] * (len(rows) - 1) + [1] for line in rows + list(zip(*rows)))
+
+
+def test_reduced_walk_basis_keeps_every_count_and_listing():
+    # every dilate of the Ehrhart window, closed and interior, against the
+    # ambient walk, and the first dilates' listings against the Fraction box
+    # scan, on skewed simplices, embedded polytopes with 2-4 free coordinates
+    # and the corpus. The walk's free coordinates are a unimodular change T of
+    # those of the Smith form; their box never grows, and shrinks strictly
+    # whenever T is not a permutation. B4 and every 0/1 cloud keep their basis
+    rng = random.Random(20261024)
+    members = [skewed_simplex(rng) for _ in range(45)]
+    while len(members) < 85:  # an Ehrhart window of dilates up to 17 in R^6 is slow
+        p = free_coordinate_polytope(rng, rng.randint(2, 4))
+        if p.dim < p.ambient_dim and p.vertex_denominator() ** (p.dim - 1) <= 4:
+            members.append(p)
+    members += [load_polytope(name) for name in list_polytopes()]
+    kinds = Counter()
+    for p in members:
+        turn, before, after = walk_turn(p)
+        changed = not is_permutation(turn)
+        assert abs(fraction_det(turn)) == 1, p.vertices
+        assert after < before if changed else after == before, (p.vertices, before, after)
+        hrep = p.facets()
+        per = p.vertex_denominator()
+        for n in range(1, per * (p.dim + 2)):
+            q = p.dilate(n)
+            lo, hi = q.bounding_box()
+            expected = ambient_walk([(a, n * c) for a, c in hrep.equalities],
+                                    [(a, n * c) for a, c in hrep.inequalities], lo, hi, True)
+            assert region_counts(p, n) == expected, (n, p.vertices)
+            assert count_points(p, n) == expected[0], (n, p.vertices)
+            assert count_points(p, n, "interior") == expected[1], (n, p.vertices)
+            if n <= 2 and prod(h - l + 1 for l, h in zip(lo, hi)) <= 3000:
+                for region in ("closed", "interior"):
+                    assert enumerate_points(q, region) == box_scan(q, region), (
+                        n, region, p.vertices)
+                kinds["listed, changed basis"] += changed and expected[0] > 1
+        kinds["changed basis"] += changed
+        kinds["changed, rational"] += changed and per > 1
+        kinds["changed, embedded"] += changed and p.dim < p.ambient_dim
+        kinds["changed, corpus"] += changed and bool(p.name)
+        kinds["kept basis"] += not changed and p.dim > 1
+    minimum = {"changed basis": 60, "changed, rational": 30, "changed, embedded": 35,
+               "changed, corpus": 2, "listed, changed basis": 70, "kept basis": 20}
+    assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
+    for p in [birkhoff_polytope(4)] + [
+            RationalPolytope.from_points(lattice_cloud(seed, dim, size, 1))
+            for seed, (dim, size) in enumerate([(3, 5), (3, 8), (4, 9), (4, 12), (5, 8)])]:
+        turn, before, after = walk_turn(p)
+        assert is_permutation(turn) and after == before == 2 ** p.dim, p.vertices
 
 
 def test_enumerate_interior_points():

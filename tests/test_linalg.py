@@ -5,7 +5,8 @@ The fraction-free `simplex_solve` is also compared with
 seeded random generator sets, the integer `nullspace` with
 `helpers.fraction_nullspace` on random rational matrices, and
 `smith_form` with the determinantal divisors (gcds of minors) of random
-integer matrices.
+integer matrices, and the integral `lll` with `helpers.fraction_lll`, the
+same reduction with its Gram-Schmidt data in Fraction.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from ehrkit.linalg import (
     exchange_solve,
     int_dot,
     lattice_normalized_volume,
+    lll,
     nullspace,
     primitive,
     rank,
@@ -36,6 +38,9 @@ from ehrkit.linalg import (
 )
 
 from helpers import (
+    fraction_det,
+    fraction_gram_schmidt,
+    fraction_lll,
     fraction_nullspace,
     fraction_rank,
     fraction_rref,
@@ -368,3 +373,51 @@ def test_lattice_normalized_volume():
     assert lattice_normalized_volume([[1, 0, 0], [0, 1, 0], [1, 1, 2]]) == 2
     with pytest.raises(ValueError):
         lattice_normalized_volume([[1, 1], [2, 2]])
+
+
+@st.composite
+def gram_matrices(draw):
+    """B B^T for an integer n x m matrix B of rank n, n = 1..5, m = n..n+2:
+    a positive definite integer Gram matrix. Its rows are sometimes drawn
+    close to one another, which makes a reduction swap and reduce often,
+    and sometimes close to orthogonal, which may leave nothing to do."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, n + 2))
+    rows = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * m), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("plain", "skewed", "near orthogonal")))
+    if shape == "skewed":  # b_i + c_i b_0 for large c_i
+        factors = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+        rows = [rows[0]] + [tuple(a + f * b for a, b in zip(row, rows[0]))
+                            for row, f in zip(rows[1:], factors[1:])]
+    elif shape == "near orthogonal":  # a dominant diagonal
+        rows = [tuple(v + 40 * (i == j) for j, v in enumerate(row)) for i, row in enumerate(rows)]
+    assume(fraction_rank(rows) == n)
+    return [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+
+
+def test_lll_matches_the_fraction_oracle():
+    kinds = Counter()
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(gram_matrices())
+    def check(gram):
+        n = len(gram)
+        u, w = lll(gram)
+        assert u == fraction_lll(gram), gram
+        assert all(type(v) is int for row in u + w for v in row)
+        assert [[int_dot(a, b) for b in u] for a in w] == [
+            [int(i == j) for j in range(n)] for i in range(n)], gram
+        assert abs(fraction_det(u)) == 1
+        mu, lengths = fraction_gram_schmidt(gram, u)
+        for i in range(1, n):  # size reduced, and Lovasz's condition with 3/4
+            assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i)), gram
+            assert lengths[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * lengths[i - 1], gram
+        kinds[f"n = {n}"] += 1
+        kinds["changed"] += u != [[int(i == j) for j in range(n)] for i in range(n)]
+        kinds["unchanged, n > 1"] += n > 1 and u == [
+            [int(i == j) for j in range(n)] for i in range(n)]
+
+    check()
+    minimum = {"n = 1": 30, "n = 2": 40, "n = 3": 50, "n = 4": 40, "n = 5": 40,
+               "changed": 170, "unchanged, n > 1": 40}
+    assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds

@@ -17,7 +17,8 @@ from ehrkit.enumeration import count_points, ehrhart
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.ratpoly import Poly
 from ehrkit.semimagic import (
-    _WEIGHTS, MAX_TUPLES, _two_rows, adg_report, birkhoff_polytope, count_semimagic,
+    _WEIGHTS, MAX_REPORT_ROWS, MAX_TUPLES, _two_rows, adg_report, birkhoff_polytope,
+    count_semimagic,
 )
 from ehrkit.triangulation import betke_mcmullen
 
@@ -123,9 +124,26 @@ def test_counts_out_of_reach_fail_fast_with_the_estimate():
             f" column-sum tuples, over the limit of {MAX_TUPLES:,}"), message
     assert time.monotonic() - start < 1.0
     # the default tables and rmax 14 stay far inside the limit; size 2 has
-    # one column-sum tuple per line sum and is never refused
+    # one column-sum tuple per line sum, and its counts are never refused
     assert adg_report(4, rmax=14)[1].verdict == "pass"
     assert count_semimagic(2, 10**6) == 10**6 + 1
+
+
+def test_reports_out_of_reach_fail_fast_with_their_row_count():
+    # at n <= 2 a count is one term and the report's rows are the cost: the
+    # row count is exact, and a report just under the limit holds that many
+    start = time.monotonic()
+    for n, rmax, rows in ((2, 10**6, 2_000_003), (1, 10**6, 2_000_003), (2, 4999, 10_001)):
+        with pytest.raises(UnsupportedError) as info:
+            adg_report(n, rmax)
+        assert str(info.value) == (f"the H_{n}(r) report for r <= {rmax} holds {rows:,} "
+                                   f"rows, over the limit of {MAX_REPORT_ROWS:,}")
+    assert time.monotonic() - start < 1.0
+    table, report = adg_report(2, 4998)
+    assert len(report.instances) == 9_999 <= MAX_REPORT_ROWS
+    assert report.verdict == "pass" and table.values[-1] == 4999
+    for n, rmax in ((1, 7), (2, 9), (3, 12), (4, 14)):
+        assert len(adg_report(n, rmax)[1].instances) == 2 * rmax - (n - 1) ** 2 + n + 2
 
 
 def random_column_sums(rng, r):
