@@ -4,14 +4,14 @@ A cone is given by integer ray generators. All evaluation goes through a
 decomposition into half-open simplicial pieces: the generators themselves
 are placed in their given order (no cross-section is built; in a pointed
 cone the signs of barycentric coordinates are those of any cross-section),
-and each simplicial piece is made half-open against a fixed generic
-reference point chosen inside the first piece, so the pieces partition the
-cone's lattice points exactly (no inclusion-exclusion needed). Every piece
-carries its barycentric solve (T, C) as data: by default the one cached
-solve `linalg.simplex_solve` of its generators; a face of a triangulation
-cell may instead carry the rows read off the cell's solve (see
-`triangulation`). Membership and the unimodular read-off of a
-parallelepiped read only that solve.
+and each simplicial piece is made half-open by one lexicographic rule
+(`decompose`; Koeppe and Verdoolaege, Electron. J. Combin. 15, 2008), so
+the pieces partition the cone's lattice points exactly (no
+inclusion-exclusion needed). Every piece carries its barycentric solve
+(T, C) as data: the one cached solve `linalg.simplex_solve` of its
+generators; a face of a triangulation cell instead carries the rows read
+off the cell's solve (see `triangulation`). Membership and the unimodular
+read-off of a parallelepiped read only that solve.
 
 The generating function of a half-open simplicial piece is a finite sum over
 the lattice points of its half-open fundamental parallelepiped divided by
@@ -30,7 +30,9 @@ interior generating function reflects each closed box instead of listing
 another. `ConeGF.evaluate` scales every monomial by one integer to a
 product of shared integer powers, and sums all pieces over the one common
 denominator prod_g (1 - z^g) of the distinct generators, so each
-evaluation builds one Fraction.
+evaluation builds one Fraction. A box of more than MAX_BOX_POINTS points,
+or powers over an exponent span of more than MAX_EXPONENT_SPAN, raise
+UnsupportedError before any listing or table.
 
 Only pointed cones are supported, and pointedness is read off the same
 placing: the apex rows of its boundary facets sum to a vector positive on
@@ -61,13 +63,22 @@ from .report import Report
 
 IntVec = tuple[int, ...]
 
-_REFERENCE_SEED = 41183
-
 # Cones kept by `decompose` and `_closed_boxes`.
 # `corpus-verify` touches six, and a check asks for the same cone a few times
 # in a row; the bound keeps a process that meets many cones from keeping all
 # of them.
 _CACHE_SIZE = 64
+
+# Points a fundamental parallelepiped may hold, prod_i d_i of its Smith
+# form, before `parallelepiped_points` refuses to list it. The largest box
+# of the tests, the corpus, the benchmark workloads and B4 holds 396 points;
+# listing 100,000 takes about 0.5 s and 40 MB (Python 3.11.7, one core).
+MAX_BOX_POINTS = 100_000
+
+# Widest exponent range hi_j - lo_j of one coordinate that `ConeGF.evaluate`
+# builds a power table for. The tests, the corpus and the benchmark workloads
+# reach a span of 14; a span of 10,000 took 1.7 s and 91 MB an evaluation.
+MAX_EXPONENT_SPAN = 1_000
 
 # Generator subsets `_lineality_certificate` solves before it gives up. At
 # about 70 us a solve, 2,000 take about 0.15 s and cover every circuit of up
@@ -79,10 +90,6 @@ class RationalCone(FrozenRecord):
     """Cone spanned by integer ray generators (primitive, deduplicated)."""
 
     __slots__ = _fields = ("ambient_dim", "generators")
-
-    def __init__(self, ambient_dim: int, generators: tuple[IntVec, ...]):
-        _set_field(self, "ambient_dim", ambient_dim)
-        _set_field(self, "generators", generators)
 
     @staticmethod
     def from_rays(rays: Iterable[Sequence[RatLike]]) -> "RationalCone":
@@ -179,7 +186,8 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
     c = V (m_i D / d_i), and its representative in the box has c mod D, with
     a zero entry raised to D on a side that is open at 0, and is dropped in
     the open box. Each point is sum_i c_i g_i / D, an exact division, and
-    exactly vol = prod d_i candidates are visited.
+    exactly vol = prod d_i candidates are visited; a vol over MAX_BOX_POINTS
+    raises UnsupportedError first.
     """
     if mode not in ("half_open", "open"):
         raise InputError(f"unknown parallelepiped mode {mode!r}")
@@ -193,6 +201,11 @@ def parallelepiped_points(piece: HalfOpenSimplicialCone,
         return [tuple(sum(g[j] for g, flag in zip(gens, piece.open_flags) if flag)
                       for j in range(n))]
     diag, v = linalg.smith_form(gens)
+    if prod(diag) > MAX_BOX_POINTS:
+        raise UnsupportedError(
+            f"the fundamental parallelepiped holds {prod(diag):,} points, over the "
+            f"limit of {MAX_BOX_POINTS:,}"
+        )
     scale = diag[-1]  # D
     coefficients = [(0,) * len(gens)]
     for i, d in enumerate(diag):
@@ -226,12 +239,19 @@ class ConeGF(FrozenRecord):
     def _evaluation_plan(self) -> tuple[tuple[IntVec, ...], tuple[tuple[int, int], ...]]:
         """The distinct generators in first-seen order, and the range
         [lo_j, hi_j] of the j-th exponents of all monomials of all pieces,
-        0 included; they do not depend on the point, so they are made once."""
+        0 included; they do not depend on the point, so they are made once.
+        A span hi_j - lo_j over MAX_EXPONENT_SPAN raises UnsupportedError."""
         if self._plan is None:
             generators = tuple(dict.fromkeys(g for _, gens in self.pieces for g in gens))
             monomials = [m for numerator, _ in self.pieces for m in numerator]
             ranges = tuple((min(0, *col), max(0, *col))
                            for col in zip(*generators, *monomials))
+            span = max(hi - lo for lo, hi in ranges)
+            if span > MAX_EXPONENT_SPAN:
+                raise UnsupportedError(
+                    f"evaluation needs powers over an exponent span of {span:,}, over "
+                    f"the limit of {MAX_EXPONENT_SPAN:,}"
+                )
             _set_field(self, "_plan", (generators, ranges))
         return self._plan
 
@@ -283,16 +303,6 @@ def _check_point(z: Sequence[RatLike], ambient: int) -> tuple[Fraction, ...]:
     return pt
 
 
-def dual_interior_vector(cone: RationalCone) -> tuple[Fraction, ...]:
-    """Rational w with <w, g> >= 1 for every generator g, the least of them 1:
-    `_inner_normal` of the generators' placing, scaled. Exists iff the cone
-    is pointed; raises UnsupportedError with a lineality certificate otherwise.
-    """
-    w = _inner_normal(cone, placing_cells(cone.generators))
-    least = min(linalg.int_dot(w, g) for g in cone.generators)
-    return tuple(Fraction(v, least) for v in w)
-
-
 def _inner_normal(cone: RationalCone, cells: Sequence[tuple[int, ...]]) -> IntVec:
     """Integer w with <w, g> > 0 for every generator g: the sum of the apex
     rows of the boundary of `cells`, the generators' placing. Any such w
@@ -341,45 +351,26 @@ def _lineality_certificate(cone: RationalCone) -> IntVec:
 def decompose(cone: RationalCone) -> tuple[HalfOpenSimplicialCone, ...]:
     """Half-open simplicial pieces that partition the cone's lattice points.
 
-    The generators are placed in their given order; each piece's facet
-    flags are set against a fixed generic reference point inside the first
-    piece.
+    The generators g_1, g_2, ... are placed in their given order. With q
+    the sum of the first piece's generators, the facet of a piece opposite
+    its i-th generator is open when the first nonzero of <T_i, q>,
+    <T_i, g_1>, <T_i, g_2>, ... is negative, when q + e g_1 + e^2 g_2 + ...
+    lies across that facet for every small e > 0. The g_j lie in the
+    cone's span, where the T rows of an embedded cone's pieces agree; the
+    ambient unit vectors do not. The first piece, with <T_i, q> = den_i, is closed.
     """
     cells = placing_cells(cone.generators)
     _inner_normal(cone, cells)  # UnsupportedError unless the cone is pointed
-    pieces_gens = [tuple(cone.generators[i] for i in cell) for cell in cells]
-
-    rng = random.Random(_REFERENCE_SEED)
-    for _ in range(64):
-        # the reference point sum_i (1 + r_i / 10^7) g_i, scaled by 10^7
-        coeffs = [10**7 + rng.randint(1, 999983) for _ in pieces_gens[0]]
-        reference = tuple(
-            sum(c * g[j] for c, g in zip(coeffs, pieces_gens[0]))
-            for j in range(cone.ambient_dim)
-        )
-        lambdas = []
-        generic = True
-        for gens in pieces_gens:
-            # den > 0, so the numerators carry the coefficients' signs
-            t_rows, c_rows = linalg.simplex_solve(gens)
-            if any(linalg.int_dot(row, reference) for row in c_rows):
-                raise TheoremViolationError("pieces do not share the cone's span")
-            lam = [linalg.int_dot(row, reference) for row, _ in t_rows]
-            if any(v == 0 for v in lam):
-                generic = False
-                break
-            lambdas.append(lam)
-        if generic:
-            break
-    else:
-        raise TheoremViolationError("no generic reference point found")
-
+    q = tuple(map(sum, zip(*(cone.generators[i] for i in cells[0]))))
+    order = (q, *cone.generators)
     pieces = []
-    for gens, lam in zip(pieces_gens, lambdas):
-        flags = tuple(v < 0 for v in lam)
-        pieces.append(HalfOpenSimplicialCone(gens, flags))
-    if any(pieces[0].open_flags):
-        raise TheoremViolationError("reference point must make the first piece closed")
+    for cell in cells:
+        gens = tuple(cone.generators[i] for i in cell)
+        solve = linalg.simplex_solve(gens)
+        # den_i > 0, so the numerators carry the coefficients' signs
+        flags = tuple(next(v for v in (linalg.int_dot(row, x) for x in order) if v) < 0
+                      for row, _ in solve[0])
+        pieces.append(HalfOpenSimplicialCone(gens, flags, solve))
     return tuple(pieces)
 
 

@@ -72,10 +72,9 @@ from functools import lru_cache
 from math import gcd, prod
 
 from . import linalg
-from .errors import FrozenRecord, InputError, TheoremViolationError, _set_field
+from .errors import FrozenRecord, InputError, TheoremViolationError
 from .polytope import RationalPolytope, check_region
-from .ratpoly import (HStarData, QuasiPoly, check_int, hstar_from_counts,
-                      quasi_from_numerator, series_numerator)
+from .ratpoly import check_int, hstar_from_counts, quasi_from_numerator, series_numerator
 from .report import Report
 
 IntPoint = tuple[int, ...]
@@ -455,14 +454,6 @@ class EhrhartResult(FrozenRecord):
     """Counting data of one polytope: quasipolynomials plus h*-numerator."""
 
     __slots__ = _fields = ("dim", "period", "quasi", "quasi_interior", "hstar")
-
-    def __init__(self, dim: int, period: int, quasi: QuasiPoly,
-                 quasi_interior: QuasiPoly, hstar: HStarData):
-        _set_field(self, "dim", dim)
-        _set_field(self, "period", period)
-        _set_field(self, "quasi", quasi)
-        _set_field(self, "quasi_interior", quasi_interior)
-        _set_field(self, "hstar", hstar)
 
     def count(self, n: int) -> Fraction:
         return self.quasi.evaluate(n)

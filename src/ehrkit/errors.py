@@ -36,7 +36,7 @@ class TheoremViolationError(EhrkitError):
 
 
 # How a FrozenRecord's __init__ sets its slots past the frozen __setattr__.
-# A module global is found faster than `object.__setattr__`, and `Simplex`,
+# A module global is found faster than `object.__setattr__`, and
 # `HalfOpenSimplicialCone` and `Poly` are built once per face or piece.
 _set_field = object.__setattr__
 
@@ -45,7 +45,7 @@ class Record:
     """Mutable record: equality and repr follow the class's `_fields`.
 
     A subclass declares `__slots__`, names its compared fields in `_fields`
-    and sets them in its own `__init__`. Two records are equal when they
+    and sets them in an `__init__`. Two records are equal when they
     are of the same class and their fields are equal. Slots outside
     `_fields` (a cached solve or plan) take no part in equality or repr.
     Defining `__eq__` leaves a mutable record unhashable.
@@ -70,11 +70,21 @@ class Record:
 class FrozenRecord(Record):
     """Immutable, hashable record; `__init__` sets its slots by `_set_field`.
 
-    The hash is that of the field tuple. Pickling and `copy` restore the
-    slots the same way, bypassing the frozen `__setattr__`.
+    The shared `__init__` takes one value per name in `_fields`, in order;
+    a record that checks or converts its values, or keeps a slot outside
+    `_fields`, writes its own. The hash is that of the field tuple.
+    Pickling and `copy` restore the slots the same way, bypassing the
+    frozen `__setattr__`.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(self._fields)} "
+                            f"values, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            _set_field(self, name, value)
 
     def __hash__(self) -> int:
         return hash(self._values())

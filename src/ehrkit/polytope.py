@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .errors import FrozenRecord, InputError, _set_field
+from .errors import FrozenRecord, InputError
 from .placing import boundary_rows, placing_cells
 from .ratpoly import RatLike, _coerce
 
@@ -44,11 +44,6 @@ class HRep(FrozenRecord):
     """Half-space form: <a, x> = c for equalities, <a, x> <= c for facets."""
 
     __slots__ = _fields = ("equalities", "inequalities")
-
-    def __init__(self, equalities: tuple[tuple[IntVec, int], ...],
-                 inequalities: tuple[tuple[IntVec, int], ...]):
-        _set_field(self, "equalities", equalities)
-        _set_field(self, "inequalities", inequalities)
 
     def satisfies(self, x: Sequence[Fraction], strict: bool = False) -> bool:
         """Membership test; `strict` makes the facet inequalities strict."""

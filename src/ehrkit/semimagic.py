@@ -41,9 +41,9 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 
-from .errors import FrozenRecord, InputError, UnsupportedError, _set_field
+from .errors import FrozenRecord, InputError, UnsupportedError
 from .polytope import RationalPolytope
-from .ratpoly import Poly, check_int, hstar_from_counts, quasi_from_numerator
+from .ratpoly import check_int, hstar_from_counts, quasi_from_numerator
 from .report import Report
 
 MAX_SIZE = 4
@@ -182,13 +182,6 @@ class SemimagicTable(FrozenRecord):
     """
 
     __slots__ = _fields = ("n", "values", "count_poly", "numerator")
-
-    def __init__(self, n: int, values: tuple[int, ...], count_poly: Poly,
-                 numerator: Poly):
-        _set_field(self, "n", n)
-        _set_field(self, "values", values)
-        _set_field(self, "count_poly", count_poly)
-        _set_field(self, "numerator", numerator)
 
 
 def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]:

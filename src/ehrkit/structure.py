@@ -116,12 +116,6 @@ class ABDecomposition(FrozenRecord):
 
     __slots__ = _fields = ("a", "b", "l", "d")
 
-    def __init__(self, a: Poly, b: Poly, l: int, d: int):
-        _set_field(self, "a", a)
-        _set_field(self, "b", b)
-        _set_field(self, "l", l)
-        _set_field(self, "d", d)
-
 
 def ab_decomposition(pr: HStarProfile) -> ABDecomposition:
     """Unique palindromic split a(x) + x^l b(x) of the codegree product.

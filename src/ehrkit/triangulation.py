@@ -9,8 +9,9 @@ predecessors and appears as a vertex.
 included (its link is the whole complex); B_F counts by height the lattice
 points of the open parallelepiped of F's lifted vertices. By default the
 sum is verified against the enumeration pipeline. Each cell's solve is
-made once, by the placing's pivot or elimination, and every face reads its
-solve off a cell that contains it, so no face runs an elimination. A face
+made once, by the placing's pivot or elimination. A face is the closed
+`HalfOpenSimplicialCone` over its lifted vertices, carrying the solve read
+off a cell that contains it, so no face runs an elimination. A face
 whose cell has den_i == 1 at any of the face's vertices has B_F = 0, read
 off with no search; any other box is listed from its Smith form. A link is
 counted over the cells that contain its face.
@@ -25,31 +26,12 @@ from math import comb
 from . import linalg
 from .cones import HalfOpenSimplicialCone, parallelepiped_points
 from .enumeration import ehrhart, enumerate_points
-from .errors import (FrozenRecord, InputError, TheoremViolationError, UnsupportedError,
-                     _set_field)
+from .errors import FrozenRecord, InputError, TheoremViolationError, UnsupportedError
 from .placing import placing_cells
 from .polytope import RationalPolytope
 from .ratpoly import HStarData, Poly
 
 IntPoint = tuple[int, ...]
-
-
-class Simplex(FrozenRecord):
-    """A face of a triangulation together with its lifted generators.
-
-    `lifted` holds the rows (v, 1) for each vertex v. `solve` is the
-    barycentric solve (T, C) of `lifted` read off a cell containing the
-    face: <T_i, g_j> = den_i * delta_ij with den_i > 0, and C x = 0 exactly
-    on the face's span. None leaves the solve to `linalg.simplex_solve`.
-    """
-
-    __slots__ = _fields = ("indices", "lifted", "solve")
-
-    def __init__(self, indices: tuple[int, ...], lifted: tuple[IntPoint, ...],
-                 solve: tuple | None = None):
-        _set_field(self, "indices", indices)
-        _set_field(self, "lifted", lifted)
-        _set_field(self, "solve", solve)
 
 
 class Triangulation:
@@ -108,8 +90,9 @@ class Triangulation:
             counts[len(face)] += 1
         return tuple(counts)
 
-    def simplex(self, face: Sequence[int]) -> Simplex:
-        """The face's lifted simplex, with its solve read off its owner cell.
+    def simplex(self, face: Sequence[int]) -> HalfOpenSimplicialCone:
+        """The closed cone over the face: its generators are the lifted
+        vertices (v, 1), and its solve is read off the face's owner cell.
 
         The face's T rows are the cell's at the face's vertices; its C rows
         are the cell's C rows and the cell's T rows at the other vertices.
@@ -119,7 +102,7 @@ class Triangulation:
         inside = set(face)
         solve = (tuple(t for v, t in zip(cell, t_rows) if v in inside),
                  c_rows + tuple(row for v, (row, _) in zip(cell, t_rows) if v not in inside))
-        return Simplex(face, self._lifted(face), solve)
+        return HalfOpenSimplicialCone(self._lifted(face), (False,) * len(face), solve)
 
     def cell_volume(self, cell: Sequence[int]) -> int:
         """Normalized volume of a cell relative to its own lattice."""
@@ -190,20 +173,19 @@ def link_f_vector(t: Triangulation, face: Sequence[int]) -> tuple[tuple[int, ...
     return tuple(counts), e
 
 
-def box_polynomial(simplex: Simplex) -> Poly:
+def box_polynomial(piece: HalfOpenSimplicialCone) -> Poly:
     """Height generating polynomial of the open parallelepiped of a face.
 
     B(x) = sum x^(last coordinate) over lattice points of the strictly open
-    parallelepiped spanned by the lifted generators. The empty simplex has
-    B = 1; every unimodular simplex has B = 0. The box is listed with the
-    solve the simplex read off its cell: when some den_i is 1,
-    `parallelepiped_points` reads the empty box off without a search, and
-    otherwise lists it from the Smith form, which never reads the solve.
+    parallelepiped spanned by the piece's generators, the lifted vertices
+    of a face (`Triangulation.simplex`). The empty face has B = 1; every
+    unimodular simplex has B = 0. The box is listed with the solve the
+    piece carries: when some den_i is 1, `parallelepiped_points` reads the
+    empty box off without a search, and otherwise lists it from the Smith
+    form, which never reads the solve.
     """
-    if not simplex.lifted:
+    if not piece.generators:
         return Poly([1])
-    piece = HalfOpenSimplicialCone(simplex.lifted, (False,) * len(simplex.lifted),
-                                   simplex.solve)
     heights: dict[int, int] = {}
     for point in parallelepiped_points(piece, mode="open"):
         heights[point[-1]] = heights.get(point[-1], 0) + 1
@@ -221,12 +203,6 @@ class HStarDecomposition(FrozenRecord):
     """
 
     __slots__ = _fields = ("hstar", "triangulation", "contributions")
-
-    def __init__(self, hstar: HStarData, triangulation: Triangulation,
-                 contributions: tuple[tuple[tuple[int, ...], Poly, Poly], ...]):
-        _set_field(self, "hstar", hstar)
-        _set_field(self, "triangulation", triangulation)
-        _set_field(self, "contributions", contributions)
 
 
 def betke_mcmullen(p: RationalPolytope, use_all_lattice_points: bool = False,

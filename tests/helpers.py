@@ -1,5 +1,5 @@
 """Helpers shared by the test modules: short forms of things the library
-has no caller for, seeded test inputs, rational linear algebra, the
+has no caller for (`dual_interior_vector` among them), seeded test inputs, rational linear algebra, the
 listing oracle `lattice_points`, the serialization oracle `to_jsonable`
 and the combinatorial boundary oracle `boundary_facets`.
 
@@ -26,10 +26,11 @@ from math import floor, lcm
 from typing import Iterable, Sequence
 
 from ehrkit import linalg
-from ehrkit.cones import RationalCone, decompose, homogenize
+from ehrkit.cones import RationalCone, _inner_normal, decompose, homogenize
 from ehrkit.enumeration import IntPoint, _lattice_basis, _walk
 from ehrkit.errors import InputError, TheoremViolationError
 from ehrkit.jsonio import rat_to_json
+from ehrkit.placing import placing_cells
 from ehrkit.polytope import RationalPolytope
 from ehrkit.ratpoly import Poly, QuasiPoly, RatLike
 from ehrkit.structure import ABDecomposition, HStarProfile
@@ -43,6 +44,17 @@ def normalize(points: Iterable[Sequence[RatLike]], name: str = "") -> RationalPo
 def cone_contains(cone: RationalCone, x: Sequence) -> bool:
     """Exact membership in the closed cone: x lies in some closed piece."""
     return any(piece.locate(x)[0] for piece in decompose(cone))
+
+
+def dual_interior_vector(cone: RationalCone) -> tuple[Fraction, ...]:
+    """Rational w with <w, g> >= 1 for every generator g, the least of them 1:
+    the library's `_inner_normal` of the generators' placing, scaled. Exists
+    iff the cone is pointed; raises UnsupportedError with a lineality
+    certificate otherwise.
+    """
+    w = _inner_normal(cone, placing_cells(cone.generators))
+    least = min(linalg.int_dot(w, g) for g in cone.generators)
+    return tuple(Fraction(v, least) for v in w)
 
 
 def minimal_period(q: QuasiPoly) -> int:

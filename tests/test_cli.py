@@ -251,6 +251,34 @@ def test_semimagic_out_of_reach_exits_1_fast_with_error_document():
         assert elapsed < 1.0, (n, elapsed)
 
 
+def test_boxes_and_evaluations_out_of_reach_exit_1_fast_with_error_document(tmp_path):
+    # the segment [0, 10^30] has a box of 10^30 points; the cone on (1, 0)
+    # and (1, 10^6) a box of 10^6, and on (1, 0) and (1, 10^4) a box small
+    # enough to list but powers of z_2 up to 10^4 to evaluate
+    src = str(Path(ehrkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    segment = tmp_path / "segment.json"
+    segment.write_text(json.dumps({"kind": "polytope", "ambient_dim": 1,
+                                   "vertices": [[0], [10**30]]}))
+    cases = [("decompose", segment, "fundamental parallelepiped"),
+             ("specialize", segment, "fundamental parallelepiped")]
+    for top, reason in ((10**6, "fundamental parallelepiped"), (10**4, "exponent span")):
+        cone = tmp_path / f"cone-{top}.json"
+        cone.write_text(json.dumps({"kind": "cone", "ambient_dim": 2,
+                                    "rays": [[1, 0], [1, top]]}))
+        cases.append(("cone-reciprocity", cone, reason))
+    for command, path, reason in cases:
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", command, str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert list(doc) == ["error"] and reason in doc["error"], (command, doc)
+        assert elapsed < 2.0, (command, path.name, elapsed)
+
+
 def test_cone_reciprocity_bytes_on_a_cloud_cone_are_pinned(capsys, monkeypatch, tmp_path):
     # the cone over a seeded lattice cloud: 30 pieces sharing 11 generators,
     # where the corpus cones have at most a few pieces; a relative file name

@@ -21,14 +21,15 @@ from math import lcm, prod
 
 import pytest
 
-from ehrkit import linalg
+from ehrkit import cones, linalg
 from ehrkit.cones import (
+    MAX_BOX_POINTS,
     MAX_CIRCUIT_SOLVES,
+    MAX_EXPONENT_SPAN,
     HalfOpenSimplicialCone,
     RationalCone,
     _closed_boxes,
     decompose,
-    dual_interior_vector,
     generating_function,
     homogenize,
     parallelepiped_points,
@@ -43,6 +44,7 @@ from ehrkit.errors import InputError, PoleError, UnsupportedError
 from helpers import (
     cloud_cone,
     cone_contains,
+    dual_interior_vector,
     lattice_points,
     fraction_dot,
     fraction_rank,
@@ -565,6 +567,45 @@ def test_evaluate_checks_its_point():
     skew = generating_function(RationalCone.from_rays([[1, 0], [-1, 2]]))
     with pytest.raises(InputError):
         skew.evaluate((0, F(1, 3)))
+
+
+def test_evaluation_past_the_exponent_span_limit_is_refused_before_any_table(monkeypatch):
+    # the generator (1, 10000) needs powers of z_2 up to 10^4; without the
+    # limit one evaluation took 1.7 s and 91 MB, ten times that span ran for
+    # minutes, and a hundred times it ran out of memory
+    gf = generating_function(RationalCone.from_rays([[1, 0], [1, 10_000]]))
+    with pytest.raises(UnsupportedError, match=f"^evaluation needs powers over an exponent "
+                                               f"span of 10,000, over the limit of "
+                                               f"{MAX_EXPONENT_SPAN:,}$"):
+        gf.evaluate((F(1, 2), F(1, 3)))
+    assert gf._plan is None
+    # the span is the widest hi_j - lo_j, 0 included: (1, 0), (-1, 2) and
+    # the box point (0, 1) give [-1, 1] and [0, 2]
+    skew = RationalCone.from_rays([[1, 0], [-1, 2]])
+    monkeypatch.setattr(cones, "MAX_EXPONENT_SPAN", 2)
+    assert generating_function(skew).evaluate((F(1, 2), F(1, 3))) == \
+        fraction_evaluate(generating_function(skew), (F(1, 2), F(1, 3)))
+    monkeypatch.setattr(cones, "MAX_EXPONENT_SPAN", 1)
+    with pytest.raises(UnsupportedError, match="span of 2, over the limit of 1$"):
+        generating_function(skew).evaluate((F(1, 2), F(1, 3)))
+
+
+def test_boxes_past_the_point_limit_are_refused_before_listing(monkeypatch):
+    # the segment [0, 10^30] lifted: prod d_i = 10^30 classes, which the
+    # listing would visit one by one
+    huge = HalfOpenSimplicialCone(((0, 1), (10**30, 1)), (False, False))
+    for mode in ("half_open", "open"):
+        with pytest.raises(UnsupportedError, match=f"^the fundamental parallelepiped holds "
+                                                   f"{10**30:,} points, over the limit of "
+                                                   f"{MAX_BOX_POINTS:,}$"):
+            parallelepiped_points(huge, mode)
+    # prod d_i = 6 for (1, 0), (1, 6): listed at a limit of 6, refused at 5
+    piece = HalfOpenSimplicialCone(((1, 0), (1, 6)), (False, True))
+    monkeypatch.setattr(cones, "MAX_BOX_POINTS", 6)
+    assert parallelepiped_points(piece) == [(1, i) for i in range(1, 7)]
+    monkeypatch.setattr(cones, "MAX_BOX_POINTS", 5)
+    with pytest.raises(UnsupportedError, match="holds 6 points, over the limit of 5$"):
+        parallelepiped_points(piece)
 
 
 def fraction_evaluate(gf, z):

@@ -7,7 +7,8 @@ point. `placing_cells` places homogeneous vectors and reads both predicates
 from `linalg.simplex_solve`. The two must list the same cells in the same
 order: for points p placed as (p, 1), and for cone generators, which the
 oracle places through the cross-section g / <w, g> at the dual vector w of
-`dual_interior_vector`, with half-open flags from its own exact solve. The
+`dual_interior_vector` (in `helpers`), with half-open flags from its own
+exact solve by the same lexicographic rule as `cones.decompose`. The
 oracle also tallies the steps that `placing_cells`' incremental boundary
 handles apart, so that the tests can require each of them to occur.
 `boundary_rows` is checked against `boundary_facets`, the combinatorial
@@ -23,12 +24,13 @@ from math import lcm
 from operator import mul
 
 from ehrkit import linalg, placing
-from ehrkit.cones import _REFERENCE_SEED, RationalCone, decompose, dual_interior_vector
+from ehrkit.cones import RationalCone, decompose
 from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.placing import boundary_rows, placing_cells
 
 from helpers import (
     boundary_facets,
+    dual_interior_vector,
     fraction_dot,
     fraction_nullspace,
     fraction_rank,
@@ -36,6 +38,7 @@ from helpers import (
     fraction_simplex_solve,
     fraction_solve,
     fraction_sub,
+    lattice_cloud,
 )
 
 
@@ -103,29 +106,32 @@ def affine_placing_cells(points, events=None):
     return cells
 
 
-def cross_section_pieces(cone):
+def cross_section_pieces(cone, tally=None):
     """(generators, open flags) of each piece, from the cross-section placing.
 
-    The flags are set against the same seeded reference point as
-    `cones.decompose`, with coefficients from `fraction_solve`.
+    The flags follow the lexicographic rule of `cones.decompose`, with
+    coefficients from `fraction_solve`: with q the sum of the first piece's
+    generators, a piece's facet opposite its i-th generator is open when the
+    first nonzero i-th coefficient of q, g_1, g_2, ... (the cone's
+    generators) is negative. `tally`, a Counter, counts under "tie_break"
+    the flags whose coefficient of q is 0.
     """
+    tally = Counter() if tally is None else tally
     w = dual_interior_vector(cone)
     section = [tuple(Fraction(v) / fraction_dot(w, g) for v in g) for g in cone.generators]
     pieces = [tuple(cone.generators[i] for i in cell)
               for cell in affine_placing_cells(section)]
-    rng = random.Random(_REFERENCE_SEED)
-    for _ in range(64):
-        coeffs = [1 + Fraction(rng.randint(1, 999983), 10**7) for _ in pieces[0]]
-        reference = [sum(c * g[j] for c, g in zip(coeffs, pieces[0]))
-                     for j in range(cone.ambient_dim)]
-        lambdas = []
-        for gens in pieces:
-            columns = [[g[j] for g in gens] for j in range(cone.ambient_dim)]
-            lambdas.append(fraction_solve(columns, reference))
-        if all(all(lam) for lam in lambdas):
-            return [(gens, tuple(v < 0 for v in lam))
-                    for gens, lam in zip(pieces, lambdas)]
-    raise AssertionError("no generic reference point")
+    q = [sum(col) for col in zip(*pieces[0])]
+    result = []
+    for gens in pieces:
+        columns = [[g[j] for g in gens] for j in range(cone.ambient_dim)]
+        lambdas = [fraction_solve(columns, x) for x in [q, *cone.generators]]
+        flags = []
+        for i in range(len(gens)):
+            flags.append(next(lam[i] for lam in lambdas if lam[i]) < 0)
+            tally["tie_break"] += lambdas[0][i] == 0
+        result.append((gens, tuple(flags)))
+    return result
 
 
 def random_cloud(rng):
@@ -288,19 +294,48 @@ def random_pointed_cone(rng):
     return RationalCone.from_rays(rays)
 
 
+def random_cloud_cone(rng):
+    """The cone over 4..7 seeded points of {0, 1, 2}^2 or ^3 lifted to
+    height 1, whose many symmetric points often put the sum of the first
+    piece's generators on a facet of another piece; about half are mapped
+    into R^4..R^5 by an injective integer matrix, so they are embedded."""
+    while True:
+        d = rng.randint(2, 3)
+        points = [p + (1,) for p in lattice_cloud(rng.randrange(10**6), d,
+                                                   rng.randint(d + 2, 7), 2)]
+        if linalg.rank(points) == d + 1:
+            break
+    if rng.random() < 0.5:
+        return RationalCone.from_rays(points)
+    n = d + 1 + rng.randint(1, 2)
+    matrix = [[rng.randint(-2, 2) for _ in range(d + 1)] for _ in range(n)]
+    while linalg.rank(matrix) < d + 1:
+        matrix = [[rng.randint(-2, 2) for _ in range(d + 1)] for _ in range(n)]
+    return RationalCone.from_rays([[linalg.int_dot(row, p) for row in matrix]
+                                   for p in points])
+
+
 def test_decompose_matches_cross_section_placing_on_seeded_cones():
+    # the tie-break must decide some flags, embedded cones included: a rule
+    # that read the ambient unit vectors, or flipped its sign, would still
+    # partition a full-dimensional cone, but would not match these flags
     rng = random.Random(41183)
-    seen = {"cones": 0, "embedded": 0, "several_pieces": 0, "open_flags": 0}
-    for trial in range(150):
-        cone = random_pointed_cone(rng)
+    seen = Counter()
+    for trial in range(230):
+        cone = random_pointed_cone(rng) if trial < 150 else random_cloud_cone(rng)
         pieces = [(p.generators, p.open_flags) for p in decompose(cone)]
-        assert pieces == cross_section_pieces(cone), (trial, cone.generators)
+        tally = Counter()
+        assert pieces == cross_section_pieces(cone, tally), (trial, cone.generators)
+        embedded = cone.dim < cone.ambient_dim
         seen["cones"] += 1
-        seen["embedded"] += cone.dim < cone.ambient_dim
+        seen["embedded"] += embedded
         seen["several_pieces"] += len(pieces) > 1
         seen["open_flags"] += any(any(flags) for _, flags in pieces)
-    assert seen["embedded"] >= 60 and seen["several_pieces"] >= 50, seen
-    assert seen["open_flags"] >= 50, seen
+        seen["tie_break"] += tally["tie_break"]
+        seen["embedded_tie_break"] += embedded * tally["tie_break"]
+    assert seen["embedded"] >= 90 and seen["several_pieces"] >= 100, seen
+    assert seen["open_flags"] >= 100, seen
+    assert seen["tie_break"] >= 30 and seen["embedded_tie_break"] >= 10, seen
 
 
 def test_boundary_rows_match_boundary_facets_oracle():

@@ -24,7 +24,7 @@ from ehrkit.ratpoly import HStarData, Poly, QuasiPoly
 from ehrkit.report import Report
 from ehrkit.semimagic import SemimagicTable
 from ehrkit.structure import ABDecomposition, HStarProfile
-from ehrkit.triangulation import HStarDecomposition, Simplex, betke_mcmullen
+from ehrkit.triangulation import HStarDecomposition, betke_mcmullen
 
 
 def _half_segment_result() -> EhrhartResult:
@@ -70,8 +70,6 @@ FROZEN = [
     (lambda: ABDecomposition(Poly([1, 1]), Poly(), 2, 1), ("a", "b", "l", "d"),
      "ABDecomposition(a=Poly(coeffs=(Fraction(1, 1), Fraction(1, 1))), "
      "b=Poly(coeffs=()), l=2, d=1)"),
-    (lambda: Simplex((0, 2), ((0, 0, 1), (1, 1, 1))), ("indices", "lifted", "solve"),
-     "Simplex(indices=(0, 2), lifted=((0, 0, 1), (1, 1, 1)), solve=None)"),
 ]
 FROZEN_IDS = [case[2].split("(", 1)[0] for case in FROZEN]
 
@@ -113,10 +111,27 @@ def test_frozen_record_survives_pickle_and_deepcopy(build, fields, text):
         assert hash(twin) == hash(record)
 
 
+# the records built by the shared FrozenRecord constructor, one value per field
+PLAIN = [RationalCone, EhrhartResult, HRep, SemimagicTable, ABDecomposition,
+         HStarDecomposition]
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=[cls.__name__ for cls in PLAIN])
+def test_plain_record_rejects_a_wrong_number_of_values(cls):
+    values = tuple(range(len(cls._fields)))
+    record = cls(*values)
+    assert tuple(getattr(record, name) for name in cls._fields) == values
+    for wrong in (values[:-1], values + (None,), ()):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(values)} values, "
+                                            f"got {len(wrong)}$"):
+            cls(*wrong)
+    with pytest.raises(TypeError):
+        cls(*values[:-1], **{cls._fields[-1]: values[-1]})
+
+
 def test_records_differ_when_a_field_differs():
     assert Poly([1, 2]) != Poly([1, 3])
     assert RationalCone(2, ((1, 0),)) != RationalCone(3, ((1, 0),))
-    assert Simplex((0,), ((0, 1),)) != Simplex((0,), ((0, 1),), ((((1, 0), 1),), ()))
     assert HStarData([1, 1], dim=1) != HStarData([1, 1], dim=2)
     # the same fields in another class
     assert HRep((), ()) != RationalCone((), ())

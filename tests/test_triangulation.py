@@ -201,6 +201,10 @@ def test_simplex_rejects_non_faces():
         with pytest.raises(InputError, match="is not a face of the triangulation"):
             link_f_vector(t, bad)
     assert t.simplex((2, 1)) == t.simplex((1, 2))
+    # a face is the closed cone over its lifted vertices
+    piece = t.simplex((1, 2))
+    assert piece.generators == (t.points[1] + (1,), t.points[2] + (1,))
+    assert piece.open_flags == (False, False)
 
 
 def global_link_f_vector(t, face):
@@ -273,7 +277,7 @@ def test_face_solves_read_off_cells_on_random_polytopes():
                 if not face:
                     continue
                 simplex = t.simplex(face)
-                gens = simplex.lifted
+                gens = simplex.generators
                 # the rows read off the cell solve the face: <T_i, g_j> =
                 # den_i delta_ij with den_i > 0, and n - k independent C
                 # rows vanish on every g_j
@@ -358,7 +362,7 @@ def test_one_box_call_per_nonempty_face(monkeypatch):
         assert len(calls) == expected, name
         # every face reads its solve off a cell
         assert all(t.simplex(face).solve is not None for face in t.faces()), name
-        assert sorted(calls) == sorted(t.simplex(face).lifted for face in t.faces() if face)
+        assert sorted(calls) == sorted(t.simplex(face).generators for face in t.faces() if face)
 
 
 def test_birkhoff_4_by_faces_within_budget():
