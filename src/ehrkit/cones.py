@@ -31,8 +31,8 @@ another. `ConeGF.evaluate` scales every monomial by one integer to a
 product of shared integer powers, and sums all pieces over the one common
 denominator prod_g (1 - z^g) of the distinct generators, so each
 evaluation builds one Fraction. A box of more than MAX_BOX_POINTS points,
-or powers over an exponent span of more than MAX_EXPONENT_SPAN, raise
-UnsupportedError before any listing or table.
+or powers over an exponent span of more than MAX_EXPONENT_SPAN (checked on
+the generators first), raise UnsupportedError before any listing or table.
 
 Only pointed cones are supported, and pointedness is read off the same
 placing: the apex rows of its boundary facets sum to a vector positive on
@@ -244,15 +244,7 @@ class ConeGF(FrozenRecord):
         if self._plan is None:
             generators = tuple(dict.fromkeys(g for _, gens in self.pieces for g in gens))
             monomials = [m for numerator, _ in self.pieces for m in numerator]
-            ranges = tuple((min(0, *col), max(0, *col))
-                           for col in zip(*generators, *monomials))
-            span = max(hi - lo for lo, hi in ranges)
-            if span > MAX_EXPONENT_SPAN:
-                raise UnsupportedError(
-                    f"evaluation needs powers over an exponent span of {span:,}, over "
-                    f"the limit of {MAX_EXPONENT_SPAN:,}"
-                )
-            _set_field(self, "_plan", (generators, ranges))
+            _set_field(self, "_plan", (generators, _exponent_ranges(*generators, *monomials)))
         return self._plan
 
     def evaluate(self, z: Sequence[RatLike]) -> Fraction:
@@ -292,6 +284,17 @@ class ConeGF(FrozenRecord):
             num = sum(prod(map(getitem, tables, m)) for m in numerator)
             total += num * scale ** (len(gens) - 1) * (den // prod(map(factors.get, gens)))
         return Fraction(total, den)
+
+
+def _exponent_ranges(*vectors: IntVec) -> tuple[tuple[int, int], ...]:
+    """The range [lo_j, hi_j] of the j-th entries of the vectors, 0 included.
+    A span hi_j - lo_j over MAX_EXPONENT_SPAN raises UnsupportedError."""
+    ranges = tuple((min(0, *col), max(0, *col)) for col in zip(*vectors))
+    span = max(hi - lo for lo, hi in ranges)
+    if span > MAX_EXPONENT_SPAN:
+        raise UnsupportedError(f"evaluation needs powers over an exponent span of {span:,}, "
+                               f"over the limit of {MAX_EXPONENT_SPAN:,}")
+    return ranges
 
 
 def _check_point(z: Sequence[RatLike], ambient: int) -> tuple[Fraction, ...]:
@@ -384,6 +387,8 @@ def _closed_boxes(cone: RationalCone) -> tuple[tuple[IntVec, ...], ...]:
 def generating_function(cone: RationalCone, region: str = "closed") -> ConeGF:
     """Materialized lattice-point generating function of the (open) cone."""
     check_region(region)
+    # the generators' span bounds the evaluation's from below: refuse before listing
+    _exponent_ranges(*(g for piece in decompose(cone) for g in piece.generators))
     pieces = []
     for piece, box in zip(decompose(cone), _closed_boxes(cone)):
         if region == "interior":

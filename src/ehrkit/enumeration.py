@@ -235,11 +235,11 @@ def _lattice_basis(equalities, ambient: int):
     k = len(equalities)
     _, v = linalg.smith_form(list(zip(*(a for a, _ in equalities))))
     columns = tuple(zip(*v))
-    fixed, den = linalg.solve_integral(
+    solved, den = linalg.solve_integral(
         [[linalg.int_dot(a, col) for col in columns[:k]] for a, _ in equalities],
-        [c for _, c in equalities])
+        [(c,) for _, c in equalities])
     t_rows, _ = linalg.simplex_solve(columns)
-    return v, [row for row, _ in t_rows], fixed, den
+    return v, [row for row, _ in t_rows], tuple(y for y, in solved), den
 
 
 def enumerate_points(p: RationalPolytope, region: str = "closed") -> list[IntPoint]:

@@ -10,19 +10,17 @@ integer kernel basis off it, and `solve_integral` reads a regular square
 system's solution off it over one common denominator. `simplex_solve` is
 the one barycentric solve of a simplex, kept in one bounded LRU cache;
 placing triangulations, half-open cone pieces and fundamental
-parallelepipeds all read it. A placing cell differs from a solved
-neighbour in one generator, so `exchange_solve` fills its cache entry with
-one exchange pivot, quadratic in the ambient dimension, instead of the
-cubic elimination. The one Smith reduction, `smith_form`, returns the
+parallelepipeds all read it. Placing makes each cell's solve from one it
+holds, in time quadratic in the ambient dimension where the elimination is
+cubic: `exchange_solve` pivots a neighbour's solve onto the cell's new
+generator, and `jump_solve` extends a solve by a generator outside its
+span, from the empty configuration's on. Only a non-integer new generator
+is eliminated. The one Smith reduction, `smith_form`, returns the
 invariant factors with the unimodular column transform: cone boxes are
 listed from both, lattice walks of embedded polytopes take their
 coordinates from the transform, and lattice volumes read the factors
 alone. `lll` reduces a lattice basis under an integer quadratic form, in
-integers only; the walks take their free coordinates from it. Ambient
-dimensions here stay small (16 for the Birkhoff polytope B4), so a cubic
-elimination is cheap once; but a triangulation solves every cell, and
-eliminations are left only for its first cell, the cells of a dimension
-jump and cells placed from non-integer vectors.
+integers only; the walks take their free coordinates from it.
 """
 
 from __future__ import annotations
@@ -108,24 +106,25 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[
 
 
 def solve_integral(rows: Sequence[Sequence],
-                   rhs: Sequence) -> tuple[tuple[int, ...], int] | None:
-    """The solution of a square system A y = b over the integers, in integers.
-
-    Returns (Y, L) with y = Y / L and L > 0, or None when A is singular.
-    The fraction-free elimination of [A | b] leaves rows (p_i e_i | q_i),
-    so y_i = q_i / p_i, and L is the lcm of the p_i.
-    """
-    echelon, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots != list(range(len(rows))):
+                   rhs: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+    """The solution Y / L, L > 0, of a square system A Y = B whose rows of B
+    are `rhs`, as (Y, L) in integers, or None when A is singular. The
+    fraction-free elimination of [A | B] leaves rows (p_i e_i | q_i), so
+    Y_i = q_i L / p_i for L the lcm of the p_i."""
+    k = len(rows)
+    echelon, pivots = _echelon([list(row) + list(b) for row, b in zip(rows, rhs)])
+    if pivots[:k] != list(range(k)):
         return None
     den = lcm(*(row[i] for i, row in enumerate(echelon)))
-    return tuple(row[-1] * (den // row[i]) for i, row in enumerate(echelon)), den
+    return tuple(tuple(v * (den // row[i]) for v in row[k:])
+                 for i, row in enumerate(echelon)), den
 
 
 # The one solve cache, least recently used first. Only cells add entries:
-# placing makes each cell's solve once, by `exchange_solve`'s pivot or by
-# elimination, and the hull, the faces and the cone pieces look it up again.
-# One B4 hull and triangulation keeps 930 entries, a `corpus-verify` run
+# placing makes each cell's solve once, by an exchange pivot or a jump
+# extension (by elimination only for a non-integer vector), and the hull,
+# the faces and the cone pieces look it up again.
+# One B4 hull and triangulation keeps 938 entries, a `corpus-verify` run
 # under 200.
 _solves: dict = {}
 _MAX_SOLVES = 2048
@@ -172,27 +171,66 @@ def exchange_solve(generators: tuple[tuple, ...], solve: tuple, apex: int):
     by the gcd of its entries and den, and signed to den > 0, is the reduced
     row that the elimination reads off; the span, hence C, is unchanged.
     """
+    return _derived(generators, solve, _exchanged, apex)
+
+
+def jump_solve(generators: tuple[tuple, ...], solve: tuple):
+    """`simplex_solve(generators)`, where the generators are those of a
+    solved simplex and a new one, q, outside their span; `solve` is that
+    simplex's solve, ((), the unit rows) for no generators.
+
+    A cache miss on an integer q is filled by extending the rational rref of
+    [G | I] to that of [G q | I]. With s_j = <C_j, q>, j* the last j with
+    s_j != 0, c = C_j* and s = s_j*: q's row is c / s, each old row (r, d)
+    becomes (s r - <r, q> c) / (s d), and each other C row
+    sign(s) (s C_j - s_j c), all reduced. c is zero before its leading
+    entry, which follows those of the C_j with j < j*, so these keep their
+    leading entries, their order and their signs.
+    """
+    return _derived(generators, solve, _extended)
+
+
+def _derived(generators: tuple[tuple, ...], solve: tuple, derive, *args):
+    """The cached solve, else `derive(q, *solve, *args)` for an integer q."""
     global _hits, _misses
     found = _solves.pop(generators, None)
     if found is not None:
         _hits += 1
     elif all(type(v) is int for v in generators[-1]):
         _misses += 1
-        q = generators[-1]
-        t_rows, c_rows = solve
-        top = t_rows[apex][0]
-        s = int_dot(top, q)
-        rows = []
-        for j, (row, den) in enumerate(t_rows):
-            if j != apex:
-                t = int_dot(row, q)
-                rows.append(_reduced([t * a - s * b for a, b in zip(top, row)], -s * den))
-        rows.append(_reduced([-a for a in top], -s))
-        found = (tuple(rows), c_rows)
+        found = derive(generators[-1], *solve, *args)
     else:
         return simplex_solve(generators)
     _keep(generators, found)
     return found
+
+
+def _exchanged(q: tuple[int, ...], t_rows: tuple, c_rows: tuple, apex: int) -> tuple:
+    top = t_rows[apex][0]
+    s = int_dot(top, q)
+    rows = []
+    for j, (row, den) in enumerate(t_rows):
+        if j != apex:
+            t = int_dot(row, q)
+            rows.append(_reduced([t * a - s * b for a, b in zip(top, row)], -s * den))
+    rows.append(_reduced([-a for a in top], -s))
+    return tuple(rows), c_rows
+
+
+def _extended(q: tuple[int, ...], t_rows: tuple, c_rows: tuple) -> tuple:
+    sums = [int_dot(row, q) for row in c_rows]
+    star = max(j for j, s_j in enumerate(sums) if s_j)
+    c, s = c_rows[star], sums[star]
+    rows = [_reduced([s * a - int_dot(row, q) * b for a, b in zip(row, c)], s * den)
+            for row, den in t_rows]
+    rows.append(_reduced(list(c), s))
+    sign = 1 if s > 0 else -1
+    span = []
+    for row, s_j in zip(c_rows[:star], sums):  # the rows after c have s_j == 0
+        new = [sign * (s * a - s_j * b) for a, b in zip(row, c)]
+        g = gcd(*new)
+        span.append(tuple(v // g for v in new))
+    return tuple(rows), (*span, *c_rows[star + 1:])
 
 
 def _reduced(row: list[int], den: int) -> tuple[tuple[int, ...], int]:

@@ -16,15 +16,17 @@ factor keeps the signs of its coordinates, so for a pointed cone this is
 visibility in any cross-section, and for points (p, 1) visibility of a
 facet of the hull.
 
-The boundary is a dict from each boundary facet to its visibility row,
-the apex row of its cell's solve, kept with that solve and the apex
-position. A cell made from a boundary facet swaps that cell's apex for q,
-so its solve is one exchange pivot of the kept solve
-(`linalg.exchange_solve`), looked up in the solve cache first; only the
-first cell, the cells of a dimension jump and cells with a non-integer
-vector q run the elimination. Each cell's solve is made once, when the
-cell is created, and the cell toggles its facets in or out of the dict;
-after a dimension jump the dict is rebuilt from all cells. Its order, by
+Placing starts from the empty configuration, one empty cell whose solve
+has no T rows and the unit rows as C, so the first vector is a jump like
+any other. Each cell's solve is made once, with the cell, and kept in a
+list beside the cells: at a jump each cell is coned over q and its solve
+extended by q (`linalg.jump_solve`), and a cell made from a boundary facet
+swaps its cell's apex for q, one exchange pivot of the kept solve
+(`linalg.exchange_solve`). Both look in the solve cache first; only a
+non-integer q is eliminated. The boundary is a dict from each boundary
+facet to its visibility row, the apex row of its cell's solve, kept with
+that solve and the apex position; each new cell toggles its facets in or
+out of it, and after a jump it is rebuilt from the list. Its order, by
 cell creation and then dropped vertex, is the order in which new cells are
 appended. `boundary_rows` builds the same dict from finished cells, for
 the hull's facets, a triangulation's boundary and a cone's pointedness.
@@ -49,33 +51,32 @@ def placing_cells(vectors: Sequence[tuple]) -> list[tuple[int, ...]]:
     Every cell is a simplex spanning the vectors' final span, listed in
     creation order with sorted vertex indices.
     """
-    if not vectors:
-        return []
-    cells: list[tuple[int, ...]] = [(0,)]
-    first = linalg.simplex_solve((vectors[0],))  # cells[0]'s; its C rows test the span
+    n = len(vectors[0]) if vectors else 0
+    # the empty configuration: one empty cell, whose C rows are the unit rows
+    cells: list[tuple[int, ...]] = [()]
+    solves = [((), tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))]
     boundary: dict[tuple[int, ...], tuple] | None = None  # None: to be rebuilt
 
-    for i in range(1, len(vectors)):
-        q = vectors[i]
-        if any(linalg.int_dot(row, q) for row in first[1]):
+    for i, q in enumerate(vectors):
+        if any(linalg.int_dot(row, q) for row in solves[0][1]):
             # dimension jump: cone every existing cell over the new vector
             cells = [cell + (i,) for cell in cells]
-            first = linalg.simplex_solve(tuple(vectors[v] for v in cells[0]))
+            solves = [linalg.jump_solve(tuple(vectors[v] for v in cell), solve)
+                      for cell, solve in zip(cells, solves)]
             boundary = None
             continue
         if boundary is None:
             boundary = {}
-            _toggle(boundary, cells[0], first)
-            for cell in cells[1:]:
-                _toggle(boundary, cell, linalg.simplex_solve(tuple(vectors[v] for v in cell)))
+            for cell, solve in zip(cells, solves):
+                _toggle(boundary, cell, solve)
         # strictly visible facets; i is the largest index, so facet + (i,) is sorted
         added = [(facet + (i,), solve, apex) for facet, (row, solve, apex) in boundary.items()
                  if linalg.int_dot(row, q) < 0]
         for cell, solve, apex in added:
-            _toggle(boundary, cell,
-                    linalg.exchange_solve(tuple(vectors[v] for v in cell), solve, apex))
+            solves.append(linalg.exchange_solve(tuple(vectors[v] for v in cell), solve, apex))
+            _toggle(boundary, cell, solves[-1])
         cells.extend(cell for cell, _, _ in added)
-    return cells
+    return cells if cells[0] else []
 
 
 def _toggle(boundary: dict, cell: tuple[int, ...], solve: tuple) -> None:

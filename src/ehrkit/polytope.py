@@ -18,9 +18,10 @@ that contain it meet in it alone.
 
 The half-space form is built in integers. The points are scaled to
 integers once; the equalities are the primitive integer kernel vectors
-`linalg.nullspace` reads off the echelon form of their differences; each
-facet normal is projected by one integer solve of Gram y = N a, N the
-equality normals; and every (a, c) is made jointly primitive with gcd.
+`linalg.nullspace` reads off the echelon form of their differences; the
+facet normals are projected by one integer matrix, from one solve of
+Gram Y = L N, N the equality normals; and every (a, c) is made jointly
+primitive with gcd.
 
 Everything is exact; no floats are accepted or produced.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 from . import linalg
 from .errors import FrozenRecord, InputError
@@ -166,43 +167,30 @@ class RationalPolytope:
         t = _coerce(t)
         if t <= 0:
             raise InputError("dilation factor must be positive")
-        verts = sorted(tuple(t * v for v in p) for p in self.vertices)
-        hrep = None
-        if self._hrep is not None:
-            hrep = HRep(
-                tuple(_joint_primitive(a, t * c) for a, c in self._hrep.equalities),
-                tuple(_joint_primitive(a, t * c) for a, c in self._hrep.inequalities),
-            )
-        return RationalPolytope(self.ambient_dim, verts, name=self.name,
-                                _hrep=hrep, _dim=self._dim)
+        return self._moved([tuple(t * v for v in p) for p in self.vertices],
+                           lambda a, c: t * c)
 
     def translate(self, shift: Sequence[RatLike]) -> "RationalPolytope":
         s = tuple(_coerce(v) for v in shift)
         if len(s) != self.ambient_dim:
             raise InputError("translation vector has the wrong dimension")
-        verts = sorted(tuple(x + y for x, y in zip(p, s)) for p in self.vertices)
+        return self._moved([tuple(x + y for x, y in zip(p, s)) for p in self.vertices],
+                           lambda a, c: c + linalg.int_dot(a, s))
+
+    def _moved(self, verts: list[Point], offset) -> "RationalPolytope":
+        """The polytope on `verts`, with each (a, c) of a cached half-space
+        form moved to (a, offset(a, c)) and made jointly primitive."""
         hrep = None
         if self._hrep is not None:
-            hrep = HRep(
-                tuple(_joint_primitive(a, c + linalg.int_dot(a, s))
-                      for a, c in self._hrep.equalities),
-                tuple(_joint_primitive(a, c + linalg.int_dot(a, s))
-                      for a, c in self._hrep.inequalities),
-            )
-        return RationalPolytope(self.ambient_dim, verts, name=self.name,
+            hrep = HRep(*(tuple(_joint_primitive(a, offset(a, c)) for a, c in part)
+                          for part in (self._hrep.equalities, self._hrep.inequalities)))
+        return RationalPolytope(self.ambient_dim, sorted(verts), name=self.name,
                                 _hrep=hrep, _dim=self._dim)
 
     def bounding_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Smallest integer box [lo, hi] containing the polytope."""
-        import math
-
-        los = []
-        his = []
-        for j in range(self.ambient_dim):
-            coords = [p[j] for p in self.vertices]
-            los.append(math.ceil(min(coords)))
-            his.append(math.floor(max(coords)))
-        return tuple(los), tuple(his)
+        columns = list(zip(*self.vertices))
+        return tuple(ceil(min(c)) for c in columns), tuple(floor(max(c)) for c in columns)
 
 
 def contains_polytope(inner: RationalPolytope, outer: RationalPolytope) -> bool:
@@ -237,6 +225,7 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int, list[Po
 
     facets: dict[frozenset[int], tuple[IntVec, int]] = {}
     if dim >= 1:
+        projection = _projection([normal for normal, _ in eqs])
         lifted = [p + (scale,) for p in ints]
         for facet, (t_apex, _, _) in boundary_rows(lifted, placing_cells(lifted)).items():
             # <T_apex, (x, 1)> vanishes on the facet's hyperplane and is
@@ -244,7 +233,9 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int, list[Po
             key = frozenset(j for j, q in enumerate(lifted)
                             if not linalg.int_dot(t_apex, q))
             if key not in facets:
-                a = _onto_hull(tuple(-v for v in t_apex[:-1]), eqs)
+                a = tuple(-v for v in t_apex[:-1])
+                if projection:
+                    a = tuple(linalg.int_dot(row, a) for row in projection)
                 facets[key] = _int_primitive(a, ints[facet[0]], scale)
     hrep = HRep(tuple(sorted(eqs)), tuple(sorted(set(facets.values()))))
     # a point is a vertex exactly when the facets through it meet in it alone
@@ -262,17 +253,13 @@ def _int_primitive(a: Sequence[int], q: Sequence[int], scale: int) -> tuple[IntV
     return tuple(v // g for v in ints[:-1]), ints[-1] // g
 
 
-def _onto_hull(a: IntVec, eqs: list[tuple[IntVec, int]]) -> IntVec:
-    """A positive integer multiple of the orthogonal projection of a onto the
-    hull's direction space, the common kernel of the equality normals N.
-
-    The projection is a - N^T y for the solution y = Y / L of Gram y = N a,
-    and L a - N^T Y is that multiple.
-    """
-    if not eqs:
-        return a
-    normals = [normal for normal, _ in eqs]
+def _projection(normals: list[IntVec]) -> list[IntVec] | None:
+    """L I - N^T Y, for Y / L with L > 0 solving Gram Y = N, N the equality
+    normals: a positive multiple of the orthogonal projection onto their
+    common kernel, the hull's direction space. None without equalities."""
+    if not normals:
+        return None
     y, den = linalg.solve_integral([[linalg.int_dot(u, v) for v in normals] for u in normals],
-                                   [linalg.int_dot(u, a) for u in normals])
-    return tuple(den * v - sum(c * u[j] for c, u in zip(y, normals))
-                 for j, v in enumerate(a))
+                                   normals)
+    return [tuple(den * (i == j) - linalg.int_dot(n_i, y_j) for j, y_j in enumerate(zip(*y)))
+            for i, n_i in enumerate(zip(*normals))]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .enumeration import ehrhart, enumerate_points
+from .enumeration import count_points, ehrhart, enumerate_points
 from .errors import (FrozenRecord, InputError, TheoremViolationError, UnsupportedError,
                      _set_field)
 from .placing import boundary_rows
@@ -182,10 +182,9 @@ def reflexive_check(p: RationalPolytope) -> tuple[bool, tuple[int, ...] | None]:
         raise UnsupportedError("reflexive_check needs a lattice polytope")
     if p.dim != p.ambient_dim:
         raise UnsupportedError("reflexive_check needs a full-dimensional polytope")
-    interior = enumerate_points(p, "interior")
-    if len(interior) != 1:
+    if count_points(p, 1, "interior") != 1:
         return False, None
-    z = interior[0]
+    (z,) = enumerate_points(p, "interior")
     shifted = p.translate([-v for v in z])
     if all(c == 1 for _, c in shifted.facets().inequalities):
         return True, z

@@ -9,7 +9,7 @@ predecessors and appears as a vertex.
 included (its link is the whole complex); B_F counts by height the lattice
 points of the open parallelepiped of F's lifted vertices. By default the
 sum is verified against the enumeration pipeline. Each cell's solve is
-made once, by the placing's pivot or elimination. A face is the closed
+made once, by the placing's pivot or jump extension. A face is the closed
 `HalfOpenSimplicialCone` over its lifted vertices, carrying the solve read
 off a cell that contains it, so no face runs an elimination. A face
 whose cell has den_i == 1 at any of the face's vertices has B_F = 0, read
@@ -210,7 +210,7 @@ def betke_mcmullen(p: RationalPolytope, use_all_lattice_points: bool = False,
     """Assemble h* from a placing triangulation, face by face.
 
     Sums h_link(face) * B(face) over every face including the empty one.
-    The only eliminations are the placing's, one per cell: each face's box
+    The only solves are the placing's, one per cell: each face's box
     is listed with the solve it reads off a cell containing it. With
     verify=True the result is checked against the enumeration
     pipeline's h*; a mismatch raises TheoremViolationError.

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: short forms of things the library
 has no caller for (`dual_interior_vector` among them), seeded test inputs, rational linear algebra, the
-listing oracle `lattice_points`, the serialization oracle `to_jsonable`
-and the combinatorial boundary oracle `boundary_facets`.
+listing oracle `lattice_points`, the serialization oracle `to_jsonable`,
+the projection oracle `onto_hull` and the combinatorial boundary oracle
+`boundary_facets`.
 
 The `fraction_*` functions are oracles: Gauss-Jordan elimination over
 `Fraction`, sharing no code with the integer elimination `linalg._echelon`
@@ -127,7 +128,11 @@ def to_jsonable(value):
 
 
 def lattice_cloud(seed: int, dim: int, size: int, side: int) -> list[tuple[int, ...]]:
-    """`size` distinct seeded points of {0..side}^dim, sorted."""
+    """`size` distinct seeded points of {0..side}^dim, sorted. Raises
+    ValueError when the grid holds fewer than `size` points."""
+    if size > (side + 1) ** dim:
+        raise ValueError(f"{{0..{side}}}^{dim} holds {(side + 1) ** dim} points, "
+                         f"fewer than {size}")
     rng = random.Random(seed)
     points: set[tuple[int, ...]] = set()
     while len(points) < size:
@@ -220,6 +225,17 @@ def fraction_simplex_solve(generators):
         t_rows.append((tuple(int(v * den) for v in row[k:]), den))
     c_rows = tuple(linalg.primitive(row[k:]) for row in rref[k:])
     return tuple(t_rows), c_rows
+
+
+def onto_hull(a, normals):
+    """Oracle: the orthogonal projection of a onto the common kernel of the
+    independent normals N, a - N^T y for the solution y of Gram y = N a,
+    solved for this one vector in Fraction."""
+    if not normals:
+        return tuple(map(Fraction, a))
+    y = fraction_solve([[fraction_dot(u, v) for v in normals] for u in normals],
+                       [fraction_dot(u, a) for u in normals])
+    return tuple(v - sum(c * u[j] for c, u in zip(y, normals)) for j, v in enumerate(a))
 
 
 def boundary_facets(cells):

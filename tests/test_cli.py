@@ -252,21 +252,23 @@ def test_semimagic_out_of_reach_exits_1_fast_with_error_document():
 
 
 def test_boxes_and_evaluations_out_of_reach_exit_1_fast_with_error_document(tmp_path):
-    # the segment [0, 10^30] has a box of 10^30 points; the cone on (1, 0)
-    # and (1, 10^6) a box of 10^6, and on (1, 0) and (1, 10^4) a box small
-    # enough to list but powers of z_2 up to 10^4 to evaluate
+    # the segment [0, 10^30] has a box of 10^30 points, which decompose
+    # refuses; the generating function of specialize refuses the span of its
+    # generators, 10^30, first. The cones on (1, 0) and (1, 10^6) or (1, 10^4)
+    # have boxes of 10^6 and 10^4 points, but need powers of z_2 up to 10^6
+    # and 10^4: refused by that span before either box is listed
     src = str(Path(ehrkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     segment = tmp_path / "segment.json"
     segment.write_text(json.dumps({"kind": "polytope", "ambient_dim": 1,
                                    "vertices": [[0], [10**30]]}))
     cases = [("decompose", segment, "fundamental parallelepiped"),
-             ("specialize", segment, "fundamental parallelepiped")]
-    for top, reason in ((10**6, "fundamental parallelepiped"), (10**4, "exponent span")):
+             ("specialize", segment, "exponent span")]
+    for top in (10**6, 10**4):
         cone = tmp_path / f"cone-{top}.json"
         cone.write_text(json.dumps({"kind": "cone", "ambient_dim": 2,
                                     "rays": [[1, 0], [1, top]]}))
-        cases.append(("cone-reciprocity", cone, reason))
+        cases.append(("cone-reciprocity", cone, "exponent span"))
     for command, path, reason in cases:
         start = time.monotonic()
         proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", command, str(path)],

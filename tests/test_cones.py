@@ -26,6 +26,7 @@ from ehrkit.cones import (
     MAX_BOX_POINTS,
     MAX_CIRCUIT_SOLVES,
     MAX_EXPONENT_SPAN,
+    ConeGF,
     HalfOpenSimplicialCone,
     RationalCone,
     _closed_boxes,
@@ -572,11 +573,15 @@ def test_evaluate_checks_its_point():
 def test_evaluation_past_the_exponent_span_limit_is_refused_before_any_table(monkeypatch):
     # the generator (1, 10000) needs powers of z_2 up to 10^4; without the
     # limit one evaluation took 1.7 s and 91 MB, ten times that span ran for
-    # minutes, and a hundred times it ran out of memory
-    gf = generating_function(RationalCone.from_rays([[1, 0], [1, 10_000]]))
-    with pytest.raises(UnsupportedError, match=f"^evaluation needs powers over an exponent "
-                                               f"span of 10,000, over the limit of "
-                                               f"{MAX_EXPONENT_SPAN:,}$"):
+    # minutes, and a hundred times it ran out of memory. The generators' span
+    # refuses the cone before its box is listed; a ConeGF built directly is
+    # refused by evaluate, before any table
+    message = (f"^evaluation needs powers over an exponent span of 10,000, over the "
+               f"limit of {MAX_EXPONENT_SPAN:,}$")
+    with pytest.raises(UnsupportedError, match=message):
+        generating_function(RationalCone.from_rays([[1, 0], [1, 10_000]]))
+    gf = ConeGF(((((0, 0),), ((1, 0), (1, 10_000))),))
+    with pytest.raises(UnsupportedError, match=message):
         gf.evaluate((F(1, 2), F(1, 3)))
     assert gf._plan is None
     # the span is the widest hi_j - lo_j, 0 included: (1, 0), (-1, 2) and
@@ -588,6 +593,31 @@ def test_evaluation_past_the_exponent_span_limit_is_refused_before_any_table(mon
     monkeypatch.setattr(cones, "MAX_EXPONENT_SPAN", 1)
     with pytest.raises(UnsupportedError, match="span of 2, over the limit of 1$"):
         generating_function(skew).evaluate((F(1, 2), F(1, 3)))
+    # the generators (1, 0) and (1, 1) span 1, but the interior's one box
+    # point, their sum (2, 1), spans 2: made, then refused by evaluate
+    interior = generating_function(RationalCone.from_rays([[1, 0], [1, 1]]), "interior")
+    assert interior.pieces == ((((2, 1),), ((1, 0), (1, 1))),)
+    with pytest.raises(UnsupportedError, match="span of 2, over the limit of 1$"):
+        interior.evaluate((F(1, 2), F(1, 3)))
+
+
+def test_cone_reciprocity_is_refused_by_the_generators_span_before_any_box(monkeypatch):
+    # (1, 0) and (1, 10^5) have a box of 10^5 points, under MAX_BOX_POINTS,
+    # whose listing took 0.44 s before the evaluation refused its span
+    listed = []
+    original = cones.parallelepiped_points
+
+    def listing(piece, mode="half_open"):
+        listed.append(piece.generators)
+        return original(piece, mode)
+
+    monkeypatch.setattr(cones, "parallelepiped_points", listing)
+    _closed_boxes.cache_clear()
+    with pytest.raises(UnsupportedError, match=f"^evaluation needs powers over an exponent "
+                                               f"span of 100,000, over the limit of "
+                                               f"{MAX_EXPONENT_SPAN:,}$"):
+        stanley_reciprocity_check(RationalCone.from_rays([[1, 0], [1, 100_000]]))
+    assert listed == []
 
 
 def test_boxes_past_the_point_limit_are_refused_before_listing(monkeypatch):

@@ -27,6 +27,7 @@ from ehrkit.linalg import (
     _echelon,
     exchange_solve,
     int_dot,
+    jump_solve,
     lattice_normalized_volume,
     lll,
     nullspace,
@@ -70,26 +71,31 @@ def test_solve_consistent_and_inconsistent():
     assert fraction_solve([[1, 1], [2, 2]], [1, 3]) is None
     under = fraction_solve([[1, 1, 0]], [5])
     assert under is not None and sum(under[:2]) == 5
-    assert solve_integral([[1, 1], [1, -1]], [4, 1]) == ((5, 3), 2)
-    assert solve_integral([[1, 1], [2, 2]], [1, 3]) is None
+    assert solve_integral([[1, 1], [1, -1]], [[4], [1]]) == (((5,), (3,)), 2)
+    assert solve_integral([[1, 1], [1, -1]], [[4, 0], [1, 2]]) == (((5, 2), (3, -2)), 2)
+    assert solve_integral([[1, 1], [2, 2]], [[1], [3]]) is None
+    assert solve_integral([[1, 1], [2, 2]], [[1, 0], [2, 1]]) is None
 
 
 def test_solve_integral_matches_fraction_solve():
-    # y = Y / L over one positive denominator, None exactly when singular
+    # Y / L over one positive denominator, None exactly when singular; each
+    # column of Y / L solves the system for that column of the right-hand side
     rng = random.Random(20261023)
     singular = 0
     for _ in range(300):
         k = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
         rhs = [rng.randint(-4, 4) for _ in range(k)]
-        solved = solve_integral(rows, rhs)
+        columns = (rhs, [i - b for i, b in enumerate(rhs)])
+        solved = solve_integral(rows, list(zip(*columns)))
         if fraction_rank(rows) < k:
             assert solved is None
             singular += 1
             continue
         y, den = solved
-        assert den > 0 and all(type(v) is int for v in y)
-        assert tuple(Fraction(v, den) for v in y) == fraction_solve(rows, rhs)
+        assert den > 0 and all(type(v) is int for row in y for v in row)
+        for column, b in zip(zip(*y), columns):
+            assert tuple(Fraction(v, den) for v in column) == fraction_solve(rows, b)
     assert singular >= 20, singular
 
 
@@ -280,6 +286,72 @@ def test_exchange_solve_matches_fraction_solve():
     check()
     minimum = {"pivot": 200, "elimination": 50, "visible": 200, "not visible": 30,
                "embedded": 150, "rational generators": 150, "reduced": 150}
+    assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
+
+
+@st.composite
+def jumps(draw):
+    """(generators, q): k = 0..n-1 independent vectors in R^n, n = 1..5, and
+    an integer vector q outside their span. All k + 1 are combinations of m
+    seeded basis vectors, k < m <= n, so their span is often proper; the
+    generators' coefficients have denominators 1-3, and q is sometimes handed
+    over as Fractions, which the extension leaves to the elimination."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(1, 5)
+    k = rng.randint(0, n - 1)
+    m = rng.randint(k + 1, n)
+    den = rng.choice((1, 1, 2, 3))
+    while True:
+        basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        gens = [tuple(sum(Fraction(rng.randint(-2 * den, 2 * den), den) * b[j] for b in basis)
+                      for j in range(n)) for _ in range(k)]
+        q = tuple(sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(n))
+        if fraction_rank(gens + [q]) == k + 1:
+            break
+    if all(v.denominator == 1 for g in gens for v in g) and draw(st.booleans()):
+        gens = [tuple(map(int, g)) for g in gens]
+    if draw(st.integers(0, 9)) == 0:
+        q = tuple(map(Fraction, q))
+    return tuple(gens), q
+
+
+def test_jump_solve_matches_fraction_solve():
+    kinds = Counter()
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(jumps())
+    def check(case):
+        gens, q = case
+        n = len(q)
+        solve = (fraction_simplex_solve(gens) if gens
+                 else ((), tuple(tuple(int(i == j) for j in range(n)) for i in range(n))))
+        new = gens + (q,)
+        simplex_solve.cache_clear()
+        made = jump_solve(new, solve)
+        assert made == fraction_simplex_solve(new), case
+        assert all(type(v) is int for row, den in made[0] for v in row + (den,))
+        # made once and kept: looking it up again is a hit
+        assert simplex_solve.cache_info()[:2] == (0, 1)
+        assert simplex_solve(new) is made and simplex_solve.cache_info()[:2] == (1, 1)
+        sums = [int_dot(row, q) for row in solve[1]]
+        star = max(j for j, v in enumerate(sums) if v)
+        extension = all(type(v) is int for v in q)
+        kinds["extension" if extension else "elimination"] += 1
+        kinds["empty start"] += not gens
+        kinds["embedded"] += len(new) < n
+        kinds["rational generators"] += any(type(v) is not int for g in gens for v in g)
+        # a C row before c that changes, and one with s < 0: the rows a
+        # first-j or unsigned update would get wrong
+        kinds["C row updated"] += any(sums[:star])
+        kinds["C row updated, s < 0"] += any(sums[:star]) and sums[star] < 0
+        # a q row c / s that the reduction signs to den > 0 (c is primitive,
+        # so the sign is all it changes)
+        kinds["q row signed"] += extension and sums[star] < 0
+
+    check()
+    minimum = {"extension": 80, "elimination": 25, "empty start": 50, "embedded": 70,
+               "rational generators": 25, "C row updated": 50,
+               "C row updated, s < 0": 15, "q row signed": 30}
     assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
 
 

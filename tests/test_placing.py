@@ -13,6 +13,7 @@ oracle also tallies the steps that `placing_cells`' incremental boundary
 handles apart, so that the tests can require each of them to occur.
 `boundary_rows` is checked against `boundary_facets`, the combinatorial
 oracle in `helpers`, and each of its rows against `fraction_simplex_solve`.
+A pin counts the eliminations that placing integer vectors runs: none.
 """
 
 from __future__ import annotations
@@ -22,11 +23,17 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from pathlib import Path
 
-from ehrkit import linalg, placing
-from ehrkit.cones import RationalCone, decompose
+import pytest
+
+from ehrkit import cones, linalg, placing, polytope, triangulation
+from ehrkit.cones import RationalCone, decompose, homogenize
 from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.placing import boundary_rows, placing_cells
+from ehrkit.polytope import RationalPolytope
+from ehrkit.semimagic import birkhoff_polytope
+from ehrkit.triangulation import betke_mcmullen
 
 from helpers import (
     boundary_facets,
@@ -231,6 +238,7 @@ def test_incremental_boundary_matches_affine_placing_in_r5(monkeypatch):
     # used, and shuffled ones get midpoints, which often see no facet
     solved = []
     original, original_exchange = linalg.simplex_solve, linalg.exchange_solve
+    original_jump = linalg.jump_solve
 
     def counting(generators):
         solved.append(generators)
@@ -240,8 +248,13 @@ def test_incremental_boundary_matches_affine_placing_in_r5(monkeypatch):
         solved.append(generators)
         return original_exchange(generators, solve, apex)
 
+    def jumping(generators, solve):
+        solved.append(generators)
+        return original_jump(generators, solve)
+
     monkeypatch.setattr(linalg, "simplex_solve", counting)
     monkeypatch.setattr(linalg, "exchange_solve", exchanging)
+    monkeypatch.setattr(linalg, "jump_solve", jumping)
     rng = random.Random(5125)
     seen = Counter()
     for trial in range(40):
@@ -260,7 +273,7 @@ def test_incremental_boundary_matches_affine_placing_in_r5(monkeypatch):
         cells = placing.placing_cells([p + (1,) for p in pts])
         assert cells == affine_placing_cells(pts, events), (trial, pts)
         # the solve of each cell it creates is made at most once, by pivot
-        # or elimination (the points are ints, so no pivot falls back)
+        # or jump extension (the points are ints, so neither falls back)
         assert len(set(solved)) == len(solved) <= events["cells_created"], trial
         seen.update(kind for kind, n in events.items() if n)
     # trials with at least one step of each kind
@@ -368,3 +381,57 @@ def test_boundary_rows_match_boundary_facets_oracle():
         seen["several_cells"] += len(cells) > 1
     assert min(seen[kind] for kind in ("lattice", "rational", "embedded", "cone")) >= 60, seen
     assert seen["several_cells"] >= 100, seen
+
+
+def test_placing_integer_vectors_makes_no_elimination(monkeypatch):
+    # each cell's solve is extended across a jump, from the empty
+    # configuration's on, or exchanged from a neighbour's: the hull, both
+    # triangulations and the cone pieces of the corpus, the benchmark's
+    # hull_decompose clouds of seed 7000 and B4 place without one elimination
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import hull_inputs
+
+    eliminated, placed = [], Counter()
+    original_eliminate = linalg._eliminate
+
+    def eliminating(generators):
+        eliminated.append(generators)
+        return original_eliminate(generators)
+
+    def tracked(original):
+        def placing_cells(vectors):
+            linalg.simplex_solve.cache_clear()  # no solve from an earlier call
+            before = len(eliminated)
+            cells = original(vectors)
+            placed["eliminations"] += len(eliminated) - before
+            placed["calls"] += 1
+            placed["cells"] += len(cells)
+            return cells
+        return placing_cells
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminating)
+    for module in (polytope, triangulation, cones):
+        monkeypatch.setattr(module, "placing_cells", tracked(module.placing_cells))
+    decompose.cache_clear()
+    for name in list_polytopes():
+        p = load_polytope(name)
+        decompose(homogenize(p))
+    for _, points in hull_inputs(7000)["clouds"]:
+        p = RationalPolytope.from_points(points)
+        betke_mcmullen(p, verify=False)
+        betke_mcmullen(p, use_all_lattice_points=True, verify=False)
+        decompose(homogenize(p))
+    birkhoff_polytope(4)
+    decompose.cache_clear()
+    assert placed["eliminations"] == 0, placed
+    # the corpus' hulls and cones, four placings of each of the five clouds
+    # and B4's hull
+    assert placed["calls"] >= 2 * len(list_polytopes()) + 4 * 5 + 1 and \
+        placed["cells"] >= 750, placed
+
+
+def test_lattice_cloud_refuses_more_points_than_its_grid():
+    # drawing until it holds `size` distinct points would never end
+    assert lattice_cloud(5, 2, 4, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(ValueError, match="holds 4 points, fewer than 5$"):
+        lattice_cloud(5, 2, 5, 1)

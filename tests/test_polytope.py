@@ -19,12 +19,14 @@ from fractions import Fraction
 
 import pytest
 
+from ehrkit import linalg, structure
 from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.polytope import (
     HRep,
     RationalPolytope,
     _joint_primitive,
+    _projection,
     contains_polytope,
 )
 from ehrkit.structure import reflexive_check
@@ -35,6 +37,7 @@ from helpers import (
     fraction_rref,
     fraction_sub,
     normalize,
+    onto_hull,
     rank_vertices,
 )
 
@@ -222,6 +225,44 @@ def test_birkhoff_4_facets_are_the_nonnegativity_constraints():
     assert tight == {frozenset(v for v in p.vertices if v[j] == 0) for j in range(16)}
 
 
+def test_one_solve_projection_matches_onto_hull_oracle():
+    # L I - N^T Y from one solve of Gram Y = L N, applied to each facet
+    # normal, against a Fraction solve of Gram y = N a for that one vector
+    rng = random.Random(26011)
+    # B4's 7 independent line sums: the four row sums and three column sums
+    cases = [[tuple(int(i == r) for i in range(4) for _ in range(4)) for r in range(4)]
+             + [tuple(int(j == c) for _ in range(4) for j in range(4)) for c in range(3)]]
+    while len(cases) < 120:
+        n = rng.randint(2, 6)
+        normals = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, n - 1))]
+        if linalg.rank(normals) == len(normals):
+            cases.append(normals)
+    kinds = Counter()
+    for normals in cases:
+        projection = _projection(normals)
+        if not normals:
+            assert projection is None
+            kinds["no equalities"] += 1
+            continue
+        n = len(normals[0])
+        assert all(row == col for row, col in zip(projection, zip(*projection))), normals
+        for _ in range(5):
+            a = tuple(rng.randint(-4, 4) for _ in range(n))
+            image = tuple(linalg.int_dot(row, a) for row in projection)
+            expected = onto_hull(a, normals)
+            # a positive multiple of the projection, zero only with it
+            if any(expected):
+                assert linalg.primitive(image) == linalg.primitive(expected), (normals, a)
+                assert fraction_dot(image, a) > 0
+                kinds["projected"] += 1
+            else:
+                assert not any(image), (normals, a)
+                kinds["zero"] += 1
+        kinds["several equalities"] += len(normals) > 1
+    assert kinds["projected"] >= 400 and kinds["no equalities"] >= 5, kinds
+    assert kinds["several equalities"] >= 40 and kinds["zero"] >= 5, kinds
+
+
 def test_reeve_simplex_facets_frozen():
     r2 = normalize([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2]])
     assert set(r2.facets().inequalities) == {
@@ -330,6 +371,24 @@ def test_reflexive_check_negative_cases():
     deep = normalize([[-2, -1], [2, -1], [0, 3]])
     ok, _ = reflexive_check(deep)
     assert ok is False
+
+
+def test_reflexive_check_counts_before_it_lists(monkeypatch):
+    # only a polytope with exactly one interior lattice point is listed:
+    # the segment [-990037, 875789] holds 1,865,825 of them
+    listed = []
+    original = structure.enumerate_points
+
+    def listing(p, region="closed"):
+        listed.append(region)
+        return original(p, region)
+
+    monkeypatch.setattr(structure, "enumerate_points", listing)
+    assert reflexive_check(normalize([[-990037], [875789]])) == (False, None)
+    assert reflexive_check(square(1)) == (False, None)
+    assert listed == []
+    assert reflexive_check(square(2)) == (True, (1, 1))
+    assert listed == ["interior"]
 
 
 def test_reflexive_check_preconditions():

@@ -308,11 +308,11 @@ def test_face_solves_read_off_cells_on_random_polytopes():
 
 def test_betke_mcmullen_solves_only_cells(monkeypatch):
     # the placing makes the solve of each cell it creates once, by pivot or
-    # elimination; afterwards only the cells of the triangulation are looked
+    # jump extension; afterwards only the cells of the triangulation are looked
     # up, once each, and no face
     solved, placed = [], []
     original_solve, original_exchange = linalg.simplex_solve, linalg.exchange_solve
-    original_placing = triangulation.placing_cells
+    original_jump, original_placing = linalg.jump_solve, triangulation.placing_cells
 
     def counting(generators):
         solved.append(generators)
@@ -322,6 +322,10 @@ def test_betke_mcmullen_solves_only_cells(monkeypatch):
         solved.append(generators)
         return original_exchange(generators, solve, apex)
 
+    def jumping(generators, solve):
+        solved.append(generators)
+        return original_jump(generators, solve)
+
     def placing(vectors):
         cells = original_placing(vectors)
         placed.extend(solved)
@@ -329,6 +333,7 @@ def test_betke_mcmullen_solves_only_cells(monkeypatch):
 
     monkeypatch.setattr(linalg, "simplex_solve", counting)
     monkeypatch.setattr(linalg, "exchange_solve", exchanging)
+    monkeypatch.setattr(linalg, "jump_solve", jumping)
     monkeypatch.setattr(triangulation, "placing_cells", placing)
     polytopes = [RationalPolytope.from_points(lattice_cloud(seed, dim, size, side))
                  for seed in range(3) for dim, size, side in
