@@ -38,8 +38,9 @@ Only pointed cones are supported, and pointedness is read off the same
 placing: the apex rows of its boundary facets sum to a vector positive on
 every generator exactly when the cone is pointed. Any other cone raises
 UnsupportedError with a lineality certificate, a generator whose negative
-lies in the cone, or without one when no circuit of one sign turns up in
-MAX_CIRCUIT_SOLVES generator subsets.
+lies in the cone, read off the placing of the lifted generators (g, 1): a
+cell that holds (0, 1) gives the coefficients of a vanishing nonnegative
+combination of the generators.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .errors import (FrozenRecord, InputError, PoleError, TheoremViolationError,
 from .placing import boundary_rows, placing_cells
 from .polytope import RationalPolytope, check_region
 from .ratpoly import RatLike, _coerce, counts_from_hstar
-from .report import Report
+from .report import Report, check_rows
 
 IntVec = tuple[int, ...]
 
@@ -79,12 +80,6 @@ MAX_BOX_POINTS = 100_000
 # builds a power table for. The tests, the corpus and the benchmark workloads
 # reach a span of 14; a span of 10,000 took 1.7 s and 91 MB an evaluation.
 MAX_EXPONENT_SPAN = 1_000
-
-# Generator subsets `_lineality_certificate` solves before it gives up. At
-# about 70 us a solve, 2,000 take about 0.15 s and cover every circuit of up
-# to three generators among 22.
-MAX_CIRCUIT_SOLVES = 2_000
-
 
 class RationalCone(FrozenRecord):
     """Cone spanned by integer ray generators (primitive, deduplicated)."""
@@ -326,27 +321,21 @@ def _inner_normal(cone: RationalCone, cells: Sequence[tuple[int, ...]]) -> IntVe
 
 def _lineality_certificate(cone: RationalCone) -> IntVec:
     """A generator g of a cone that is not pointed such that -g lies in the
-    cone too: the first of a circuit whose coefficients have one sign, found
-    by trying the generator subsets by size. Raises UnsupportedError after
-    MAX_CIRCUIT_SOLVES subsets without one."""
-    gens = cone.generators
-    solves = 0
-    for size in range(2, len(gens) + 1):
-        for subset in itertools.combinations(range(len(gens)), size):
-            if solves == MAX_CIRCUIT_SOLVES:
-                raise UnsupportedError(
-                    f"cone is not pointed, but none of the first {solves:,} generator "
-                    f"subsets is a circuit with coefficients of one sign"
-                )
-            solves += 1
-            cols = [[gens[i][j] for i in subset] for j in range(cone.ambient_dim)]
-            kernel = linalg.nullspace(cols, ncols=size)
-            if len(kernel) != 1:
-                continue
-            coeffs = kernel[0]
-            if all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs):
-                # g and -g both lie in the cone for the first generator here
-                return gens[subset[0]]
+    cone too. By Gordan's alternative (De Loera, Rambau and Santos,
+    Triangulations, 4.3) the cone holds a line exactly when (0, 1) lies in
+    the cone over the lifted generators (g, 1), so some cell of their
+    placing holds it: its cached solve has every C row zero there and gives
+    lambda >= 0, summing to 1, with sum_i lambda_i g_i = 0. Every g_i with
+    lambda_i > 0 then has -g_i in the cone; the first cell's lowest such
+    index is named."""
+    lifted = [g + (1,) for g in cone.generators]
+    origin = (0,) * cone.ambient_dim + (1,)
+    for cell in placing_cells(lifted):
+        t_rows, c_rows = linalg.simplex_solve(tuple(lifted[i] for i in cell))
+        # den_i > 0, so the numerators carry the coefficients' signs
+        lam = [linalg.int_dot(row, origin) for row, _ in t_rows]
+        if not any(linalg.int_dot(row, origin) for row in c_rows) and min(lam) >= 0:
+            return cone.generators[next(i for i, v in zip(cell, lam) if v > 0)]
     raise TheoremViolationError("no inner normal and no lineality certificate found")
 
 
@@ -413,6 +402,7 @@ def stanley_reciprocity_check(cone: RationalCone, trials: int = 10,
     """Verify sigma(1/z) == (-1)^dim sigma_interior(z) at random points."""
     if trials < 1:
         raise InputError("cone reciprocity needs trials >= 1")
+    check_rows(f"cone reciprocity report for {trials} trials", trials)
     closed_gf = generating_function(cone, "closed")
     interior_gf = generating_function(cone, "interior")
     sign = (-1) ** cone.dim
@@ -509,6 +499,8 @@ def specialization_check(p: RationalPolytope, x0: RatLike,
     """
     if truncation < 0:
         raise InputError("truncation must be nonnegative")
+    # the specialization row and one per coefficient 0..truncation
+    check_rows(f"specialization report to truncation {truncation}", truncation + 2)
     x0 = _coerce(x0)
     res = ehrhart(p)
     d, per = res.dim, res.period

@@ -75,7 +75,7 @@ from . import linalg
 from .errors import FrozenRecord, InputError, TheoremViolationError
 from .polytope import RationalPolytope, check_region
 from .ratpoly import check_int, hstar_from_counts, quasi_from_numerator, series_numerator
-from .report import Report
+from .report import Report, check_rows
 
 IntPoint = tuple[int, ...]
 
@@ -533,6 +533,7 @@ def reciprocity_check(p: RationalPolytope, max_n: int = 8) -> Report:
     """
     if max_n < 1:
         raise InputError("reciprocity needs max_n >= 1")
+    check_rows(f"reciprocity report for n <= {max_n}", max_n)
     res = ehrhart(p)
     sign = (-1) ** res.dim
     instances = []

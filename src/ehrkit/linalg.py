@@ -80,18 +80,13 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(_echelon(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[int, ...]]:
+def nullspace(rows: Sequence[Sequence], ncols: int) -> list[tuple[int, ...]]:
     """Basis of {x : A x = 0} for the matrix with the given rational rows.
 
     One primitive integer vector per free column f of the echelon form,
     positive at f: lcm(pivots) e_f minus, at each pivot column, the pivot
     row's entry in f scaled by lcm(pivots) / pivot, divided by its gcd.
     """
-    rows = list(rows)
-    if ncols is None:
-        if not rows:
-            raise ValueError("nullspace of an empty matrix needs explicit ncols")
-        ncols = len(rows[0])
     echelon, pivots = _echelon(rows)
     step = lcm(*(row[c] for row, c in zip(echelon, pivots)))
     basis = []

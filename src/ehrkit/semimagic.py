@@ -22,8 +22,9 @@ At n = 4 the bottom's column sums r - c, sorted, are a c the loops also
 visit, so each such pair of tuples is counted once. The loops visit about
 r^3 / 36 tuples at n = 4 and r^2 / 12 at n = 3; a count or `adg_report`
 table estimated above MAX_TUPLES of them raises `UnsupportedError`
-before counting, and so does a report of more than MAX_REPORT_ROWS rows,
-the only bound at n <= 2, where each count is one term.
+before counting, and so does a report of more than
+`report.MAX_REPORT_ROWS` rows, the only bound at n <= 2, where each count
+is one term.
 
 These counts are polynomial in r, vanish at r = -1..-(n-1), satisfy a
 reflection symmetry, and have a palindromic nonnegative series numerator
@@ -44,7 +45,7 @@ from math import comb, factorial
 from .errors import FrozenRecord, InputError, UnsupportedError
 from .polytope import RationalPolytope
 from .ratpoly import check_int, hstar_from_counts, quasi_from_numerator
-from .report import Report
+from .report import Report, check_rows
 
 MAX_SIZE = 4
 # Column-sum tuples a count or table may visit. On a 2-vCPU VM (Python
@@ -52,11 +53,6 @@ MAX_SIZE = 4
 # 107 or --n 3 --rmax 328, take 1.2-2.0 s, and the largest counts, H_4(329)
 # and H_3(3462), 1.4 and 2.2 s.
 MAX_TUPLES = 1_000_000
-# Rows an `adg_report` may hold, about two per line sum. At n <= 2 a count
-# is one term and the rows are the cost: the largest reports accepted, rmax
-# about 5,000, take about 0.3 s and 1.5 MB through `ehrkit semimagic`. The
-# largest tables MAX_TUPLES accepts hold under 700 rows.
-MAX_REPORT_ROWS = 10_000
 
 
 def _check_size(n) -> None:
@@ -209,12 +205,7 @@ def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]
                      (rmax + 1) * _tuples(n, rmax + 1) // n)
     # polynomiality from poly_degree + 1, n - 1 roots, reflection from 1, and
     # the three numerator rows
-    rows = 2 * rmax - poly_degree + n + 2
-    if rows > MAX_REPORT_ROWS:
-        raise UnsupportedError(
-            f"the H_{n}(r) report for r <= {rmax} holds {rows:,} rows, over the "
-            f"limit of {MAX_REPORT_ROWS:,}"
-        )
+    check_rows(f"H_{n}(r) report for r <= {rmax}", 2 * rmax - poly_degree + n + 2)
     values = tuple(count_semimagic(n, r) for r in range(rmax + 1))
     # poly_degree is also the series dimension n^2 - 2n + 1; the guard terms
     # past the numerator certify the table before any property is read

@@ -301,6 +301,10 @@ def test_cone_reciprocity_bytes_on_a_cloud_cone_are_pinned(capsys, monkeypatch, 
     ["cone-reciprocity", "--trials", "-2", cone_file("quadrant")],
     ["specialize", "--truncation", "-1", corpus_file("unit_square")],
     ["corpus-verify", "--random", "-1"],
+    # reports of 10^9 rows: refused by the report-row limit before any work
+    ["reciprocity", "--max-n", "1000000000", corpus_file("unit_square")],
+    ["cone-reciprocity", "--trials", "1000000000", cone_file("quadrant")],
+    ["specialize", "--truncation", "1000000000", corpus_file("unit_square")],
 ])
 def test_vacuous_check_arguments_exit_1(capsys, argv):
     code, doc = run(capsys, *argv)

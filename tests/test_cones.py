@@ -21,15 +21,15 @@ from math import lcm, prod
 
 import pytest
 
-from ehrkit import cones, linalg
+from ehrkit import cones, enumeration, linalg
 from ehrkit.cones import (
     MAX_BOX_POINTS,
-    MAX_CIRCUIT_SOLVES,
     MAX_EXPONENT_SPAN,
     ConeGF,
     HalfOpenSimplicialCone,
     RationalCone,
     _closed_boxes,
+    _lineality_certificate,
     decompose,
     generating_function,
     homogenize,
@@ -40,7 +40,9 @@ from ehrkit.cones import (
     stanley_reciprocity_check,
 )
 from ehrkit.corpus import list_cones
-from ehrkit.errors import InputError, PoleError, UnsupportedError
+from ehrkit.enumeration import reciprocity_check
+from ehrkit.errors import InputError, PoleError, TheoremViolationError, UnsupportedError
+from ehrkit.report import MAX_REPORT_ROWS
 
 from helpers import (
     cloud_cone,
@@ -144,17 +146,24 @@ LINE_CONE_RAYS = [
 ]
 
 
+def count_calls(monkeypatch, name):
+    """Record the calls of `linalg.<name>` in a list."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
 def test_pointedness_of_twenty_rays_in_r6_needs_no_subset_solves(monkeypatch):
     # the certificate comes from the placing, not from one integer solve per
     # 6-subset of the generators (C(20, 6) = 38,760 of them)
-    solves = []
-    original = linalg.solve_integral
-
-    def counting(rows, rhs):
-        solves.append(rows)
-        return original(rows, rhs)
-
-    monkeypatch.setattr(linalg, "solve_integral", counting)
+    solves = count_calls(monkeypatch, "solve_integral")
+    kernels = count_calls(monkeypatch, "nullspace")
     line = RationalCone.from_rays(LINE_CONE_RAYS)
     assert len(line.generators) == 20 and line.dim == 6
     with pytest.raises(UnsupportedError) as info:
@@ -164,14 +173,13 @@ def test_pointedness_of_twenty_rays_in_r6_needs_no_subset_solves(monkeypatch):
     pointed = RationalCone.from_rays(LINE_CONE_RAYS[:-1])
     assert len(decompose(pointed)) > 1
     assert min(fraction_dot(dual_interior_vector(pointed), g) for g in pointed.generators) == 1
-    assert solves == []
+    assert solves == [] and kernels == []
 
 
-def test_a_line_that_needs_a_long_circuit_is_refused_after_the_solve_limit(monkeypatch):
-    # five independent rays in x_6 = 0 and minus their sum: the line's only
-    # circuit of one sign takes six of the 20 generators, the others having
-    # x_6 >= 1, so the subset search would try tens of thousands of subsets
-    # before it; it stops at the limit, with the count
+def six_ray_circuit_rays():
+    """20 rays in R^6: five independent rays in x_6 = 0 and minus their sum,
+    a line whose only vanishing nonnegative combination takes all six, and
+    14 rays with x_6 >= 1, which no such combination can use."""
     rng = random.Random(6)
     while True:
         line = [[rng.randint(-2, 2) for _ in range(5)] + [0] for _ in range(5)]
@@ -181,42 +189,42 @@ def test_a_line_that_needs_a_long_circuit_is_refused_after_the_solve_limit(monke
     rays = line + [[rng.randint(-2, 2) for _ in range(5)] + [rng.randint(1, 2)]
                    for _ in range(14)]
     rng.shuffle(rays)
-    solves = []
-    original = linalg.nullspace
+    return rays
 
-    def counting(rows, ncols=None):
-        solves.append(ncols)
-        return original(rows, ncols)
 
-    monkeypatch.setattr(linalg, "nullspace", counting)
-    cone = RationalCone.from_rays(rays)
+def test_a_line_that_needs_a_long_circuit_gets_a_certificate_from_the_placing(monkeypatch):
+    # a search over generator subsets by size would try tens of thousands
+    # before the six-ray circuit; the placing of the lifted generators holds
+    # (0, 1) in one of its cells and names a generator with no kernel solve
+    kernels = count_calls(monkeypatch, "nullspace")
+    cone = RationalCone.from_rays(six_ray_circuit_rays())
     assert len(cone.generators) == 20
     start = time.monotonic()
     with pytest.raises(UnsupportedError) as info:
         decompose(cone)
     assert time.monotonic() - start < 1.0
-    assert str(info.value) == (f"cone is not pointed, but none of the first "
-                               f"{MAX_CIRCUIT_SOLVES:,} generator subsets is a circuit "
-                               f"with coefficients of one sign")
-    assert len(solves) == MAX_CIRCUIT_SOLVES and max(solves) <= 4
-    # the line's opposite generators are found within the limit
-    del solves[:]
-    with pytest.raises(UnsupportedError, match="and its negative both lie in the cone"):
-        decompose(RationalCone.from_rays(rays + [[-v for v in line[0]]]))
-    assert 0 < len(solves) < MAX_CIRCUIT_SOLVES
+    match = re.fullmatch(r"cone is not pointed: (\(.*\)) and its negative "
+                         r"both lie in the cone", str(info.value))
+    g = literal_eval(match.group(1))
+    assert g in cone.generators and g[-1] == 0
+    # -g in the cone of the six rays in x_6 = 0, a subcone
+    assert in_cone([-v for v in g], [h for h in cone.generators if h[-1] == 0])
+    assert kernels == []
 
 
 def in_cone(x, generators):
     """Oracle: x is a nonnegative combination of the generators. By
-    Caratheodory's theorem it is one of some independent subset, whose
-    coefficients are unique."""
-    for size in range(len(generators) + 1):
-        for subset in itertools.combinations(generators, size):
-            if fraction_rank(subset) != size:
-                continue
-            lam = fraction_solve([[g[j] for g in subset] for j in range(len(x))], x)
-            if lam is not None and all(v >= 0 for v in lam):
-                return True
+    Caratheodory's theorem it is one of some independent subset, which
+    extends to a basis of their span with the same coefficients, so the
+    bases among the generators are tried: x is in the cone of one exactly
+    when the rref of [B | x] has its pivots on B and a nonnegative last
+    column."""
+    r = fraction_rank(generators)
+    for subset in itertools.combinations(generators, r):
+        rref, pivots = fraction_rref([[g[j] for g in subset] + [x[j]]
+                                      for j in range(len(x))])
+        if pivots == list(range(r)) and all(row[-1] >= 0 for row in rref):
+            return True
     return False
 
 
@@ -255,6 +263,65 @@ def test_lineality_certificate_names_a_generator_whose_negative_is_in_the_cone()
         seen["proper span"] += fraction_rank(cone.generators) < n
     assert seen["cones"] == 200 and seen["no opposite generator"] >= 50, seen
     assert seen["proper span"] >= 30, seen
+
+
+def test_pointedness_agrees_with_the_membership_oracle(monkeypatch):
+    # A cone holds a line exactly when some generator's negative lies in it,
+    # which `in_cone` decides. Random cones in R^2..R^5 are drawn four ways:
+    # rays drawn at random, rays in a random sublattice of lower rank, and k
+    # independent rays in x_n = 0 with minus their sum beside rays with
+    # x_n >= 1, whose line needs all k + 1 of them, for a random k and for
+    # k = 4 in R^5. `decompose` must succeed exactly on the pointed ones and
+    # otherwise name a generator whose negative the oracle finds in the
+    # cone; on a pointed cone `_lineality_certificate` must find no cell
+    # holding (0, 1).
+    kernels = count_calls(monkeypatch, "nullspace")
+    rng = random.Random(20261022)
+    seen = Counter()
+    for trial in range(240):
+        kind = trial % 4
+        n = 5 if kind == 3 else rng.randint(2, 5)
+        if kind == 0:
+            rays = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(2, n + 2))]
+        elif kind == 1:
+            k = rng.randint(1, n - 1)
+            basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            rays = [[sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)]
+                    for coeffs in ([rng.randint(-2, 2) for _ in range(k)]
+                                   for _ in range(rng.randint(1, k + 2)))]
+        else:
+            k = 4 if kind == 3 else rng.randint(1, n - 1)
+            line = [[rng.randint(-2, 2) for _ in range(n - 1)] + [0] for _ in range(k)]
+            if fraction_rank(line) < k:
+                continue
+            line.append([-sum(r[j] for r in line) for j in range(n)])
+            rays = line + [[rng.randint(-2, 2) for _ in range(n - 1)] + [rng.randint(1, 2)]
+                           for _ in range(rng.randint(0, 3))]
+            seen["long circuit"] += k >= 4
+        rays = [r for r in rays if any(r)]
+        if not rays:
+            continue
+        rng.shuffle(rays)
+        cone = RationalCone.from_rays(rays)
+        gens = cone.generators
+        try:
+            decompose(cone)
+        except UnsupportedError as error:
+            match = re.fullmatch(r"cone is not pointed: (\(.*\)) and its negative "
+                                 r"both lie in the cone", str(error))
+            g = literal_eval(match.group(1))
+            assert g in gens and in_cone([-v for v in g], gens), (rays, g)
+            assert kind < 2 or g[-1] == 0, (rays, g)
+            seen["not pointed"] += 1
+        else:
+            assert not any(in_cone([-v for v in g], gens) for g in gens), rays
+            with pytest.raises(TheoremViolationError):
+                _lineality_certificate(cone)
+            seen["pointed"] += 1
+        seen["proper span"] += fraction_rank(gens) < n
+    assert seen["pointed"] >= 80 and seen["not pointed"] >= 100, seen
+    assert seen["proper span"] >= 80 and seen["long circuit"] >= 40, seen
+    assert kernels == []
 
 
 def test_decompose_simplicial_cone_is_single_closed_piece():
@@ -784,6 +851,31 @@ def test_stanley_reciprocity_axis_and_skew():
     for trials in (0, -2):
         with pytest.raises(InputError):
             stanley_reciprocity_check(axis_cone(2), trials=trials)
+
+
+def test_checks_past_the_report_row_limit_are_refused(monkeypatch):
+    # one row per trial and per n, and the specialization row with one per
+    # coefficient 0..truncation: exact at the limit, and refused past it
+    # before the cone is decomposed or the polytope counted
+    square = normalize([[0, 0], [1, 0], [0, 1], [1, 1]], name="unit_square")
+    checks = [(lambda rows: stanley_reciprocity_check(axis_cone(2), trials=rows),
+               "cone reciprocity report for {} trials", 0),
+              (lambda rows: specialization_check(square, F(1, 2), truncation=rows - 2),
+               "specialization report to truncation {}", 2),
+              (lambda rows: reciprocity_check(square, max_n=rows), "reciprocity report for n <= {}", 0)]
+    for check, _, _ in checks:
+        assert len(check(7).instances) == 7
+    calls = []
+    monkeypatch.setattr(cones, "decompose", lambda *args: calls.append(args))
+    monkeypatch.setattr(cones, "ehrhart", lambda *args: calls.append(args))
+    monkeypatch.setattr(enumeration, "ehrhart", lambda *args: calls.append(args))
+    for check, name, extra in checks:
+        for rows in (MAX_REPORT_ROWS + 1, 10**9):
+            with pytest.raises(UnsupportedError) as info:
+                check(rows)
+            assert str(info.value) == (f"the {name.format(rows - extra)} holds {rows:,} "
+                                       f"rows, over the limit of {MAX_REPORT_ROWS:,}")
+    assert calls == []
 
 
 def test_stanley_reciprocity_single_point_value():

@@ -100,14 +100,13 @@ def test_solve_integral_matches_fraction_solve():
 
 
 def test_nullspace_orthogonality():
-    basis = nullspace([[1, 1, 1]])
+    basis = nullspace([[1, 1, 1]], 3)
     assert basis == [(-1, 1, 0), (-1, 0, 1)]
     for v in basis:
         assert int_dot([1, 1, 1], v) == 0
-    assert nullspace([], ncols=2) == [(1, 0), (0, 1)]
-    assert nullspace([[2, 4, 6], [Fraction(1, 2), 0, 3]]) == [(-12, 3, 2)]
-    with pytest.raises(ValueError):
-        nullspace([])
+    assert nullspace([], 2) == [(1, 0), (0, 1)]
+    assert nullspace([], 0) == []
+    assert nullspace([[2, 4, 6], [Fraction(1, 2), 0, 3]], 3) == [(-12, 3, 2)]
 
 
 def test_nullspace_matches_fraction_oracle_on_random_rational_matrices():

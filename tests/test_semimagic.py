@@ -16,8 +16,9 @@ import pytest
 from ehrkit.enumeration import count_points, ehrhart
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.ratpoly import Poly
+from ehrkit.report import MAX_REPORT_ROWS
 from ehrkit.semimagic import (
-    _WEIGHTS, MAX_REPORT_ROWS, MAX_TUPLES, _two_rows, adg_report, birkhoff_polytope,
+    _WEIGHTS, MAX_TUPLES, _two_rows, adg_report, birkhoff_polytope,
     count_semimagic,
 )
 from ehrkit.triangulation import betke_mcmullen
