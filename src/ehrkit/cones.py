@@ -8,10 +8,11 @@ and each simplicial piece is made half-open by one lexicographic rule
 (`decompose`; Koeppe and Verdoolaege, Electron. J. Combin. 15, 2008), so
 the pieces partition the cone's lattice points exactly (no
 inclusion-exclusion needed). Every piece carries its barycentric solve
-(T, C) as data: the one cached solve `linalg.simplex_solve` of its
-generators; a face of a triangulation cell instead carries the rows read
-off the cell's solve (see `triangulation`). Membership and the unimodular
-read-off of a parallelepiped read only that solve.
+(T, C) as data: the `linalg.simplex_solve` of its generators that the
+placing returns with its cell; a face of a triangulation cell instead
+carries the rows read off the cell's solve (see `triangulation`).
+Membership and the unimodular read-off of a parallelepiped read only that
+solve.
 
 The generating function of a half-open simplicial piece is a finite sum over
 the lattice points of its half-open fundamental parallelepiped divided by
@@ -301,15 +302,15 @@ def _check_point(z: Sequence[RatLike], ambient: int) -> tuple[Fraction, ...]:
     return pt
 
 
-def _inner_normal(cone: RationalCone, cells: Sequence[tuple[int, ...]]) -> IntVec:
+def _inner_normal(cone: RationalCone, placed: Sequence[tuple]) -> IntVec:
     """Integer w with <w, g> > 0 for every generator g: the sum of the apex
-    rows of the boundary of `cells`, the generators' placing. Any such w
+    rows of the boundary of `placed`, the generators' placing. Any such w
     proves the cone pointed; in a pointed cone each row is an inner normal
     of a facet of the cone (De Loera, Rambau and Santos, Triangulations,
     4.3), and no generator lies on every facet. Otherwise raises
     UnsupportedError with a lineality certificate.
     """
-    rows = [row for row, _, _ in boundary_rows(cone.generators, cells).values()]
+    rows = [row for row, _, _ in boundary_rows(placed).values()]
     w = tuple(map(sum, zip(*rows)))  # () when there is no boundary: 0 on every g
     if any(linalg.int_dot(w, g) <= 0 for g in cone.generators):
         cert = _lineality_certificate(cone)
@@ -324,14 +325,13 @@ def _lineality_certificate(cone: RationalCone) -> IntVec:
     cone too. By Gordan's alternative (De Loera, Rambau and Santos,
     Triangulations, 4.3) the cone holds a line exactly when (0, 1) lies in
     the cone over the lifted generators (g, 1), so some cell of their
-    placing holds it: its cached solve has every C row zero there and gives
+    placing holds it: its solve has every C row zero there and gives
     lambda >= 0, summing to 1, with sum_i lambda_i g_i = 0. Every g_i with
     lambda_i > 0 then has -g_i in the cone; the first cell's lowest such
     index is named."""
-    lifted = [g + (1,) for g in cone.generators]
+    lifted = tuple(g + (1,) for g in cone.generators)
     origin = (0,) * cone.ambient_dim + (1,)
-    for cell in placing_cells(lifted):
-        t_rows, c_rows = linalg.simplex_solve(tuple(lifted[i] for i in cell))
+    for cell, (t_rows, c_rows) in placing_cells(lifted):
         # den_i > 0, so the numerators carry the coefficients' signs
         lam = [linalg.int_dot(row, origin) for row, _ in t_rows]
         if not any(linalg.int_dot(row, origin) for row in c_rows) and min(lam) >= 0:
@@ -351,14 +351,13 @@ def decompose(cone: RationalCone) -> tuple[HalfOpenSimplicialCone, ...]:
     cone's span, where the T rows of an embedded cone's pieces agree; the
     ambient unit vectors do not. The first piece, with <T_i, q> = den_i, is closed.
     """
-    cells = placing_cells(cone.generators)
-    _inner_normal(cone, cells)  # UnsupportedError unless the cone is pointed
-    q = tuple(map(sum, zip(*(cone.generators[i] for i in cells[0]))))
+    placed = placing_cells(cone.generators)
+    _inner_normal(cone, placed)  # UnsupportedError unless the cone is pointed
+    q = tuple(map(sum, zip(*(cone.generators[i] for i in placed[0][0]))))
     order = (q, *cone.generators)
     pieces = []
-    for cell in cells:
+    for cell, solve in placed:
         gens = tuple(cone.generators[i] for i in cell)
-        solve = linalg.simplex_solve(gens)
         # den_i > 0, so the numerators carry the coefficients' signs
         flags = tuple(next(v for v in (linalg.int_dot(row, x) for x in order) if v) < 0
                       for row, _ in solve[0])

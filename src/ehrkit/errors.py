@@ -47,7 +47,7 @@ class Record:
     A subclass declares `__slots__`, names its compared fields in `_fields`
     and sets them in an `__init__`. Two records are equal when they
     are of the same class and their fields are equal. Slots outside
-    `_fields` (a cached solve or plan) take no part in equality or repr.
+    `_fields` (a piece's solve or a plan) take no part in equality or repr.
     Defining `__eq__` leaves a mutable record unhashable.
     """
 

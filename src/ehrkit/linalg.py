@@ -8,24 +8,23 @@ row, so entries stay no larger than in Bareiss's elimination (Math. Comp.
 an integer. `rank` counts its pivots, `nullspace` reads a primitive
 integer kernel basis off it, and `solve_integral` reads a regular square
 system's solution off it over one common denominator. `simplex_solve` is
-the one barycentric solve of a simplex, kept in one bounded LRU cache;
-placing triangulations, half-open cone pieces and fundamental
-parallelepipeds all read it. Placing makes each cell's solve from one it
-holds, in time quadratic in the ambient dimension where the elimination is
-cubic: `exchange_solve` pivots a neighbour's solve onto the cell's new
-generator, and `jump_solve` extends a solve by a generator outside its
-span, from the empty configuration's on. Only a non-integer new generator
-is eliminated. The one Smith reduction, `smith_form`, returns the
-invariant factors with the unimodular column transform: cone boxes are
-listed from both, lattice walks of embedded polytopes take their
-coordinates from the transform, and lattice volumes read the factors
-alone. `lll` reduces a lattice basis under an integer quadratic form, in
-integers only; the walks take their free coordinates from it.
+the one barycentric solve of a simplex. Placing makes each cell's solve
+from one it holds, in time quadratic in the ambient dimension where the
+elimination is cubic, and hands it to the hull, the half-open cone pieces
+and the fundamental parallelepipeds: `exchange_solve` pivots a
+neighbour's solve onto the cell's new generator, and `jump_solve` extends
+a solve by a generator outside its span, from the empty configuration's
+on. Only a non-integer new generator is eliminated. The one Smith
+reduction, `smith_form`, returns the invariant factors with the unimodular
+column transform: cone boxes are listed from both, lattice walks of
+embedded polytopes take their coordinates from the transform, and lattice
+volumes read the factors alone. `lll` reduces a lattice basis under an
+integer quadratic form, in integers only; the walks take their free
+coordinates from it.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -115,18 +114,6 @@ def solve_integral(rows: Sequence[Sequence],
                  for i, row in enumerate(echelon)), den
 
 
-# The one solve cache, least recently used first. Only cells add entries:
-# placing makes each cell's solve once, by an exchange pivot or a jump
-# extension (by elimination only for a non-integer vector), and the hull,
-# the faces and the cone pieces look it up again.
-# One B4 hull and triangulation keeps 938 entries, a `corpus-verify` run
-# under 200.
-_solves: dict = {}
-_MAX_SOLVES = 2048
-_hits = _misses = 0
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
 def simplex_solve(generators: tuple[tuple, ...]):
     """Barycentric solve of independent rational vectors: (T, C) in integers.
 
@@ -139,18 +126,23 @@ def simplex_solve(generators: tuple[tuple, ...]):
     T_i = (v_i, p_i) up to the sign of p_i, the remaining rows (0 | w) the
     span-membership test. Each row has gcd 1, so these are the reduced
     forms of the rows of the rational rref. Raises InputError unless the
-    generators are nonempty, of one length and independent. Solves are
-    cached; `cache_info()` and `cache_clear()` work as for `lru_cache`.
+    generators are nonempty, of one length and independent.
     """
-    global _hits, _misses
-    solve = _solves.pop(generators, None)
-    if solve is None:
-        _misses += 1
-        solve = _eliminate(generators)
-    else:
-        _hits += 1
-    _keep(generators, solve)
-    return solve
+    if not generators:
+        raise InputError("a simplex needs at least one generator")
+    k, n = len(generators), len(generators[0])
+    if any(len(g) != n for g in generators):
+        raise InputError("generators with mixed ambient dimensions")
+    rows, pivots = _echelon([[g[j] for g in generators]
+                             + [int(i == j) for i in range(n)] for j in range(n)])
+    if pivots[:k] != list(range(k)):
+        raise InputError("generators of a simplex must be independent")
+    t_rows = tuple((tuple(row[k:]), row[i]) if row[i] > 0
+                   else (tuple(-v for v in row[k:]), -row[i])
+                   for i, row in enumerate(rows[:k]))
+    c_rows = tuple(tuple(row[k:]) if row[c] > 0 else tuple(-v for v in row[k:])
+                   for row, c in zip(rows[k:], pivots[k:]))
+    return t_rows, c_rows
 
 
 def exchange_solve(generators: tuple[tuple, ...], solve: tuple, apex: int):
@@ -159,48 +151,17 @@ def exchange_solve(generators: tuple[tuple, ...], solve: tuple, apex: int):
     one, q, appended; `solve` is that simplex's solve, and its apex row must
     not vanish at q.
 
-    A cache miss on an integer q is filled by one exchange pivot instead of
-    an elimination. With s = <T_apex, q> and t_j = <T_j, q>, the
-    coefficient of q in x is <T_apex, x> / s, and that of each kept
-    generator j is <t_j T_apex - s T_j, x> / (-s den_j). Each row divided
-    by the gcd of its entries and den, and signed to den > 0, is the reduced
-    row that the elimination reads off; the span, hence C, is unchanged.
+    An integer q takes one exchange pivot instead of an elimination. With
+    s = <T_apex, q> and t_j = <T_j, q>, the coefficient of q in x is
+    <T_apex, x> / s, and that of each kept generator j is
+    <t_j T_apex - s T_j, x> / (-s den_j). Each row divided by the gcd of its
+    entries and den, and signed to den > 0, is the reduced row that the
+    elimination reads off; the span, hence C, is unchanged.
     """
-    return _derived(generators, solve, _exchanged, apex)
-
-
-def jump_solve(generators: tuple[tuple, ...], solve: tuple):
-    """`simplex_solve(generators)`, where the generators are those of a
-    solved simplex and a new one, q, outside their span; `solve` is that
-    simplex's solve, ((), the unit rows) for no generators.
-
-    A cache miss on an integer q is filled by extending the rational rref of
-    [G | I] to that of [G q | I]. With s_j = <C_j, q>, j* the last j with
-    s_j != 0, c = C_j* and s = s_j*: q's row is c / s, each old row (r, d)
-    becomes (s r - <r, q> c) / (s d), and each other C row
-    sign(s) (s C_j - s_j c), all reduced. c is zero before its leading
-    entry, which follows those of the C_j with j < j*, so these keep their
-    leading entries, their order and their signs.
-    """
-    return _derived(generators, solve, _extended)
-
-
-def _derived(generators: tuple[tuple, ...], solve: tuple, derive, *args):
-    """The cached solve, else `derive(q, *solve, *args)` for an integer q."""
-    global _hits, _misses
-    found = _solves.pop(generators, None)
-    if found is not None:
-        _hits += 1
-    elif all(type(v) is int for v in generators[-1]):
-        _misses += 1
-        found = derive(generators[-1], *solve, *args)
-    else:
+    q = generators[-1]
+    if any(type(v) is not int for v in q):
         return simplex_solve(generators)
-    _keep(generators, found)
-    return found
-
-
-def _exchanged(q: tuple[int, ...], t_rows: tuple, c_rows: tuple, apex: int) -> tuple:
+    t_rows, c_rows = solve
     top = t_rows[apex][0]
     s = int_dot(top, q)
     rows = []
@@ -212,7 +173,23 @@ def _exchanged(q: tuple[int, ...], t_rows: tuple, c_rows: tuple, apex: int) -> t
     return tuple(rows), c_rows
 
 
-def _extended(q: tuple[int, ...], t_rows: tuple, c_rows: tuple) -> tuple:
+def jump_solve(generators: tuple[tuple, ...], solve: tuple):
+    """`simplex_solve(generators)`, where the generators are those of a
+    solved simplex and a new one, q, outside their span; `solve` is that
+    simplex's solve, ((), the unit rows) for no generators.
+
+    An integer q extends the rational rref of [G | I] to that of [G q | I]
+    instead of an elimination. With s_j = <C_j, q>, j* the last j with
+    s_j != 0, c = C_j* and s = s_j*: q's row is c / s, each old row (r, d)
+    becomes (s r - <r, q> c) / (s d), and each other C row
+    sign(s) (s C_j - s_j c), all reduced. c is zero before its leading
+    entry, which follows those of the C_j with j < j*, so these keep their
+    leading entries, their order and their signs.
+    """
+    q = generators[-1]
+    if any(type(v) is not int for v in q):
+        return simplex_solve(generators)
+    t_rows, c_rows = solve
     sums = [int_dot(row, q) for row in c_rows]
     star = max(j for j, s_j in enumerate(sums) if s_j)
     c, s = c_rows[star], sums[star]
@@ -232,44 +209,6 @@ def _reduced(row: list[int], den: int) -> tuple[tuple[int, ...], int]:
     """(row, den) divided by their gcd, with the sign that makes den > 0."""
     g = gcd(*row, den) if den > 0 else -gcd(*row, den)
     return tuple(v // g for v in row), den // g
-
-
-def _keep(generators: tuple[tuple, ...], solve: tuple) -> None:
-    _solves[generators] = solve
-    if len(_solves) > _MAX_SOLVES:
-        del _solves[next(iter(_solves))]
-
-
-def _cache_info() -> tuple:
-    return _CacheInfo(_hits, _misses, _MAX_SOLVES, len(_solves))
-
-
-def _cache_clear() -> None:
-    global _hits, _misses
-    _solves.clear()
-    _hits = _misses = 0
-
-
-simplex_solve.cache_info = _cache_info
-simplex_solve.cache_clear = _cache_clear
-
-
-def _eliminate(generators: tuple[tuple, ...]) -> tuple:
-    if not generators:
-        raise InputError("a simplex needs at least one generator")
-    k, n = len(generators), len(generators[0])
-    if any(len(g) != n for g in generators):
-        raise InputError("generators with mixed ambient dimensions")
-    rows, pivots = _echelon([[g[j] for g in generators]
-                             + [int(i == j) for i in range(n)] for j in range(n)])
-    if pivots[:k] != list(range(k)):
-        raise InputError("generators of a simplex must be independent")
-    t_rows = tuple((tuple(row[k:]), row[i]) if row[i] > 0
-                   else (tuple(-v for v in row[k:]), -row[i])
-                   for i, row in enumerate(rows[:k]))
-    c_rows = tuple(tuple(row[k:]) if row[c] > 0 else tuple(-v for v in row[k:])
-                   for row, c in zip(rows[k:], pivots[k:]))
-    return t_rows, c_rows
 
 
 def primitive(vector: Sequence) -> tuple[int, ...]:

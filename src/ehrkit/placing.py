@@ -8,7 +8,7 @@ joined to every boundary facet it sees strictly, and a vector inside or on
 the current hull adds nothing (it is simply not used as a vertex).
 
 Both predicates are exact sign tests on the barycentric coordinates of one
-cell, read from its cached `linalg.simplex_solve`: q raises the dimension
+cell, read from its `linalg.simplex_solve`: q raises the dimension
 when a span row of the first cell's solve is nonzero at q, and q sees the
 boundary facet opposite `apex` strictly when its coordinate on `apex` in
 the solve of that facet's cell is negative. Scaling a vector by a positive
@@ -22,14 +22,16 @@ any other. Each cell's solve is made once, with the cell, and kept in a
 list beside the cells: at a jump each cell is coned over q and its solve
 extended by q (`linalg.jump_solve`), and a cell made from a boundary facet
 swaps its cell's apex for q, one exchange pivot of the kept solve
-(`linalg.exchange_solve`). Both look in the solve cache first; only a
-non-integer q is eliminated. The boundary is a dict from each boundary
-facet to its visibility row, the apex row of its cell's solve, kept with
-that solve and the apex position; each new cell toggles its facets in or
-out of it, and after a jump it is rebuilt from the list. Its order, by
-cell creation and then dropped vertex, is the order in which new cells are
-appended. `boundary_rows` builds the same dict from finished cells, for
-the hull's facets, a triangulation's boundary and a cone's pointedness.
+(`linalg.exchange_solve`); only a non-integer q is eliminated. The
+boundary is a dict from each boundary facet to its visibility row, the
+apex row of its cell's solve, kept with that solve and the apex position;
+each new cell toggles its facets in or out of it, and after a jump it is
+rebuilt from the list. Its order, by cell creation and then dropped
+vertex, is the order in which new cells are appended. `placing_cells`
+returns each cell with its solve, so no reader solves a cell again, and
+keeps its last placings for calls on an identical vector list;
+`boundary_rows` builds the same dict from those pairs, for the hull's
+facets, a triangulation's boundary and a cone's pointedness.
 
 The caller controls insertion order. Lexicographic order guarantees that
 every point lands outside the hull of its predecessors, hence becomes a
@@ -40,16 +42,23 @@ there.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
+from functools import lru_cache
 
 from . import linalg
 
 
-def placing_cells(vectors: Sequence[tuple]) -> list[tuple[int, ...]]:
-    """Triangulate the homogeneous vectors incrementally; cells are index tuples.
+# Each placing is kept for the next call that places an identical vector
+# list: the hull, the triangulations and the cone pieces of one polytope
+# place the same lifted vertices. Equal vectors give equal cells and
+# solves, whether their entries are ints or Fractions.
+@lru_cache(maxsize=32)
+def placing_cells(vectors: tuple[tuple, ...]) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+    """Triangulate the homogeneous vectors incrementally: (cell, solve) pairs.
 
-    Every cell is a simplex spanning the vectors' final span, listed in
-    creation order with sorted vertex indices.
+    Every cell is a simplex spanning the vectors' final span, its sorted
+    vertex indices, listed in creation order with its vectors'
+    `linalg.simplex_solve`.
     """
     n = len(vectors[0]) if vectors else 0
     # the empty configuration: one empty cell, whose C rows are the unit rows
@@ -66,9 +75,7 @@ def placing_cells(vectors: Sequence[tuple]) -> list[tuple[int, ...]]:
             boundary = None
             continue
         if boundary is None:
-            boundary = {}
-            for cell, solve in zip(cells, solves):
-                _toggle(boundary, cell, solve)
+            boundary = boundary_rows(zip(cells, solves))
         # strictly visible facets; i is the largest index, so facet + (i,) is sorted
         added = [(facet + (i,), solve, apex) for facet, (row, solve, apex) in boundary.items()
                  if linalg.int_dot(row, q) < 0]
@@ -76,7 +83,7 @@ def placing_cells(vectors: Sequence[tuple]) -> list[tuple[int, ...]]:
             solves.append(linalg.exchange_solve(tuple(vectors[v] for v in cell), solve, apex))
             _toggle(boundary, cell, solves[-1])
         cells.extend(cell for cell, _, _ in added)
-    return cells if cells[0] else []
+    return tuple(zip(cells, solves)) if cells[0] else ()
 
 
 def _toggle(boundary: dict, cell: tuple[int, ...], solve: tuple) -> None:
@@ -89,12 +96,12 @@ def _toggle(boundary: dict, cell: tuple[int, ...], solve: tuple) -> None:
             boundary[facet] = (row, solve, pos)
 
 
-def boundary_rows(vectors: Sequence[tuple],
-                  cells: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], tuple]:
-    """Each facet that lies in exactly one cell, mapped to (apex row, cell
-    solve, apex position), in the order of the cells and then of the dropped
-    vertex: placing's boundary, built from each cell's cached solve."""
+def boundary_rows(placed: Iterable[tuple]) -> dict[tuple[int, ...], tuple]:
+    """Each facet that lies in exactly one of the (cell, solve) pairs, mapped
+    to (apex row, cell solve, apex position), in the order of the cells and
+    then of the dropped vertex: placing's boundary, built from finished
+    cells."""
     boundary: dict[tuple[int, ...], tuple] = {}
-    for cell in cells:
-        _toggle(boundary, cell, linalg.simplex_solve(tuple(vectors[v] for v in cell)))
+    for cell, solve in placed:
+        _toggle(boundary, cell, solve)
     return boundary

@@ -7,12 +7,13 @@ affine hull, inequalities are facet half-spaces of the form <a, x> <= c with
 triangulation of the points, each placed as the vector (p, 1) scaled to
 integers: every facet of the hull is spanned by some boundary facet of any
 triangulation. `placing.boundary_rows` maps each boundary facet to the
-apex row T_apex of its cell's cached `simplex_solve`, which vanishes
-exactly on that boundary facet's hyperplane, so boundary facets
-are grouped by the set of points q with <T_apex, (q, 1)> = 0, one set per
-facet of the hull. Only the first boundary facet of each set gives an
-inequality: its normal is -T_apex, projected orthogonally onto the hull's
-direction space so that it does not depend on the cell it was read from.
+apex row T_apex of the `simplex_solve` that placing returns with its
+cell, which vanishes exactly on that boundary facet's hyperplane, so
+boundary facets are grouped by the set of points q with
+<T_apex, (q, 1)> = 0, one set per facet of the hull. Only the first
+boundary facet of each set gives an inequality: its normal is -T_apex,
+projected orthogonally onto the hull's direction space so that it does
+not depend on the cell it was read from.
 The same sets give the vertices: a point is a vertex exactly when the sets
 that contain it meet in it alone.
 
@@ -226,8 +227,8 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int, list[Po
     facets: dict[frozenset[int], tuple[IntVec, int]] = {}
     if dim >= 1:
         projection = _projection([normal for normal, _ in eqs])
-        lifted = [p + (scale,) for p in ints]
-        for facet, (t_apex, _, _) in boundary_rows(lifted, placing_cells(lifted)).items():
+        lifted = tuple(p + (scale,) for p in ints)
+        for facet, (t_apex, _, _) in boundary_rows(placing_cells(lifted)).items():
             # <T_apex, (x, 1)> vanishes on the facet's hyperplane and is
             # positive at the apex, so on the whole hull
             key = frozenset(j for j, q in enumerate(lifted)

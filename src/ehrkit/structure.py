@@ -245,7 +245,7 @@ def athanasiadis_check(p: RationalPolytope) -> Report:
     boundary_unimodular = False
     if d >= 1:
         boundary_unimodular = all(t.cell_volume(f) == 1
-                                  for f in boundary_rows(t._lifts, t.cells))
+                                  for f in boundary_rows(t._placed))
     if boundary_unimodular:
         for j in range(d // 2):
             instances.append({

@@ -1,7 +1,8 @@
 """Placing triangulations of lattice polytopes and h*-decomposition.
 
-A triangulation is a point list plus cells, sorted index tuples; every cell
-is a dim(P)-simplex. Placing inserts the vertices only, or every lattice
+A triangulation is a point list plus cells, sorted index tuples, each
+kept with the solve the placing made for it; every cell is a
+dim(P)-simplex. Placing inserts the vertices only, or every lattice
 point, in lexicographic order, so each point lies outside the hull of its
 predecessors and appears as a vertex.
 
@@ -37,11 +38,11 @@ IntPoint = tuple[int, ...]
 class Triangulation:
     """Simplicial complex covering a lattice polytope."""
 
-    def __init__(self, points: Sequence[IntPoint], cells: Sequence[tuple[int, ...]],
-                 dim: int):
+    def __init__(self, points: Sequence[IntPoint], placed: Sequence[tuple], dim: int):
         self.points = tuple(tuple(int(v) for v in pt) for pt in points)
         self._lifts = tuple(pt + (1,) for pt in self.points)
-        self.cells = tuple(tuple(cell) for cell in cells)
+        self._placed = tuple(placed)  # (cell, solve) pairs, as placing returns them
+        self.cells = tuple(cell for cell, _ in self._placed)
         self.dim = dim
         self._faces: tuple[tuple[int, ...], ...] | None = None
         self._owners: dict[tuple[int, ...], tuple] | None = None
@@ -51,14 +52,14 @@ class Triangulation:
 
     def _face_owners(self) -> dict[tuple[int, ...], tuple]:
         """Every face mapped to (cell, solve) for a cell containing it and
-        its cached solve, preferring a cell whose den_i are 1 at all of the
+        its solve, preferring a cell whose den_i are 1 at all of the
         face's vertices, so that the face's box is read off as empty."""
         if self._owners is None:
             owners: dict[tuple[int, ...], tuple] = {}
             rest = []
-            for cell in self.cells:
-                owner = (cell, linalg.simplex_solve(self._lifted(cell)))
-                unit = tuple(v for v, (_, den) in zip(cell, owner[1][0]) if den == 1)
+            for owner in self._placed:
+                cell, (t_rows, _) = owner
+                unit = tuple(v for v, (_, den) in zip(cell, t_rows) if den == 1)
                 for size in range(len(unit) + 1):
                     for face in itertools.combinations(unit, size):
                         owners.setdefault(face, owner)
@@ -128,8 +129,8 @@ def placing_triangulation(p: RationalPolytope,
         points = enumerate_points(p)
     else:
         points = sorted(tuple(int(v) for v in vert) for vert in p.vertices)
-    cells = placing_cells([tuple(map(int, pt)) + (1,) for pt in points])
-    t = Triangulation(points, cells, p.dim)
+    placed = placing_cells(tuple(pt + (1,) for pt in points))
+    t = Triangulation(points, placed, p.dim)
     if any(len(cell) != p.dim + 1 for cell in t.cells):
         raise TheoremViolationError("placing produced cells of the wrong dimension")
     used = {i for cell in t.cells for i in cell}

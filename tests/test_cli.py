@@ -254,7 +254,8 @@ def test_semimagic_out_of_reach_exits_1_fast_with_error_document():
 def test_boxes_and_evaluations_out_of_reach_exit_1_fast_with_error_document(tmp_path):
     # the segment [0, 10^30] has a box of 10^30 points, which decompose
     # refuses; the generating function of specialize refuses the span of its
-    # generators, 10^30, first. The cones on (1, 0) and (1, 10^6) or (1, 10^4)
+    # generators, 10^30, first, and a listing of its 10^30 + 1 points is
+    # refused once counted. The cones on (1, 0) and (1, 10^6) or (1, 10^4)
     # have boxes of 10^6 and 10^4 points, but need powers of z_2 up to 10^6
     # and 10^4: refused by that span before either box is listed
     src = str(Path(ehrkit.__file__).resolve().parents[1])
@@ -262,23 +263,27 @@ def test_boxes_and_evaluations_out_of_reach_exit_1_fast_with_error_document(tmp_
     segment = tmp_path / "segment.json"
     segment.write_text(json.dumps({"kind": "polytope", "ambient_dim": 1,
                                    "vertices": [[0], [10**30]]}))
-    cases = [("decompose", segment, "fundamental parallelepiped"),
-             ("specialize", segment, "exponent span")]
+    listing = "the listing holds 1,000,000,000,000,000,000,000,000,000,001 lattice points"
+    cases = [(["decompose", str(segment)], "fundamental parallelepiped"),
+             (["specialize", str(segment)], "exponent span"),
+             (["triangulate", str(segment), "--all-points"], listing),
+             (["decompose", str(segment), "--all-points"], listing),
+             (["inequalities", str(segment)], listing)]
     for top in (10**6, 10**4):
         cone = tmp_path / f"cone-{top}.json"
         cone.write_text(json.dumps({"kind": "cone", "ambient_dim": 2,
                                     "rays": [[1, 0], [1, top]]}))
-        cases.append(("cone-reciprocity", cone, "exponent span"))
-    for command, path, reason in cases:
+        cases.append((["cone-reciprocity", str(cone)], "exponent span"))
+    for argv, reason in cases:
         start = time.monotonic()
-        proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", command, str(path)],
+        proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         elapsed = time.monotonic() - start
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
         doc = json.loads(proc.stdout)
-        assert list(doc) == ["error"] and reason in doc["error"], (command, doc)
-        assert elapsed < 2.0, (command, path.name, elapsed)
+        assert list(doc) == ["error"] and reason in doc["error"], (argv, doc)
+        assert elapsed < 2.0, (argv, elapsed)
 
 
 def test_cone_reciprocity_bytes_on_a_cloud_cone_are_pinned(capsys, monkeypatch, tmp_path):

@@ -42,6 +42,7 @@ from ehrkit.cones import (
 from ehrkit.corpus import list_cones
 from ehrkit.enumeration import reciprocity_check
 from ehrkit.errors import InputError, PoleError, TheoremViolationError, UnsupportedError
+from ehrkit.placing import placing_cells
 from ehrkit.report import MAX_REPORT_ROWS
 
 from helpers import (
@@ -274,8 +275,10 @@ def test_pointedness_agrees_with_the_membership_oracle(monkeypatch):
     # k = 4 in R^5. `decompose` must succeed exactly on the pointed ones and
     # otherwise name a generator whose negative the oracle finds in the
     # cone; on a pointed cone `_lineality_certificate` must find no cell
-    # holding (0, 1).
+    # holding (0, 1). Both read the solves the placing returns with its
+    # cells and solve nothing.
     kernels = count_calls(monkeypatch, "nullspace")
+    solves = count_calls(monkeypatch, "simplex_solve")
     rng = random.Random(20261022)
     seen = Counter()
     for trial in range(240):
@@ -321,7 +324,7 @@ def test_pointedness_agrees_with_the_membership_oracle(monkeypatch):
         seen["proper span"] += fraction_rank(gens) < n
     assert seen["pointed"] >= 80 and seen["not pointed"] >= 100, seen
     assert seen["proper span"] >= 80 and seen["long circuit"] >= 40, seen
-    assert kernels == []
+    assert kernels == [] and solves == []
 
 
 def test_decompose_simplicial_cone_is_single_closed_piece():
@@ -838,7 +841,7 @@ def test_interior_boxes_reflect_the_closed_boxes():
 
 
 def test_cone_caches_are_bounded():
-    for cached in (decompose, _closed_boxes):
+    for cached in (decompose, _closed_boxes, placing_cells):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and len(list_cones()) <= maxsize
 

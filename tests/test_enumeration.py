@@ -33,7 +33,7 @@ from ehrkit.enumeration import (
     reciprocity_check,
     region_counts,
 )
-from ehrkit.errors import InputError, TheoremViolationError
+from ehrkit.errors import InputError, TheoremViolationError, UnsupportedError
 from ehrkit.polytope import RationalPolytope
 from ehrkit.ratpoly import interpolate
 from ehrkit.semimagic import birkhoff_polytope
@@ -703,6 +703,25 @@ def test_enumerate_interior_points():
     assert enumerate_points(seg, "interior") == [(1, 0), (2, 0)]
     with pytest.raises(InputError):
         enumerate_points(seg, "open")
+
+
+def test_listings_past_the_limit_are_refused_once_counted(monkeypatch):
+    # exact at the limit, and refused past it with the walk's count, closed
+    # and interior alike; the segment [0, 10^30] is refused at once
+    square4 = normalize([[0, 0], [4, 0], [0, 4], [4, 4]])
+    monkeypatch.setattr(enumeration, "MAX_LISTED_POINTS", 25)
+    assert len(enumerate_points(square4)) == 25
+    monkeypatch.setattr(enumeration, "MAX_LISTED_POINTS", 9)
+    assert len(enumerate_points(square4, "interior")) == 9
+    with pytest.raises(UnsupportedError, match="^the listing holds 25 lattice points, "
+                                               "over the limit of 9$"):
+        enumerate_points(square4)
+    monkeypatch.setattr(enumeration, "MAX_LISTED_POINTS", 8)
+    with pytest.raises(UnsupportedError, match="^the listing holds 9 lattice points"):
+        enumerate_points(square4, "interior")
+    monkeypatch.undo()
+    with pytest.raises(UnsupportedError, match="^the listing holds 1,000,000,000,000,"):
+        enumerate_points(normalize([[0], [10**30]]))
 
 
 def test_every_region_entry_point_rejects_an_unknown_region_alike():

@@ -162,6 +162,11 @@ def random_cloud(rng):
     return kinds, pts
 
 
+def placed_cells(vectors):
+    """The cells of the placing of the vectors, without their solves."""
+    return [cell for cell, _ in placing_cells(tuple(vectors))]
+
+
 def test_placing_matches_affine_placing_on_seeded_clouds():
     rng = random.Random(7007)
     seen = {"lattice": 0, "rational": 0, "embedded": 0, "sorted": 0,
@@ -174,7 +179,7 @@ def test_placing_matches_affine_placing_on_seeded_clouds():
         else:
             pts.sort()
             kinds.add("sorted")
-        cells = placing_cells([p + (1,) for p in pts])
+        cells = placed_cells([p + (1,) for p in pts])
         assert cells == affine_placing_cells(pts), (trial, pts)
         if {i for cell in cells for i in cell} != set(range(len(pts))):
             kinds.add("skipped")
@@ -211,9 +216,9 @@ def test_placing_keeps_each_cell_solve_on_mixed_rational_clouds(monkeypatch):
                    if all(v.denominator == 1 for v in p) and rng.random() < 0.75
                    else p + (1,) for p in pts]
         made.clear()
-        linalg.simplex_solve.cache_clear()
-        cells = placing_cells(vectors)
-        assert cells == affine_placing_cells(pts), (trial, pts)
+        placing_cells.cache_clear()
+        placed = placing_cells(tuple(vectors))
+        assert [cell for cell, _ in placed] == affine_placing_cells(pts), (trial, pts)
         for generators, solve in made:
             assert solve == fraction_simplex_solve(generators), (trial, generators)
             pivot = all(type(v) is int for v in generators[-1])
@@ -221,11 +226,10 @@ def test_placing_keeps_each_cell_solve_on_mixed_rational_clouds(monkeypatch):
             seen["pivot on Fraction generators"] += pivot and any(
                 type(v) is not int for g in generators for v in g)
             seen["embedded"] += pivot and len(generators) < len(generators[0])
-        # every cell's solve stays in the cache for the hull, faces and pieces
-        misses = linalg.simplex_solve.cache_info().misses
-        for cell in cells:
-            linalg.simplex_solve(tuple(vectors[v] for v in cell))
-        assert linalg.simplex_solve.cache_info().misses == misses, trial
+        # every cell comes with its solve, for the hull, faces and pieces
+        for cell, solve in placed:
+            generators = tuple(vectors[v] for v in cell)
+            assert solve == fraction_simplex_solve(generators), (trial, generators)
         seen.update(kinds)
     assert seen["pivot"] >= 150 and seen["elimination"] >= 200, seen
     assert seen["pivot on Fraction generators"] >= 80 and seen["embedded"] >= 60, seen
@@ -270,7 +274,8 @@ def test_incremental_boundary_matches_affine_placing_in_r5(monkeypatch):
             rng.shuffle(pts)
         events = Counter()
         solved.clear()
-        cells = placing.placing_cells([p + (1,) for p in pts])
+        placing.placing_cells.cache_clear()
+        cells = placed_cells([p + (1,) for p in pts])
         assert cells == affine_placing_cells(pts, events), (trial, pts)
         # the solve of each cell it creates is made at most once, by pivot
         # or jump extension (the points are ints, so neither falls back)
@@ -285,7 +290,7 @@ def test_placing_matches_affine_placing_on_corpus():
     for name in list_polytopes():
         pts = list(load_polytope(name).vertices)
         for order in (pts, pts[::-1]):
-            assert placing_cells([p + (1,) for p in order]) == \
+            assert placed_cells([p + (1,) for p in order]) == \
                 affine_placing_cells(order), name
 
 
@@ -368,9 +373,10 @@ def test_boundary_rows_match_boundary_facets_oracle():
             cone = random_pointed_cone(rng)
             kinds = {"cone", "embedded"} if cone.dim < cone.ambient_dim else {"cone"}
             vectors = cone.generators
-        cells = placing_cells(vectors)
+        placed = placing_cells(tuple(vectors))
+        cells = [cell for cell, _ in placed]
         oracle = boundary_facets(cells)
-        rows = boundary_rows(vectors, cells)
+        rows = boundary_rows(placed)
         assert list(rows) == [facet for facet, _ in oracle], (trial, vectors)
         for (facet, apex), (row, solve, pos) in zip(oracle, rows.values()):
             cell = tuple(sorted(facet + (apex,)))
@@ -385,31 +391,30 @@ def test_boundary_rows_match_boundary_facets_oracle():
 
 def test_placing_integer_vectors_makes_no_elimination(monkeypatch):
     # each cell's solve is extended across a jump, from the empty
-    # configuration's on, or exchanged from a neighbour's: the hull, both
-    # triangulations and the cone pieces of the corpus, the benchmark's
-    # hull_decompose clouds of seed 7000 and B4 place without one elimination
+    # configuration's on, or exchanged from a neighbour's, and comes back
+    # with its cell: the hull, both triangulations and the cone pieces of the
+    # corpus, the benchmark's hull_decompose clouds of seed 7000 and B4 run
+    # without one elimination
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import hull_inputs
 
     eliminated, placed = [], Counter()
-    original_eliminate = linalg._eliminate
+    original_solve = linalg.simplex_solve
 
     def eliminating(generators):
         eliminated.append(generators)
-        return original_eliminate(generators)
+        return original_solve(generators)
 
     def tracked(original):
         def placing_cells(vectors):
-            linalg.simplex_solve.cache_clear()  # no solve from an earlier call
-            before = len(eliminated)
-            cells = original(vectors)
-            placed["eliminations"] += len(eliminated) - before
+            original.cache_clear()  # no placing kept from an earlier call
+            result = original(vectors)
             placed["calls"] += 1
-            placed["cells"] += len(cells)
-            return cells
+            placed["cells"] += len(result)
+            return result
         return placing_cells
 
-    monkeypatch.setattr(linalg, "_eliminate", eliminating)
+    monkeypatch.setattr(linalg, "simplex_solve", eliminating)
     for module in (polytope, triangulation, cones):
         monkeypatch.setattr(module, "placing_cells", tracked(module.placing_cells))
     decompose.cache_clear()
@@ -423,7 +428,7 @@ def test_placing_integer_vectors_makes_no_elimination(monkeypatch):
         decompose(homogenize(p))
     birkhoff_polytope(4)
     decompose.cache_clear()
-    assert placed["eliminations"] == 0, placed
+    assert eliminated == [], placed
     # the corpus' hulls and cones, four placings of each of the five clouds
     # and B4's hull
     assert placed["calls"] >= 2 * len(list_polytopes()) + 4 * 5 + 1 and \

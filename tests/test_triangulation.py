@@ -308,14 +308,14 @@ def test_face_solves_read_off_cells_on_random_polytopes():
 
 def test_betke_mcmullen_solves_only_cells(monkeypatch):
     # the placing makes the solve of each cell it creates once, by pivot or
-    # jump extension; afterwards only the cells of the triangulation are looked
-    # up, once each, and no face
-    solved, placed = [], []
+    # jump extension, and hands it back with the cell: afterwards no cell and
+    # no face is solved, and nothing is eliminated
+    solved, placed, eliminated = [], [], []
     original_solve, original_exchange = linalg.simplex_solve, linalg.exchange_solve
     original_jump, original_placing = linalg.jump_solve, triangulation.placing_cells
 
     def counting(generators):
-        solved.append(generators)
+        eliminated.append(generators)
         return original_solve(generators)
 
     def exchanging(generators, solve, apex):
@@ -327,9 +327,10 @@ def test_betke_mcmullen_solves_only_cells(monkeypatch):
         return original_jump(generators, solve)
 
     def placing(vectors):
-        cells = original_placing(vectors)
+        original_placing.cache_clear()  # no placing kept from an earlier call
+        result = original_placing(vectors)
         placed.extend(solved)
-        return cells
+        return result
 
     monkeypatch.setattr(linalg, "simplex_solve", counting)
     monkeypatch.setattr(linalg, "exchange_solve", exchanging)
@@ -343,11 +344,11 @@ def test_betke_mcmullen_solves_only_cells(monkeypatch):
         for flavor in (False, True):
             solved.clear()
             placed.clear()
+            eliminated.clear()
             t = betke_mcmullen(p, use_all_lattice_points=flavor, verify=False).triangulation
             assert len(set(placed)) == len(placed), p
-            after = solved[len(placed):]
-            assert sorted(after) == sorted(t._lifted(cell) for cell in t.cells), p
-            assert all(len(g) == p.dim + 1 for g in after), p
+            assert solved == placed and eliminated == [], p
+            assert {t._lifted(cell) for cell in t.cells} <= set(placed), p
 
 
 def test_one_box_call_per_nonempty_face(monkeypatch):
