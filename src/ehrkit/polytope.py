@@ -229,15 +229,16 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int, list[Po
         projection = _projection([normal for normal, _ in eqs])
         lifted = tuple(p + (scale,) for p in ints)
         for facet, (t_apex, _, _) in boundary_rows(placing_cells(lifted)).items():
+            if any(key.issuperset(facet) for key in facets):
+                continue  # it spans that key's hyperplane: the same key
             # <T_apex, (x, 1)> vanishes on the facet's hyperplane and is
             # positive at the apex, so on the whole hull
             key = frozenset(j for j, q in enumerate(lifted)
                             if not linalg.int_dot(t_apex, q))
-            if key not in facets:
-                a = tuple(-v for v in t_apex[:-1])
-                if projection:
-                    a = tuple(linalg.int_dot(row, a) for row in projection)
-                facets[key] = _int_primitive(a, ints[facet[0]], scale)
+            a = tuple(-v for v in t_apex[:-1])
+            if projection:
+                a = tuple(linalg.int_dot(row, a) for row in projection)
+            facets[key] = _int_primitive(a, ints[facet[0]], scale)
     hrep = HRep(tuple(sorted(eqs)), tuple(sorted(set(facets.values()))))
     # a point is a vertex exactly when the facets through it meet in it alone
     # (with no facet through it, it is the only point)

@@ -244,8 +244,10 @@ def athanasiadis_check(p: RationalPolytope) -> Report:
             })
     boundary_unimodular = False
     if d >= 1:
-        boundary_unimodular = all(t.cell_volume(f) == 1
-                                  for f in boundary_rows(t._placed))
+        boundary_unimodular = all(
+            all(den == 1 for i, (_, den) in enumerate(solve[0]) if i != apex)
+            or t.cell_volume(facet) == 1  # den_i 1 off the apex give volume 1
+            for facet, (_, solve, apex) in boundary_rows(t._placed).items())
     if boundary_unimodular:
         for j in range(d // 2):
             instances.append({

@@ -10,12 +10,12 @@ predecessors and appears as a vertex.
 included (its link is the whole complex); B_F counts by height the lattice
 points of the open parallelepiped of F's lifted vertices. By default the
 sum is verified against the enumeration pipeline. Each cell's solve is
-made once, by the placing's pivot or jump extension. A face is the closed
-`HalfOpenSimplicialCone` over its lifted vertices, carrying the solve read
-off a cell that contains it, so no face runs an elimination. A face
-whose cell has den_i == 1 at any of the face's vertices has B_F = 0, read
-off with no search; any other box is listed from its Smith form. A link is
-counted over the cells that contain its face.
+made once, by the placing's pivot or jump extension. One pass over the
+faces lists each box from the closed `HalfOpenSimplicialCone` over the
+face, with the solve sliced off a cell containing it: B_F = 0 when that
+cell has den_i == 1 at a vertex of F, and otherwise from the Smith form.
+Only the faces with B_F != 0, the empty face among them, are sorted and
+linked. A cell whose den_i are all 1 has volume 1.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Triangulation:
         self._owners: dict[tuple[int, ...], tuple] | None = None
 
     def _lifted(self, face: Sequence[int]) -> tuple[IntPoint, ...]:
-        return tuple(self._lifts[i] for i in face)
+        return tuple(map(self._lifts.__getitem__, face))
 
     def _face_owners(self) -> dict[tuple[int, ...], tuple]:
         """Every face mapped to (cell, solve) for a cell containing it and
@@ -92,18 +92,22 @@ class Triangulation:
         return tuple(counts)
 
     def simplex(self, face: Sequence[int]) -> HalfOpenSimplicialCone:
-        """The closed cone over the face: its generators are the lifted
-        vertices (v, 1), and its solve is read off the face's owner cell.
-
-        The face's T rows are the cell's at the face's vertices; its C rows
-        are the cell's C rows and the cell's T rows at the other vertices.
-        """
+        """The closed cone over the face's lifted vertices (v, 1), with its owner's solve."""
         face = self._checked(face)
-        cell, (t_rows, c_rows) = self._owners[face]
-        inside = set(face)
-        solve = (tuple(t for v, t in zip(cell, t_rows) if v in inside),
-                 c_rows + tuple(row for v, (row, _) in zip(cell, t_rows) if v not in inside))
-        return HalfOpenSimplicialCone(self._lifted(face), (False,) * len(face), solve)
+        return self._piece(face, self._owners[face])
+
+    def _piece(self, face: tuple[int, ...], owner: tuple) -> HalfOpenSimplicialCone:
+        """The closed cone over a face of the owner (cell, solve): T rows the
+        cell's at the face, C rows the cell's and its T rows off the face."""
+        cell, (t_rows, c_rows) = owner
+        t_face, c_face = [], list(c_rows)
+        for v, t in zip(cell, t_rows):
+            if v in face:
+                t_face.append(t)
+            else:
+                c_face.append(t[0])
+        return HalfOpenSimplicialCone(self._lifted(face), (False,) * len(face),
+                                      (tuple(t_face), tuple(c_face)))
 
     def cell_volume(self, cell: Sequence[int]) -> int:
         """Normalized volume of a cell relative to its own lattice."""
@@ -114,10 +118,13 @@ class Triangulation:
         return linalg.lattice_normalized_volume(edges)
 
     def is_unimodular(self) -> bool:
-        return all(self.cell_volume(cell) == 1 for cell in self.cells)
+        return self.normalized_volume() == len(self.cells)  # every volume is >= 1
 
     def normalized_volume(self) -> int:
-        return sum(self.cell_volume(cell) for cell in self.cells)
+        """Sum of the cell volumes: 1 when a cell's den_i are all 1, as its
+        lifted vertices are then a basis of their span's lattice."""
+        return sum(1 if all(den == 1 for _, den in t_rows) else self.cell_volume(cell)
+                   for cell, (t_rows, _) in self._placed)
 
 
 def placing_triangulation(p: RationalPolytope,
@@ -187,13 +194,15 @@ def box_polynomial(piece: HalfOpenSimplicialCone) -> Poly:
     """
     if not piece.generators:
         return Poly([1])
-    heights: dict[int, int] = {}
-    for point in parallelepiped_points(piece, mode="open"):
-        heights[point[-1]] = heights.get(point[-1], 0) + 1
-    if not heights:
-        return Poly()
-    top = max(heights)
-    return Poly([heights.get(i, 0) for i in range(top + 1)])
+    return _heights(parallelepiped_points(piece, mode="open"))
+
+
+def _heights(points: Sequence[IntPoint]) -> Poly:
+    """sum x^(last coordinate) over the points."""
+    counts: dict[int, int] = {}
+    for point in points:
+        counts[point[-1]] = counts.get(point[-1], 0) + 1
+    return Poly([counts.get(i, 0) for i in range(max(counts, default=-1) + 1)])
 
 
 class HStarDecomposition(FrozenRecord):
@@ -211,22 +220,25 @@ def betke_mcmullen(p: RationalPolytope, use_all_lattice_points: bool = False,
     """Assemble h* from a placing triangulation, face by face.
 
     Sums h_link(face) * B(face) over every face including the empty one.
-    The only solves are the placing's, one per cell: each face's box
-    is listed with the solve it reads off a cell containing it. With
-    verify=True the result is checked against the enumeration
-    pipeline's h*; a mismatch raises TheoremViolationError.
+    The only solves are the placing's, one per cell: each face's box is
+    listed with the solve it reads off its owner cell, and only the faces
+    with B != 0 are sorted and linked. With verify=True the result is
+    checked against the enumeration pipeline's h*; a mismatch raises
+    TheoremViolationError.
     """
     t = placing_triangulation(p, use_all_lattice_points)
+    boxes = {(): Poly([1])}
+    for face, owner in t._face_owners().items():
+        if face:
+            points = parallelepiped_points(t._piece(face, owner), "open")
+            if points:
+                boxes[face] = _heights(points)
     total = Poly()
     contributions = []
-    for face in t.faces():
-        box = box_polynomial(t.simplex(face))
-        if not box and face:
-            continue
-        f_vec, e = link_f_vector(t, face)
-        h_link = h_polynomial(f_vec, e)
-        contributions.append((face, h_link, box))
-        total = total + h_link * box
+    for face in sorted(boxes, key=lambda f: (len(f), f)):
+        h_link = h_polynomial(*link_f_vector(t, face))
+        contributions.append((face, h_link, boxes[face]))
+        total = total + h_link * boxes[face]
     hstar = HStarData(total.coeffs, dim=p.dim, period=1)
     if verify:
         expected = ehrhart(p).hstar

@@ -1,8 +1,8 @@
 """Helpers shared by the test modules: short forms of things the library
 has no caller for (`dual_interior_vector` among them), seeded test inputs, rational linear algebra, the
 listing oracle `lattice_points`, the serialization oracle `to_jsonable`,
-the projection oracle `onto_hull` and the combinatorial boundary oracle
-`boundary_facets`.
+the projection oracle `onto_hull`, the combinatorial boundary oracle
+`boundary_facets` and the face-by-face h* assembly `betke_mcmullen_by_faces`.
 
 The `fraction_*` functions are oracles: Gauss-Jordan elimination over
 `Fraction`, sharing no code with the integer elimination `linalg._echelon`
@@ -35,6 +35,7 @@ from ehrkit.placing import placing_cells
 from ehrkit.polytope import RationalPolytope
 from ehrkit.ratpoly import Poly, QuasiPoly, RatLike
 from ehrkit.structure import ABDecomposition, HStarProfile
+from ehrkit.triangulation import Triangulation, box_polynomial, h_polynomial, link_f_vector
 
 
 def normalize(points: Iterable[Sequence[RatLike]], name: str = "") -> RationalPolytope:
@@ -247,6 +248,24 @@ def boundary_facets(cells):
             facet = tuple(v for v in cell if v != drop)
             seen.setdefault(facet, []).append(drop)
     return [(facet, apexes[0]) for facet, apexes in seen.items() if len(apexes) == 1]
+
+
+def betke_mcmullen_by_faces(t: Triangulation) -> tuple[tuple, tuple]:
+    """Oracle: (h* coefficients, contributions) of `betke_mcmullen`, summed
+    face by face over `t.faces()`: every face's box is
+    `box_polynomial(t.simplex(face))`, and every face with a nonzero box,
+    the empty face among them, gets its own `link_f_vector`."""
+    total = Poly()
+    contributions = []
+    for face in t.faces():
+        box = box_polynomial(t.simplex(face))
+        if not box and face:
+            continue
+        f_vec, e = link_f_vector(t, face)
+        h_link = h_polynomial(f_vec, e)
+        contributions.append((face, h_link, box))
+        total = total + h_link * box
+    return total.coeffs, tuple(contributions)
 
 
 def rank_vertices(points, hrep, dim: int) -> list:

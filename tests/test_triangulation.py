@@ -2,7 +2,9 @@
 
 The link scan over every face of the triangulation, which `link_f_vector`
 replaced with a scan of the face's star, lives here as the oracle
-`global_link_f_vector`.
+`global_link_f_vector`. The face-by-face assembly that `betke_mcmullen`
+replaced with one pass over the face owners is `helpers.betke_mcmullen_by_faces`,
+and cell and boundary volumes are checked against `linalg.lattice_normalized_volume`.
 """
 
 import itertools
@@ -18,8 +20,9 @@ from ehrkit.corpus import load_polytope
 from ehrkit.enumeration import ehrhart
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.polytope import RationalPolytope
-from ehrkit.ratpoly import Poly
+from ehrkit.ratpoly import HStarData, Poly
 from ehrkit.semimagic import adg_report
+from ehrkit.structure import athanasiadis_check
 from ehrkit.triangulation import (
     betke_mcmullen,
     box_polynomial,
@@ -27,7 +30,7 @@ from ehrkit.triangulation import (
     link_f_vector,
     placing_triangulation,
 )
-from helpers import lattice_cloud
+from helpers import betke_mcmullen_by_faces, boundary_facets, lattice_cloud
 from test_cones import parallelepiped_box_scan
 
 
@@ -265,6 +268,19 @@ def random_reeve(rng):
     return RationalPolytope.from_points(pts)
 
 
+def solves_its_generators(piece):
+    """The rows a piece read off a cell solve its generators: <T_i, g_j> =
+    den_i delta_ij with den_i > 0, and n - k independent C rows vanish on
+    every g_j."""
+    gens = piece.generators
+    t_rows, c_rows = piece.solve
+    return ([[linalg.int_dot(row, g) for g in gens] for row, _ in t_rows]
+            == [[den * (i == j) for j in range(len(gens))] for i, (_, den) in enumerate(t_rows)]
+            and all(den > 0 for _, den in t_rows)
+            and not any(linalg.int_dot(row, g) for row in c_rows for g in gens)
+            and linalg.rank(c_rows) == len(c_rows) == len(gens[0]) - len(gens))
+
+
 def test_face_solves_read_off_cells_on_random_polytopes():
     rng = random.Random(1407)
     unit = listed = nonzero = 0
@@ -278,16 +294,8 @@ def test_face_solves_read_off_cells_on_random_polytopes():
                     continue
                 simplex = t.simplex(face)
                 gens = simplex.generators
-                # the rows read off the cell solve the face: <T_i, g_j> =
-                # den_i delta_ij with den_i > 0, and n - k independent C
-                # rows vanish on every g_j
-                t_rows, c_rows = simplex.solve
-                assert [[linalg.int_dot(row, g) for g in gens] for row, _ in t_rows] == \
-                    [[den * (i == j) for j in range(len(gens))]
-                     for i, (_, den) in enumerate(t_rows)]
-                assert all(den > 0 for _, den in t_rows)
-                assert not any(linalg.int_dot(row, g) for row in c_rows for g in gens)
-                assert linalg.rank(c_rows) == len(c_rows) == len(gens[0]) - len(gens)
+                t_rows, _ = simplex.solve
+                assert solves_its_generators(simplex), (p, face)
                 box = box_polynomial(simplex)
                 piece = HalfOpenSimplicialCone(gens, (False,) * len(gens))
                 assert box == heights(parallelepiped_box_scan(piece, "open")), (p, face)
@@ -304,6 +312,77 @@ def test_face_solves_read_off_cells_on_random_polytopes():
                                        if v in face), (p, face, cell)
                 nonzero += bool(box)
     assert unit >= 1700 and listed >= 1100 and nonzero >= 130, (unit, listed, nonzero)
+
+
+def test_one_pass_assembly_matches_face_by_face_oracle(monkeypatch):
+    # betke_mcmullen lists each nonempty face's box in one pass over the
+    # face owners and sorts and links only the faces with a nonzero box;
+    # the oracle walks every face in order through Triangulation.simplex
+    pieces = []
+    original = triangulation.parallelepiped_points
+
+    def recording(piece, mode="half_open"):
+        pieces.append(piece)
+        return original(piece, mode)
+
+    monkeypatch.setattr(triangulation, "parallelepiped_points", recording)
+    rng = random.Random(2903)
+    boxes = embedded = 0
+    for make in (random_full, random_embedded, random_reeve) * 20:
+        p = make(rng)
+        embedded += p.dim < p.ambient_dim
+        for flavor in (False, True):
+            pieces.clear()
+            dec = betke_mcmullen(p, use_all_lattice_points=flavor, verify=False)
+            assert all(solves_its_generators(piece) for piece in pieces), (p, flavor)
+            coeffs, contributions = betke_mcmullen_by_faces(dec.triangulation)
+            assert dec.hstar == HStarData(coeffs, dim=p.dim), (p, flavor)
+            assert dec.contributions == contributions, (p, flavor)
+            boxes += len(contributions) - 1
+    assert boxes >= 80 and embedded >= 15, (boxes, embedded)
+
+
+def smith_volume(t, simplex):
+    """Oracle: the normalized volume of a simplex of t, from a Smith form."""
+    base = t.points[simplex[0]]
+    return linalg.lattice_normalized_volume(
+        [[v - b for v, b in zip(t.points[i], base)] for i in simplex[1:]])
+
+
+def test_volumes_read_off_solves_match_smith_forms():
+    # a cell whose den_i are all 1 has volume 1; any other goes to its
+    # Smith form. The segment's cell has den 2 in both T rows and volume
+    # 1; the triangle's has dens (2, 1, 2) and volume 2. A pyramid over a
+    # Reeve tetrahedron has that tetrahedron, of volume q, as a boundary
+    # facet; a pyramid over that pyramid has it as one, with den 1 at the
+    # first apex.
+    rng = random.Random(2904)
+    polytopes = [RationalPolytope.from_points(pts) for pts in
+                 ([(0, 0), (3, 2)], [(0, 0), (1, 0), (0, 2)])]
+    for q in (2, 3):
+        reeve = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, q)]
+        polytopes.append(RationalPolytope.from_points(
+            [pt + (0,) for pt in reeve] + [(0, 0, 0, 1)]))
+        polytopes.append(RationalPolytope.from_points(
+            [pt + (0, 0) for pt in reeve] + [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]))
+    polytopes += [make(rng) for make in (random_full, random_embedded, random_reeve) * 8]
+    seen = {"unit volume, some den > 1": 0, "volume > 1, some den 1": 0,
+            "boundary unimodular": 0, "boundary not unimodular": 0}
+    for p in polytopes:
+        for flavor in (False, True):
+            t = placing_triangulation(p, use_all_lattice_points=flavor)
+            volumes = [smith_volume(t, cell) for cell in t.cells]
+            assert t.normalized_volume() == sum(volumes), (p, flavor)
+            assert t.is_unimodular() == all(v == 1 for v in volumes), (p, flavor)
+            for (_, (t_rows, _)), volume in zip(t._placed, volumes):
+                dens = [den for _, den in t_rows]
+                seen["unit volume, some den > 1"] += volume == 1 and max(dens) > 1
+                seen["volume > 1, some den 1"] += volume > 1 and min(dens) == 1
+        # athanasiadis_check reads the boundary of the all-points placing, t
+        flag = all(smith_volume(t, facet) == 1 for facet, _ in boundary_facets(t.cells))
+        assert athanasiadis_check(p).notes["boundary-unimodular"] == flag, p
+        seen["boundary unimodular" if flag else "boundary not unimodular"] += 1
+    assert min(seen.values()) >= 2, seen
 
 
 def test_betke_mcmullen_solves_only_cells(monkeypatch):
@@ -371,18 +450,35 @@ def test_one_box_call_per_nonempty_face(monkeypatch):
         assert sorted(calls) == sorted(t.simplex(face).generators for face in t.faces() if face)
 
 
-def test_birkhoff_4_by_faces_within_budget():
-    # B4 = conv of the 24 permutation matrices, built here from the points
-    # so that the budget covers its hull too. Its placing triangulation has
-    # 352 unimodular cells and 55,440 faces. Reading each face's solve off
-    # its cell takes about 1.5 s on a 2-vCPU VM; one elimination per face
-    # took about 33 s. (Its Ehrhart counts are checked in test_semimagic.)
+def test_birkhoff_4_by_faces_within_budget(monkeypatch):
+    # B4 = conv of the 24 permutation matrices, built here from the points.
+    # Its placing triangulation has 352 unimodular cells and 55,440 faces.
+    # Assembling h* in one pass over the face owners takes about 0.4 s on a
+    # 2-vCPU VM (0.6 s face by face); one elimination per face took about
+    # 33 s. Every nonempty face makes one box call, and every box is read
+    # off a den_i of 1, as is every cell's volume: no Smith form is made.
+    # (Its Ehrhart counts are checked in test_semimagic.)
+    boxes, smith = [], []
+    original_box, original_smith = triangulation.parallelepiped_points, linalg.smith_form
+
+    def counting_boxes(piece, mode="half_open"):
+        boxes.append(mode)
+        return original_box(piece, mode)
+
+    def counting_smith(rows):
+        smith.append(rows)
+        return original_smith(rows)
+
     perms = itertools.permutations(range(4))
     b4 = RationalPolytope.from_points(
         [tuple(int(perm[i] == j) for i in range(4) for j in range(4)) for perm in perms])
+    monkeypatch.setattr(triangulation, "parallelepiped_points", counting_boxes)
+    monkeypatch.setattr(linalg, "smith_form", counting_smith)
     start = time.monotonic()
     dec = betke_mcmullen(b4, verify=False)
     elapsed = time.monotonic() - start
+    assert dec.triangulation.normalized_volume() == 352
+    assert boxes == ["open"] * 55_439 and smith == []
     table, _ = adg_report(4)
     assert dec.hstar.coeffs == table.numerator.coeffs == (1, 14, 87, 148, 87, 14, 1)
     assert elapsed < 10.0, elapsed
