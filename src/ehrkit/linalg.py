@@ -12,15 +12,15 @@ the one barycentric solve of a simplex. Placing makes each cell's solve
 from one it holds, in time quadratic in the ambient dimension where the
 elimination is cubic, and hands it to the hull, the half-open cone pieces
 and the fundamental parallelepipeds: `exchange_solve` pivots a
-neighbour's solve onto the cell's new generator, and `jump_solve` extends
-a solve by a generator outside its span, from the empty configuration's
-on. Only a non-integer new generator is eliminated. The one Smith
-reduction, `smith_form`, returns the invariant factors with the unimodular
-column transform: cone boxes are listed from both, lattice walks of
-embedded polytopes take their coordinates from the transform, and lattice
-volumes read the factors alone. `lll` reduces a lattice basis under an
-integer quadratic form, in integers only; the walks take their free
-coordinates from it.
+neighbour's solve onto the cell's new integer generator, and `jump_solve`
+extends the solves of one span by an integer generator outside it, from
+the empty configuration's on, making the span's new rows once. The one
+Smith reduction, `smith_form`, returns the invariant factors with the
+unimodular column transform: cone boxes are listed from both, lattice
+walks of embedded polytopes take their coordinates from the transform, and
+lattice volumes read the factors alone. `lll` reduces a lattice basis
+under an integer quadratic form, in integers only; the walks take their
+free coordinates from it.
 """
 
 from __future__ import annotations
@@ -145,22 +145,17 @@ def simplex_solve(generators: tuple[tuple, ...]):
     return t_rows, c_rows
 
 
-def exchange_solve(generators: tuple[tuple, ...], solve: tuple, apex: int):
-    """`simplex_solve(generators)`, where the generators are those of a
-    solved simplex with its generator at position `apex` dropped and a new
-    one, q, appended; `solve` is that simplex's solve, and its apex row must
-    not vanish at q.
+def exchange_solve(q: tuple[int, ...], solve: tuple, apex: int):
+    """The solve of a simplex made from a solved one by dropping its
+    generator at position `apex` and appending the integer vector q:
+    `solve` is the solved simplex's, and its apex row must not vanish at q.
 
-    An integer q takes one exchange pivot instead of an elimination. With
-    s = <T_apex, q> and t_j = <T_j, q>, the coefficient of q in x is
-    <T_apex, x> / s, and that of each kept generator j is
-    <t_j T_apex - s T_j, x> / (-s den_j). Each row divided by the gcd of its
-    entries and den, and signed to den > 0, is the reduced row that the
-    elimination reads off; the span, hence C, is unchanged.
+    One exchange pivot: with s = <T_apex, q> and t_j = <T_j, q>, the
+    coefficient of q in x is <T_apex, x> / s, and that of each kept
+    generator j is <t_j T_apex - s T_j, x> / (-s den_j). Each row divided by
+    the gcd of its entries and den, and signed to den > 0, is the reduced
+    row that `simplex_solve` reads off; the span, hence C, is unchanged.
     """
-    q = generators[-1]
-    if any(type(v) is not int for v in q):
-        return simplex_solve(generators)
     t_rows, c_rows = solve
     top = t_rows[apex][0]
     s = int_dot(top, q)
@@ -173,36 +168,37 @@ def exchange_solve(generators: tuple[tuple, ...], solve: tuple, apex: int):
     return tuple(rows), c_rows
 
 
-def jump_solve(generators: tuple[tuple, ...], solve: tuple):
-    """`simplex_solve(generators)`, where the generators are those of a
-    solved simplex and a new one, q, outside their span; `solve` is that
-    simplex's solve, ((), the unit rows) for no generators.
+def jump_solve(q: tuple[int, ...], solves: Sequence[tuple]) -> list[tuple]:
+    """The solves of solved simplices that span one space, each extended by
+    the integer vector q outside that span: `solves` share their C rows,
+    ((), the unit rows) for no generators, and so do the returned solves.
 
-    An integer q extends the rational rref of [G | I] to that of [G q | I]
-    instead of an elimination. With s_j = <C_j, q>, j* the last j with
-    s_j != 0, c = C_j* and s = s_j*: q's row is c / s, each old row (r, d)
-    becomes (s r - <r, q> c) / (s d), and each other C row
-    sign(s) (s C_j - s_j c), all reduced. c is zero before its leading
-    entry, which follows those of the C_j with j < j*, so these keep their
-    leading entries, their order and their signs.
+    Each extends the rational rref of [G | I] to that of [G q | I]. With
+    s_j = <C_j, q>, j* the last j with s_j != 0, c = C_j* and s = s_j*:
+    q's row is c / s, each old row (r, d) becomes (s r - <r, q> c) / (s d),
+    and each other C row sign(s) (s C_j - s_j c), all reduced. c is zero
+    before its leading entry, which follows those of the C_j with j < j*,
+    so these keep their leading entries, their order and their signs. The
+    new C rows and q's row are made once, for every simplex.
     """
-    q = generators[-1]
-    if any(type(v) is not int for v in q):
-        return simplex_solve(generators)
-    t_rows, c_rows = solve
+    c_rows = solves[0][1]
     sums = [int_dot(row, q) for row in c_rows]
     star = max(j for j, s_j in enumerate(sums) if s_j)
     c, s = c_rows[star], sums[star]
-    rows = [_reduced([s * a - int_dot(row, q) * b for a, b in zip(row, c)], s * den)
-            for row, den in t_rows]
-    rows.append(_reduced(list(c), s))
+    q_row = _reduced(list(c), s)
     sign = 1 if s > 0 else -1
     span = []
     for row, s_j in zip(c_rows[:star], sums):  # the rows after c have s_j == 0
         new = [sign * (s * a - s_j * b) for a, b in zip(row, c)]
         g = gcd(*new)
         span.append(tuple(v // g for v in new))
-    return tuple(rows), (*span, *c_rows[star + 1:])
+    span = (*span, *c_rows[star + 1:])
+    made = []
+    for t_rows, _ in solves:
+        rows = [_reduced([s * a - int_dot(row, q) * b for a, b in zip(row, c)], s * den)
+                for row, den in t_rows]
+        made.append(((*rows, q_row), span))
+    return made
 
 
 def _reduced(row: list[int], den: int) -> tuple[tuple[int, ...], int]:

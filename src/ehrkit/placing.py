@@ -1,11 +1,12 @@
 """Incremental (placing) triangulation of homogeneous vector configurations.
 
-The input vectors are homogeneous: a polytope's point p is passed as
-(p, 1), a pointed cone's generator as itself. Vectors are inserted one at a
-time in the caller's order. A vector outside the span of the current cells
-raises the dimension and is joined to every current cell; otherwise it is
-joined to every boundary facet it sees strictly, and a vector inside or on
-the current hull adds nothing (it is simply not used as a vertex).
+The input vectors are homogeneous integer vectors: a polytope's point p is
+passed as (p L, L) for L the lcm of the denominators, 1 for a lattice
+polytope, a pointed cone's generator as itself. Vectors are inserted one
+at a time in the caller's order. A vector outside the span of the current
+cells raises the dimension and is joined to every current cell; otherwise
+it is joined to every boundary facet it sees strictly, and a vector inside
+or on the current hull adds nothing (it is simply not used as a vertex).
 
 Both predicates are exact sign tests on the barycentric coordinates of one
 cell, read from its `linalg.simplex_solve`: q raises the dimension
@@ -19,19 +20,19 @@ facet of the hull.
 Placing starts from the empty configuration, one empty cell whose solve
 has no T rows and the unit rows as C, so the first vector is a jump like
 any other. Each cell's solve is made once, with the cell, and kept in a
-list beside the cells: at a jump each cell is coned over q and its solve
-extended by q (`linalg.jump_solve`), and a cell made from a boundary facet
-swaps its cell's apex for q, one exchange pivot of the kept solve
-(`linalg.exchange_solve`); only a non-integer q is eliminated. The
-boundary is a dict from each boundary facet to its visibility row, the
-apex row of its cell's solve, kept with that solve and the apex position;
-each new cell toggles its facets in or out of it, and after a jump it is
-rebuilt from the list. Its order, by cell creation and then dropped
-vertex, is the order in which new cells are appended. `placing_cells`
-returns each cell with its solve, so no reader solves a cell again, and
-keeps its last placings for calls on an identical vector list;
-`boundary_rows` builds the same dict from those pairs, for the hull's
-facets, a triangulation's boundary and a cone's pointedness.
+list beside the cells: at a jump each cell is coned over q and their
+solves, which share the span's C rows, are extended by q in one call
+(`linalg.jump_solve`), and a cell made from a boundary facet swaps its
+cell's apex for q, one exchange pivot of the kept solve
+(`linalg.exchange_solve`). The boundary is a dict from each boundary facet
+to its visibility row, the apex row of its cell's solve, kept with that
+solve and the apex position; each new cell toggles its facets in or out of
+it, and after a jump it is rebuilt from the list. Its order, by cell
+creation and then dropped vertex, is the order in which new cells are
+appended. `placing_cells` returns each cell with its solve, so no reader
+solves a cell again, and keeps its last placings for calls on an identical
+vector list; `boundary_rows` builds the same dict from those pairs, for
+the hull's facets, a triangulation's boundary and a cone's pointedness.
 
 The caller controls insertion order. Lexicographic order guarantees that
 every point lands outside the hull of its predecessors, hence becomes a
@@ -50,15 +51,14 @@ from . import linalg
 
 # Each placing is kept for the next call that places an identical vector
 # list: the hull, the triangulations and the cone pieces of one polytope
-# place the same lifted vertices. Equal vectors give equal cells and
-# solves, whether their entries are ints or Fractions.
+# place the same lifted vertices. Equal vectors give equal cells and solves.
 @lru_cache(maxsize=32)
 def placing_cells(vectors: tuple[tuple, ...]) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     """Triangulate the homogeneous vectors incrementally: (cell, solve) pairs.
 
     Every cell is a simplex spanning the vectors' final span, its sorted
     vertex indices, listed in creation order with its vectors'
-    `linalg.simplex_solve`.
+    `linalg.simplex_solve`; all the solves share one tuple of C rows.
     """
     n = len(vectors[0]) if vectors else 0
     # the empty configuration: one empty cell, whose C rows are the unit rows
@@ -70,8 +70,7 @@ def placing_cells(vectors: tuple[tuple, ...]) -> tuple[tuple[tuple[int, ...], tu
         if any(linalg.int_dot(row, q) for row in solves[0][1]):
             # dimension jump: cone every existing cell over the new vector
             cells = [cell + (i,) for cell in cells]
-            solves = [linalg.jump_solve(tuple(vectors[v] for v in cell), solve)
-                      for cell, solve in zip(cells, solves)]
+            solves = linalg.jump_solve(q, solves)
             boundary = None
             continue
         if boundary is None:
@@ -80,7 +79,7 @@ def placing_cells(vectors: tuple[tuple, ...]) -> tuple[tuple[tuple[int, ...], tu
         added = [(facet + (i,), solve, apex) for facet, (row, solve, apex) in boundary.items()
                  if linalg.int_dot(row, q) < 0]
         for cell, solve, apex in added:
-            solves.append(linalg.exchange_solve(tuple(vectors[v] for v in cell), solve, apex))
+            solves.append(linalg.exchange_solve(q, solve, apex))
             _toggle(boundary, cell, solves[-1])
         cells.extend(cell for cell, _, _ in added)
     return tuple(zip(cells, solves)) if cells[0] else ()

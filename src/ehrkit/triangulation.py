@@ -12,10 +12,11 @@ points of the open parallelepiped of F's lifted vertices. By default the
 sum is verified against the enumeration pipeline. Each cell's solve is
 made once, by the placing's pivot or jump extension. One pass over the
 faces lists each box from the closed `HalfOpenSimplicialCone` over the
-face, with the solve sliced off a cell containing it: B_F = 0 when that
-cell has den_i == 1 at a vertex of F, and otherwise from the Smith form.
-Only the faces with B_F != 0, the empty face among them, are sorted and
-linked. A cell whose den_i are all 1 has volume 1.
+face, with the solve sliced off a cell containing it, preferably one with
+den_i == 1 at a vertex of F: B_F = 0 when that cell has one, and otherwise
+B_F is listed from the Smith form. Only the faces with B_F != 0, the empty
+face among them, are sorted and linked. A cell whose den_i are all 1 has
+volume 1.
 """
 
 from __future__ import annotations
@@ -52,23 +53,26 @@ class Triangulation:
 
     def _face_owners(self) -> dict[tuple[int, ...], tuple]:
         """Every face mapped to (cell, solve) for a cell containing it and
-        its solve, preferring a cell whose den_i are 1 at all of the
-        face's vertices, so that the face's box is read off as empty."""
+        its solve, preferring a cell whose den_i is 1 at some vertex of the
+        face, so that the face's box is read off as empty."""
         if self._owners is None:
             owners: dict[tuple[int, ...], tuple] = {}
-            rest = []
+            rest = []  # (owner, its vertices with den_i == 1) when some den_i > 1
             for owner in self._placed:
                 cell, (t_rows, _) = owner
-                unit = tuple(v for v, (_, den) in zip(cell, t_rows) if den == 1)
-                for size in range(len(unit) + 1):
-                    for face in itertools.combinations(unit, size):
-                        owners.setdefault(face, owner)
+                unit = {v for v, (_, den) in zip(cell, t_rows) if den == 1}
                 if len(unit) < len(cell):
-                    rest.append(owner)
-            for owner in rest:
-                for size in range(len(owner[0]) + 1):
-                    for face in itertools.combinations(owner[0], size):
+                    rest.append((owner, unit))
+                    continue
+                for size in range(len(cell) + 1):
+                    for face in itertools.combinations(cell, size):
                         owners.setdefault(face, owner)
+            for meeting in (True, False):  # first the faces that meet `unit`
+                for owner, unit in rest:
+                    for size in range(len(owner[0]) + 1):
+                        for face in itertools.combinations(owner[0], size):
+                            if not (meeting and unit.isdisjoint(face)):
+                                owners.setdefault(face, owner)
             self._owners = owners
         return self._owners
 

@@ -2,7 +2,8 @@
 has no caller for (`dual_interior_vector` among them), seeded test inputs, rational linear algebra, the
 listing oracle `lattice_points`, the serialization oracle `to_jsonable`,
 the projection oracle `onto_hull`, the combinatorial boundary oracle
-`boundary_facets` and the face-by-face h* assembly `betke_mcmullen_by_faces`.
+`boundary_facets`, the face-by-face h* assembly `betke_mcmullen_by_faces`
+and `integer_lifts`, the integer vectors that rational points are placed as.
 
 The `fraction_*` functions are oracles: Gauss-Jordan elimination over
 `Fraction`, sharing no code with the integer elimination `linalg._echelon`
@@ -144,6 +145,14 @@ def lattice_cloud(seed: int, dim: int, size: int, side: int) -> list[tuple[int, 
 def cloud_cone(seed: int, dim: int, size: int, side: int) -> RationalCone:
     """The cone over the hull of a seeded lattice cloud, lifted to height 1."""
     return homogenize(RationalPolytope.from_points(lattice_cloud(seed, dim, size, side)))
+
+
+def integer_lifts(points) -> list[tuple[int, ...]]:
+    """The rational points p lifted as the hull lifts them, to (p L, L) for
+    L the lcm of their entries' denominators: integer vectors whose placing
+    has the cells of the placing of the (p, 1)."""
+    scale = lcm(*(Fraction(v).denominator for p in points for v in p))
+    return [tuple(int(v * scale) for v in p) + (scale,) for p in points]
 
 
 def fraction_rref(rows):

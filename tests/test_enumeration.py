@@ -338,18 +338,26 @@ def free_coordinate_polytope(rng, free):
     return normalize(pts)
 
 
-def last_runs(inequalities, lo, hi):
+def feasible_prefixes(inequalities, lo, hi):
     """Each prefix of the box of all but the last coordinate that satisfies
     every inequality on its own for some value of the last coordinate in its
-    box, with its closed and interior runs there as (low, high), found by
-    trying every prefix of the box: the values that the walk's depth before
-    last loops over, as (prefix, closed, interior, reach)."""
+    box, found by trying every prefix of the box: the values that the walk's
+    depth before last loops over."""
     *head_lo, end_lo = lo
     *head_hi, end_hi = hi
     for prefix in itertools.product(*(range(l, h + 1) for l, h in zip(head_lo, head_hi))):
+        if all(sum(u * y for u, y in zip(a, prefix)) + min(a[-1] * end_lo, a[-1] * end_hi) <= c
+               for a, c in inequalities):
+            yield prefix
+
+
+def last_runs(inequalities, lo, hi):
+    """Each of the `feasible_prefixes` with its closed and interior runs of
+    the last coordinate as (low, high), as (prefix, closed, interior,
+    reach)."""
+    end_lo, end_hi = lo[-1], hi[-1]
+    for prefix in feasible_prefixes(inequalities, lo, hi):
         sums = [(sum(u * y for u, y in zip(a, prefix)), a[-1], c) for a, c in inequalities]
-        if any(s + min(e * end_lo, e * end_hi) > c for s, e, c in sums):
-            continue
         runs = []
         for slack in (0, 1):
             low, high = end_lo, end_hi
@@ -526,10 +534,10 @@ def test_projected_rows_keep_every_count_and_run(monkeypatch):
                 kinds["one free coordinate"] += len(lo) == 1
                 if len(lo) < 2 or prod(h - l + 1 for l, h in zip(lo[:-1], hi[:-1])) > 2000:
                     continue
-                tried = {prefix for prefix, *_ in last_runs(inequalities, lo, hi)}
+                tried = set(feasible_prefixes(inequalities, lo, hi))
                 kinds["walk with a value cut by a projected row"] += any(
                     prefix not in tried
-                    for prefix, *_ in last_runs(inequalities[:facets], lo, hi))
+                    for prefix in feasible_prefixes(inequalities[:facets], lo, hi))
     minimum = {"walk": 1500, "projected rows": 160, "one free coordinate": 200,
                "walk with a value cut by a projected row": 350, "parallel pair": 30,
                "pair not adjacent": 250}

@@ -219,8 +219,7 @@ def exchanges(draw):
     """(generators, apex, q): k independent vectors in R^n, n = 1..5, with
     integer entries or denominators 1-3, one of them the apex, and a
     vector q = L sum_j c_j g_j in their span with c_apex != 0, scaled by the
-    lcm L of the entries' denominators to integers; q is sometimes handed
-    over as Fractions, which the pivot leaves to the elimination."""
+    lcm L of the entries' denominators to integers."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, n))
     den = draw(st.sampled_from((1, 1, 2, 3)))
@@ -237,8 +236,6 @@ def exchanges(draw):
     q = tuple(int(scale * sum(c * g[j] for c, g in zip(coeffs, gens))) for j in range(n))
     if draw(st.booleans()) and den == 1:
         gens = [tuple(map(int, g)) for g in gens]
-    if draw(st.integers(0, 9)) == 0:
-        q = tuple(map(Fraction, q))
     return tuple(gens), apex, q
 
 
@@ -251,11 +248,11 @@ def test_exchange_solve_matches_fraction_solve():
         gens, apex, q = case
         new = gens[:apex] + gens[apex + 1:] + (q,)
         solve = simplex_solve(gens)
-        made = exchange_solve(new, solve, apex)
+        made = exchange_solve(q, solve, apex)
         assert made == fraction_simplex_solve(new), case
         assert all(type(v) is int for row, den in made[0] for v in row + (den,))
         s = int_dot(solve[0][apex][0], q)
-        kinds["pivot" if all(type(v) is int for v in q) else "elimination"] += 1
+        kinds["pivot"] += 1
         kinds["visible" if s < 0 else "not visible"] += 1
         kinds["embedded"] += len(gens) < len(gens[0])
         kinds["rational generators"] += any(type(v) is not int for g in gens for v in g)
@@ -264,18 +261,18 @@ def test_exchange_solve_matches_fraction_solve():
                                 in zip(made[0], solve[0][:apex] + solve[0][apex + 1:]))
 
     check()
-    minimum = {"pivot": 200, "elimination": 50, "visible": 200, "not visible": 30,
+    minimum = {"pivot": 200, "visible": 200, "not visible": 30,
                "embedded": 150, "rational generators": 150, "reduced": 150}
     assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
 
 
 @st.composite
 def jumps(draw):
-    """(generators, q): k = 0..n-1 independent vectors in R^n, n = 1..5, and
-    an integer vector q outside their span. All k + 1 are combinations of m
-    seeded basis vectors, k < m <= n, so their span is often proper; the
-    generators' coefficients have denominators 1-3, and q is sometimes handed
-    over as Fractions, which the extension leaves to the elimination."""
+    """(generator sets, q): two to four sets of k = 0..n-1 independent
+    vectors in R^n, n = 1..5, that span one space, and an integer vector q
+    outside it. All are combinations of m seeded basis vectors, k < m <= n,
+    so their span is often proper; the first set's coefficients have
+    denominators 1-3, and each other set is an integer combination of it."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = rng.randint(1, 5)
     k = rng.randint(0, n - 1)
@@ -288,44 +285,58 @@ def jumps(draw):
         q = tuple(sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(n))
         if fraction_rank(gens + [q]) == k + 1:
             break
+    sets = [gens]
+    for _ in range(rng.randint(1, 3)):
+        while True:
+            mix = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+            other = [tuple(sum((c * g[j] for c, g in zip(row, gens)), Fraction(0))
+                           for j in range(n)) for row in mix]
+            if fraction_rank(other) == k:
+                break
+        sets.append(other)
     if all(v.denominator == 1 for g in gens for v in g) and draw(st.booleans()):
-        gens = [tuple(map(int, g)) for g in gens]
-    if draw(st.integers(0, 9)) == 0:
-        q = tuple(map(Fraction, q))
-    return tuple(gens), q
+        sets = [[tuple(map(int, g)) for g in gens] for gens in sets]
+    return tuple(tuple(gens) for gens in sets), q
 
 
 def test_jump_solve_matches_fraction_solve():
     kinds = Counter()
 
-    @settings(deadline=None, derandomize=True, max_examples=150)
+    @settings(deadline=None, derandomize=True, max_examples=200)
     @given(jumps())
     def check(case):
-        gens, q = case
+        sets, q = case
         n = len(q)
-        solve = (fraction_simplex_solve(gens) if gens
-                 else ((), tuple(tuple(int(i == j) for j in range(n)) for i in range(n))))
-        new = gens + (q,)
-        made = jump_solve(new, solve)
-        assert made == fraction_simplex_solve(new), case
-        assert all(type(v) is int for row, den in made[0] for v in row + (den,))
-        sums = [int_dot(row, q) for row in solve[1]]
+        if sets[0]:
+            solves = [fraction_simplex_solve(gens) for gens in sets]
+            assert all(c_rows == solves[0][1] for _, c_rows in solves), case  # one span
+        else:
+            unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            solves = [((), unit)] * len(sets)
+        c_rows = solves[0][1]
+        # the solves hold one C tuple, as placing's do, and so do the new ones
+        made = jump_solve(q, [(t_rows, c_rows) for t_rows, _ in solves])
+        assert len(made) == len(sets) >= 2, case
+        assert made == [fraction_simplex_solve(gens + (q,)) for gens in sets], case
+        assert all(new_c is made[0][1] for _, new_c in made), case
+        assert all(type(v) is int for t_rows, _ in made for row, den in t_rows
+                   for v in row + (den,))
+        sums = [int_dot(row, q) for row in c_rows]
         star = max(j for j, v in enumerate(sums) if v)
-        extension = all(type(v) is int for v in q)
-        kinds["extension" if extension else "elimination"] += 1
-        kinds["empty start"] += not gens
-        kinds["embedded"] += len(new) < n
-        kinds["rational generators"] += any(type(v) is not int for g in gens for v in g)
+        kinds["empty start"] += not sets[0]
+        kinds["embedded"] += len(sets[0]) + 1 < n
+        kinds["rational generators"] += any(type(v) is not int
+                                            for gens in sets for g in gens for v in g)
         # a C row before c that changes, and one with s < 0: the rows a
         # first-j or unsigned update would get wrong
         kinds["C row updated"] += any(sums[:star])
         kinds["C row updated, s < 0"] += any(sums[:star]) and sums[star] < 0
         # a q row c / s that the reduction signs to den > 0 (c is primitive,
         # so the sign is all it changes)
-        kinds["q row signed"] += extension and sums[star] < 0
+        kinds["q row signed"] += sums[star] < 0
 
     check()
-    minimum = {"extension": 80, "elimination": 25, "empty start": 50, "embedded": 70,
+    minimum = {"empty start": 50, "embedded": 70,
                "rational generators": 25, "C row updated": 50,
                "C row updated, s < 0": 15, "q row signed": 30}
     assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds

@@ -3,9 +3,10 @@
 Oracle: `affine_placing_cells`, the earlier placing kept as a test helper.
 It tracks a row-reduced basis of the current affine hull and tests each
 boundary facet by the signs of its hyperplane at the apex and at the new
-point. `placing_cells` places homogeneous vectors and reads both predicates
-from `linalg.simplex_solve`. The two must list the same cells in the same
-order: for points p placed as (p, 1), and for cone generators, which the
+point. `placing_cells` places homogeneous integer vectors and reads both
+predicates from `linalg.simplex_solve`. The two must list the same cells in
+the same order: for points p placed as `integer_lifts`, (p L, L) for L the
+lcm of their denominators, and for cone generators, which the
 oracle places through the cross-section g / <w, g> at the dual vector w of
 `dual_interior_vector` (in `helpers`), with half-open flags from its own
 exact solve by the same lexicographic rule as `cones.decompose`. The
@@ -13,7 +14,8 @@ oracle also tallies the steps that `placing_cells`' incremental boundary
 handles apart, so that the tests can require each of them to occur.
 `boundary_rows` is checked against `boundary_facets`, the combinatorial
 oracle in `helpers`, and each of its rows against `fraction_simplex_solve`.
-A pin counts the eliminations that placing integer vectors runs: none.
+Pins count the eliminations that placing integer vectors runs, none, and
+the solve updates of B4's vertex placing.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from helpers import (
     fraction_simplex_solve,
     fraction_solve,
     fraction_sub,
+    integer_lifts,
     lattice_cloud,
 )
 
@@ -179,7 +182,7 @@ def test_placing_matches_affine_placing_on_seeded_clouds():
         else:
             pts.sort()
             kinds.add("sorted")
-        cells = placed_cells([p + (1,) for p in pts])
+        cells = placed_cells(integer_lifts(pts))
         assert cells == affine_placing_cells(pts), (trial, pts)
         if {i for cell in cells for i in cell} != set(range(len(pts))):
             kinds.add("skipped")
@@ -193,14 +196,14 @@ def test_placing_matches_affine_placing_on_seeded_clouds():
 
 
 def test_placing_keeps_each_cell_solve_on_mixed_rational_clouds(monkeypatch):
-    # integral points are placed as int tuples three times in four, so cells
-    # mix Fraction and int generators; a cell with an int vector q is made by
-    # the exchange pivot, one with a Fraction q by the elimination
+    # rational and lattice clouds, placed as their integer lifts: every cell
+    # made from a boundary facet takes one exchange pivot, embedded ones
+    # included, and every cell comes with the solve of its generators
     made = []
     original = linalg.exchange_solve
 
-    def recording(generators, solve, apex):
-        made.append((generators, original(generators, solve, apex)))
+    def recording(q, solve, apex):
+        made.append((q, original(q, solve, apex)))
         return made[-1][1]
 
     monkeypatch.setattr(linalg, "exchange_solve", recording)
@@ -212,27 +215,20 @@ def test_placing_keeps_each_cell_solve_on_mixed_rational_clouds(monkeypatch):
             rng.shuffle(pts)
         else:
             pts.sort()
-        vectors = [tuple(map(int, p)) + (1,)
-                   if all(v.denominator == 1 for v in p) and rng.random() < 0.75
-                   else p + (1,) for p in pts]
+        vectors = integer_lifts(pts)
         made.clear()
         placing_cells.cache_clear()
         placed = placing_cells(tuple(vectors))
         assert [cell for cell, _ in placed] == affine_placing_cells(pts), (trial, pts)
-        for generators, solve in made:
-            assert solve == fraction_simplex_solve(generators), (trial, generators)
-            pivot = all(type(v) is int for v in generators[-1])
-            seen["pivot" if pivot else "elimination"] += 1
-            seen["pivot on Fraction generators"] += pivot and any(
-                type(v) is not int for g in generators for v in g)
-            seen["embedded"] += pivot and len(generators) < len(generators[0])
+        for q, (t_rows, _) in made:
+            seen["pivot"] += 1
+            seen["embedded"] += len(t_rows) < len(q)
         # every cell comes with its solve, for the hull, faces and pieces
         for cell, solve in placed:
             generators = tuple(vectors[v] for v in cell)
             assert solve == fraction_simplex_solve(generators), (trial, generators)
         seen.update(kinds)
-    assert seen["pivot"] >= 150 and seen["elimination"] >= 200, seen
-    assert seen["pivot on Fraction generators"] >= 80 and seen["embedded"] >= 60, seen
+    assert seen["pivot"] >= 150 and seen["embedded"] >= 60, seen
     assert seen["rational"] >= 60 and seen["lattice"] >= 60, seen
 
 
@@ -245,16 +241,17 @@ def test_incremental_boundary_matches_affine_placing_in_r5(monkeypatch):
     original_jump = linalg.jump_solve
 
     def counting(generators):
-        solved.append(generators)
-        return original(generators)
+        solved.append(original(generators))
+        return solved[-1]
 
-    def exchanging(generators, solve, apex):
-        solved.append(generators)
-        return original_exchange(generators, solve, apex)
+    def exchanging(q, solve, apex):
+        solved.append(original_exchange(q, solve, apex))
+        return solved[-1]
 
-    def jumping(generators, solve):
-        solved.append(generators)
-        return original_jump(generators, solve)
+    def jumping(q, solves):
+        made = original_jump(q, solves)
+        solved.extend(made)
+        return made
 
     monkeypatch.setattr(linalg, "simplex_solve", counting)
     monkeypatch.setattr(linalg, "exchange_solve", exchanging)
@@ -278,7 +275,7 @@ def test_incremental_boundary_matches_affine_placing_in_r5(monkeypatch):
         cells = placed_cells([p + (1,) for p in pts])
         assert cells == affine_placing_cells(pts, events), (trial, pts)
         # the solve of each cell it creates is made at most once, by pivot
-        # or jump extension (the points are ints, so neither falls back)
+        # or jump extension (a solve determines its cell's generators)
         assert len(set(solved)) == len(solved) <= events["cells_created"], trial
         seen.update(kind for kind, n in events.items() if n)
     # trials with at least one step of each kind
@@ -290,7 +287,7 @@ def test_placing_matches_affine_placing_on_corpus():
     for name in list_polytopes():
         pts = list(load_polytope(name).vertices)
         for order in (pts, pts[::-1]):
-            assert placed_cells([p + (1,) for p in order]) == \
+            assert placed_cells(integer_lifts(order)) == \
                 affine_placing_cells(order), name
 
 
@@ -368,7 +365,7 @@ def test_boundary_rows_match_boundary_facets_oracle():
                 rng.shuffle(pts)
             else:
                 pts.sort()
-            vectors = [p + (1,) for p in pts]
+            vectors = integer_lifts(pts)
         else:
             cone = random_pointed_cone(rng)
             kinds = {"cone", "embedded"} if cone.dim < cone.ambient_dim else {"cone"}
@@ -394,16 +391,26 @@ def test_placing_integer_vectors_makes_no_elimination(monkeypatch):
     # configuration's on, or exchanged from a neighbour's, and comes back
     # with its cell: the hull, both triangulations and the cone pieces of the
     # corpus, the benchmark's hull_decompose clouds of seed 7000 and B4 run
-    # without one elimination
+    # without one elimination. B4's vertex placing updates the span once per
+    # jump, and all its cells' solves share one tuple of C rows
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import hull_inputs
 
-    eliminated, placed = [], Counter()
+    eliminated, placed, updates, last = [], Counter(), Counter(), []
     original_solve = linalg.simplex_solve
+    original_exchange, original_jump = linalg.exchange_solve, linalg.jump_solve
 
     def eliminating(generators):
         eliminated.append(generators)
         return original_solve(generators)
+
+    def exchanging(q, solve, apex):
+        updates["exchange_solve"] += 1
+        return original_exchange(q, solve, apex)
+
+    def jumping(q, solves):
+        updates["jump_solve"] += 1
+        return original_jump(q, solves)
 
     def tracked(original):
         def placing_cells(vectors):
@@ -411,10 +418,13 @@ def test_placing_integer_vectors_makes_no_elimination(monkeypatch):
             result = original(vectors)
             placed["calls"] += 1
             placed["cells"] += len(result)
+            last[:] = [result]
             return result
         return placing_cells
 
     monkeypatch.setattr(linalg, "simplex_solve", eliminating)
+    monkeypatch.setattr(linalg, "exchange_solve", exchanging)
+    monkeypatch.setattr(linalg, "jump_solve", jumping)
     for module in (polytope, triangulation, cones):
         monkeypatch.setattr(module, "placing_cells", tracked(module.placing_cells))
     decompose.cache_clear()
@@ -426,9 +436,12 @@ def test_placing_integer_vectors_makes_no_elimination(monkeypatch):
         betke_mcmullen(p, verify=False)
         betke_mcmullen(p, use_all_lattice_points=True, verify=False)
         decompose(homogenize(p))
+    updates.clear()
     birkhoff_polytope(4)
     decompose.cache_clear()
     assert eliminated == [], placed
+    assert updates == {"jump_solve": 10, "exchange_solve": 351}, updates
+    assert len(last[0]) == 352 and len({id(c_rows) for _, (_, c_rows) in last[0]}) == 1
     # the corpus' hulls and cones, four placings of each of the five clouds
     # and B4's hull
     assert placed["calls"] >= 2 * len(list_polytopes()) + 4 * 5 + 1 and \

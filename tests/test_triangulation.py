@@ -283,7 +283,7 @@ def solves_its_generators(piece):
 
 def test_face_solves_read_off_cells_on_random_polytopes():
     rng = random.Random(1407)
-    unit = listed = nonzero = 0
+    read_off = listed = nonzero = 0
     for make in (random_full, random_embedded, random_reeve) * 30:
         p = make(rng)
         for flavor in (False, True):
@@ -299,19 +299,19 @@ def test_face_solves_read_off_cells_on_random_polytopes():
                 box = box_polynomial(simplex)
                 piece = HalfOpenSimplicialCone(gens, (False,) * len(gens))
                 assert box == heights(parallelepiped_box_scan(piece, "open")), (p, face)
-                if all(den == 1 for _, den in t_rows):
-                    unit += 1
+                if any(den == 1 for _, den in t_rows):
+                    read_off += 1
                 else:
-                    # no cell containing the face has den_i == 1 at all of
+                    # no cell containing the face has den_i == 1 at any of
                     # its vertices
                     listed += 1
                     for cell in t.cells:
                         if set(face) <= set(cell):
                             cell_rows = linalg.simplex_solve(t._lifted(cell))[0]
-                            assert any(den > 1 for v, (_, den) in zip(cell, cell_rows)
+                            assert all(den > 1 for v, (_, den) in zip(cell, cell_rows)
                                        if v in face), (p, face, cell)
                 nonzero += bool(box)
-    assert unit >= 1700 and listed >= 1100 and nonzero >= 130, (unit, listed, nonzero)
+    assert read_off >= 1950 and listed >= 870 and nonzero >= 130, (read_off, listed, nonzero)
 
 
 def test_one_pass_assembly_matches_face_by_face_oracle(monkeypatch):
@@ -397,13 +397,14 @@ def test_betke_mcmullen_solves_only_cells(monkeypatch):
         eliminated.append(generators)
         return original_solve(generators)
 
-    def exchanging(generators, solve, apex):
-        solved.append(generators)
-        return original_exchange(generators, solve, apex)
+    def exchanging(q, solve, apex):
+        solved.append(original_exchange(q, solve, apex))
+        return solved[-1]
 
-    def jumping(generators, solve):
-        solved.append(generators)
-        return original_jump(generators, solve)
+    def jumping(q, solves):
+        made = original_jump(q, solves)
+        solved.extend(made)
+        return made
 
     def placing(vectors):
         original_placing.cache_clear()  # no placing kept from an earlier call
@@ -425,9 +426,10 @@ def test_betke_mcmullen_solves_only_cells(monkeypatch):
             placed.clear()
             eliminated.clear()
             t = betke_mcmullen(p, use_all_lattice_points=flavor, verify=False).triangulation
+            # a solve determines its cell's generators, so no cell is solved twice
             assert len(set(placed)) == len(placed), p
             assert solved == placed and eliminated == [], p
-            assert {t._lifted(cell) for cell in t.cells} <= set(placed), p
+            assert {solve for _, solve in t._placed} <= set(placed), p
 
 
 def test_one_box_call_per_nonempty_face(monkeypatch):
