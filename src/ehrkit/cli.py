@@ -16,9 +16,9 @@ import sys
 from . import corpus as corpus_mod
 from .cones import partition_check, specialization_check, stanley_reciprocity_check
 from .enumeration import count_points, ehrhart, reciprocity_check
-from .errors import EhrkitError
+from .errors import EhrkitError, UnsupportedError
 from .jsonio import dumps, load_cone, load_polytope, rat_from_json, report_to_json
-from .polytope import RationalPolytope
+from .polytope import RationalPolytope, relative_volume
 from .ratpoly import QuasiPoly
 from .report import Report
 from .semimagic import adg_report, birkhoff_polytope
@@ -34,6 +34,13 @@ from .structure import (
 from .triangulation import betke_mcmullen, h_polynomial, placing_triangulation
 
 DEFAULT_SEED = 20240817
+
+# Lattice points `count` may expect in a dilate, vol * n^d, before it
+# refuses to walk it. The tests count at most 5,045,326 points (B4 at
+# dilate 10), the corpus and the benchmark workloads at most 10,981; only
+# the segment [0, 10^30] counts more, to refuse listing its points. At the
+# limit the unit 3-simplex, dilate 843, is counted in under a second.
+MAX_COUNT_ESTIMATE = 100_000_000
 
 
 def _quasi_doc(quasi: QuasiPoly) -> dict | str:
@@ -52,7 +59,18 @@ def _with_report(doc: dict, report: Report) -> tuple[dict, bool]:
 
 
 def cmd_count(args) -> tuple[dict, bool]:
+    """The lattice points of one dilate, refused with UnsupportedError when
+    vol * n^d, the leading term of the count, is over MAX_COUNT_ESTIMATE.
+    The refusal is the command line's only: `count_points` walks any dilate."""
     p = load_polytope(args.file)
+    if args.dilate > 0:
+        vol = relative_volume(p)
+        estimate = vol * args.dilate ** p.dim
+        if estimate > MAX_COUNT_ESTIMATE:
+            raise UnsupportedError(
+                f"dilate {args.dilate} holds about {round(estimate):,} lattice points "
+                f"(relative volume {vol} times {args.dilate}^{p.dim}), "
+                f"over the limit of {MAX_COUNT_ESTIMATE:,} that `count` walks")
     value = count_points(p, args.dilate, region=args.region)
     doc = {"name": p.name, "dilate": args.dilate, "region": args.region, "count": value}
     return doc, True

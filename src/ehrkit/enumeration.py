@@ -54,27 +54,32 @@ which the polytope has the longest runs. (Fundamental parallelepipeds are
 not walked:
 `cones.parallelepiped_points` lists them from a Smith form.)
 
-`ehrhart` counts the dilates 1..p(d+2)-1 in one walk each and turns
+`ehrhart` counts the dilates 1..p(d+1)-1 in one walk each and turns
 them into the h*-numerator over (1 - x^p)^(d+1), an integer convolution,
 and the closed and interior counting quasipolynomials, read off the closed
-and interior series numerators in the binomial basis. The guard terms of
-both convolutions certify every count but the interior ones at multiples
-of p; those must give interior constituents that mirror the closed ones
-under reciprocity (zero together, else degree d and the common volume).
-If the counts fail any of this, or h* is not a nonnegative integer vector,
-that is a bug, not a warning.
+and interior series numerators in the binomial basis. No dilate is walked
+past that window to certify it; a second algorithm does, the placing that
+gives `polytope.relative_volume`. Every nonzero constituent has degree d
+and leads with that volume (each of a full-dimensional polytope is
+nonzero), and a constituent's lead is a d-th difference of its counts with
+no zero weight, so it moves with any one count. The interior numerator's
+coefficient at x^(p(d+1)), the one that needs the count at p(d+1), is the
+one that makes interior constituent 0 lead with the volume. Each interior
+constituent r must then equal (-1)^d times closed constituent -r mod p at
+-n, coefficient by coefficient. If the counts fail any of this, or h* is
+not a nonnegative integer vector, that is a bug, not a warning.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 from . import linalg
 from .errors import FrozenRecord, InputError, TheoremViolationError, UnsupportedError
-from .polytope import RationalPolytope, check_region
-from .ratpoly import check_int, hstar_from_counts, quasi_from_numerator, series_numerator
+from .polytope import RationalPolytope, check_region, relative_volume
+from .ratpoly import HStarData, check_int, quasi_from_numerator, series_numerator
 from .report import Report, check_rows
 
 IntPoint = tuple[int, ...]
@@ -487,38 +492,43 @@ class EhrhartResult(FrozenRecord):
 def _ehrhart_cached(p: RationalPolytope) -> EhrhartResult:
     d = p.dim
     per = p.vertex_denominator()
-    top = per * (d + 1)  # h* length; the counts run `per` guard terms past it
+    top = per * (d + 1)  # h* length: the window is the dilates 0..top-1
 
     closed_counts: list[int] = [1]
     interior_counts: list[int] = [0]  # the interior series is 0, L°(1), L°(2), ...
-    for n in range(1, top + per):
+    for n in range(1, top):
         closed, interior = region_counts(p, n)
         closed_counts.append(closed)
         interior_counts.append(interior)
 
-    # The guards certify every closed count and every interior count off
-    # the multiples of per; the interior numerator runs to index top.
-    hstar = hstar_from_counts(closed_counts, dim=d, period=per)
+    hstar = HStarData(series_numerator(closed_counts, d, per, top), dim=d, period=per)
     quasi = quasi_from_numerator(hstar.coeffs, d, per)
-    quasi_interior = quasi_from_numerator(
-        series_numerator(interior_counts, d, per, top + 1), d, per)
-
-    # the dilates of an embedded polytope may miss the lattice, so there a
-    # constituent may be zero; the nonzero ones still have degree d
+    # Every nonzero constituent has degree d and leads with the relative
+    # volume, which a placing gives. Every closed constituent of a
+    # full-dimensional polytope is nonzero; the dilates of an embedded one
+    # may miss the lattice, so there a constituent may be zero.
+    vol = relative_volume(p)
     closed_parts = quasi.constituents
-    kept = [c for c in closed_parts if c or d == p.ambient_dim]
-    leads = {c.coeffs[-1] for c in kept if c.degree() == d}
-    if any(c.degree() != d for c in kept) or len(leads) != 1:
+    if any((c or d == p.ambient_dim) and (c.degree() != d or c.coeffs[-1] != vol)
+           for c in closed_parts):
         raise TheoremViolationError(
-            f"constituents of {p!r} do not share degree {d} and a common volume"
+            f"constituents of {p!r} do not share degree {d} and the common volume {vol}"
         )
-    # The interior counts at multiples of per have no guard. Reciprocity
-    # pins them: interior constituent r is (-1)^d times closed constituent
-    # -r mod per at -n, so it is zero exactly when that one is, and else
-    # has degree d and the common leading coefficient.
+    # The interior numerator's coefficient at x^top needs the count at top.
+    # The lead of constituent r is the sum of the coefficients at r mod per
+    # over d! per^d, so it is the one that makes constituent 0 lead with vol.
+    inner = series_numerator(interior_counts, d, per, top)
+    last = vol * factorial(d) * per ** d - sum(inner[::per])
+    if last.denominator != 1:
+        raise TheoremViolationError(
+            f"the interior numerator of {p!r} needs the coefficient {last} at x^{top}"
+        )
+    quasi_interior = quasi_from_numerator(inner + [last.numerator], d, per)
+    # Reciprocity: interior constituent r is (-1)^d times closed constituent
+    # -r mod per at -n, coefficient by coefficient.
     for r, c in enumerate(quasi_interior.constituents):
-        if bool(c) != bool(closed_parts[-r % per]) or (
-                c and (c.degree() != d or c.coeffs[-1] not in leads)):
+        mirror = closed_parts[-r % per].coeffs
+        if c.coeffs != tuple((-1) ** (d + k) * a for k, a in enumerate(mirror)):
             raise TheoremViolationError(
                 f"interior constituent {r} of {p!r} does not mirror closed "
                 f"constituent {-r % per} under reciprocity"

@@ -15,7 +15,8 @@ boundary facet of each set gives an inequality: its normal is -T_apex,
 projected orthogonally onto the hull's direction space so that it does
 not depend on the cell it was read from.
 The same sets give the vertices: a point is a vertex exactly when the sets
-that contain it meet in it alone.
+that contain it meet in it alone. The polytope keeps the lifted points its
+hull placed, so `relative_volume` reads the same placing back.
 
 The half-space form is built in integers. The points are scaled to
 integers once; the equalities are the primitive integer kernel vectors
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, factorial, floor, gcd, lcm
 
 from . import linalg
 from .errors import FrozenRecord, InputError
@@ -81,12 +82,14 @@ class RationalPolytope:
     """Convex hull of finitely many rational points, in normal form."""
 
     def __init__(self, ambient_dim: int, vertices: Sequence[Point], name: str = "",
-                 _hrep: HRep | None = None, _dim: int | None = None):
+                 _hrep: HRep | None = None, _dim: int | None = None,
+                 _lifted: tuple | None = None):
         self.ambient_dim = ambient_dim
         self.vertices = tuple(vertices)
         self.name = name
         self._hrep = _hrep
         self._dim = _dim
+        self._lifted = _lifted  # the vectors (q L, L) the hull placed, if it did
         self._walk_order = None  # enumeration._walk_data, memoised
 
     # -- construction ------------------------------------------------------
@@ -109,8 +112,9 @@ class RationalPolytope:
         if not pts:
             raise InputError("a polytope needs at least one point")
         assert ambient is not None
-        hrep, dim, verts = _half_space_form(ambient, pts)
-        return RationalPolytope(ambient, sorted(verts), name=name, _hrep=hrep, _dim=dim)
+        hrep, dim, verts, lifted = _half_space_form(ambient, pts)
+        return RationalPolytope(ambient, sorted(verts), name=name, _hrep=hrep, _dim=dim,
+                                _lifted=lifted)
 
     # -- basic structure ---------------------------------------------------
 
@@ -125,8 +129,8 @@ class RationalPolytope:
     def facets(self) -> HRep:
         """Half-space form (cached)."""
         if self._hrep is None:
-            self._hrep, self._dim, _ = _half_space_form(self.ambient_dim,
-                                                        list(self.vertices))
+            self._hrep, self._dim, _, self._lifted = _half_space_form(self.ambient_dim,
+                                                                      list(self.vertices))
         return self._hrep
 
     @property
@@ -194,6 +198,40 @@ class RationalPolytope:
         return tuple(ceil(min(c)) for c in columns), tuple(floor(max(c)) for c in columns)
 
 
+def relative_volume(p: RationalPolytope) -> Fraction:
+    """The volume of p relative to the lattice of its direction space: the
+    leading coefficient of every nonzero constituent of its Ehrhart
+    quasipolynomial.
+
+    Read off a placing of the lifted points (q L, L), L a common denominator:
+    the points the hull placed, or else p's vertices. Let Λ be the lattice
+    points of their span, ind(cell) the index in Λ of a cell's vectors and g
+    the gcd of the last coordinates over Λ. The cells' pyramids over the
+    L-th dilate fill Λ-volume sum ind / (d+1)!, and the heights of Λ's
+    layers are g apart, so vol = g sum ind / (L^(d+1) d!). ind is 1 for a
+    cell whose den_i are all 1, as its vectors are then a basis of Λ, and
+    otherwise the product of its Smith invariant factors. g divides L, as
+    the lifted points lie in Λ, and is 1 for a full-dimensional p; otherwise
+    it is read off one cell's Smith form U A V = D, as Λ has the basis
+    (A V)_i / d_i.
+    """
+    lifted = p._lifted
+    if lifted is None:
+        scale = p.vertex_denominator()
+        lifted = tuple(tuple(v.numerator * (scale // v.denominator) for v in q) + (scale,)
+                       for q in p.vertices)
+    scale, d = lifted[0][-1], p.dim
+    placed = placing_cells(lifted)
+    total = sum(1 if all(den == 1 for _, den in t_rows)
+                else linalg.lattice_normalized_volume([lifted[i] for i in cell])
+                for cell, (t_rows, _) in placed)
+    g = 1
+    if d < p.ambient_dim and scale > 1:
+        factors, v = linalg.smith_form([lifted[i] for i in placed[0][0]])
+        g = gcd(*(scale * sum(column) // f for column, f in zip(zip(*v), factors)))
+    return Fraction(g * total, scale ** (d + 1) * factorial(d))
+
+
 def contains_polytope(inner: RationalPolytope, outer: RationalPolytope) -> bool:
     """True iff every vertex of `inner` satisfies `outer`'s half-space form."""
     if inner.ambient_dim != outer.ambient_dim:
@@ -205,8 +243,10 @@ def contains_polytope(inner: RationalPolytope, outer: RationalPolytope) -> bool:
 # -- internals ---------------------------------------------------------------
 
 
-def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int, list[Point]]:
-    """The half-space form, the dimension, and the points that are vertices."""
+def _half_space_form(ambient: int,
+                     pts: list[Point]) -> tuple[HRep, int, list[Point], tuple | None]:
+    """The half-space form, the dimension, the points that are vertices, and
+    the lifted points that were placed (None in dimension 0, where nothing is)."""
     # every point scaled to integers by one positive factor, once: signs,
     # hyperplanes and (up to a positive factor) normals are those of pts
     scale = lcm(*(v.denominator for p in pts for v in p))
@@ -225,6 +265,7 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int, list[Po
         eqs.append((normal, offset))
 
     facets: dict[frozenset[int], tuple[IntVec, int]] = {}
+    lifted = None
     if dim >= 1:
         projection = _projection([normal for normal, _ in eqs])
         lifted = tuple(p + (scale,) for p in ints)
@@ -245,7 +286,7 @@ def _half_space_form(ambient: int, pts: list[Point]) -> tuple[HRep, int, list[Po
     everything = frozenset(range(len(pts)))
     vertices = [p for j, p in enumerate(pts)
                 if everything.intersection(*(key for key in facets if j in key)) == {j}]
-    return hrep, dim, vertices
+    return hrep, dim, vertices, lifted
 
 
 def _int_primitive(a: Sequence[int], q: Sequence[int], scale: int) -> tuple[IntVec, int]:

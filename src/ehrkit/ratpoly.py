@@ -330,6 +330,9 @@ def hstar_from_counts(counts: Sequence[RatLike], dim: int, period: int = 1) -> H
     product's coefficients at indices p(d+1) and beyond must vanish, which is
     what certifies that the counts really come from a degree-d
     quasipolynomial of period p. Raises TheoremViolationError otherwise.
+    Only `structure` and `semimagic` still pass guard terms: `ehrhart`
+    certifies its window by the relative volume and calls
+    `series_numerator` itself.
     """
     cs = [_exact(c) for c in counts]
     top = period * (dim + 1)

@@ -264,9 +264,9 @@ def birkhoff_polytope(n: int) -> RationalPolytope:
     Vertices are the n! permutation matrices. It has dimension (n-1)^2 in
     R^(n^2), and every coordinate lies in a line-sum equality, so it is
     counted in lattice coordinates of its affine hull: `ehrhart` of B4
-    walks 9 free coordinates through dilates 1..10. Kept to n <= 4: B5 has
-    dimension 16, and its Ehrhart window runs to dilate 17, where H_5(17)
-    is about 9.8e13 lattice points.
+    walks 9 free coordinates through dilates 1..9. Kept to n <= 4: B5 has
+    dimension 16, and its Ehrhart window runs to dilate 16; H_5(17), one
+    past it, is about 9.8e13 lattice points.
     """
     check_int(n, "matrix size")
     if n < 1:
@@ -275,8 +275,8 @@ def birkhoff_polytope(n: int) -> RationalPolytope:
         raise UnsupportedError(
             f"doubly-stochastic polytope geometry is supported for n <= 4, got {n}: "
             f"B{n} has dimension {(n - 1) ** 2}, and counting its Ehrhart window "
-            f"of dilates 1..{(n - 1) ** 2 + 1} is out of reach (B5 at dilate 17 "
-            f"alone has about 9.8e13 lattice points)"
+            f"of dilates 1..{(n - 1) ** 2} is out of reach (B5 at dilate 17, one "
+            f"past it, has about 9.8e13 lattice points)"
         )
     points = []
     for perm in permutations(range(n)):

@@ -3,7 +3,9 @@ has no caller for (`dual_interior_vector` among them), seeded test inputs, ratio
 listing oracle `lattice_points`, the serialization oracle `to_jsonable`,
 the projection oracle `onto_hull`, the combinatorial boundary oracle
 `boundary_facets`, the face-by-face h* assembly `betke_mcmullen_by_faces`
-and `integer_lifts`, the integer vectors that rational points are placed as.
+and `integer_lifts`, the integer vectors that rational points are placed as,
+and `guarded_ehrhart`, the Ehrhart pipeline that certifies its counts by
+walking p guard dilates past the window instead of by the relative volume.
 
 The `fraction_*` functions are oracles: Gauss-Jordan elimination over
 `Fraction`, sharing no code with the integer elimination `linalg._echelon`
@@ -29,12 +31,13 @@ from typing import Iterable, Sequence
 
 from ehrkit import linalg
 from ehrkit.cones import RationalCone, _inner_normal, decompose, homogenize
-from ehrkit.enumeration import IntPoint, _lattice_basis, _walk
+from ehrkit.enumeration import IntPoint, _lattice_basis, _walk, region_counts
 from ehrkit.errors import InputError, TheoremViolationError
 from ehrkit.jsonio import rat_to_json
 from ehrkit.placing import placing_cells
 from ehrkit.polytope import RationalPolytope
-from ehrkit.ratpoly import Poly, QuasiPoly, RatLike
+from ehrkit.ratpoly import (Poly, QuasiPoly, RatLike, hstar_from_counts,
+                            quasi_from_numerator, series_numerator)
 from ehrkit.structure import ABDecomposition, HStarProfile
 from ehrkit.triangulation import Triangulation, box_polynomial, h_polynomial, link_f_vector
 
@@ -42,6 +45,36 @@ from ehrkit.triangulation import Triangulation, box_polynomial, h_polynomial, li
 def normalize(points: Iterable[Sequence[RatLike]], name: str = "") -> RationalPolytope:
     """Functional alias for RationalPolytope.from_points."""
     return RationalPolytope.from_points(points, name=name)
+
+
+def guarded_ehrhart(p: RationalPolytope):
+    """(h*, quasi, interior quasi, volume) of p from the counts of the
+    dilates 1..per(d+2)-1, per the vertex denominator, with no volume.
+
+    The per counts past the h* window are guards: the numerator's
+    coefficients there are (d+1)-th differences of one residue class and
+    must vanish, which certifies every closed count and every interior count
+    off the multiples of per. The interior numerator runs to x^(per(d+1)),
+    read off the count there; its constituents must mirror the closed ones
+    under reciprocity in their zero pattern, degree and lead. The volume is
+    the lead that every nonzero closed constituent shares.
+    """
+    d, per = p.dim, p.vertex_denominator()
+    top = per * (d + 1)
+    window = [region_counts(p, n) for n in range(1, top + per)]
+    hstar = hstar_from_counts([1] + [closed for closed, _ in window], dim=d, period=per)
+    quasi = quasi_from_numerator(hstar.coeffs, d, per)
+    interior = series_numerator([0] + [inner for _, inner in window], d, per, top + 1)
+    quasi_interior = quasi_from_numerator(interior, d, per)
+    kept = [c for c in quasi.constituents if c or d == p.ambient_dim]
+    leads = {c.coeffs[-1] for c in kept if c.degree() == d}
+    if any(c.degree() != d for c in kept) or len(leads) != 1:
+        raise TheoremViolationError(f"constituents of {p!r} do not share a volume")
+    for r, c in enumerate(quasi_interior.constituents):
+        mirror = quasi.constituents[-r % per]
+        if bool(c) != bool(mirror) or (c and (c.degree() != d or c.coeffs[-1] not in leads)):
+            raise TheoremViolationError(f"interior constituent {r} of {p!r} does not mirror")
+    return hstar, quasi, quasi_interior, leads.pop()
 
 
 def cone_contains(cone: RationalCone, x: Sequence) -> bool:

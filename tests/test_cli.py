@@ -69,6 +69,28 @@ def test_count_closed_and_interior(capsys):
     assert code == 0 and doc["count"] == 1
 
 
+def test_count_refuses_a_dilate_over_the_estimate_limit(capsys, tmp_path, monkeypatch):
+    # the unit 3-simplex at dilate 10^8 holds about 1.7e23 lattice points:
+    # refused from vol * n^d before any walk; at the limit it is counted
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    walked = []
+    monkeypatch.setattr(cli, "count_points", lambda *args, **kw: walked.append(args) or 0)
+    code, doc = run(capsys, "count", str(path), "--dilate", "100000000")
+    assert code == 1 and list(doc) == ["error"] and not walked
+    assert doc["error"].startswith("dilate 100000000 holds about "
+                                   "166,666,666,666,666,666,666,667 lattice points"), doc
+    assert str(cli.MAX_COUNT_ESTIMATE // 1000) in doc["error"].replace(",", "")
+    largest = 1  # the last dilate n with n^3 / 6 within the limit
+    while (largest + 1) ** 3 <= 6 * cli.MAX_COUNT_ESTIMATE:
+        largest += 1
+    assert run(capsys, "count", str(path), "--dilate", str(largest + 1))[0] == 1
+    assert run(capsys, "count", str(path), "--dilate", str(largest)) == (0, {
+        "name": "", "dilate": largest, "region": "closed", "count": 0})
+    # 5,045,326 points, B4 at dilate 10, is the largest count of the tests
+    assert cli.MAX_COUNT_ESTIMATE >= 10 * 5_045_326
+
+
 def test_hstar_command(capsys):
     code, doc = run(capsys, "hstar", corpus_file("square_02"))
     assert code == 0

@@ -34,12 +34,13 @@ from ehrkit.enumeration import (
     region_counts,
 )
 from ehrkit.errors import InputError, TheoremViolationError, UnsupportedError
-from ehrkit.polytope import RationalPolytope
+from ehrkit.polytope import RationalPolytope, relative_volume
 from ehrkit.ratpoly import interpolate
 from ehrkit.semimagic import birkhoff_polytope
 from ehrkit.triangulation import betke_mcmullen
 
-from helpers import fraction_det, lattice_cloud, lattice_points, minimal_period, normalize
+from helpers import (fraction_det, guarded_ehrhart, lattice_cloud, lattice_points,
+                     minimal_period, normalize)
 
 
 def box_scan(p, region="closed"):
@@ -800,12 +801,29 @@ def test_full_dimensional_polytope_keeps_the_strict_constituent_check(monkeypatc
         ehrhart(normalize([["0"], ["1/3"]], name="full_third_segment"))
 
 
-def test_every_single_count_corruption_is_a_theorem_violation(monkeypatch):
-    # every count of both windows is certified: the guard terms cover every
-    # closed count and every interior count off the multiples of the period,
-    # the reciprocity match of the constituents covers the rest
-    from ehrkit import enumeration
+def test_a_lower_degree_constituent_led_by_the_volume_is_a_violation(monkeypatch):
+    # [1/2, 5/2] has volume 2; at odd n its counts are 2n closed and 2n - 2
+    # interior. Counts 2 and -2 there instead give constituents of degree 0
+    # whose one coefficient is the volume and which mirror each other under
+    # reciprocity: only their degree shows that they are wrong.
+    counted = enumeration._count_dilate
 
+    def constant_at_odd_n(data, n, slack, interior):
+        return (2, -2) if n % 2 else counted(data, n, slack, interior)
+
+    p = normalize([["1/2"], ["5/2"]])
+    assert relative_volume(p) == 2
+    monkeypatch.setattr(enumeration, "_count_dilate", constant_at_odd_n)
+    with pytest.raises(TheoremViolationError, match="common volume"):
+        enumeration._ehrhart_cached.__wrapped__(p)
+
+
+def test_every_single_count_corruption_is_a_theorem_violation(monkeypatch):
+    # the window is the dilates 1..p(d+1)-1, each walked once, and every count
+    # of it is certified: each nonzero closed constituent has degree d and
+    # leads with the relative volume, the interior numerator's last
+    # coefficient is read off that volume, and each interior constituent
+    # mirrors a closed one under reciprocity, coefficient by coefficient
     counted = enumeration._count_dilate
     polytopes = [
         normalize([()]),
@@ -820,11 +838,24 @@ def test_every_single_count_corruption_is_a_theorem_violation(monkeypatch):
         normalize([["1/3", "2/3"], ["4/3", "2/3"]]),
         normalize([[0, 0, 0], [1, 1, 0], ["1/2", 0, "1/2"]]),
         normalize([["1/2", 0, 0], [0, "1/2", 0], [0, 0, "1/2"]]),
+        normalize([[0, 0, 0], ["1/2", 0, 0], [0, 1, 0], [0, 0, "2/3"]]),
+        normalize([[0, 0, 0, "1/2"], [1, 0, 0, "1/2"], [0, 1, 0, "1/2"], [0, 0, 1, "1/2"]]),
+        normalize([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 2]]),
     ]
     kinds = Counter()
     for p in polytopes:
         per = p.vertex_denominator()
-        for n in range(1, per * (p.dim + 2)):
+        window = list(range(1, per * (p.dim + 1)))
+        walked = []
+
+        def recorded(data, m, slack, interior):
+            walked.append(m)
+            return counted(data, m, slack, interior)
+
+        monkeypatch.setattr(enumeration, "_count_dilate", recorded)
+        enumeration._ehrhart_cached.__wrapped__(p)  # the true counts pass
+        assert walked == window, (p, walked)
+        for n in window:
             for region, delta in itertools.product((0, 1), (1, -1)):
                 def corrupted(data, m, slack, interior):
                     counts = list(counted(data, m, slack, interior))
@@ -836,11 +867,9 @@ def test_every_single_count_corruption_is_a_theorem_violation(monkeypatch):
                 with pytest.raises(TheoremViolationError):
                     enumeration._ehrhart_cached.__wrapped__(p)
                 kinds["interior at a multiple" if region and n % per == 0 else "other"] += 1
-        monkeypatch.setattr(enumeration, "_count_dilate", counted)
-        enumeration._ehrhart_cached.__wrapped__(p)  # the true counts pass
         kinds["rational"] += per > 1
         kinds["embedded"] += p.dim < p.ambient_dim
-    assert kinds["rational"] >= 7 and kinds["embedded"] >= 5, kinds
+    assert kinds["rational"] >= 8 and kinds["embedded"] >= 6, kinds
     assert kinds["interior at a multiple"] >= 50, kinds
 
 
@@ -1045,3 +1074,50 @@ def test_integer_ehrhart_matches_the_lagrange_oracle():
     minimum = {"embedded": 25, "rational": 30, "missing dilates": 10,
                "dim 1": 15, "dim 2": 15, "dim 3": 15}
     assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
+
+
+def test_volume_checked_window_matches_the_guarded_pipeline():
+    kinds = Counter()
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(rational_polytopes())
+    def check(p):
+        hstar, quasi, quasi_interior, volume = guarded_ehrhart(p)
+        res = enumeration._ehrhart_cached.__wrapped__(p)
+        assert (res.hstar, res.quasi, res.quasi_interior) == (hstar, quasi, quasi_interior)
+        assert relative_volume(p) == volume
+        per = p.vertex_denominator()
+        kinds["lattice"] += per == 1
+        kinds["period > 1"] += per > 1
+        kinds["embedded"] += p.dim < p.ambient_dim
+        kinds["zero constituent"] += not all(quasi.constituents)
+
+    check()
+    minimum = {"lattice": 75, "period > 1": 60, "embedded": 60, "zero constituent": 18}
+    assert all(kinds[kind] >= least for kind, least in minimum.items()), kinds
+
+
+def test_moved_polytopes_match_the_hull_of_their_moved_vertices():
+    # a dilate or a translate keeps a moved half-space form but no placing:
+    # its volume places its own lifted vertices. A hull placed on more than
+    # its vertices, with another common denominator, gives the same volume.
+    polytopes = [
+        reeve_simplex(3),
+        normalize([[0, 0], ["1/2", 0], [0, "1/3"]]),
+        normalize([["1/3", "2/3"], ["4/3", "2/3"]]),
+        normalize([[0, 0, 0], [1, 1, 0], ["1/2", 0, "1/2"]]),
+    ]
+    for p in polytopes:
+        d = p.dim
+        centroid = [sum(column) / len(p.vertices) for column in zip(*p.vertices)]
+        inside = [(6 * a + b) / 7 for a, b in zip(p.vertices[0], centroid)]
+        assert relative_volume(normalize(list(p.vertices) + [inside])) == relative_volume(p)
+        for t, v in (("2", ("1/2",) * p.ambient_dim), ("3/2", (1,) + (0,) * (p.ambient_dim - 1)),
+                     ("1/3", ("-1/3",) * p.ambient_dim)):
+            dilated, translated = p.dilate(t), p.translate(v)
+            assert dilated._hrep is not None and dilated._lifted is None
+            for moved, factor in ((dilated, Fraction(t) ** d), (translated, 1)):
+                hull = normalize(moved.vertices)
+                assert relative_volume(moved) == relative_volume(hull) == factor * relative_volume(p)
+                expected = enumeration._ehrhart_cached.__wrapped__(hull)
+                assert enumeration._ehrhart_cached.__wrapped__(moved) == expected

@@ -5,7 +5,8 @@ The fraction-free `simplex_solve` is also compared with
 seeded random generator sets, the integer `nullspace` with
 `helpers.fraction_nullspace` on random rational matrices, and
 `smith_form` with the determinantal divisors (gcds of minors) of random
-integer matrices, and the integral `lll` with `helpers.fraction_lll`, the
+integer matrices, `lattice_normalized_volume` of square rows with the
+Fraction determinant, and the integral `lll` with `helpers.fraction_lll`, the
 same reduction with its Gram-Schmidt data in Fraction.
 """
 
@@ -432,6 +433,27 @@ def test_lattice_normalized_volume():
     assert lattice_normalized_volume([[1, 0, 0], [0, 1, 0], [1, 1, 2]]) == 2
     with pytest.raises(ValueError):
         lattice_normalized_volume([[1, 1], [2, 2]])
+
+
+def test_lattice_normalized_volume_of_square_rows_is_the_determinant():
+    # square rows take Bareiss's elimination, not the Smith form: both
+    # against the Fraction determinant, with zero pivots and singular rows
+    rng = random.Random(4242)
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+        det = abs(fraction_det(rows))
+        if det:
+            assert lattice_normalized_volume(rows) == det == prod(smith_form(rows)[0]), rows
+        else:
+            with pytest.raises(ValueError):
+                lattice_normalized_volume(rows)
+        seen["singular" if not det else "regular"] += 1
+        seen["zero first pivot"] += det != 0 and rows[0][0] == 0
+        seen["volume > 1"] += det > 1
+    assert seen["singular"] >= 150 and seen["zero first pivot"] >= 250, seen
+    assert seen["volume > 1"] >= 900, seen
 
 
 @st.composite

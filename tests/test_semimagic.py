@@ -262,8 +262,8 @@ def test_birkhoff_4_counts_match_dp():
 
 
 def test_birkhoff_4_ehrhart_within_budget():
-    # dilates 1..10 of B4, closed and interior (5,045,326 points at dilate 10
-    # alone), take about 6 s on a 2-vCPU VM; the budget leaves room for a
+    # dilates 1..9 of B4, closed and interior (2,309,384 points at dilate 9
+    # alone), take about 2 s on a 2-vCPU VM; the budget leaves room for a
     # loaded machine. The assembly by faces then checks itself against it.
     b4 = birkhoff_polytope(4)
     start = time.monotonic()
