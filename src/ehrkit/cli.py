@@ -15,7 +15,7 @@ import sys
 
 from . import corpus as corpus_mod
 from .cones import partition_check, specialization_check, stanley_reciprocity_check
-from .enumeration import count_points, ehrhart, reciprocity_check
+from .enumeration import count_points, ehrhart, prefix_box, reciprocity_check
 from .errors import EhrkitError, UnsupportedError
 from .jsonio import dumps, load_cone, load_polytope, rat_from_json, report_to_json
 from .polytope import RationalPolytope, relative_volume
@@ -35,11 +35,11 @@ from .triangulation import betke_mcmullen, h_polynomial, placing_triangulation
 
 DEFAULT_SEED = 20240817
 
-# Lattice points `count` may expect in a dilate, vol * n^d, before it
-# refuses to walk it. The tests count at most 5,045,326 points (B4 at
-# dilate 10), the corpus and the benchmark workloads at most 10,981; only
-# the segment [0, 10^30] counts more, to refuse listing its points. At the
-# limit the unit 3-simplex, dilate 843, is counted in under a second.
+# `count` refuses a dilate only when both the lattice points it may expect
+# there, vol * n^d, and the prefixes of its walk's box are over this limit.
+# The tests count at most 5,045,326 points (B4 at dilate 10), the corpus
+# and the benchmark workloads at most 10,981; the segment [0, 10^30] and
+# the square [0, 10^5]^2 count more from boxes of 1 and 10^5 + 1 prefixes.
 MAX_COUNT_ESTIMATE = 100_000_000
 
 
@@ -60,19 +60,24 @@ def _with_report(doc: dict, report: Report) -> tuple[dict, bool]:
 
 def cmd_count(args) -> tuple[dict, bool]:
     """The lattice points of one dilate, refused with UnsupportedError when
-    vol * n^d, the leading term of the count, is over MAX_COUNT_ESTIMATE.
-    The refusal is the command line's only: `count_points` walks any dilate."""
+    both vol * n^d, the leading term of the count, and the prefixes of the
+    walk's box are over MAX_COUNT_ESTIMATE: a walk visits at most one
+    prefix per cell of that box and reads each prefix's run of points at
+    once. The refusal is the command line's only: `count_points` walks any
+    dilate."""
     p = load_polytope(args.file)
-    if args.dilate > 0:
+    n = args.dilate
+    if n > 0:
         vol = relative_volume(p)
-        estimate = vol * args.dilate ** p.dim
-        if estimate > MAX_COUNT_ESTIMATE:
+        estimate = vol * n ** p.dim
+        if estimate > MAX_COUNT_ESTIMATE and (prefixes := prefix_box(p, n)) > MAX_COUNT_ESTIMATE:
             raise UnsupportedError(
-                f"dilate {args.dilate} holds about {round(estimate):,} lattice points "
-                f"(relative volume {vol} times {args.dilate}^{p.dim}), "
-                f"over the limit of {MAX_COUNT_ESTIMATE:,} that `count` walks")
-    value = count_points(p, args.dilate, region=args.region)
-    doc = {"name": p.name, "dilate": args.dilate, "region": args.region, "count": value}
+                f"dilate {n} holds about {round(estimate):,} lattice points "
+                f"(relative volume {vol} times {n}^{p.dim}) and its walk's box holds "
+                f"{prefixes:,} prefixes, both over the limit of {MAX_COUNT_ESTIMATE:,} "
+                f"that `count` walks")
+    value = count_points(p, n, region=args.region)
+    doc = {"name": p.name, "dilate": n, "region": args.region, "count": value}
     return doc, True
 
 

@@ -108,7 +108,10 @@ class RationalCone(FrozenRecord):
 
     @property
     def dim(self) -> int:
-        return linalg.rank(self.generators)
+        """The dimension of the generators' span: the size of each cell of
+        their placing, which `decompose` reads too."""
+        placed = placing_cells(self.generators)
+        return len(placed[0][0]) if placed else 0
 
 
 def homogenize(p: RationalPolytope) -> RationalCone:

@@ -467,6 +467,15 @@ def count_points(p: RationalPolytope, n: int, region: str = "closed") -> int:
     return _count_dilate(_walk_data(p), n, slack, False)[0]
 
 
+def prefix_box(p: RationalPolytope, n: int) -> int:
+    """The cells of the box, without its last coordinate, that the walk of
+    p's n-th dilate (n >= 1) runs its prefixes over: an upper bound on the
+    walk's prefixes, which the facet rows and their projections narrow."""
+    _, mins, maxs, den, _, _, _ = _walk_data(p)
+    return prod(max(0, n * top // den + (-n * bottom) // den + 1)
+                for bottom, top in zip(mins[:-1], maxs[:-1]))
+
+
 class EhrhartResult(FrozenRecord):
     """Counting data of one polytope: quasipolynomials plus h*-numerator."""
 

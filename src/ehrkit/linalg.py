@@ -1,27 +1,20 @@
 """Exact linear algebra in the integers.
 
 Vectors are tuples, matrices are lists of row tuples; no floats anywhere.
-Every elimination is one fraction-free Gauss-Jordan, `_echelon`: rows are
-scaled to integers and each row operation is divided by the gcd of the new
-row, so entries stay no larger than in Bareiss's elimination (Math. Comp.
-22, 1968). Rows may be rational; everything read off the elimination is
-an integer. `rank` counts its pivots, `nullspace` reads a primitive
-integer kernel basis off it, and `solve_integral` reads a regular square
-system's solution off it over one common denominator. `simplex_solve` is
-the one barycentric solve of a simplex. Placing makes each cell's solve
-from one it holds, in time quadratic in the ambient dimension where the
-elimination is cubic, and hands it to the hull, the half-open cone pieces
-and the fundamental parallelepipeds: `exchange_solve` pivots a
-neighbour's solve onto the cell's new integer generator, and `jump_solve`
-extends the solves of one span by an integer generator outside it, from
-the empty configuration's on, making the span's new rows once. The one
-Smith reduction, `smith_form`, returns the invariant factors with the
-unimodular column transform: cone boxes are listed from both, lattice
-walks of embedded polytopes take their coordinates from the transform, and
-lattice volumes read the factors alone, or a Bareiss determinant when the
-vectors span the whole space. `lll` reduces a lattice basis
-under an integer quadratic form, in integers only; the walks take their
-free coordinates from it.
+Every solve is made by two integer updates, each quadratic in the ambient
+dimension: `jump_solve` extends the solves of one span by an integer vector
+outside it, making the span's new rows once, and `exchange_solve` pivots a
+solve onto a new integer generator. Placing makes each cell's solve by one
+of them and hands it to the hull, the cone pieces and the parallelepipeds.
+The one elimination folds `jump_solve` over a list of vectors from the empty
+configuration's solve, skipping each vector in the span so far:
+`simplex_solve` is that fold, `rank` counts its jumps and `solve_integral`
+folds a square system's columns. `smith_form` (the invariant factors and a
+unimodular column transform), `lll` (a lattice basis reduced under an
+integer quadratic form) and the Bareiss determinant of
+`lattice_normalized_volume` compute invariants, not solves: cone boxes are
+listed from the Smith form, and the walks of polytopes take their
+coordinates from its transform and from `lll`.
 """
 
 from __future__ import annotations
@@ -40,110 +33,79 @@ def int_dot(u: Sequence, v: Sequence) -> int | Fraction:
     return sum(map(mul, u, v))
 
 
-def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of rational rows.
+def empty_solve(n: int) -> tuple:
+    """The solve of the empty configuration in R^n: no T rows, and the unit
+    rows as C, so that every nonzero vector lies outside its span."""
+    return (), tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    Returns (rows, pivot_columns) with zero rows dropped: each row is an
-    integer vector with gcd 1 and a nonzero multiple (of either sign) of
-    the matching row of the reduced row echelon form.
-    """
-    work = []
-    for row in rows:
-        scale = lcm(*(v.denominator for v in row))
-        ints = [v.numerator * (scale // v.denominator) for v in row]
-        g = gcd(*ints)
-        work.append([v // g for v in ints] if g > 1 else ints)
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(work):
+
+def _jumps(vectors: Sequence[Sequence[int]], n: int) -> tuple:
+    """The solve of the integer vectors of length n that raise the span as
+    they come: `jump_solve` from the empty configuration's solve, each
+    vector in the span of those before it skipped. Its T rows are those of
+    the vectors kept, in order; once the C rows run out, nothing more can
+    jump."""
+    solve = empty_solve(n)
+    for q in vectors:
+        if not solve[1]:
             break
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        top = work[r]
-        p = top[c]
-        for i, row in enumerate(work):
-            f = row[c]
-            if f and i != r:
-                new = [p * a - f * b for a, b in zip(row, top)]
-                g = gcd(*new)
-                work[i] = [v // g for v in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
+        if any(int_dot(row, q) for row in solve[1]):
+            solve = jump_solve(q, [solve])[0]
+    return solve
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(_echelon(rows)[1])
+    """The rank of rational rows: the jumps among them, each row that holds
+    a non-integer entry first scaled to integers."""
+    ints = [row if all(isinstance(v, int) for v in row)
+            else _scaled(row) for row in rows]
+    return len(_jumps(ints, len(ints[0]))[0]) if ints else 0
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[tuple[int, ...]]:
-    """Basis of {x : A x = 0} for the matrix with the given rational rows.
-
-    One primitive integer vector per free column f of the echelon form,
-    positive at f: lcm(pivots) e_f minus, at each pivot column, the pivot
-    row's entry in f scaled by lcm(pivots) / pivot, divided by its gcd.
-    """
-    echelon, pivots = _echelon(rows)
-    step = lcm(*(row[c] for row, c in zip(echelon, pivots)))
-    basis = []
-    for f in (j for j in range(ncols) if j not in pivots):
-        v = [0] * ncols
-        v[f] = step
-        for row, c in zip(echelon, pivots):
-            v[c] = -row[f] * (step // row[c])
-        g = gcd(*v)
-        basis.append(tuple(x // g for x in v))
-    return basis
+def _scaled(row: Sequence) -> list[int]:
+    """A rational row times the lcm of its entries' denominators."""
+    scale = lcm(*(Fraction(v).denominator for v in row))
+    return [int(v * scale) for v in row]
 
 
-def solve_integral(rows: Sequence[Sequence],
-                   rhs: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int] | None:
-    """The solution Y / L, L > 0, of a square system A Y = B whose rows of B
-    are `rhs`, as (Y, L) in integers, or None when A is singular. The
-    fraction-free elimination of [A | B] leaves rows (p_i e_i | q_i), so
-    Y_i = q_i L / p_i for L the lcm of the p_i."""
+def solve_integral(rows: Sequence[Sequence[int]],
+                   rhs: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+    """The solution Y / L, L > 0, of a square integer system A Y = B whose
+    rows of B are `rhs`, as (Y, L) in integers, or None when A is singular.
+    A's columns are the jumps' vectors, so Y_i = <T_i, B> / den_i, and L is
+    the lcm of the den_i."""
     k = len(rows)
-    echelon, pivots = _echelon([list(row) + list(b) for row, b in zip(rows, rhs)])
-    if pivots[:k] != list(range(k)):
+    t_rows = _jumps(list(zip(*rows)), k)[0]
+    if len(t_rows) < k:
         return None
-    den = lcm(*(row[i] for i, row in enumerate(echelon)))
-    return tuple(tuple(v * (den // row[i]) for v in row[k:])
-                 for i, row in enumerate(echelon)), den
+    den = lcm(*(d for _, d in t_rows))
+    return tuple(tuple(int_dot(row, b) * (den // d) for b in zip(*rhs))
+                 for row, d in t_rows), den
 
 
-def simplex_solve(generators: tuple[tuple, ...]):
-    """Barycentric solve of independent rational vectors: (T, C) in integers.
+def simplex_solve(generators: tuple[tuple[int, ...], ...]):
+    """Barycentric solve of independent integer vectors: (T, C) in integers.
 
     T is a tuple of (row, den) pairs with den > 0, so that the coefficient
     of generators[i] in x is <T_i, x> / den_i, and C a tuple of primitive
     rows with positive leading entries, C x = 0 exactly when x lies in the
-    generators' span. Both are read off the fraction-free Gauss-Jordan
-    elimination of [G | I], where G is the ambient x k matrix whose columns
-    are the generators: its first k rows, (p_i e_i | v_i), give
-    T_i = (v_i, p_i) up to the sign of p_i, the remaining rows (0 | w) the
-    span-membership test. Each row has gcd 1, so these are the reduced
-    forms of the rows of the rational rref. Raises InputError unless the
-    generators are nonempty, of one length and independent.
+    generators' span: the reduced rows of the rational rref of [G | I], G
+    the ambient x k matrix whose columns are the generators, made by one
+    `jump_solve` per generator. Raises InputError unless the generators are
+    nonempty integer vectors of one length, each outside the span of those
+    before it.
     """
     if not generators:
         raise InputError("a simplex needs at least one generator")
     k, n = len(generators), len(generators[0])
     if any(len(g) != n for g in generators):
         raise InputError("generators with mixed ambient dimensions")
-    rows, pivots = _echelon([[g[j] for g in generators]
-                             + [int(i == j) for i in range(n)] for j in range(n)])
-    if pivots[:k] != list(range(k)):
+    if not all(isinstance(v, int) for g in generators for v in g):
+        raise InputError("generators of a simplex must be integer vectors")
+    solve = _jumps(generators, n)
+    if len(solve[0]) < k:
         raise InputError("generators of a simplex must be independent")
-    t_rows = tuple((tuple(row[k:]), row[i]) if row[i] > 0
-                   else (tuple(-v for v in row[k:]), -row[i])
-                   for i, row in enumerate(rows[:k]))
-    c_rows = tuple(tuple(row[k:]) if row[c] > 0 else tuple(-v for v in row[k:])
-                   for row, c in zip(rows[k:], pivots[k:]))
-    return t_rows, c_rows
+    return solve
 
 
 def exchange_solve(q: tuple[int, ...], solve: tuple, apex: int):
@@ -172,7 +134,7 @@ def exchange_solve(q: tuple[int, ...], solve: tuple, apex: int):
 def jump_solve(q: tuple[int, ...], solves: Sequence[tuple]) -> list[tuple]:
     """The solves of solved simplices that span one space, each extended by
     the integer vector q outside that span: `solves` share their C rows,
-    ((), the unit rows) for no generators, and so do the returned solves.
+    `empty_solve(n)` for no generators, and so do the returned solves.
 
     Each extends the rational rref of [G | I] to that of [G q | I]. With
     s_j = <C_j, q>, j* the last j with s_j != 0, c = C_j* and s = s_j*:
@@ -210,12 +172,10 @@ def _reduced(row: list[int], den: int) -> tuple[tuple[int, ...], int]:
 
 def primitive(vector: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational to coprime ints."""
-    fracs = [Fraction(v) for v in vector]
-    if all(f == 0 for f in fracs):
-        raise ValueError("primitive() of the zero vector")
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
+    ints = _scaled(vector)
     g = gcd(*ints)
+    if not g:
+        raise ValueError("primitive() of the zero vector")
     return tuple(v // g for v in ints)
 
 

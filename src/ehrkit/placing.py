@@ -63,7 +63,7 @@ def placing_cells(vectors: tuple[tuple, ...]) -> tuple[tuple[tuple[int, ...], tu
     n = len(vectors[0]) if vectors else 0
     # the empty configuration: one empty cell, whose C rows are the unit rows
     cells: list[tuple[int, ...]] = [()]
-    solves = [((), tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))]
+    solves = [linalg.empty_solve(n)]
     boundary: dict[tuple[int, ...], tuple] | None = None  # None: to be rebuilt
 
     for i, q in enumerate(vectors):

@@ -19,11 +19,12 @@ that contain it meet in it alone. The polytope keeps the lifted points its
 hull placed, so `relative_volume` reads the same placing back.
 
 The half-space form is built in integers. The points are scaled to
-integers once; the equalities are the primitive integer kernel vectors
-`linalg.nullspace` reads off the echelon form of their differences; the
-facet normals are projected by one integer matrix, from one solve of
-Gram Y = L N, N the equality normals; and every (a, c) is made jointly
-primitive with gcd.
+integers once. The equalities are read off the same placing: its span rows
+C, shared by every cell's solve, vanish exactly on the span of the lifted
+points, so each row (c, c_0) gives the equality <c, x> = -c_0, and dim is
+the ambient dimension less their number. The facet normals are projected
+by one integer matrix, from one solve of Gram Y = L N, N the equality
+normals; and every facet's (a, c) is made jointly primitive with gcd.
 
 Everything is exact; no floats are accepted or produced.
 """
@@ -44,7 +45,15 @@ IntVec = tuple[int, ...]
 
 
 class HRep(FrozenRecord):
-    """Half-space form: <a, x> = c for equalities, <a, x> <= c for facets."""
+    """Half-space form: <a, x> = c for equalities, <a, x> <= c for facets.
+
+    Both are tuples of jointly primitive integer pairs (a, c), sorted for a
+    hull. A hull's equalities are the pairs (c, -c_0) for the rows (c, c_0)
+    of the reduced row echelon basis of {(c, c_0) : <c, p> + c_0 = 0 at
+    every point p}, each scaled to primitive integers with a positive
+    leading entry, so they do not depend on the order of the points; a
+    dilate or a translate moves its pairs instead.
+    """
 
     __slots__ = _fields = ("equalities", "inequalities")
 
@@ -244,32 +253,23 @@ def contains_polytope(inner: RationalPolytope, outer: RationalPolytope) -> bool:
 
 
 def _half_space_form(ambient: int,
-                     pts: list[Point]) -> tuple[HRep, int, list[Point], tuple | None]:
+                     pts: list[Point]) -> tuple[HRep, int, list[Point], tuple]:
     """The half-space form, the dimension, the points that are vertices, and
-    the lifted points that were placed (None in dimension 0, where nothing is)."""
+    the lifted points that were placed."""
     # every point scaled to integers by one positive factor, once: signs,
     # hyperplanes and (up to a positive factor) normals are those of pts
     scale = lcm(*(v.denominator for p in pts for v in p))
     ints = [tuple(v.numerator * (scale // v.denominator) for v in p) for p in pts]
-    base = ints[0]
-    kernel = linalg.nullspace([[x - y for x, y in zip(q, base)] for q in ints[1:]],
-                              ncols=ambient)
-    dim = ambient - len(kernel)
-
-    eqs: list[tuple[IntVec, int]] = []
-    for a in kernel:
-        normal, offset = _int_primitive(a, base, scale)
-        if normal[next(i for i, v in enumerate(normal) if v != 0)] < 0:
-            normal = tuple(-v for v in normal)
-            offset = -offset
-        eqs.append((normal, offset))
+    lifted = tuple(p + (scale,) for p in ints)
+    placed = placing_cells(lifted)
+    # a span row (c, c_0) vanishes at every (q L, L): <c, q> = -c_0
+    eqs = [(row[:-1], -row[-1]) for row in placed[0][1][1]]
+    dim = ambient - len(eqs)
 
     facets: dict[frozenset[int], tuple[IntVec, int]] = {}
-    lifted = None
     if dim >= 1:
         projection = _projection([normal for normal, _ in eqs])
-        lifted = tuple(p + (scale,) for p in ints)
-        for facet, (t_apex, _, _) in boundary_rows(placing_cells(lifted)).items():
+        for facet, (t_apex, _, _) in boundary_rows(placed).items():
             if any(key.issuperset(facet) for key in facets):
                 continue  # it spans that key's hyperplane: the same key
             # <T_apex, (x, 1)> vanishes on the facet's hyperplane and is

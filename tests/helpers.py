@@ -8,9 +8,9 @@ and `guarded_ehrhart`, the Ehrhart pipeline that certifies its counts by
 walking p guard dilates past the window instead of by the relative volume.
 
 The `fraction_*` functions are oracles: Gauss-Jordan elimination over
-`Fraction`, sharing no code with the integer elimination `linalg._echelon`
-that the library runs, so an oracle built on them checks that elimination
-rather than repeating it.
+`Fraction`, sharing no code with the library's one elimination, the fold of
+the integer updates `linalg.jump_solve` and `linalg.exchange_solve`, so an
+oracle built on them checks that fold rather than repeating it.
 
 `lattice_points` lists the integer solutions of any integer equalities and
 inequalities in a given box. It prepares its own walk from those

@@ -1,12 +1,14 @@
 """Command-line surface: dispatch, JSON output, exit codes."""
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
 import time
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -70,8 +72,11 @@ def test_count_closed_and_interior(capsys):
 
 
 def test_count_refuses_a_dilate_over_the_estimate_limit(capsys, tmp_path, monkeypatch):
-    # the unit 3-simplex at dilate 10^8 holds about 1.7e23 lattice points:
-    # refused from vol * n^d before any walk; at the limit it is counted
+    # the unit 3-simplex at dilate 10^8 holds about 1.7e23 lattice points
+    # and its walk's box about 10^16 prefixes: refused before any walk. A
+    # dilate is refused only when both are over the limit: the estimate
+    # n^3 / 6 is over it from dilate 844 on, the box of (n + 1)^2 prefixes
+    # from dilate 10^4 on
     path = tmp_path / "simplex.json"
     path.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
     walked = []
@@ -80,15 +85,40 @@ def test_count_refuses_a_dilate_over_the_estimate_limit(capsys, tmp_path, monkey
     assert code == 1 and list(doc) == ["error"] and not walked
     assert doc["error"].startswith("dilate 100000000 holds about "
                                    "166,666,666,666,666,666,666,667 lattice points"), doc
+    assert "box holds 10,000,000,200,000,001 prefixes" in doc["error"], doc
     assert str(cli.MAX_COUNT_ESTIMATE // 1000) in doc["error"].replace(",", "")
     largest = 1  # the last dilate n with n^3 / 6 within the limit
     while (largest + 1) ** 3 <= 6 * cli.MAX_COUNT_ESTIMATE:
         largest += 1
-    assert run(capsys, "count", str(path), "--dilate", str(largest + 1))[0] == 1
-    assert run(capsys, "count", str(path), "--dilate", str(largest)) == (0, {
-        "name": "", "dilate": largest, "region": "closed", "count": 0})
+    widest = isqrt(cli.MAX_COUNT_ESTIMATE) - 1  # the last with (n + 1)^2 within it
+    assert (largest, widest) == (843, 9999)
+    for n in (largest, largest + 1, widest):
+        assert run(capsys, "count", str(path), "--dilate", str(n)) == (0, {
+            "name": "", "dilate": n, "region": "closed", "count": 0})
+    assert run(capsys, "count", str(path), "--dilate", str(widest + 1))[0] == 1
+    assert len(walked) == 3
     # 5,045,326 points, B4 at dilate 10, is the largest count of the tests
     assert cli.MAX_COUNT_ESTIMATE >= 10 * 5_045_326
+
+
+def test_count_walks_a_dilate_whose_box_has_few_prefixes(capsys, tmp_path, monkeypatch):
+    # the segment [0, 10^30] and the square [0, 10^5]^2 hold far more points
+    # than the limit, but their walks read them as runs over 1 and 10^5 + 1
+    # prefixes: counted, not refused
+    for vertices, count in (([[0], [10**30]], 10**30 + 1),
+                            ([[0, 0], [10**5, 0], [0, 10**5], [10**5, 10**5]], 10_000_200_001)):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        assert run(capsys, "count", str(path)) == (0, {
+            "name": "", "dilate": 1, "region": "closed", "count": count})
+    # B4 at dilate 10, 5,045,326 points, is within the limit by its estimate
+    # (its box holds 11^8 prefixes); its walk is not run here
+    path = tmp_path / "b4.json"
+    path.write_text(json.dumps({"vertices": [[int(j == s[i]) for i in range(4) for j in range(4)]
+                                             for s in itertools.permutations(range(4))]}))
+    walked = []
+    monkeypatch.setattr(cli, "count_points", lambda *args, **kw: walked.append(args) or 0)
+    assert run(capsys, "count", str(path), "--dilate", "10")[0] == 0 and len(walked) == 1
 
 
 def test_hstar_command(capsys):

@@ -17,7 +17,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,8 +39,8 @@ from ehrkit.ratpoly import interpolate
 from ehrkit.semimagic import birkhoff_polytope
 from ehrkit.triangulation import betke_mcmullen
 
-from helpers import (fraction_det, guarded_ehrhart, lattice_cloud, lattice_points,
-                     minimal_period, normalize)
+from helpers import (fraction_det, fraction_rref, guarded_ehrhart, lattice_cloud,
+                     lattice_points, minimal_period, normalize)
 
 
 def box_scan(p, region="closed"):
@@ -105,9 +105,17 @@ def ambient_walk(equalities, inequalities, lo, hi, interior):
     The walk the library ran before it walked lattice coordinates of the
     affine hull: each coordinate's range is cut by exact integer interval
     arithmetic on every row, an equality from both sides, and the last
-    coordinate's range is taken whole.
+    coordinate's range is taken whole. The equalities are first brought to
+    the rref of [A | c] over the columns in reverse, scaled to integers, so
+    that each row's last nonzero coefficient is in a column of its own and
+    the walk meets it with every other coordinate of the row fixed, on any
+    basis of the equalities it is given.
     """
     n = len(lo)
+    rref, _ = fraction_rref([list(a[::-1]) + [c] for a, c in equalities])
+    scales = [lcm(*(v.denominator for v in row)) for row in rref]
+    equalities = [(tuple(int(v * s) for v in row[n - 1::-1]), int(row[n] * s))
+                  for row, s in zip(rref, scales)]
     rows = [(a, c, c, True) for a, c in equalities]
     rows += [(a, c, c - 1, False) for a, c in inequalities]
 

@@ -1,13 +1,13 @@
 """Exact linear algebra unit tests with hand-checked oracles.
 
-The fraction-free `simplex_solve` is also compared with
-`fraction_simplex_solve`, the rational Gauss-Jordan solve it replaced, on
-seeded random generator sets, the integer `nullspace` with
-`helpers.fraction_nullspace` on random rational matrices, and
-`smith_form` with the determinantal divisors (gcds of minors) of random
-integer matrices, `lattice_normalized_volume` of square rows with the
-Fraction determinant, and the integral `lll` with `helpers.fraction_lll`, the
-same reduction with its Gram-Schmidt data in Fraction.
+The fold of `jump_solve` is also compared with the rational Gauss-Jordan
+oracles of `helpers` on seeded random inputs: `simplex_solve` with
+`fraction_simplex_solve`, `rank` with `fraction_rank` and `solve_integral`
+with `fraction_solve`. `smith_form` is compared with the determinantal
+divisors (gcds of minors) of random integer matrices,
+`lattice_normalized_volume` of square rows with the Fraction determinant,
+and the integral `lll` with `helpers.fraction_lll`, the same reduction with
+its Gram-Schmidt data in Fraction.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from hypothesis import strategies as st
 from ehrkit.cones import HalfOpenSimplicialCone
 from ehrkit.errors import InputError
 from ehrkit.linalg import (
-    _echelon,
     exchange_solve,
     int_dot,
     jump_solve,
     lattice_normalized_volume,
     lll,
-    nullspace,
     primitive,
     rank,
     simplex_solve,
@@ -43,27 +41,10 @@ from helpers import (
     fraction_det,
     fraction_gram_schmidt,
     fraction_lll,
-    fraction_nullspace,
     fraction_rank,
-    fraction_rref,
     fraction_simplex_solve,
     fraction_solve,
 )
-
-
-def test_row_reduce_and_rank():
-    rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    rref, pivots = fraction_rref(rows)
-    assert pivots == [0, 1] == _echelon(rows)[1]
-    assert rank(rows) == 2
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[1, 0], [0, 1]]) == 2
-    # rref rows satisfy the pivot structure exactly, and the echelon rows
-    # are nonzero integer multiples of them, of either sign
-    assert rref[0][0] == 1 and rref[1][1] == 1
-    echelon, _ = _echelon(rows)
-    assert echelon == [[-1, 0, -1], [0, -1, -1]]
-    assert echelon == [[row[c] * v for v in r] for r, row, c in zip(rref, echelon, pivots)]
 
 
 def test_solve_consistent_and_inconsistent():
@@ -100,44 +81,56 @@ def test_solve_integral_matches_fraction_solve():
     assert singular >= 20, singular
 
 
-def test_nullspace_orthogonality():
-    basis = nullspace([[1, 1, 1]], 3)
-    assert basis == [(-1, 1, 0), (-1, 0, 1)]
-    for v in basis:
-        assert int_dot([1, 1, 1], v) == 0
-    assert nullspace([], 2) == [(1, 0), (0, 1)]
-    assert nullspace([], 0) == []
-    assert nullspace([[2, 4, 6], [Fraction(1, 2), 0, 3]], 3) == [(-12, 3, 2)]
-
-
-def test_nullspace_matches_fraction_oracle_on_random_rational_matrices():
-    # one primitive integer vector per free column, a positive multiple of
-    # the rref kernel vector of that column; so the two span the same space
-    rng = random.Random(20261019)
-    seen = {"trivial": 0, "several": 0, "rational": 0, "zero_rows": 0}
-    for _ in range(1500):
-        nrows, ncols = rng.randint(0, 5), rng.randint(1, 6)
-        rational = rng.random() < 0.5
-        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3) if rational else 1)
-                 for _ in range(ncols)] for _ in range(nrows)]
-        if nrows > 1 and rng.random() < 0.3:
-            coeffs = [rng.randint(-2, 2) for _ in rows[1:]]
-            rows[0] = [sum((c * r[j] for c, r in zip(coeffs, rows[1:])), Fraction(0))
-                       for j in range(ncols)]
-        kernel = nullspace(rows, ncols=ncols)
-        expected = fraction_nullspace(rows, ncols)
-        free = [c for c in range(ncols) if c not in fraction_rref(rows)[1]]
-        assert len(kernel) == len(expected) == len(free), rows
-        for v, w, f in zip(kernel, expected, free):
-            assert all(type(x) is int for x in v) and gcd(*v) == 1, (rows, v)
-            assert w[f] == 1 and v[f] > 0
-            assert all(x == v[f] * y for x, y in zip(v, w)), (rows, v, w)
-        seen["trivial"] += not kernel
-        seen["several"] += len(kernel) >= 2
-        seen["rational"] += rational
-        seen["zero_rows"] += nrows == 0
-    assert seen["trivial"] >= 400 and seen["several"] >= 500, seen
-    assert seen["rational"] >= 600 and seen["zero_rows"] >= 150, seen
+def test_rank_and_solve_integral_match_fraction_oracles():
+    # rank counts the jumps of the rows, rational rows scaled to integers
+    # first; solve_integral reads Y / L off the fold of A's columns, None
+    # exactly when a column is skipped
+    assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
+    assert rank([[0, 0], [0, 0]]) == 0 and rank([[1, 0], [0, 1]]) == 2 and rank([]) == 0
+    assert rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    rng = random.Random(20261024)
+    seen = Counter()
+    for trial in range(1500):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        den = 3 if trial % 2 else 1
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        dependent = nrows > 1 and rng.random() < 0.4
+        if dependent:  # one more row, an integer combination of the others
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            rows.insert(rng.randint(0, nrows),
+                        [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                         for j in range(ncols)])
+        integer = den == 1
+        if integer:
+            rows = [[int(v) for v in row] for row in rows]
+        expected = fraction_rank(rows)
+        assert rank(rows) == expected, rows
+        seen["integer" if integer else "rational"] += 1
+        seen["dependent"] += dependent
+        seen["rank deficient"] += expected < min(len(rows), ncols)
+    for trial in range(600):
+        k = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if trial % 3 == 0 and k > 1:  # a column in the span of the others
+            coeffs = [rng.randint(-2, 2) for _ in range(k - 1)]
+            for row in rows:
+                row[-1] = int_dot(coeffs, row[:-1])
+        m = rng.randint(1, 3)
+        rhs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
+        solved = solve_integral(rows, rhs)
+        if fraction_rank(rows) < k:
+            assert solved is None, rows
+            seen["singular"] += 1
+            continue
+        y, den = solved
+        assert den > 0 and all(type(v) is int for row in y for v in row)
+        for column, b in zip(zip(*y), zip(*rhs)):
+            assert tuple(Fraction(v, den) for v in column) == fraction_solve(rows, b), rows
+        seen["regular"] += 1
+    minimum = {"integer": 700, "rational": 700, "dependent": 450,
+               "rank deficient": 120, "singular": 150, "regular": 350}
+    assert all(seen[kind] >= least for kind, least in minimum.items()), seen
 
 
 def test_simplex_solve_coefficients_and_span_rows():
@@ -146,8 +139,10 @@ def test_simplex_solve_coefficients_and_span_rows():
     assert coords == (((2, -1, 0), 2), ((0, 1, 0), 2))
     assert span == ((0, 0, 1),)
     assert simplex_solve(((1, 1), (1, -1))) == ((((1, 1), 2), ((1, -1), 2)), ())
-    # rational entries: x = t (1/2, 1) has t = x2 on the line 2 x1 = x2
-    assert simplex_solve(((Fraction(1, 2), 1),)) == ((((0, 1), 1),), ((2, -1),))
+    # x = t (1, 2) has t = x2 / 2 on the line 2 x1 = x2
+    assert simplex_solve(((1, 2),)) == ((((0, 1), 2),), ((2, -1),))
+    with pytest.raises(InputError, match="integer vectors"):
+        simplex_solve(((Fraction(1, 2), 1),))
     with pytest.raises(InputError):
         simplex_solve(((1, 2), (2, 4)))
     with pytest.raises(InputError):
@@ -162,39 +157,31 @@ def test_simplex_solve_coefficients_and_span_rows():
 
 
 def random_generators(rng):
-    """(generators, kind, rational): k <= n vectors in R^n, n = 1..6, with
-    integer entries or denominators 1-3; kind "dependent" when one more
-    vector, an integer combination of the others or zero, is inserted."""
+    """(generators, kind): k <= n integer vectors in Z^n, n = 1..6, with
+    entries -3..3; kind "dependent" when one more vector, an integer
+    combination of the others or zero, is inserted."""
     n = rng.randint(1, 6)
     k = rng.randint(1, n)
-    rational = rng.random() < 0.5
-
-    def entry():
-        den = rng.randint(1, 3) if rational else 1
-        return Fraction(rng.randint(-3 * den, 3 * den), den)
-    gens = [tuple(entry() for _ in range(n)) for _ in range(k)]
+    gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
     kind = "independent"
     roll = rng.random()
     if roll < 0.2:
         coeffs = [rng.randint(-2, 2) for _ in gens]
-        gens.insert(rng.randint(0, k), tuple(sum(c * g[j] for c, g in zip(coeffs, gens))
-                                             for j in range(n)))
+        gens.insert(rng.randint(0, k), tuple(int_dot(coeffs, column) for column in zip(*gens)))
         kind = "dependent"
     elif roll < 0.25:
-        gens.insert(rng.randint(0, k), tuple(Fraction(0) for _ in range(n)))
+        gens.insert(rng.randint(0, k), (0,) * n)
         kind = "dependent"
-    if not rational:
-        gens = [tuple(int(v) for v in g) for g in gens]
-    return tuple(gens), kind, rational
+    return tuple(gens), kind
 
 
 def test_simplex_solve_matches_fraction_solve_on_random_generators():
+    # integer generators only: simplex_solve refuses rational ones
     rng = random.Random(2024)
-    seen = {"solved": 0, "raised": 0, "dependent": 0, "lower_rank": 0,
-            "rational": 0, "integer": 0}
+    seen = Counter()
     ambient = set()
     for trial in range(5000):
-        gens, kind, rational = random_generators(rng)
+        gens, kind = random_generators(rng)
         ambient.add(len(gens[0]))
         try:
             expected = fraction_simplex_solve(gens)
@@ -207,11 +194,8 @@ def test_simplex_solve_matches_fraction_solve_on_random_generators():
         assert kind == "independent" and simplex_solve(gens) == expected, (trial, gens)
         seen["solved"] += 1
         seen["lower_rank"] += len(gens) < len(gens[0])
-        seen["rational"] += rational
-        seen["integer"] += not rational
     assert seen["solved"] >= 3000 and seen["raised"] >= 800, seen
     assert seen["dependent"] >= 800 and seen["lower_rank"] >= 1500, seen
-    assert seen["rational"] >= 1000 and seen["integer"] >= 1000, seen
     assert ambient == {1, 2, 3, 4, 5, 6}
 
 
@@ -248,7 +232,7 @@ def test_exchange_solve_matches_fraction_solve():
     def check(case):
         gens, apex, q = case
         new = gens[:apex] + gens[apex + 1:] + (q,)
-        solve = simplex_solve(gens)
+        solve = fraction_simplex_solve(gens)  # simplex_solve takes integer generators only
         made = exchange_solve(q, solve, apex)
         assert made == fraction_simplex_solve(new), case
         assert all(type(v) is int for row, den in made[0] for v in row + (den,))

@@ -49,20 +49,18 @@ def square(side=1):
 def subset_scan(points):
     """Oracle: half-space form by trying every dim-subset of the points.
 
-    Equalities come from the nullspace of the direction space; a subset
-    whose differences span a (dim-1)-flat of it gives a candidate
-    hyperplane, kept when every point lies on one side.
+    Equalities come from the reduced row echelon basis of the annihilator
+    of the lifted points (p, 1): each row (c, c_0), made primitive with its
+    positive lead, is <c, x> = -c_0. A subset whose differences span a
+    (dim-1)-flat of the direction space gives a candidate hyperplane, kept
+    when every point lies on one side.
     """
     pts = list(dict.fromkeys(tuple(Fraction(v) for v in p) for p in points))
     base = pts[0]
     directions, _ = fraction_rref([fraction_sub(p, base) for p in pts[1:]])
     dim = len(directions)
-    eqs = []
-    for a in fraction_nullspace(directions, len(base)):
-        normal, offset = _joint_primitive(a, fraction_dot(a, base))
-        if normal[next(i for i, v in enumerate(normal) if v != 0)] < 0:
-            normal, offset = tuple(-v for v in normal), -offset
-        eqs.append((normal, offset))
+    annihilator, _ = fraction_rref(fraction_nullspace([p + (1,) for p in pts], len(base) + 1))
+    eqs = [_joint_primitive(row[:-1], -row[-1]) for row in annihilator]
     ineqs = set()
     for subset in itertools.combinations(pts, dim) if dim else ():
         rows = [[fraction_dot(fraction_sub(q, subset[0]), b) for b in directions]
