@@ -60,7 +60,7 @@ from .errors import (FrozenRecord, InputError, PoleError, TheoremViolationError,
                      UnsupportedError, _set_field)
 from .placing import boundary_rows, placing_cells
 from .polytope import RationalPolytope, check_region
-from .ratpoly import RatLike, _coerce, counts_from_hstar
+from .ratpoly import RatLike, _coerce
 from .report import Report, check_rows
 
 IntVec = tuple[int, ...]
@@ -496,8 +496,9 @@ def specialization_check(p: RationalPolytope, x0: RatLike,
                          truncation: int = 12) -> Report:
     """Verify sigma_{cone(P)}(1,..,1,x0) equals h*(x0) / (1 - x0^p)^(d+1).
 
-    Also re-expands the closed form as a power series and compares its first
-    `truncation` coefficients with the dilate counts.
+    Also expands the closed form as a power series, h* times 1 / (1 - x^p)
+    d + 1 times, each a prefix sum with stride p, and compares its
+    coefficients up to x^truncation with the counting quasipolynomial.
     """
     if truncation < 0:
         raise InputError("truncation must be nonnegative")
@@ -514,8 +515,11 @@ def specialization_check(p: RationalPolytope, x0: RatLike,
     lhs = sigma_eval(cone, z)
     rhs = res.hstar.poly().evaluate(x0) / denominator
     instances = [{"x0": str(x0), "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}]
-    for n in range(truncation + 1):
-        coeff = counts_from_hstar(res.hstar, n)
+    series = [res.hstar.coefficient(n) for n in range(truncation + 1)]
+    for _ in range(d + 1):
+        for n in range(per, truncation + 1):
+            series[n] += series[n - per]
+    for n, coeff in enumerate(series):
         instances.append({"n": n, "lhs": coeff, "rhs": res.count(n),
                           "pass": coeff == res.count(n)})
     return Report.from_instances(

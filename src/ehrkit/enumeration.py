@@ -54,12 +54,13 @@ which the polytope has the longest runs. (Fundamental parallelepipeds are
 not walked:
 `cones.parallelepiped_points` lists them from a Smith form.)
 
-`ehrhart` counts the dilates 1..p(d+1)-1 in one walk each and turns
-them into the h*-numerator over (1 - x^p)^(d+1), an integer convolution,
-and the closed and interior counting quasipolynomials, read off the closed
-and interior series numerators in the binomial basis. No dilate is walked
-past that window to certify it; a second algorithm does, the placing that
-gives `polytope.relative_volume`. Every nonzero constituent has degree d
+`ehrhart` counts the dilates 1..p(d+1)-1 in one walk each. That window
+fixes the h*-numerator over (1 - x^p)^(d+1), which
+`ratpoly.hstar_from_counts` reads off by an integer convolution, and the
+closed and interior counting quasipolynomials, read off the closed and
+interior series numerators in the binomial basis. No dilate is walked past
+the window to certify it; a second algorithm does, the placing that gives
+`polytope.relative_volume`. Every nonzero constituent has degree d
 and leads with that volume (each of a full-dimensional polytope is
 nonzero), and a constituent's lead is a d-th difference of its counts with
 no zero weight, so it moves with any one count. The interior numerator's
@@ -79,7 +80,7 @@ from math import factorial, gcd, prod
 from . import linalg
 from .errors import FrozenRecord, InputError, TheoremViolationError, UnsupportedError
 from .polytope import RationalPolytope, check_region, relative_volume
-from .ratpoly import HStarData, check_int, quasi_from_numerator, series_numerator
+from .ratpoly import check_int, hstar_from_counts, quasi_from_numerator, series_numerator
 from .report import Report, check_rows
 
 IntPoint = tuple[int, ...]
@@ -510,7 +511,7 @@ def _ehrhart_cached(p: RationalPolytope) -> EhrhartResult:
         closed_counts.append(closed)
         interior_counts.append(interior)
 
-    hstar = HStarData(series_numerator(closed_counts, d, per, top), dim=d, period=per)
+    hstar = hstar_from_counts(closed_counts, d, per)
     quasi = quasi_from_numerator(hstar.coeffs, d, per)
     # Every nonzero constituent has degree d and leads with the relative
     # volume, which a placing gives. Every closed constituent of a
@@ -526,7 +527,7 @@ def _ehrhart_cached(p: RationalPolytope) -> EhrhartResult:
     # The interior numerator's coefficient at x^top needs the count at top.
     # The lead of constituent r is the sum of the coefficients at r mod per
     # over d! per^d, so it is the one that makes constituent 0 lead with vol.
-    inner = series_numerator(interior_counts, d, per, top)
+    inner = series_numerator(interior_counts, d, per)
     last = vol * factorial(d) * per ** d - sum(inner[::per])
     if last.denominator != 1:
         raise TheoremViolationError(

@@ -8,8 +8,8 @@ solve onto a new integer generator. Placing makes each cell's solve by one
 of them and hands it to the hull, the cone pieces and the parallelepipeds.
 The one elimination folds `jump_solve` over a list of vectors from the empty
 configuration's solve, skipping each vector in the span so far:
-`simplex_solve` is that fold, `rank` counts its jumps and `solve_integral`
-folds a square system's columns. `smith_form` (the invariant factors and a
+`simplex_solve` is that fold, and `solve_integral` folds a square
+system's columns. `smith_form` (the invariant factors and a
 unimodular column transform), `lll` (a lattice basis reduced under an
 integer quadratic form) and the Bareiss determinant of
 `lattice_normalized_volume` compute invariants, not solves: cone boxes are
@@ -52,14 +52,6 @@ def _jumps(vectors: Sequence[Sequence[int]], n: int) -> tuple:
         if any(int_dot(row, q) for row in solve[1]):
             solve = jump_solve(q, [solve])[0]
     return solve
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """The rank of rational rows: the jumps among them, each row that holds
-    a non-integer entry first scaled to integers."""
-    ints = [row if all(isinstance(v, int) for v in row)
-            else _scaled(row) for row in rows]
-    return len(_jumps(ints, len(ints[0]))[0]) if ints else 0
 
 
 def _scaled(row: Sequence) -> list[int]:

@@ -90,9 +90,8 @@ def _joint_primitive(normal: Sequence[Fraction], offset: Fraction) -> tuple[IntV
 class RationalPolytope:
     """Convex hull of finitely many rational points, in normal form."""
 
-    def __init__(self, ambient_dim: int, vertices: Sequence[Point], name: str = "",
-                 _hrep: HRep | None = None, _dim: int | None = None,
-                 _lifted: tuple | None = None):
+    def __init__(self, ambient_dim: int, vertices: Sequence[Point], name: str = "", *,
+                 _hrep: HRep, _dim: int, _lifted: tuple | None = None):
         self.ambient_dim = ambient_dim
         self.vertices = tuple(vertices)
         self.name = name
@@ -129,17 +128,10 @@ class RationalPolytope:
 
     @property
     def dim(self) -> int:
-        if self._dim is None:
-            base = self.vertices[0]
-            diffs = [tuple(x - y for x, y in zip(p, base)) for p in self.vertices[1:]]
-            self._dim = linalg.rank(diffs)
         return self._dim
 
     def facets(self) -> HRep:
-        """Half-space form (cached)."""
-        if self._hrep is None:
-            self._hrep, self._dim, _, self._lifted = _half_space_form(self.ambient_dim,
-                                                                      list(self.vertices))
+        """Half-space form, made with the polytope."""
         return self._hrep
 
     @property
@@ -192,12 +184,10 @@ class RationalPolytope:
                            lambda a, c: c + linalg.int_dot(a, s))
 
     def _moved(self, verts: list[Point], offset) -> "RationalPolytope":
-        """The polytope on `verts`, with each (a, c) of a cached half-space
-        form moved to (a, offset(a, c)) and made jointly primitive."""
-        hrep = None
-        if self._hrep is not None:
-            hrep = HRep(*(tuple(_joint_primitive(a, offset(a, c)) for a, c in part)
-                          for part in (self._hrep.equalities, self._hrep.inequalities)))
+        """The polytope on `verts`, with each (a, c) of the half-space form
+        moved to (a, offset(a, c)) and made jointly primitive."""
+        hrep = HRep(*(tuple(_joint_primitive(a, offset(a, c)) for a, c in part)
+                      for part in (self._hrep.equalities, self._hrep.inequalities)))
         return RationalPolytope(self.ambient_dim, sorted(verts), name=self.name,
                                 _hrep=hrep, _dim=self._dim)
 

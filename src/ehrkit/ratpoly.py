@@ -9,10 +9,13 @@ where integral) with the dimension and period that fix its denominator
 (1 - x^p)^(d+1).
 
 Counting data goes through the series numerator in integers:
-`series_numerator` convolves counts with (1 - x^p)^(d+1) and checks its
-guard terms, and `quasi_from_numerator` and `counts_from_hstar` read values
-back off it in the binomial basis (Stanley, "Decompositions of rational
-convex polytopes", 1980; Beck-Robins, ch. 3).
+`series_numerator` convolves counts with (1 - x^p)^(d+1), and
+`quasi_from_numerator` reads the quasipolynomial back off it in the
+binomial basis (Stanley, "Decompositions of rational convex polytopes",
+1980; Beck-Robins, ch. 3). Nothing here certifies that counts are
+quasipolynomial: the window n = 0..p(d+1)-1 fixes the numerator, and a
+caller checks it against data from elsewhere (`enumeration` against the
+relative volume, `semimagic` against the values past the window).
 
 All arithmetic is exact. Nothing in this module ever touches floats.
 """
@@ -23,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .errors import FrozenRecord, InputError, TheoremViolationError, _set_field
+from .errors import FrozenRecord, InputError, _set_field
 
 RatLike = int | Fraction | str
 
@@ -255,31 +258,16 @@ class HStarData(FrozenRecord):
         return [str(c) for c in self.coeffs]
 
 
-def series_numerator(values: Sequence[int | Fraction], dim: int, period: int,
-                     length: int) -> list:
-    """Coefficients below `length` of (sum_n values[n] x^n) * (1 - x^p)^(d+1).
+def series_numerator(values: Sequence[int | Fraction], dim: int, period: int) -> list:
+    """Coefficients below len(values) of (sum_n values[n] x^n) * (1 - x^p)^(d+1).
 
     The coefficient at i is sum_k (-1)^k C(d+1, k) values[i - kp], an
-    integer convolution for integer values. Every coefficient from `length`
-    to len(values) - 1 is a guard and must vanish: for length >= p(d+1) it
-    is the (d+1)-th difference of the d + 2 values i, i - p, ..., i - (d+1)p
-    of one residue class, zero exactly when they lie on one polynomial of
-    degree at most d. Raises TheoremViolationError otherwise.
+    integer convolution for integer values.
     """
     signed = [(-1) ** k * comb(dim + 1, k) for k in range(dim + 2)]
-    numerator = []
-    for i in range(len(values)):
-        total = 0
-        for k in range(min(dim + 1, i // period) + 1):
-            total += signed[k] * values[i - k * period]
-        if i < length:
-            numerator.append(total)
-        elif total:
-            raise TheoremViolationError(
-                f"guard coefficient at x^{i} is {total}, expected 0: "
-                f"counts are not degree-{dim} period-{period} data"
-            )
-    return numerator
+    return [sum(signed[k] * values[i - k * period]
+                for k in range(min(dim + 1, i // period) + 1))
+            for i in range(len(values))]
 
 
 def _binomial_numerator(coeffs: Sequence[int | Fraction], dim: int, period: int,
@@ -324,34 +312,17 @@ def quasi_from_numerator(coeffs: Sequence[int | Fraction], dim: int,
 
 
 def hstar_from_counts(counts: Sequence[RatLike], dim: int, period: int = 1) -> HStarData:
-    """Numerator of (sum_n counts[n] x^n) * (1 - x^p)^(d+1).
+    """Numerator of (sum_n counts[n] x^n) * (1 - x^p)^(d+1), read from
+    exactly the window n = 0..p(d+1)-1 (InputError otherwise).
 
-    `counts` must cover n = 0..p(d+1)-1 plus at least one guard term; the
-    product's coefficients at indices p(d+1) and beyond must vanish, which is
-    what certifies that the counts really come from a degree-d
-    quasipolynomial of period p. Raises TheoremViolationError otherwise.
-    Only `structure` and `semimagic` still pass guard terms: `ehrhart`
-    certifies its window by the relative volume and calls
-    `series_numerator` itself.
+    The window fixes the numerator whatever the counts are; that they are
+    degree-d period-p data is the caller's to check, against the values
+    past the window or against the volume.
     """
     cs = [_exact(c) for c in counts]
     top = period * (dim + 1)
-    if len(cs) < top + 1:
+    if len(cs) != top:
         raise InputError(
-            f"need counts for n = 0..{top} (got {len(cs)} values); "
-            "include at least one guard term past the numerator degree"
+            f"need counts for exactly n = 0..{top - 1} (got {len(cs)} values)"
         )
-    return HStarData(series_numerator(cs, dim, period, top), dim=dim, period=period)
-
-
-def counts_from_hstar(h: HStarData, n: int) -> Fraction:
-    """Evaluate the counting quasipolynomial encoded by h* at any integer n.
-
-    Uses the binomial basis: count(n) = sum_{j = n mod p} h*_j C((n - j)/p + d, d),
-    the generalized binomial giving the reciprocity values at n < 0.
-    """
-    d, p = h.dim, h.period
-    value = 0
-    for c in reversed(_binomial_numerator(h.coeffs, d, p, n % p)):
-        value = value * n + c
-    return Fraction(value, factorial(d) * p ** d)
+    return HStarData(series_numerator(cs, dim, period), dim=dim, period=period)

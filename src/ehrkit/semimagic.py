@@ -29,8 +29,9 @@ is one term.
 These counts are polynomial in r, vanish at r = -1..-(n-1), satisfy a
 reflection symmetry, and have a palindromic nonnegative series numerator
 over (1-x)^(n^2-2n+2). `adg_report` verifies all of that from the computed
-table: it convolves the table with (1-x)^(n^2-2n+2) in integers and reads
-the polynomial back off that numerator in the binomial basis. The same
+table: it convolves the values at r = 0..(n-1)^2 with (1-x)^(n^2-2n+2) in
+integers, reads the polynomial back off that numerator in the binomial
+basis, and compares every later value with it, one report row each. The same
 numbers arise geometrically: H_n is the lattice-point counter of the
 polytope of doubly stochastic matrices, whose vertices are the
 permutation matrices.
@@ -184,9 +185,9 @@ def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]
     """Count table for H_n plus verification of its structural properties.
 
     Checks, from the exact table: the counts are polynomial of degree
-    (n-1)^2 (the integer series numerator's guard terms vanish, and the
-    polynomial read off that numerator matches the spare values), the
-    polynomial vanishes at -1..-(n-1), the reflection
+    (n-1)^2 (the polynomial read off the series numerator of the values at
+    r = 0..(n-1)^2 matches each value past them), the polynomial vanishes
+    at -1..-(n-1), the reflection
     H_n(-r) = (-1)^(n-1) H_n(r-n) holds, and the series numerator over
     (1-x)^(n^2-2n+2) is palindromic of degree n^2-3n+2 with nonnegative
     integer coefficients.
@@ -207,9 +208,10 @@ def adg_report(n: int, rmax: int | None = None) -> tuple[SemimagicTable, Report]
     # the three numerator rows
     check_rows(f"H_{n}(r) report for r <= {rmax}", 2 * rmax - poly_degree + n + 2)
     values = tuple(count_semimagic(n, r) for r in range(rmax + 1))
-    # poly_degree is also the series dimension n^2 - 2n + 1; the guard terms
-    # past the numerator certify the table before any property is read
-    numerator_h = hstar_from_counts(values, dim=poly_degree)
+    # poly_degree is also the series dimension n^2 - 2n + 1, so the values
+    # at r <= poly_degree fix the numerator; the polynomiality rows check
+    # the rest
+    numerator_h = hstar_from_counts(values[:poly_degree + 1], dim=poly_degree)
     count_poly = quasi_from_numerator(numerator_h.coeffs, poly_degree, 1).constituents[0]
     instances = []
     for r in range(poly_degree + 1, rmax + 1):

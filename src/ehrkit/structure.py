@@ -275,22 +275,22 @@ def athanasiadis_check(p: RationalPolytope) -> Report:
 
 
 def monotonicity_check(inner: RationalPolytope, outer: RationalPolytope) -> Report:
-    """Containment forces a componentwise h*-inequality in a common form.
+    """Containment forces a componentwise h*-inequality (Stanley, Europ. J.
+    Combin. 14, 1993).
 
-    Both numerators are recomputed over (1 - x^p)^(d+1) with p the lcm of
-    the two periods and d the dimension of the outer polytope. The counts
-    over that window come from the cached, count-checked quasipolynomials.
+    Each numerator is recomputed over its own (1 - x^p)^(dim+1), with p the
+    lcm of the two periods, from its cached, count-checked quasipolynomial
+    at n < p(dim+1). A lower-dimensional inner polytope keeps its smaller
+    exponent: over the outer's, its numerator would gain the factor
+    (1 - x^p)^(d_outer - d_inner), whose coefficients are signed.
     """
     if not contains_polytope(inner, outer):
         raise InputError("inner polytope is not contained in the outer one")
     p = lcm(inner.vertex_denominator(), outer.vertex_denominator())
-    d = outer.dim
-    window = p * (d + 2)
-    inner_counts, outer_counts = ehrhart(inner), ehrhart(outer)
-    counts_inner = [inner_counts.count(n) for n in range(window)]
-    counts_outer = [outer_counts.count(n) for n in range(window)]
-    h_inner = hstar_from_counts(counts_inner, d, period=p)
-    h_outer = hstar_from_counts(counts_outer, d, period=p)
+    h_inner, h_outer = (
+        hstar_from_counts([ehrhart(q).count(n) for n in range(p * (q.dim + 1))],
+                          q.dim, period=p)
+        for q in (inner, outer))
     top = max(len(h_inner.coeffs), len(h_outer.coeffs))
     instances = []
     for i in range(top):
@@ -299,5 +299,5 @@ def monotonicity_check(inner: RationalPolytope, outer: RationalPolytope) -> Repo
         instances.append({
             "index": i, "lhs": str(lhs), "rhs": str(rhs), "pass": lhs <= rhs,
         })
-    notes = {"period": p, "dimension": d}
+    notes = {"period": p, "dimension": outer.dim}
     return Report.from_instances("containment-monotonicity", instances, notes)

@@ -5,7 +5,8 @@ the projection oracle `onto_hull`, the combinatorial boundary oracle
 `boundary_facets`, the face-by-face h* assembly `betke_mcmullen_by_faces`
 and `integer_lifts`, the integer vectors that rational points are placed as,
 and `guarded_ehrhart`, the Ehrhart pipeline that certifies its counts by
-walking p guard dilates past the window instead of by the relative volume.
+walking p guard dilates past the window instead of by the relative volume,
+with a convolution of its own.
 
 The `fraction_*` functions are oracles: Gauss-Jordan elimination over
 `Fraction`, sharing no code with the library's one elimination, the fold of
@@ -36,8 +37,7 @@ from ehrkit.errors import InputError, TheoremViolationError
 from ehrkit.jsonio import rat_to_json
 from ehrkit.placing import placing_cells
 from ehrkit.polytope import RationalPolytope
-from ehrkit.ratpoly import (Poly, QuasiPoly, RatLike, hstar_from_counts,
-                            quasi_from_numerator, series_numerator)
+from ehrkit.ratpoly import HStarData, Poly, QuasiPoly, RatLike, quasi_from_numerator
 from ehrkit.structure import ABDecomposition, HStarProfile
 from ehrkit.triangulation import Triangulation, box_polynomial, h_polynomial, link_f_vector
 
@@ -62,10 +62,13 @@ def guarded_ehrhart(p: RationalPolytope):
     d, per = p.dim, p.vertex_denominator()
     top = per * (d + 1)
     window = [region_counts(p, n) for n in range(1, top + per)]
-    hstar = hstar_from_counts([1] + [closed for closed, _ in window], dim=d, period=per)
+    closed = times_denominator([1] + [c for c, _ in window], d, per)
+    interior = times_denominator([0] + [i for _, i in window], d, per)
+    if any(closed[top:]) or any(interior[top + 1:]):
+        raise TheoremViolationError(f"a guard coefficient of {p!r} is not 0")
+    hstar = HStarData(closed[:top], dim=d, period=per)
     quasi = quasi_from_numerator(hstar.coeffs, d, per)
-    interior = series_numerator([0] + [inner for _, inner in window], d, per, top + 1)
-    quasi_interior = quasi_from_numerator(interior, d, per)
+    quasi_interior = quasi_from_numerator(interior[:top + 1], d, per)
     kept = [c for c in quasi.constituents if c or d == p.ambient_dim]
     leads = {c.coeffs[-1] for c in kept if c.degree() == d}
     if any(c.degree() != d for c in kept) or len(leads) != 1:
@@ -75,6 +78,15 @@ def guarded_ehrhart(p: RationalPolytope):
         if bool(c) != bool(mirror) or (c and (c.degree() != d or c.coeffs[-1] not in leads)):
             raise TheoremViolationError(f"interior constituent {r} of {p!r} does not mirror")
     return hstar, quasi, quasi_interior, leads.pop()
+
+
+def times_denominator(values: Sequence[int], dim: int, per: int) -> list[int]:
+    """The coefficients below len(values) of (sum_n values[n] x^n) times
+    (1 - x^per)^(dim+1): dim + 1 differences with stride per."""
+    out = list(values)
+    for _ in range(dim + 1):
+        out = [v - (out[i - per] if i >= per else 0) for i, v in enumerate(out)]
+    return out
 
 
 def cone_contains(cone: RationalCone, x: Sequence) -> bool:

@@ -39,8 +39,8 @@ from ehrkit.cones import (
     specialization_check,
     stanley_reciprocity_check,
 )
-from ehrkit.corpus import list_cones
-from ehrkit.enumeration import reciprocity_check
+from ehrkit.corpus import list_cones, list_polytopes, load_polytope
+from ehrkit.enumeration import count_points, reciprocity_check
 from ehrkit.errors import InputError, PoleError, TheoremViolationError, UnsupportedError
 from ehrkit.placing import placing_cells
 from ehrkit.report import MAX_REPORT_ROWS
@@ -133,7 +133,7 @@ def test_dual_interior_vector_matches_fraction_oracle():
         assert all(type(v) is Fraction for v in w), rays
         assert min(fraction_dot(w, g) for g in cone.generators) == 1, rays
         pointed += 1
-        flat += linalg.rank(cone.generators) < n
+        flat += fraction_rank(cone.generators) < n
     assert pointed >= 200 and 300 - pointed >= 20 and flat >= 50, (pointed, flat)
 
 
@@ -430,7 +430,7 @@ def random_simplicial_piece(rng):
                     for _ in range(k)]
         else:
             gens = [tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(k)]
-        if len(set(gens)) == k and linalg.rank(gens) == k:
+        if len(set(gens)) == k and fraction_rank(gens) == k:
             flags = tuple(rng.random() < 0.5 for _ in range(k))
             return HalfOpenSimplicialCone(tuple(gens), flags), lifted
 
@@ -475,7 +475,7 @@ def random_wide_piece(rng):
                     for _ in range(k)]
         else:
             gens = [tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(k)]
-        if (len(set(gens)) == k and linalg.rank(gens) == k
+        if (len(set(gens)) == k and fraction_rank(gens) == k
                 and linalg.lattice_normalized_volume(gens) <= 400):
             flags = tuple(rng.random() < 0.5 for _ in range(k))
             return HalfOpenSimplicialCone(tuple(gens), flags), lifted
@@ -931,6 +931,18 @@ def test_specialization_check_rational_and_pole():
     assert report.verdict == "pass"
     with pytest.raises(PoleError):
         specialization_check(p, -1)
+
+
+def test_specialization_series_rows_match_the_walk_on_the_corpus():
+    # the rows expand h*(x) / (1 - x^p)^(d+1) as a power series; the walk
+    # counts each dilate with no h* at all
+    periods = Counter()
+    for name in list_polytopes():
+        p = load_polytope(name)
+        rows = specialization_check(p, F(1, 3), truncation=9).instances[1:]
+        assert [row["lhs"] for row in rows] == [count_points(p, n) for n in range(10)], name
+        periods[p.vertex_denominator()] += 1
+    assert periods[1] >= 10 and periods[2] >= 1, periods
 
 
 def test_interior_sigma_matches_interior_series_triangle():

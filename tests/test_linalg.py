@@ -31,7 +31,6 @@ from ehrkit.linalg import (
     lattice_normalized_volume,
     lll,
     primitive,
-    rank,
     simplex_solve,
     smith_form,
     solve_integral,
@@ -81,34 +80,11 @@ def test_solve_integral_matches_fraction_solve():
     assert singular >= 20, singular
 
 
-def test_rank_and_solve_integral_match_fraction_oracles():
-    # rank counts the jumps of the rows, rational rows scaled to integers
-    # first; solve_integral reads Y / L off the fold of A's columns, None
-    # exactly when a column is skipped
-    assert rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
-    assert rank([[0, 0], [0, 0]]) == 0 and rank([[1, 0], [0, 1]]) == 2 and rank([]) == 0
-    assert rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+def test_solve_integral_matches_fraction_oracles():
+    # solve_integral reads Y / L off the fold of A's columns, None exactly
+    # when a column is skipped
     rng = random.Random(20261024)
     seen = Counter()
-    for trial in range(1500):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        den = 3 if trial % 2 else 1
-        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(ncols)]
-                for _ in range(nrows)]
-        dependent = nrows > 1 and rng.random() < 0.4
-        if dependent:  # one more row, an integer combination of the others
-            coeffs = [rng.randint(-2, 2) for _ in rows]
-            rows.insert(rng.randint(0, nrows),
-                        [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
-                         for j in range(ncols)])
-        integer = den == 1
-        if integer:
-            rows = [[int(v) for v in row] for row in rows]
-        expected = fraction_rank(rows)
-        assert rank(rows) == expected, rows
-        seen["integer" if integer else "rational"] += 1
-        seen["dependent"] += dependent
-        seen["rank deficient"] += expected < min(len(rows), ncols)
     for trial in range(600):
         k = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
@@ -128,8 +104,7 @@ def test_rank_and_solve_integral_match_fraction_oracles():
         for column, b in zip(zip(*y), zip(*rhs)):
             assert tuple(Fraction(v, den) for v in column) == fraction_solve(rows, b), rows
         seen["regular"] += 1
-    minimum = {"integer": 700, "rational": 700, "dependent": 450,
-               "rank deficient": 120, "singular": 150, "regular": 350}
+    minimum = {"singular": 150, "regular": 350}
     assert all(seen[kind] >= least for kind, least in minimum.items()), seen
 
 

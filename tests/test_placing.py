@@ -297,7 +297,7 @@ def random_pointed_cone(rng):
     n = rng.randint(2, 4)
     k = n if rng.random() < 0.5 else rng.randint(1, n - 1)
     basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
-    while linalg.rank(basis) < k:
+    while fraction_rank(basis) < k:
         basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
     u = [rng.randint(-2, 2) or 1 for _ in range(k)]
     count = rng.randint(k, k + 3)
@@ -318,13 +318,13 @@ def random_cloud_cone(rng):
         d = rng.randint(2, 3)
         points = [p + (1,) for p in lattice_cloud(rng.randrange(10**6), d,
                                                    rng.randint(d + 2, 7), 2)]
-        if linalg.rank(points) == d + 1:
+        if fraction_rank(points) == d + 1:
             break
     if rng.random() < 0.5:
         return RationalCone.from_rays(points)
     n = d + 1 + rng.randint(1, 2)
     matrix = [[rng.randint(-2, 2) for _ in range(d + 1)] for _ in range(n)]
-    while linalg.rank(matrix) < d + 1:
+    while fraction_rank(matrix) < d + 1:
         matrix = [[rng.randint(-2, 2) for _ in range(d + 1)] for _ in range(n)]
     return RationalCone.from_rays([[linalg.int_dot(row, p) for row in matrix]
                                    for p in points])

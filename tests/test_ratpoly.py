@@ -14,13 +14,12 @@ from math import comb
 
 import pytest
 
-from ehrkit.errors import InputError, TheoremViolationError
+from ehrkit.errors import InputError
 from ehrkit.ratpoly import (
     HStarData,
     Poly,
     QuasiPoly,
     choose,
-    counts_from_hstar,
     hstar_from_counts,
     interpolate,
     quasi_from_numerator,
@@ -150,8 +149,8 @@ def test_quasipoly_negate_argument():
 
 
 def test_hstar_from_counts_unit_square():
-    # counts (n+1)^2 for n = 0..3; independent convolution gives (1,1,0,0)
-    counts = [(n + 1) ** 2 for n in range(4)]
+    # counts (n+1)^2 for n = 0..2; independent convolution gives (1,1,0)
+    counts = [(n + 1) ** 2 for n in range(3)]
     oracle = convolve_with_denominator(counts, 1, 3)
     assert oracle[:3] == [1, 1, 0]
     h = hstar_from_counts(counts, dim=2)
@@ -163,7 +162,7 @@ def test_hstar_from_counts_unit_square():
 
 def test_hstar_from_counts_centered_square():
     # counts (2n+1)^2: two-dimensional cross-section with interior points
-    counts = [(2 * n + 1) ** 2 for n in range(4)]
+    counts = [(2 * n + 1) ** 2 for n in range(3)]
     h = hstar_from_counts(counts, dim=2)
     assert h.coeffs == (1, 6, 1)
     assert h.codegree() == 1
@@ -171,46 +170,49 @@ def test_hstar_from_counts_centered_square():
 
 def test_hstar_from_counts_rational_half_segment():
     # counts floor(n/2) + 1 over (1 - x^2)^2
-    counts = [n // 2 + 1 for n in range(6)]
+    counts = [n // 2 + 1 for n in range(4)]
     h = hstar_from_counts(counts, dim=1, period=2)
     assert h.coeffs == (1, 1)
     assert h.period == 2
 
 
-def test_hstar_guard_terms_reject_non_polynomial_counts():
-    with pytest.raises(TheoremViolationError):
-        hstar_from_counts([1, 2, 4, 8], dim=2)
-
-
 def test_hstar_needs_enough_counts():
     with pytest.raises(InputError):
-        hstar_from_counts([1, 4, 9], dim=2)
+        hstar_from_counts([1, 4], dim=2)
 
 
-def test_counts_from_hstar_round_trip_and_reciprocity_values():
-    h = HStarData([1, 1], dim=2)
-    assert [counts_from_hstar(h, n) for n in range(5)] == [1, 4, 9, 16, 25]
+def test_hstar_refuses_counts_past_its_window():
+    # the window n = 0..p(d+1)-1 fixes the numerator, and a count past it
+    # would go unchecked, so it is refused rather than read
+    for counts, dim, period in [([1, 4, 9, 16], 2, 1), ([1, 1, 2, 2, 3], 1, 2)]:
+        with pytest.raises(InputError):
+            hstar_from_counts(counts, dim=dim, period=period)
+
+
+def test_quasi_from_numerator_round_trip_and_reciprocity_values():
+    square = quasi_from_numerator([1, 1], 2, 1)
+    assert [square.evaluate(n) for n in range(5)] == [1, 4, 9, 16, 25]
     # negative arguments give signed interior counts of the square
     for n in range(1, 6):
-        assert counts_from_hstar(h, -n) == (n - 1) ** 2
+        assert square.evaluate(-n) == (n - 1) ** 2
 
 
-def test_counts_from_hstar_reads_rational_periods():
+def test_quasi_from_numerator_reads_rational_periods():
     # the half segment [0, 1/2]: floor(n/2) + 1 points, and by reciprocity
     # count(-n) = -(ceil(n/2) - 1), minus the interior points of [0, n/2]
-    half = HStarData([1, 1], dim=1, period=2)
+    half = quasi_from_numerator([1, 1], 1, 2)
     for n in range(9):
-        assert counts_from_hstar(half, n) == n // 2 + 1
+        assert half.evaluate(n) == n // 2 + 1
         if n >= 1:
-            assert counts_from_hstar(half, -n) == -((n + 1) // 2 - 1)
+            assert half.evaluate(-n) == -((n + 1) // 2 - 1)
     # the embedded third segment [(1/3, 2/3), (4/3, 2/3)]: n + 1 points when
     # 3 | n, else none; n - 1 interior points when 3 | n, n >= 3
-    third = HStarData([1, 0, 0, 2], dim=1, period=3)
+    third = quasi_from_numerator([1, 0, 0, 2], 1, 3)
     for n in range(10):
         on_lattice = n % 3 == 0
-        assert counts_from_hstar(third, n) == (n + 1 if on_lattice else 0)
+        assert third.evaluate(n) == (n + 1 if on_lattice else 0)
         if n >= 1:
-            assert counts_from_hstar(third, -n) == (-(n - 1) if on_lattice else 0)
+            assert third.evaluate(-n) == (-(n - 1) if on_lattice else 0)
 
 
 def test_hstar_degree_cap():
@@ -238,18 +240,6 @@ def test_numerator_read_off_matches_series_expansion_and_interpolation():
         for r in range(per):
             nodes = [r + per * k for k in range(1, d + 2)]
             assert quasi.constituents[r] == interpolate([(n, series[n]) for n in nodes])
-        assert series_numerator(series, d, per, length) == h
-        assert series_numerator(series, d, per, length) == [
-            int(c) for c in convolve_with_denominator(series, per, d + 1)[:length]]
-        if length == per * (d + 1):
-            hstar = HStarData(h, dim=d, period=per)
-            for n in range(-window, window):
-                assert counts_from_hstar(hstar, n) == quasi.evaluate(n)
-
-
-def test_series_numerator_guards_name_the_first_bad_coefficient():
-    # (n+1)^2 for n = 0..4, then one count off by one: the guard at x^5 fires
-    counts = [1, 4, 9, 16, 25, 37]
-    assert series_numerator(counts[:5], 2, 1, 3) == [1, 1, 0]
-    with pytest.raises(TheoremViolationError, match=r"x\^5 is 1"):
-        series_numerator(counts, 2, 1, 3)
+        assert series_numerator(series[:length], d, per) == h
+        assert series_numerator(series, d, per) == [
+            int(c) for c in convolve_with_denominator(series, per, d + 1)[:window]]

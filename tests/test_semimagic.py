@@ -13,6 +13,7 @@ from math import comb
 
 import pytest
 
+from ehrkit import cli, semimagic
 from ehrkit.enumeration import count_points, ehrhart
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.ratpoly import Poly
@@ -215,6 +216,23 @@ def test_report_size_four_structure():
     # reflection tested through the report; spot-check one instance directly
     sign = (-1) ** 3
     assert table.count_poly.evaluate(-5) == sign * table.count_poly.evaluate(1)
+
+
+@pytest.mark.parametrize("n, planted", [(3, 9), (4, 12), (2, 3)])
+def test_report_fails_a_planted_count_at_its_row(monkeypatch, n, planted):
+    # a wrong count past the numerator's window fails its polynomiality row,
+    # and only that row; the rows read off the window still pass
+    counted = semimagic.count_semimagic
+
+    def one_off(size, r):
+        return counted(size, r) + (r == planted)
+
+    monkeypatch.setattr(semimagic, "count_semimagic", one_off)
+    _, report = adg_report(n, rmax=planted + 2)
+    assert report.verdict == "fail"
+    assert [(i["property"], i["index"]) for i in report.instances if not i["pass"]] == [
+        ("polynomiality", planted)]
+    assert cli.main(["semimagic", "--n", str(n), "--rmax", str(planted + 2)]) == 1
 
 
 def test_report_rmax_guard():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ehrkit.enumeration import ehrhart, enumerate_points
 from ehrkit.errors import InputError, TheoremViolationError, UnsupportedError
 from ehrkit.polytope import RationalPolytope
 from ehrkit.ratpoly import HStarData, Poly
@@ -24,7 +25,7 @@ from ehrkit.structure import (
     stapledon_inequalities,
 )
 
-from helpers import fraction_ab_split
+from helpers import fraction_ab_split, lattice_cloud
 
 
 def pr(coeffs, d):
@@ -268,11 +269,44 @@ def test_monotonicity_rational_pair():
 
 
 def test_monotonicity_mixed_dimension():
+    # the segment's h* is 1 over (1 - x)^2, the square's 1 + x over (1 - x)^3
     inner = RationalPolytope.from_points([(0, 0), (1, 0)])
     outer = RationalPolytope.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
     report = monotonicity_check(inner, outer)
     assert report.verdict == "pass"
     assert report.notes["dimension"] == 2
+    assert [(i["lhs"], i["rhs"]) for i in report.instances] == [("1", "1"), ("0", "1")]
+
+
+def test_monotonicity_point_in_triangle():
+    # over the triangle's (1 - x)^3 the point's 1 / (1 - x) would read
+    # 1 - 2x + x^2; over its own 1 - x it reads 1
+    inner = RationalPolytope.from_points([(0, 0)])
+    outer = RationalPolytope.from_points([(0, 0), (1, 0), (0, 1)])
+    report = monotonicity_check(inner, outer)
+    assert report.verdict == "pass"
+    assert [(i["lhs"], i["rhs"]) for i in report.instances] == [("1", "1")]
+
+
+def test_monotonicity_on_seeded_nested_lattice_pairs():
+    # the inner polytope is the hull of some lattice points of the outer one,
+    # so both are lattice polytopes and each row holds its own h*
+    rng = random.Random(5)
+    lower = 0
+    for trial in range(200):
+        dim = rng.randint(1, 3)
+        outer = RationalPolytope.from_points(
+            lattice_cloud(trial, dim, rng.randint(dim + 1, dim + 3), 3))
+        points = enumerate_points(outer)
+        inner = RationalPolytope.from_points(
+            rng.sample(points, rng.randint(1, min(len(points), dim + 1))))
+        report = monotonicity_check(inner, outer)
+        assert report.verdict == "pass", (inner.vertices, outer.vertices)
+        for side, q in (("lhs", inner), ("rhs", outer)):
+            assert [Fraction(i[side]) for i in report.instances] == [
+                ehrhart(q).hstar.coefficient(i) for i in range(len(report.instances))]
+        lower += inner.dim < outer.dim
+    assert 100 <= lower < 190, lower  # and at least 10 full-dimensional inners
 
 
 def test_monotonicity_requires_containment():
