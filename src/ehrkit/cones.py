@@ -11,8 +11,9 @@ inclusion-exclusion needed). Every piece carries its barycentric solve
 (T, C) as data: the `linalg.simplex_solve` of its generators that the
 placing returns with its cell; a face of a triangulation cell instead
 carries the rows read off the cell's solve (see `triangulation`).
-Membership and the unimodular read-off of a parallelepiped read only that
-solve.
+The unimodular read-off of a parallelepiped reads only that solve, and
+`partition_check` reads every piece's C rows, T rows and open facets
+once, then tests each candidate point against them with integer dots.
 
 The generating function of a half-open simplicial piece is a finite sum over
 the lattice points of its half-open fundamental parallelepiped divided by
@@ -145,20 +146,6 @@ class HalfOpenSimplicialCone(FrozenRecord):
         _set_field(self, "generators", generators)
         _set_field(self, "open_flags", open_flags)
         _set_field(self, "solve", solve)
-
-    def locate(self, x: Sequence) -> tuple[bool, bool]:
-        """(x lies in the closed cone, x lies in this half-open piece).
-
-        den_i > 0, so the integer numerators <T_i, x> carry the signs of
-        the barycentric coefficients.
-        """
-        t_rows, c_rows = self.solve
-        if any(linalg.int_dot(row, x) for row in c_rows):
-            return False, False
-        lam = [linalg.int_dot(row, x) for row, _ in t_rows]
-        if any(v < 0 for v in lam):
-            return False, False
-        return True, not any(flag and v == 0 for v, flag in zip(lam, self.open_flags))
 
 
 def parallelepiped_points(piece: HalfOpenSimplicialCone,
@@ -440,8 +427,9 @@ def partition_check(cone: RationalCone, bound: int = 4) -> Report:
 
     Candidate points come from the height slice 0..bound when every
     generator has positive last coordinate, otherwise from the coordinate
-    box [-bound, bound]^ambient. Every candidate in the cone must lie in
-    exactly one half-open piece; every candidate outside in none.
+    box [-bound, bound]^ambient. Every candidate in the cone, which some
+    closed piece holds, must lie in exactly one half-open piece; every
+    candidate outside in none.
     """
     pieces = decompose(cone)
     n = cone.ambient_dim
@@ -464,22 +452,28 @@ def partition_check(cone: RationalCone, bound: int = 4) -> Report:
         hi = [bound] * n
         mode = f"coordinate box [-{bound}, {bound}]^{n}"
 
-    checked = 0
-    inside = 0
+    # each piece's C rows, T numerators and open positions, read once: x is
+    # in the closed piece when every C row vanishes and every <T_i, x> >= 0
+    # (den_i > 0), and in the half-open one when also <T_i, x> > 0 at each
+    # open position i
+    rows = [(piece.solve[1], [row for row, _ in piece.solve[0]],
+             [i for i, flag in enumerate(piece.open_flags) if flag]) for piece in pieces]
+    checked = inside = 0
     violations = []
     for cand in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
         checked += 1
         owners, member = 0, False
-        for piece in pieces:
-            closed, owned = piece.locate(cand)
-            member |= closed
-            owners += owned
-        if member:
-            inside += 1
-        expected = 1 if member else 0
-        if owners != expected:
-            violations.append({"point": list(cand), "owners": owners,
-                               "in_cone": member})
+        for c_rows, t_rows, open_at in rows:
+            if c_rows and any(sum(map(mul, row, cand)) for row in c_rows):
+                continue
+            lam = [sum(map(mul, row, cand)) for row in t_rows]
+            if min(lam) < 0:
+                continue
+            member = True
+            owners += all(lam[i] for i in open_at)
+        inside += member
+        if owners != member:
+            violations.append({"point": list(cand), "owners": owners, "in_cone": member})
     instances = [{
         "candidates": checked,
         "cone_points": inside,

@@ -46,7 +46,7 @@ the `dilate_counts` benchmark take less than half the time.
 dilate and build no points. The half-space data are integers, so for a
 lattice point the strict facet inequality <a, x> < c is the same as
 <a, x> <= c - 1, and that lowered system is the relative interior.
-`enumerate_points` lists the first dilate's points from the same walk data
+`enumerate_points` lists any dilate's points from the same walk data
 by expanding the runs and mapping each point back by x = V y, V's free
 columns taken through U^-1. Counts do not depend on the coordinate order
 and listings are sorted, so every walk runs last the free coordinate along
@@ -255,26 +255,36 @@ def _lattice_basis(equalities, ambient: int):
     return v, [row for row, _ in t_rows], tuple(y for y, in solved), den
 
 
-def enumerate_points(p: RationalPolytope, region: str = "closed") -> list[IntPoint]:
-    """All lattice points of p (or of its relative interior), sorted.
+def enumerate_points(p: RationalPolytope, region: str = "closed",
+                     n: int = 1) -> list[IntPoint]:
+    """All lattice points of the n-th dilate of p (or of its relative
+    interior), sorted; n >= 0, and the 0-th dilate is {0} in both regions,
+    as `count_points` counts it.
 
     region: 'closed' or 'interior' (interior is relative to the affine hull).
-    The points y of the first dilate's walk map back by x = V (shift ‖ y);
-    a hull that misses the lattice (period > 1) walks nothing. A listing of
-    more than MAX_LISTED_POINTS points raises UnsupportedError once the walk
-    has counted it, before any point is built.
+    The points y of the n-th dilate's walk, on p's own walk data, map back
+    by x = V ((n // period) shift ‖ y); a dilate whose hull misses the
+    lattice (period not dividing n) walks nothing. A listing of more than
+    MAX_LISTED_POINTS points raises UnsupportedError once the walk has
+    counted it, before any point is built.
     """
+    check_int(n, "dilate index")
+    if n < 0:
+        raise InputError("dilate index must be nonnegative")
     check_region(region)
+    if n == 0:
+        return [(0,) * p.ambient_dim]
     data = _walk_data(p)
-    _, mins, _, _, _, basis, shift = data
+    _, mins, _, _, period, basis, shift = data
     runs: list = []
-    closed, _ = _count_dilate(data, 1, int(region == "interior"), False, runs)
+    closed, _ = _count_dilate(data, n, int(region == "interior"), False, runs)
     if closed > MAX_LISTED_POINTS:
         raise UnsupportedError(f"the listing holds {closed:,} lattice points, over the "
                                f"limit of {MAX_LISTED_POINTS:,}")
+    fixed = tuple(n // period * y for y in shift)
     points = ([prefix + (value,) for prefix, low, high in runs
                for value in range(low, high + 1)] if mins else [()] * closed)
-    return sorted(tuple(linalg.int_dot(row, shift + y) for row in basis) for y in points)
+    return sorted(tuple(linalg.int_dot(row, fixed + y) for row in basis) for y in points)
 
 
 def _walk_data(p: RationalPolytope):
@@ -285,13 +295,12 @@ def _walk_data(p: RationalPolytope):
     With x = V y from `_lattice_basis` of p's equalities, the n-th dilate
     fixes y_i = n Y_i / L for i < k: it misses the lattice unless `period`
     = L / gcd(L, Y) divides n, and at n = m * period the fixed coordinates
-    are m times the integers Y_i / gcd(L, Y). Each facet <a, x> <= c
-    becomes <(a V)_free, y_free> <= n c - m t, t the fixed part of
+    are m times the integers `shift` = Y / gcd(L, Y). Each facet
+    <a, x> <= c becomes <(a V)_free, y_free> <= n c - m t, t the fixed part of
     <a V, y> at m = 1, and the free coordinates range over n times the
     extremes of the vertices' images under V_inv. A full-dimensional p has
-    V = I and period 1. With period 1 the first dilate's fixed coordinates
-    are `shift`, and x = V (shift ‖ y) for V's rows with their free columns
-    in walk order.
+    V = I and period 1. There x = V (m shift ‖ y) for V's rows with their
+    free columns in walk order.
 
     The walk costs one visit per prefix, so the free coordinates are first
     reduced to p's shape. `linalg.lll` reduces them under the integer

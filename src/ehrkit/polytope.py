@@ -16,7 +16,8 @@ projected orthogonally onto the hull's direction space so that it does
 not depend on the cell it was read from.
 The same sets give the vertices: a point is a vertex exactly when the sets
 that contain it meet in it alone. The polytope keeps the lifted points its
-hull placed, so `relative_volume` reads the same placing back.
+hull placed and that placing's (cell, solve) pairs, so `relative_volume`
+reads the same placing back without placing again.
 
 The half-space form is built in integers. The points are scaled to
 integers once. The equalities are read off the same placing: its span rows
@@ -91,13 +92,15 @@ class RationalPolytope:
     """Convex hull of finitely many rational points, in normal form."""
 
     def __init__(self, ambient_dim: int, vertices: Sequence[Point], name: str = "", *,
-                 _hrep: HRep, _dim: int, _lifted: tuple | None = None):
+                 _hrep: HRep, _dim: int, _lifted: tuple | None = None,
+                 _placed: tuple | None = None):
         self.ambient_dim = ambient_dim
         self.vertices = tuple(vertices)
         self.name = name
         self._hrep = _hrep
         self._dim = _dim
         self._lifted = _lifted  # the vectors (q L, L) the hull placed, if it did
+        self._placed = _placed  # and the (cell, solve) pairs of that placing
         self._walk_order = None  # enumeration._walk_data, memoised
 
     # -- construction ------------------------------------------------------
@@ -120,9 +123,9 @@ class RationalPolytope:
         if not pts:
             raise InputError("a polytope needs at least one point")
         assert ambient is not None
-        hrep, dim, verts, lifted = _half_space_form(ambient, pts)
+        hrep, dim, verts, lifted, placed = _half_space_form(ambient, pts)
         return RationalPolytope(ambient, sorted(verts), name=name, _hrep=hrep, _dim=dim,
-                                _lifted=lifted)
+                                _lifted=lifted, _placed=placed)
 
     # -- basic structure ---------------------------------------------------
 
@@ -212,15 +215,16 @@ def relative_volume(p: RationalPolytope) -> Fraction:
     otherwise the product of its Smith invariant factors. g divides L, as
     the lifted points lie in Λ, and is 1 for a full-dimensional p; otherwise
     it is read off one cell's Smith form U A V = D, as Λ has the basis
-    (A V)_i / d_i.
+    (A V)_i / d_i. The hull's placing is kept on p, so only a dilate or a
+    translate, which has none, places again.
     """
-    lifted = p._lifted
+    lifted, placed = p._lifted, p._placed
     if lifted is None:
         scale = p.vertex_denominator()
         lifted = tuple(tuple(v.numerator * (scale // v.denominator) for v in q) + (scale,)
                        for q in p.vertices)
+        placed = placing_cells(lifted)
     scale, d = lifted[0][-1], p.dim
-    placed = placing_cells(lifted)
     total = sum(1 if all(den == 1 for _, den in t_rows)
                 else linalg.lattice_normalized_volume([lifted[i] for i in cell])
                 for cell, (t_rows, _) in placed)
@@ -243,9 +247,9 @@ def contains_polytope(inner: RationalPolytope, outer: RationalPolytope) -> bool:
 
 
 def _half_space_form(ambient: int,
-                     pts: list[Point]) -> tuple[HRep, int, list[Point], tuple]:
-    """The half-space form, the dimension, the points that are vertices, and
-    the lifted points that were placed."""
+                     pts: list[Point]) -> tuple[HRep, int, list[Point], tuple, tuple]:
+    """The half-space form, the dimension, the points that are vertices, the
+    lifted points that were placed and their (cell, solve) pairs."""
     # every point scaled to integers by one positive factor, once: signs,
     # hyperplanes and (up to a positive factor) normals are those of pts
     scale = lcm(*(v.denominator for p in pts for v in p))
@@ -276,7 +280,7 @@ def _half_space_form(ambient: int,
     everything = frozenset(range(len(pts)))
     vertices = [p for j, p in enumerate(pts)
                 if everything.intersection(*(key for key in facets if j in key)) == {j}]
-    return hrep, dim, vertices, lifted
+    return hrep, dim, vertices, lifted, placed
 
 
 def _int_primitive(a: Sequence[int], q: Sequence[int], scale: int) -> tuple[IntVec, int]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from math import lcm
 
+from . import linalg
 from .enumeration import count_points, ehrhart, enumerate_points
 from .errors import (FrozenRecord, InputError, TheoremViolationError, UnsupportedError,
                      _set_field)
@@ -169,30 +170,36 @@ def ab_report(pr: HStarProfile) -> Report:
                                  notes={"l": dec.l, "d": dec.d})
 
 
-def reflexive_check(p: RationalPolytope) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide whether some lattice translate of p is reflexive.
+def reflexive_check(p: RationalPolytope,
+                    n: int = 1) -> tuple[bool, tuple[int, ...] | None]:
+    """Decide whether some lattice translate of the n-th dilate of p is
+    reflexive, reading everything off p.
 
-    Requires a full-dimensional lattice polytope. A translate q = p - z is
-    reflexive iff 0 is its unique interior lattice point and every facet of
-    q, written with jointly primitive integer data (a, c), has offset c = 1
-    (equivalently the facet normal scaled to offset 1 stays integral).
-    Returns (True, z) with the witness translation, or (False, None).
+    Requires a full-dimensional lattice polytope and n >= 1. A translate
+    q = n p - z is reflexive iff z is the unique interior lattice point of
+    n p and every facet of q, written with jointly primitive integer data,
+    has offset 1 (equivalently the facet normal scaled to offset 1 stays
+    integral). Each facet (a, c) of p is jointly primitive, and a is
+    primitive too, since c = <a, v> at a lattice vertex v; so q's facets are
+    (a, n c - <a, z>), and no dilate or translate is built. The interior is
+    counted before it is listed. Returns (True, z) with the witness
+    translation, or (False, None).
     """
     if not p.is_lattice:
         raise UnsupportedError("reflexive_check needs a lattice polytope")
     if p.dim != p.ambient_dim:
         raise UnsupportedError("reflexive_check needs a full-dimensional polytope")
-    if count_points(p, 1, "interior") != 1:
+    if count_points(p, n, "interior") != 1:
         return False, None
-    (z,) = enumerate_points(p, "interior")
-    shifted = p.translate([-v for v in z])
-    if all(c == 1 for _, c in shifted.facets().inequalities):
+    (z,) = enumerate_points(p, "interior", n)
+    if all(n * c - linalg.int_dot(a, z) == 1 for a, c in p.facets().inequalities):
         return True, z
     return False, None
 
 
 def hibi_check(p: RationalPolytope) -> Report:
-    """Palindromic h* exactly when the codegree dilate translates to reflexive."""
+    """Palindromic h* exactly when the codegree dilate translates to reflexive
+    (Hibi, Combinatorica 12, 1992); the dilate's reflexivity is read off p."""
     if not p.is_lattice:
         raise UnsupportedError("palindromy-reflexivity check needs a lattice polytope")
     if p.dim != p.ambient_dim:
@@ -200,7 +207,7 @@ def hibi_check(p: RationalPolytope) -> Report:
     pr = polytope_profile(p)
     hstar_poly = Poly(pr.coeffs)
     palindromic = hstar_poly.is_palindromic(pr.s)
-    reflexive, witness = reflexive_check(p.dilate(pr.l))
+    reflexive, witness = reflexive_check(p, pr.l)
     instances = [{
         "index": "biconditional",
         "lhs": palindromic,

@@ -6,7 +6,9 @@ the projection oracle `onto_hull`, the combinatorial boundary oracle
 and `integer_lifts`, the integer vectors that rational points are placed as,
 and `guarded_ehrhart`, the Ehrhart pipeline that certifies its counts by
 walking p guard dilates past the window instead of by the relative volume,
-with a convolution of its own.
+with a convolution of its own. `locate` is the library's former per-point
+membership of one half-open piece; `located_partition` folds it into the
+partition oracle that `cones.partition_check` is checked against.
 
 The `fraction_*` functions are oracles: Gauss-Jordan elimination over
 `Fraction`, sharing no code with the library's one elimination, the fold of
@@ -25,19 +27,22 @@ ambient walk of `test_enumeration`, which share no code with it.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
-from math import floor, lcm
+from math import ceil, floor, lcm
 from typing import Iterable, Sequence
 
 from ehrkit import linalg
-from ehrkit.cones import RationalCone, _inner_normal, decompose, homogenize
+from ehrkit.cones import (HalfOpenSimplicialCone, RationalCone, _inner_normal, decompose,
+                          homogenize)
 from ehrkit.enumeration import IntPoint, _lattice_basis, _walk, region_counts
 from ehrkit.errors import InputError, TheoremViolationError
 from ehrkit.jsonio import rat_to_json
 from ehrkit.placing import placing_cells
 from ehrkit.polytope import RationalPolytope
 from ehrkit.ratpoly import HStarData, Poly, QuasiPoly, RatLike, quasi_from_numerator
+from ehrkit.report import Report
 from ehrkit.structure import ABDecomposition, HStarProfile
 from ehrkit.triangulation import Triangulation, box_polynomial, h_polynomial, link_f_vector
 
@@ -89,9 +94,61 @@ def times_denominator(values: Sequence[int], dim: int, per: int) -> list[int]:
     return out
 
 
+def locate(piece: HalfOpenSimplicialCone, x: Sequence) -> tuple[bool, bool]:
+    """(x lies in the closed piece, x lies in the half-open piece), read off
+    the piece's solve one call per point.
+
+    den_i > 0, so the integer numerators <T_i, x> carry the signs of
+    the barycentric coefficients.
+    """
+    t_rows, c_rows = piece.solve
+    if any(linalg.int_dot(row, x) for row in c_rows):
+        return False, False
+    lam = [linalg.int_dot(row, x) for row, _ in t_rows]
+    if any(v < 0 for v in lam):
+        return False, False
+    return True, not any(flag and v == 0 for v, flag in zip(lam, piece.open_flags))
+
+
 def cone_contains(cone: RationalCone, x: Sequence) -> bool:
     """Exact membership in the closed cone: x lies in some closed piece."""
-    return any(piece.locate(x)[0] for piece in decompose(cone))
+    return any(locate(piece, x)[0] for piece in decompose(cone))
+
+
+def located_partition(cone: RationalCone, bound: int) -> Report:
+    """The partition oracle: `cones.partition_check`'s report, from one
+    `locate` call per (candidate, piece) over the same candidates. A
+    candidate is in the cone when some closed piece holds it, and must then
+    lie in exactly one half-open piece, else in none."""
+    pieces = decompose(cone)
+    n = cone.ambient_dim
+    heights = [g[-1] for g in cone.generators]
+    if all(h > 0 for h in heights):
+        lo = [floor(sum(min(0, Fraction(bound * g[j], h)) for g, h in zip(cone.generators, heights)))
+              for j in range(n)]
+        hi = [ceil(sum(max(0, Fraction(bound * g[j], h)) for g, h in zip(cone.generators, heights)))
+              for j in range(n)]
+        hi[-1] = min(hi[-1], bound)
+        mode = f"height slice 0..{bound}"
+    else:
+        lo, hi = [-bound] * n, [bound] * n
+        mode = f"coordinate box [-{bound}, {bound}]^{n}"
+    checked = inside = 0
+    violations = []
+    for cand in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        checked += 1
+        owners, member = 0, False
+        for piece in pieces:
+            closed, owned = locate(piece, cand)
+            member |= closed
+            owners += owned
+        inside += member
+        if owners != (1 if member else 0):
+            violations.append({"point": list(cand), "owners": owners, "in_cone": member})
+    instances = [{"candidates": checked, "cone_points": inside,
+                  "violations": violations[:10], "pass": not violations}]
+    return Report.from_instances("half-open pieces partition the cone's lattice points",
+                                 instances, notes={"mode": mode, "pieces": len(pieces)})
 
 
 def dual_interior_vector(cone: RationalCone) -> tuple[Fraction, ...]:

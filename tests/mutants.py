@@ -67,6 +67,47 @@ MUTANTS = (
            "    sign = 1 if s > 0 else -1\n",
            "    sign = 1\n",
            ("tests/test_linalg.py::test_jump_solve_matches_fraction_solve",)),
+    Mutant("vol without g", "polytope.py",
+           "    return Fraction(g * total, scale ** (d + 1) * factorial(d))\n",
+           "    return Fraction(total, scale ** (d + 1) * factorial(d))\n",
+           ("tests/test_enumeration.py::"
+            "test_ehrhart_embedded_segment_whose_dilates_miss_the_lattice",)),
+    Mutant("vol without L^(d+1)", "polytope.py",
+           "    return Fraction(g * total, scale ** (d + 1) * factorial(d))\n",
+           "    return Fraction(g * total, factorial(d))\n",
+           ("tests/test_enumeration.py::test_ehrhart_rational_half_segment",)),
+    Mutant("every cell counted as index 1", "polytope.py",
+           "                else linalg.lattice_normalized_volume([lifted[i] for i in cell])\n",
+           "                else 1\n",
+           ("tests/test_enumeration.py::test_ehrhart_reeve_hstar_frozen",)),
+    Mutant("Bareiss division by the previous pivot dropped", "linalg.py",
+           "[(a * pivot - row[k] * b) // prev for a, b in",
+           "[(a * pivot - row[k] * b) for a, b in",
+           ("tests/test_linalg.py::"
+            "test_lattice_normalized_volume_of_square_rows_is_the_determinant",)),
+    Mutant("mirror check reverted to zero / degree / lead", "enumeration.py",
+           "        mirror = closed_parts[-r % per].coeffs\n"
+           "        if c.coeffs != tuple((-1) ** (d + k) * a for k, a in enumerate(mirror)):\n",
+           "        mirror = closed_parts[-r % per]\n"
+           "        if bool(c) != bool(mirror) or (c and (c.degree() != d\n"
+           "                                             or c.coeffs[-1] != mirror.coeffs[-1])):\n",
+           ("tests/test_enumeration.py::"
+            "test_every_single_count_corruption_is_a_theorem_violation",)),
+    Mutant("n-th dilate mapped back with the unscaled shift", "enumeration.py",
+           "    fixed = tuple(n // period * y for y in shift)\n",
+           "    fixed = shift\n",
+           ("tests/test_enumeration.py::"
+            "test_dilate_listing_matches_the_listing_of_the_built_dilate",)),
+    Mutant("reflexive offset c - <a, z> instead of n c - <a, z>", "structure.py",
+           "    if all(n * c - linalg.int_dot(a, z) == 1 for",
+           "    if all(c - linalg.int_dot(a, z) == 1 for",
+           ("tests/test_polytope.py::"
+            "test_reflexive_check_of_a_dilate_matches_the_built_dilate",)),
+    Mutant("partition_check skipping the C rows", "cones.py",
+           "            if c_rows and any(sum(map(mul, row, cand)) for row in c_rows):\n"
+           "                continue\n",
+           "",
+           ("tests/test_cones.py::test_partition_check_matches_the_located_oracle",)),
 )
 
 

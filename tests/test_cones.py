@@ -11,6 +11,7 @@ triangle, and exact truncated-sum algebra.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 import time
@@ -39,17 +40,20 @@ from ehrkit.cones import (
     specialization_check,
     stanley_reciprocity_check,
 )
-from ehrkit.corpus import list_cones, list_polytopes, load_polytope
+from ehrkit.corpus import list_cones, list_polytopes, load_cone, load_polytope
 from ehrkit.enumeration import count_points, reciprocity_check
 from ehrkit.errors import InputError, PoleError, TheoremViolationError, UnsupportedError
+from ehrkit.jsonio import report_to_json
 from ehrkit.placing import placing_cells
 from ehrkit.report import MAX_REPORT_ROWS
 
+import helpers
 from helpers import (
     cloud_cone,
     cone_contains,
     dual_interior_vector,
     lattice_points,
+    located_partition,
     fraction_dot,
     fraction_rank,
     fraction_rref,
@@ -899,6 +903,79 @@ def test_partition_property_all_test_cones():
         report = partition_check(cone, bound=3)
         assert report.verdict == "pass", (cone.generators, report.instances)
         assert report.notes["mode"].startswith(expect_mode)
+
+
+def random_polytope_cone(rng):
+    """The cone over a seeded polytope o + M y in R^1..R^3 with denominators
+    1-2, of lower dimension when M has fewer columns than rows."""
+    n = rng.randint(1, 3)
+    k = rng.randint(0, n)
+    den = rng.choice([1, 2])
+    offset = [F(rng.randint(0, den), den) for _ in range(n)]
+    matrix = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(n)]
+    pts = []
+    for _ in range(rng.randint(k + 1, k + 3)):
+        y = [F(rng.randint(0, 2 * den), den) for _ in range(k)]
+        pts.append([o + sum(m * v for m, v in zip(row, y)) for o, row in zip(offset, matrix)])
+    return homogenize(normalize(pts))
+
+
+def random_pointed_cone(rng):
+    """A seeded pointed cone in R^1..R^4: rays in the span of k <= n random
+    integer vectors, kept when they are positive on a random w with entries
+    of both signs, so some last coordinates are <= 0 and a k < n span gives
+    nonzero C rows."""
+    while True:
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        w = [rng.choice([-2, -1, 1, 2, 3]) for _ in range(n)]
+        rays = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(n)]
+                for _ in range(3 * k + 3)]
+        rays = [ray for ray in rays if sum(map(operator.mul, w, ray)) > 0]
+        if rays:
+            return RationalCone.from_rays(rays[:k + rng.randint(0, 2)])
+
+
+def test_partition_check_matches_the_located_oracle(monkeypatch):
+    # partition_check reads each piece's rows once; the oracle calls locate
+    # per (candidate, piece). Embedded cones have nonzero C rows, and a
+    # generator with last coordinate <= 0 puts the check in coordinate-box
+    # mode; pieces with one open flag flipped make violations to compare.
+    rng = random.Random(34)
+    cases = [(load_cone(name), 3) for name in list_cones()]
+    cases += [(random_polytope_cone(rng), 2) for _ in range(40)]
+    cases += [(random_pointed_cone(rng), 2) for _ in range(60)]
+    seen = Counter()
+    for cone, bound in cases:
+        report = partition_check(cone, bound)
+        assert report_to_json(report) == report_to_json(located_partition(cone, bound)), \
+            cone.generators
+        seen["embedded"] += cone.dim < cone.ambient_dim
+        seen["box mode"] += report.notes["mode"].startswith("coordinate box")
+        seen["slice mode"] += report.notes["mode"].startswith("height slice")
+        seen["embedded, box mode"] += (cone.dim < cone.ambient_dim
+                                       and report.notes["mode"].startswith("coordinate box"))
+    assert seen["embedded"] >= 30 and seen["box mode"] >= 40 and seen["slice mode"] >= 40, seen
+    assert seen["embedded, box mode"] >= 10, seen
+
+    original = cones.decompose
+    for cone, bound in cases[::3]:
+        pieces = original(cone)
+        i = rng.randrange(len(pieces))
+        flags = list(pieces[i].open_flags)
+        j = rng.randrange(len(flags))
+        flags[j] = not flags[j]
+        flipped = pieces[:i] + (HalfOpenSimplicialCone(pieces[i].generators, tuple(flags),
+                                                       pieces[i].solve),) + pieces[i + 1:]
+        for module in (cones, helpers):
+            monkeypatch.setattr(module, "decompose", lambda _, flipped=flipped: flipped)
+        report = partition_check(cone, bound)
+        assert report_to_json(report) == report_to_json(located_partition(cone, bound)), \
+            (cone.generators, flags)
+        seen["violations"] += report.verdict == "fail"
+        monkeypatch.undo()
+    assert seen["violations"] >= 20, seen
 
 
 def test_cone_contains():

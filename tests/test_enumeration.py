@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ehrkit import enumeration
+from ehrkit import enumeration, polytope
 from ehrkit.cones import generating_function, homogenize
 from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.enumeration import (
@@ -722,6 +722,35 @@ def test_enumerate_interior_points():
         enumerate_points(seg, "open")
 
 
+def test_dilate_listing_matches_the_listing_of_the_built_dilate():
+    # the n-th dilate is listed off p's own walk data, its fixed coordinates
+    # (n // period) times the first's; p.dilate(n) has walk data of its own
+    rng = random.Random(34)
+    seen = Counter()
+    for trial in range(500):
+        kind = min(trial % 5, 2)  # lattice, rational, then embedded x3
+        if kind == 0:
+            dim = rng.randint(2, 3)
+            p = normalize(lattice_cloud(trial, dim, rng.randint(1, dim + 3), 2))
+        else:
+            p = (random_rational_polytope, random_embedded_polytope)[kind - 1](rng)
+        for n in (1, 2, 3, 6):
+            q = p.dilate(n)
+            for region in ("closed", "interior"):
+                assert enumerate_points(p, region, n) == enumerate_points(q, region), (
+                    p.vertices, n, region)
+        seen["lattice"] += p.is_lattice
+        seen["embedded"] += p.dim < p.ambient_dim
+        seen["period > 1"] += enumeration._walk_data(p)[4] > 1
+    assert seen["lattice"] >= 150 and seen["embedded"] >= 100, seen
+    assert seen["period > 1"] >= 100, seen
+    square = normalize([[0, 0], [1, 0], [0, 1], [1, 1]])
+    assert enumerate_points(square, "interior", 0) == enumerate_points(square, "closed", 0) == [
+        (0, 0)]
+    with pytest.raises(InputError):
+        enumerate_points(square, "closed", -1)
+
+
 def test_listings_past_the_limit_are_refused_once_counted(monkeypatch):
     # exact at the limit, and refused past it with the walk's count, closed
     # and interior alike; the segment [0, 10^30] is refused at once
@@ -1129,3 +1158,23 @@ def test_moved_polytopes_match_the_hull_of_their_moved_vertices():
                 assert relative_volume(moved) == relative_volume(hull) == factor * relative_volume(p)
                 expected = enumeration._ehrhart_cached.__wrapped__(hull)
                 assert enumeration._ehrhart_cached.__wrapped__(moved) == expected
+
+
+def test_volume_reads_the_placing_kept_by_the_hull(monkeypatch):
+    # from_points keeps its placing's (cell, solve) pairs on the polytope, so
+    # the volume places nothing once the placing cache has forgotten it; a
+    # moved polytope, which has no placing, still places its lifted vertices
+    polytopes = [reeve_simplex(3), normalize([[0, 0], ["1/2", 0], [0, "1/3"]]),
+                 normalize([[0, 0, 0], [1, 1, 0], ["1/2", 0, "1/2"]]), birkhoff_polytope(3)]
+    volumes = [relative_volume(p) for p in polytopes]
+    moved = [p.dilate(2) for p in polytopes]
+    placings = []
+    original = polytope.placing_cells
+    original.cache_clear()
+    monkeypatch.setattr(polytope, "placing_cells",
+                        lambda vectors: placings.append(vectors) or original(vectors))
+    assert [relative_volume(p) for p in polytopes] == volumes
+    assert placings == []
+    assert [relative_volume(q) for q in moved] == [v * 2 ** p.dim
+                                                  for v, p in zip(volumes, polytopes)]
+    assert len(placings) == len(moved)

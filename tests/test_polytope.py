@@ -21,6 +21,7 @@ import pytest
 
 from ehrkit import linalg, structure
 from ehrkit.corpus import list_polytopes, load_polytope
+from ehrkit.enumeration import count_points
 from ehrkit.errors import InputError, UnsupportedError
 from ehrkit.polytope import (
     HRep,
@@ -37,6 +38,7 @@ from helpers import (
     fraction_rank,
     fraction_rref,
     fraction_sub,
+    lattice_cloud,
     normalize,
     onto_hull,
     rank_vertices,
@@ -378,9 +380,9 @@ def test_reflexive_check_counts_before_it_lists(monkeypatch):
     listed = []
     original = structure.enumerate_points
 
-    def listing(p, region="closed"):
+    def listing(p, region="closed", n=1):
         listed.append(region)
-        return original(p, region)
+        return original(p, region, n)
 
     monkeypatch.setattr(structure, "enumerate_points", listing)
     assert reflexive_check(normalize([[-990037], [875789]])) == (False, None)
@@ -388,6 +390,27 @@ def test_reflexive_check_counts_before_it_lists(monkeypatch):
     assert listed == []
     assert reflexive_check(square(2)) == (True, (1, 1))
     assert listed == ["interior"]
+
+
+def test_reflexive_check_of_a_dilate_matches_the_built_dilate():
+    # reflexive_check(p, n) reads the n-th dilate off p's facets, offsets
+    # n c - <a, z>; reflexive_check(p.dilate(n)) builds the dilate
+    rng = random.Random(34)
+    seen = Counter()
+    for trial in range(300):
+        dim = rng.choice([2, 3, 3])
+        p = normalize(lattice_cloud(trial, dim, rng.randint(dim + 1, dim + 4), 2))
+        if p.dim != dim:
+            continue
+        for n in range(1, 5):
+            got = reflexive_check(p, n)
+            assert got == reflexive_check(p.dilate(n)), (p.vertices, n)
+            if got[0]:
+                seen["reflexive"] += 1
+            elif count_points(p, n, "interior") == 1:
+                seen["one interior point, not reflexive"] += 1
+    assert seen["reflexive"] >= 20, seen
+    assert seen["one interior point, not reflexive"] >= 20, seen
 
 
 def test_reflexive_check_preconditions():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ehrkit.corpus import list_polytopes, load_polytope
 from ehrkit.enumeration import ehrhart, enumerate_points
 from ehrkit.errors import InputError, TheoremViolationError, UnsupportedError
 from ehrkit.polytope import RationalPolytope
@@ -193,6 +194,19 @@ def test_hibi_negative_long_segment():
     report = hibi_check(seg)
     assert report.verdict == "pass"
     assert report.instances[0]["lhs"] is False
+
+
+def test_hibi_check_builds_no_dilate_or_translate(monkeypatch):
+    # the codegree dilate's reflexivity is read off p: no _moved polytope
+    def refuse(*args):
+        raise AssertionError("hibi_check built a moved polytope")
+
+    monkeypatch.setattr(RationalPolytope, "_moved", refuse)
+    members = [p for p in map(load_polytope, list_polytopes())
+               if p.is_lattice and p.dim == p.ambient_dim]
+    assert len(members) >= 10
+    for p in members:
+        assert hibi_check(p).verdict == "pass", p.name
 
 
 def test_hibi_preconditions():
